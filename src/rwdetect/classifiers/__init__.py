@@ -1,8 +1,8 @@
 """Six classifiers behind one fit/predict contract, plus serialization."""
 
-from ..dataset import DataMatrix
 from .base import (
     DECISION_THRESHOLD,
+    DEFAULT_PARAMS,
     Fingerprint,
     ForestParams,
     GbtParams,
@@ -37,20 +37,6 @@ FITTERS = {
     "logreg": fit_logistic_regression,
 }
 
-DEFAULT_PARAMS = {
-    "dt": TreeParams,
-    "rf": ForestParams,
-    "knn": KnnParams,
-    "svm": SvmParams,
-    "gbt": GbtParams,
-    "logreg": LogRegParams,
-}
-
-
-def predict(model, matrix: DataMatrix) -> list[Prediction]:
-    """Uniform prediction entry point for any trained model."""
-    return model.predict(matrix)
-
 
 __all__ = [
     "DECISION_THRESHOLD",
@@ -79,7 +65,6 @@ __all__ = [
     "fit_logistic_regression",
     "fit_random_forest",
     "logistic_loss_and_gradient",
-    "predict",
     "serialize_model",
     "svm_objective",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,3 +96,15 @@ class LogRegParams:
     epochs: int = 500
     l2_penalty: float = 1e-4
     tolerance: float = 1e-8
+
+
+# Hyperparameter type of each model kind; model files and --hp overrides
+# are checked against these fields.
+DEFAULT_PARAMS = {
+    "dt": TreeParams,
+    "rf": ForestParams,
+    "knn": KnnParams,
+    "svm": SvmParams,
+    "gbt": GbtParams,
+    "logreg": LogRegParams,
+}

@@ -19,35 +19,23 @@ from .base import Fingerprint, KnnParams, Prediction, as_xy
 @dataclass(frozen=True)
 class KnnModel:
     kind = "knn"
-    train_rows: tuple[tuple[int, ...], ...]  # sparse active sets
+    train: DataMatrix  # active ordinals only; no sample ids or families
     train_labels: tuple[int, ...]
-    n_features: int
     params: KnnParams
     fingerprint: Fingerprint
 
-    def _train_dense(self) -> np.ndarray:
-        X = np.zeros((len(self.train_rows), self.n_features), dtype=np.int64)
-        for i, active in enumerate(self.train_rows):
-            if active:
-                X[i, list(active)] = 1
-        return X
-
     def predict(self, matrix: DataMatrix) -> list[Prediction]:
         self.fingerprint.check_matrix(matrix)
-        T = self._train_dense()
+        T = self.train.to_dense().astype(np.int64)
         Q = matrix.to_dense().astype(np.int64)
         labels = np.asarray(self.train_labels)
         k = self.params.k_neighbors
 
         # Hamming distance via |q| + |t| - 2 q.t, exact in integers.
         dists = Q.sum(axis=1)[:, None] + T.sum(axis=1)[None, :] - 2 * (Q @ T.T)
-        out = []
-        for row in dists:
-            order = np.argsort(row, kind="stable")[:k]
-            ones = int(labels[order].sum())
-            score = ones / k
-            out.append(Prediction(int(2 * ones > k), score))
-        return out
+        nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
+        return [Prediction(int(2 * ones > k), ones / k)
+                for ones in labels[nearest].sum(axis=1).tolist()]
 
 
 def fit_knn(
@@ -62,9 +50,8 @@ def fit_knn(
             f"k_neighbors {params.k_neighbors} > n_samples {matrix.n_samples}"
         )
     return KnnModel(
-        train_rows=tuple(r.active for r in matrix.rows),
+        train=DataMatrix(matrix.n_features, matrix.indptr, matrix.indices),
         train_labels=y.labels,
-        n_features=matrix.n_features,
         params=params,
         fingerprint=fingerprint or Fingerprint(matrix.n_features),
     )

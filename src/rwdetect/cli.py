@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import statistics
 import sys
@@ -73,6 +72,22 @@ def read_config_file(path) -> dict:
     return values
 
 
+def boolean(text: str) -> bool:
+    """``1/true/yes`` or ``0/false/no``, any case."""
+    word = text.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(text)
+    return word in ("1", "true", "yes")
+
+
+def parse_value(cast, text: str, what: str):
+    """``cast(text)``, or a usage error naming ``what``."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise UsageError(f"{what}={text!r} is not a valid {cast.__name__}") from None
+
+
 @dataclasses.dataclass
 class RunConfig:
     data: str | None = None
@@ -83,7 +98,6 @@ class RunConfig:
     model: str = "gbt"
     model_file: str | None = None
     out: str = "out"
-    threads: int = 0  # 0 = machine default; fits are deterministic regardless
     strict: bool = False
     hp: dict = dataclasses.field(default_factory=dict)
 
@@ -108,7 +122,7 @@ def build_config(args) -> RunConfig:
         if flag is not None:
             return flag
         if file_key in file_values:
-            return cast(file_values[file_key])
+            return parse_value(cast, file_values[file_key], f"config {file_key}")
         return default
 
     cfg.data = pick("data", "data", str, os.environ.get(DATA_ENV_VAR))
@@ -119,7 +133,6 @@ def build_config(args) -> RunConfig:
     cfg.model = pick("model", "model", str, cfg.model)
     cfg.model_file = pick("model_file", "model_file", str, None)
     cfg.out = pick("out", "out", str, cfg.out)
-    cfg.threads = pick("threads", "threads", int, cfg.threads)
     cfg.strict = bool(getattr(args, "strict", False))
 
     for key, value in file_values.items():
@@ -130,6 +143,12 @@ def build_config(args) -> RunConfig:
             raise UsageError(f"--hp expects name=value, got {item!r}")
         key, value = item.split("=", 1)
         cfg.hp[key] = value
+    # Overrides are shared across kinds: each must belong to at least one.
+    known = {f.name for c in classifiers.DEFAULT_PARAMS.values() for f in dataclasses.fields(c)}
+    if set(cfg.hp) - known:
+        raise UsageError(f"unknown hyperparameter(s) {sorted(set(cfg.hp) - known)}")
+    for kind in classifiers.MODEL_KINDS:
+        make_params(kind, cfg.hp)  # reject values that do not parse
 
     if cfg.format not in ("dense", "sparse"):
         raise UsageError(f"unknown format {cfg.format!r}, expected dense or sparse")
@@ -158,13 +177,9 @@ def make_params(kind: str, overrides: dict):
     for key, raw in overrides.items():
         if key not in fields:
             continue  # overrides are shared across kinds; ignore foreign keys
-        target = fields[key].type
-        if "bool" in str(target):
-            kwargs[key] = str(raw).lower() in ("1", "true", "yes")
-        elif "int" in str(target):
-            kwargs[key] = int(raw)
-        else:
-            kwargs[key] = float(raw)
+        target = str(fields[key].type)
+        cast = boolean if "bool" in target else int if "int" in target else float
+        kwargs[key] = parse_value(cast, raw, f"hyperparameter {key}")
     return cls(**kwargs)
 
 
@@ -175,20 +190,8 @@ def ensure_out(cfg: RunConfig, command: str) -> Path:
     return out_dir
 
 
-def train_one(kind, train_m, train_y, dictionary, sel, hp_overrides):
-    """Fit selection-projected training data with a bound fingerprint."""
-    projected = selection.project(train_m, sel.selected)
-    fingerprint = classifiers.Fingerprint(
-        n_features=len(sel.selected),
-        dictionary_sha256=dictionary.sha256(),
-        selected=tuple(sel.selected),
-    )
-    params = make_params(kind, hp_overrides)
-    model = classifiers.FITTERS[kind](projected, train_y, params, fingerprint)
-    return model, projected
-
-
-def split_and_select(matrix, y, cfg: RunConfig):
+def split_and_select(matrix, dictionary, y, cfg: RunConfig):
+    """Projected train and test partitions, their labels and the models' fingerprint."""
     spec = dataset.SplitSpec(seed=cfg.seed, test_fraction=cfg.test_fraction)
     train_idx, test_idx = dataset.stratified_split(matrix, y, spec)
     train_m = dataset.take_rows(matrix, train_idx)
@@ -199,7 +202,10 @@ def split_and_select(matrix, y, cfg: RunConfig):
     scores = selection.score_all(train_m, train_y)
     k = min(cfg.top_k, matrix.n_features)
     sel = selection.select_k_best(scores, k)
-    return train_m, train_y, test_m, test_y, sel
+    fingerprint = classifiers.Fingerprint(k, dictionary.sha256(), sel.selected)
+    train_p = selection.project(train_m, sel.selected)
+    test_p = selection.project(test_m, sel.selected)
+    return train_p, train_y, test_p, test_y, fingerprint
 
 
 def cmd_mi_scores(args) -> int:
@@ -209,10 +215,9 @@ def cmd_mi_scores(args) -> int:
     scores = selection.score_all(matrix, y)
     out_path = out_dir / "mi_scores.csv"
     selection.write_scores_csv(out_path, dictionary, scores)
-    order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
     print(f"wrote {len(scores)} feature scores to {out_path}")
     print("top 20 features by MI (nats):")
-    for j in order[:20]:
+    for j in selection.rank_features(scores)[:20].tolist():
         print(f"  {dictionary.names[j]}  {scores[j]:.6f}")
     return EXIT_OK
 
@@ -225,14 +230,15 @@ def cmd_train(args) -> int:
         )
     matrix, dictionary, y = load_dataset(cfg)
     out_dir = ensure_out(cfg, "train")
-    train_m, train_y, _, _, sel = split_and_select(matrix, y, cfg)
-    model, projected = train_one(cfg.model, train_m, train_y, dictionary, sel, cfg.hp)
+    train_p, train_y, _, _, fingerprint = split_and_select(matrix, dictionary, y, cfg)
+    params = make_params(cfg.model, cfg.hp)
+    model = classifiers.FITTERS[cfg.model](train_p, train_y, params, fingerprint)
 
     blob = classifiers.serialize_model(model)
     model_path = Path(cfg.model_file or out_dir / f"model_{cfg.model}.json")
     model_path.write_bytes(blob)
 
-    preds = classifiers.predict(model, projected)
+    preds = model.predict(train_p)
     report = evaluation.evaluate_predictions(cfg.model, train_y, [p.label for p in preds])
     print(f"model written to {model_path} ({len(blob)} bytes)")
     print(f"train accuracy: {float(report.accuracy):.4f}")
@@ -253,7 +259,7 @@ def cmd_evaluate(args) -> int:
     test_y = dataset.take_labels(y, test_idx)
     projected = selection.project(test_m, model.fingerprint.selected)
 
-    preds = classifiers.predict(model, projected)
+    preds = model.predict(projected)
     report = evaluation.evaluate_predictions(
         MODEL_DISPLAY.get(model.kind, model.kind), test_y, [p.label for p in preds]
     )
@@ -267,12 +273,13 @@ def cmd_evaluate(args) -> int:
 
 def _reproduce_once(matrix, dictionary, y, cfg: RunConfig, seed: int):
     run_cfg = dataclasses.replace(cfg, seed=seed)
-    train_m, train_y, test_m, test_y, sel = split_and_select(matrix, y, run_cfg)
-    test_proj = selection.project(test_m, sel.selected)
+    train_p, train_y, test_p, test_y, fingerprint = split_and_select(
+        matrix, dictionary, y, run_cfg
+    )
     results = {}
     for kind in classifiers.MODEL_KINDS:
-        model, _ = train_one(kind, train_m, train_y, dictionary, sel, cfg.hp)
-        preds = classifiers.predict(model, test_proj)
+        model = classifiers.FITTERS[kind](train_p, train_y, make_params(kind, cfg.hp), fingerprint)
+        preds = model.predict(test_p)
         results[kind] = evaluation.evaluate_predictions(
             MODEL_DISPLAY[kind], test_y, [p.label for p in preds]
         )
@@ -289,10 +296,11 @@ def cmd_reproduce(args) -> int:
             file=sys.stderr,
         )
         return EXIT_DATA
+    seeds = [parse_value(int, s, "--seeds entry") for s in args.seeds.split(",")] \
+        if args.seeds else [cfg.seed]
     matrix, dictionary, y = load_dataset(cfg)
     out_dir = ensure_out(cfg, "reproduce")
 
-    seeds = [int(s) for s in (args.seeds.split(",") if args.seeds else [str(cfg.seed)])]
     per_seed = [_reproduce_once(matrix, dictionary, y, cfg, s) for s in seeds]
 
     header = ["model", "acc%", "ref_acc%", "d_acc", "prec", "ref_prec", "d_prec",
@@ -355,10 +363,7 @@ def cmd_score(args) -> int:
     _, dictionary, _ = load_dataset(cfg)  # dictionary source for token lookup
     out_dir = ensure_out(cfg, "score")
 
-    sel = selection.SelectionResult(
-        scores=(), selected=tuple(model.fingerprint.selected),
-        k=len(model.fingerprint.selected),
-    )
+    sel = selection.SelectionResult(model.fingerprint.selected)
     reports_path = Path(args.reports)
     if not reports_path.exists():
         raise UsageError(f"reports path not found: {args.reports}")
@@ -402,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--test-fraction", dest="test_fraction", type=float)
         p.add_argument("--top-k", dest="top_k", type=int)
-        p.add_argument("--threads", type=int)
         p.add_argument("--out")
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--hp", action="append", metavar="NAME=VALUE",

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,11 @@ CATEGORY_CODES = ("API", "DROP", "REG", "FILES", "FILES_EXT", "DIR", "STR")
 
 MAX_FAMILY_ID = 11
 
+# Column ordinals are stored as int32.
+INT32_LIMIT = 2**31
+
+ARRAY_FIELDS = ("indptr", "indices", "family_ids", "sample_ids")
+
 
 @dataclass(frozen=True)
 class FeatureDictionary:
@@ -41,8 +47,11 @@ class FeatureDictionary:
 
     names: tuple[str, ...]
     _index: dict = field(init=False, repr=False, compare=False)
+    _sha256: str | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.names:
+            raise DataFormatError("feature dictionary is empty")
         index = {}
         for j, name in enumerate(self.names):
             prefix = name.split(":", 1)[0]
@@ -65,59 +74,99 @@ class FeatureDictionary:
         return name in self._index
 
     def sha256(self) -> str:
-        """Content hash used in model fingerprints."""
-        h = hashlib.sha256()
-        for name in self.names:
-            h.update(name.encode("utf-8"))
-            h.update(b"\n")
-        return h.hexdigest()
+        """Content hash used in model fingerprints, computed on first call."""
+        if self._sha256 is None:
+            h = hashlib.sha256()
+            for name in self.names:
+                h.update(name.encode("utf-8"))
+                h.update(b"\n")
+            object.__setattr__(self, "_sha256", h.hexdigest())
+        return self._sha256
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    """One sample: identifier, family, and its set of active columns."""
-
-    sample_id: str
-    family_id: int
-    active: tuple[int, ...]
-
-    def __post_init__(self):
-        if not 0 <= self.family_id <= MAX_FAMILY_ID:
-            raise DataFormatError(
-                f"sample {self.sample_id!r}: family_id {self.family_id} "
-                f"outside [0, {MAX_FAMILY_ID}]"
-            )
-        if any(b <= a for a, b in zip(self.active, self.active[1:])):
-            raise DataFormatError(
-                f"sample {self.sample_id!r}: active ordinals not strictly sorted"
-            )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataMatrix:
-    """n x d sparse binary matrix; ordinal present in a row means value 1."""
+    """n x d sparse binary matrix in compressed sparse row form, stored read-only.
+
+    Row i's active column ordinals are ``indices[indptr[i]:indptr[i+1]]``,
+    strictly increasing. Without ``family_ids`` every row is goodware and
+    without ``sample_ids`` rows are named by their numbers.
+    """
 
     n_features: int
-    rows: tuple[SampleRecord, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    family_ids: np.ndarray | None = None
+    sample_ids: np.ndarray | None = None
 
     def __post_init__(self):
-        for r in self.rows:
-            if r.active and r.active[-1] >= self.n_features:
-                raise DataFormatError(
-                    f"sample {r.sample_id!r}: ordinal {r.active[-1]} "
-                    f">= n_features {self.n_features}"
-                )
+        n = len(self.indptr) - 1
+        d = self.n_features
+        indptr = np.asarray(self.indptr, dtype=np.int64)
+        indices = np.asarray(self.indices, dtype=np.int64)
+        family_ids = np.zeros(n, dtype=np.int64) if self.family_ids is None \
+            else np.asarray(self.family_ids)
+        sample_ids = np.asarray(
+            [str(i) for i in range(n)] if self.sample_ids is None else self.sample_ids,
+            dtype=object,
+        )
+        if not (d <= INT32_LIMIT and len(family_ids) == n == len(sample_ids)
+                and indptr[-1] == len(indices)):
+            raise DataFormatError(f"inconsistent {n}-row matrix with {d} features")
+
+        def reject(row, problem):
+            raise DataFormatError(f"sample {sample_ids[row]!r}: {problem}")
+
+        bad = np.flatnonzero((family_ids < 0) | (family_ids > MAX_FAMILY_ID))
+        if len(bad):
+            reject(bad[0], f"family_id {family_ids[bad[0]]} outside [0, {MAX_FAMILY_ID}]")
+        entry_rows = np.repeat(np.arange(n), np.diff(indptr))
+        bad = np.flatnonzero((np.diff(indices) <= 0) & (np.diff(entry_rows) == 0))
+        if len(bad):
+            reject(entry_rows[bad[0]], "active ordinals not strictly sorted")
+        bad = np.flatnonzero((indices < 0) | (indices >= d))
+        if len(bad):
+            reject(entry_rows[bad[0]], f"ordinal {indices[bad[0]]} outside [0, {d})")
+        ids, counts = np.unique(sample_ids, return_counts=True)
+        if np.any(counts > 1):
+            raise DataFormatError(f"duplicate sample id {ids[counts > 1][0]!r}")
+
+        arrays = (indptr, indices.astype(np.int32), family_ids.astype(np.int64), sample_ids)
+        for name, array in zip(ARRAY_FIELDS, arrays):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    @classmethod
+    def from_rows(cls, n_features, rows, family_ids=None, sample_ids=None):
+        """Build from one sorted ordinal sequence per row."""
+        indptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
+        indices = np.concatenate([np.asarray(r, dtype=np.int64) for r in rows]
+                                 or [np.zeros(0, dtype=np.int64)])
+        return cls(n_features, indptr, indices, family_ids, sample_ids)
+
+    def __eq__(self, other):
+        if not isinstance(other, DataMatrix):
+            return NotImplemented
+        return self.n_features == other.n_features and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in ARRAY_FIELDS)
 
     @property
     def n_samples(self) -> int:
-        return len(self.rows)
+        return len(self.indptr) - 1
+
+    def row_ordinals(self) -> list[np.ndarray]:
+        """Active ordinals of every row, as views into ``indices``."""
+        bounds = self.indptr.tolist()
+        return [self.indices[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def entry_rows(self) -> np.ndarray:
+        """Row number of every entry of ``indices``."""
+        return np.repeat(np.arange(self.n_samples), np.diff(self.indptr))
 
     def to_dense(self) -> np.ndarray:
         """Materialize as a (n_samples, n_features) uint8 array."""
         out = np.zeros((self.n_samples, self.n_features), dtype=np.uint8)
-        for i, r in enumerate(self.rows):
-            if r.active:
-                out[i, list(r.active)] = 1
+        out[self.entry_rows(), self.indices] = 1
         return out
 
 
@@ -134,8 +183,8 @@ class LabelVector:
         return np.asarray(self.labels, dtype=np.int64)
 
     @classmethod
-    def from_rows(cls, rows) -> "LabelVector":
-        return cls(tuple(int(r.family_id != 0) for r in rows))
+    def from_families(cls, family_ids) -> "LabelVector":
+        return cls(tuple(int(f != 0) for f in family_ids))
 
 
 @dataclass(frozen=True)
@@ -148,21 +197,10 @@ class SplitSpec:
 
     seed: int = 0
     test_fraction: float = 503 / 1524
-    stratified: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.test_fraction < 1.0:
             raise SplitError(f"test_fraction {self.test_fraction} not in (0,1)")
-
-
-def _parse_cell(value: str, line_no: int, col_name: str) -> int:
-    if value == "0":
-        return 0
-    if value == "1":
-        return 1
-    raise DataFormatError(
-        f"line {line_no}: cell for feature {col_name!r} is {value!r}, expected 0 or 1"
-    )
 
 
 def load_dense_csv(path) -> tuple[DataMatrix, FeatureDictionary, LabelVector]:
@@ -171,116 +209,118 @@ def load_dense_csv(path) -> tuple[DataMatrix, FeatureDictionary, LabelVector]:
     Header row must be ``sample_id,family_id,<feature names...>``; body
     cells are strictly "0"/"1".
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if len(header) < 2 or header[0] != "sample_id" or header[1] != "family_id":
-            raise DataFormatError(
-                f"{path}: header must start with 'sample_id,family_id', got {header[:2]}"
-            )
-        dictionary = FeatureDictionary(tuple(header[2:]))
-        d = len(dictionary)
-        rows = []
-        for line_no, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != d + 2:
+    rows, family_ids, sample_ids = [], [], []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if header[:2] != ["sample_id", "family_id"]:
                 raise DataFormatError(
-                    f"{path}: line {line_no}: expected {d + 2} cells, got {len(cells)}"
+                    f"{path}: header must start with 'sample_id,family_id', got {header[:2]}"
                 )
-            try:
-                family_id = int(cells[1])
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {line_no}: family_id {cells[1]!r} is not an integer"
-                ) from None
-            active = tuple(
-                j
-                for j, cell in enumerate(cells[2:])
-                if _parse_cell(cell, line_no, dictionary.names[j])
-            )
-            rows.append(SampleRecord(cells[0], family_id, active))
-    matrix = DataMatrix(d, tuple(rows))
-    return matrix, dictionary, LabelVector.from_rows(matrix.rows)
+            dictionary = FeatureDictionary(tuple(header[2:]))
+            d = len(dictionary)
+            for line_no, cells in enumerate(reader, start=2):
+                if not cells:
+                    continue
+                if len(cells) != d + 2:
+                    raise DataFormatError(
+                        f"{path}: line {line_no}: expected {d + 2} cells, got {len(cells)}"
+                    )
+                family_ids.append(_parse_family(cells[1], f"{path}: line {line_no}"))
+                values = cells[2:]
+                rows.append([j for j, cell in enumerate(values) if cell == "1"])
+                if len(rows[-1]) + values.count("0") != d:
+                    j = next(j for j, cell in enumerate(values) if cell not in ("0", "1"))
+                    raise DataFormatError(
+                        f"line {line_no}: cell for feature {dictionary.names[j]!r} "
+                        f"is {values[j]!r}, expected 0 or 1"
+                    )
+                sample_ids.append(cells[0])
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: not readable as UTF-8 CSV: {exc}") from None
+    matrix = DataMatrix.from_rows(d, rows, family_ids, sample_ids)
+    return matrix, dictionary, LabelVector.from_families(matrix.family_ids)
+
+
+def _parse_family(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise DataFormatError(f"{where}: family_id {text!r} is not an integer") from None
+
+
+def _section_count(head, tag: str, path) -> int:
+    """The count of a ``<tag> <count>`` section header line."""
+    try:
+        count = int(head.split()[1]) if head and head.startswith(tag + " ") else -1
+    except (IndexError, ValueError):
+        count = -1
+    if not 0 <= count <= INT32_LIMIT:
+        raise DataFormatError(f"{path}: expected a '{tag} <count>' header, got {head!r}")
+    return count
 
 
 def load_sparse(path) -> tuple[DataMatrix, FeatureDictionary, LabelVector]:
-    """Load the sparse tab-separated format (see module docstring)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    pos = 0
+    """Load the sparse tab-separated format (see module docstring).
 
-    def next_line():
-        nonlocal pos
-        while pos < len(lines):
-            line = lines[pos]
-            pos += 1
-            if line != "":
-                return line
-        return None
-
-    head = next_line()
-    if head is None or not head.startswith("#FEATURES "):
-        raise DataFormatError(f"{path}: missing '#FEATURES d' dictionary header")
-    d = int(head.split()[1])
-    names = []
-    for _ in range(d):
-        name = next_line()
-        if name is None:
-            raise DataFormatError(f"{path}: dictionary section truncated")
-        names.append(name)
-    dictionary = FeatureDictionary(tuple(names))
-
-    head = next_line()
-    if head is None or not head.startswith("#SAMPLES "):
-        raise DataFormatError(f"{path}: missing '#SAMPLES n' section header")
-    n = int(head.split()[1])
-    rows = []
-    for i in range(n):
-        line = next_line()
-        if line is None:
-            raise DataFormatError(f"{path}: sample section truncated at row {i}")
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataFormatError(
-                f"{path}: sample line {i}: expected 3 tab-separated fields"
-            )
-        sample_id, family_str, feats = parts
-        ordinals = set()
-        for token in feats.split():
-            if token not in dictionary:
-                raise DataFormatError(
-                    f"{path}: sample {sample_id!r}: unknown feature {token!r}"
-                )
-            ordinals.add(dictionary.ordinal(token))
-        rows.append(SampleRecord(sample_id, int(family_str), tuple(sorted(ordinals))))
-    matrix = DataMatrix(d, tuple(rows))
-    return matrix, dictionary, LabelVector.from_rows(matrix.rows)
+    The file is read line by line and each sample's tokens are mapped to
+    ordinals as its line is read, so no whole-file token list is held.
+    Blank lines are skipped; a token repeated within a line counts once.
+    """
+    rows, family_ids, sample_ids = [], [], []
+    try:
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            lines = (line for line in (raw.rstrip("\n") for raw in fh) if line)
+            d = _section_count(next(lines, None), "#FEATURES", path)
+            names = tuple(itertools.islice(lines, d))
+            if len(names) < d:
+                raise DataFormatError(f"{path}: dictionary section truncated")
+            dictionary = FeatureDictionary(names)
+            for i in range(_section_count(next(lines, None), "#SAMPLES", path)):
+                line = next(lines, None)
+                if line is None:
+                    raise DataFormatError(f"{path}: sample section truncated at row {i}")
+                parts = line.split("\t")
+                if len(parts) != 3:
+                    raise DataFormatError(
+                        f"{path}: sample line {i}: expected 3 tab-separated fields"
+                    )
+                sample_id, family, tokens = parts[0], parts[1], parts[2].split()
+                try:
+                    ordinals = np.fromiter(map(dictionary._index.__getitem__, tokens),
+                                           dtype=np.int64, count=len(tokens))
+                except KeyError as exc:
+                    raise DataFormatError(
+                        f"{path}: sample {sample_id!r}: unknown feature {exc.args[0]!r}"
+                    ) from None
+                rows.append(np.unique(ordinals))
+                family_ids.append(_parse_family(family, f"{path}: sample {sample_id!r}"))
+                sample_ids.append(sample_id)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not readable as UTF-8 text: {exc}") from None
+    matrix = DataMatrix.from_rows(d, rows, family_ids, sample_ids)
+    return matrix, dictionary, LabelVector.from_families(matrix.family_ids)
 
 
 def write_dense_csv(path, matrix: DataMatrix, dictionary: FeatureDictionary) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sample_id", "family_id", *dictionary.names])
-        for r in matrix.rows:
-            cells = ["0"] * matrix.n_features
-            for j in r.active:
-                cells[j] = "1"
-            writer.writerow([r.sample_id, str(r.family_id), *cells])
+        for sid, family, row in zip(matrix.sample_ids, matrix.family_ids, matrix.to_dense()):
+            writer.writerow([sid, str(family), *map(str, row.tolist())])
 
 
 def write_sparse(path, matrix: DataMatrix, dictionary: FeatureDictionary) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"#FEATURES {matrix.n_features}\n")
-        for name in dictionary.names:
-            fh.write(name + "\n")
+        fh.writelines(name + "\n" for name in dictionary.names)
         fh.write(f"#SAMPLES {matrix.n_samples}\n")
-        for r in matrix.rows:
-            feats = " ".join(dictionary.names[j] for j in r.active)
-            fh.write(f"{r.sample_id}\t{r.family_id}\t{feats}\n")
+        for sid, family, active in zip(
+            matrix.sample_ids, matrix.family_ids.tolist(), matrix.row_ordinals()
+        ):
+            feats = " ".join(dictionary.names[j] for j in active.tolist())
+            fh.write(f"{sid}\t{family}\t{feats}\n")
 
 
 def stratified_split(
@@ -288,8 +328,7 @@ def stratified_split(
 ) -> tuple[list[int], list[int]]:
     """Partition row indices into (train, test), deterministic per seed.
 
-    Stratified mode draws round(class_count * test_fraction) test samples
-    per class.
+    Each class contributes round(class_count * test_fraction) test samples.
     """
     n = matrix.n_samples
     if n < 2:
@@ -299,29 +338,20 @@ def stratified_split(
     rng = np.random.default_rng(spec.seed)
     labels = y.to_array()
 
-    if spec.stratified:
-        classes = np.unique(labels)
-        if len(classes) < 2:
-            raise SplitError("stratified split requires both classes present")
-        test_idx: list[int] = []
-        for c in classes:
-            members = np.flatnonzero(labels == c)
-            k = round(len(members) * spec.test_fraction)
-            if k == 0 or k == len(members):
-                raise SplitError(
-                    f"test_fraction {spec.test_fraction} empties a partition "
-                    f"for class {c}"
-                )
-            perm = rng.permutation(members)
-            test_idx.extend(int(i) for i in perm[:k])
-    else:
-        k = round(n * spec.test_fraction)
-        if k == 0 or k == n:
+    classes = np.unique(labels)
+    if len(classes) < 2:
+        raise SplitError("stratified split requires both classes present")
+    test_idx: list[int] = []
+    for c in classes:
+        members = np.flatnonzero(labels == c)
+        k = round(len(members) * spec.test_fraction)
+        if k == 0 or k == len(members):
             raise SplitError(
-                f"test_fraction {spec.test_fraction} produces an empty partition"
+                f"test_fraction {spec.test_fraction} empties a partition "
+                f"for class {c}"
             )
-        perm = rng.permutation(n)
-        test_idx = [int(i) for i in perm[:k]]
+        perm = rng.permutation(members)
+        test_idx.extend(int(i) for i in perm[:k])
 
     test_set = set(test_idx)
     train_idx = [i for i in range(n) if i not in test_set]
@@ -330,7 +360,16 @@ def stratified_split(
 
 def take_rows(matrix: DataMatrix, indices) -> DataMatrix:
     """Row subset in the given index order."""
-    return DataMatrix(matrix.n_features, tuple(matrix.rows[i] for i in indices))
+    rows = np.asarray(indices, dtype=np.int64)
+    starts = matrix.indptr[rows]
+    lengths = matrix.indptr[rows + 1] - starts
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    # Position in ``matrix.indices`` of every kept entry, row after row.
+    positions = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+    return DataMatrix(
+        matrix.n_features, indptr, matrix.indices[positions],
+        matrix.family_ids[rows], matrix.sample_ids[rows],
+    )
 
 
 def take_labels(y: LabelVector, indices) -> LabelVector:
@@ -370,15 +409,10 @@ def synthesize_dataset(
         thresholds[:, ordinal] = np.where(labels == 1, p1, p0)
     dense = cells < thresholds
 
-    rows = tuple(
-        SampleRecord(
-            f"synth{i:05d}",
-            int(labels[i]),
-            tuple(int(j) for j in np.flatnonzero(dense[i])),
-        )
-        for i in range(n)
+    matrix = DataMatrix.from_rows(
+        d, [np.flatnonzero(row) for row in dense], labels, [f"synth{i:05d}" for i in range(n)]
     )
-    return DataMatrix(d, rows), LabelVector(tuple(int(v) for v in labels))
+    return matrix, LabelVector(tuple(int(v) for v in labels))
 
 
 def generic_dictionary(d: int, category: str = "STR") -> FeatureDictionary:

@@ -14,10 +14,10 @@ import json
 import logging
 from dataclasses import dataclass, field
 
-from .classifiers import Prediction, predict
-from .dataset import DataMatrix, FeatureDictionary, SampleRecord
+from .classifiers import Prediction
+from .dataset import DataMatrix, FeatureDictionary
 from .errors import DataFormatError, FingerprintMismatch
-from .selection import SelectionResult, project_row
+from .selection import SelectionResult, project
 
 logger = logging.getLogger(__name__)
 
@@ -82,8 +82,6 @@ def prefixed_tokens(report: BehaviorReport) -> set[str]:
 
 
 def vectorize(report: BehaviorReport, dictionary: FeatureDictionary) -> VectorizeOutcome:
-    if len(dictionary) == 0:
-        raise ValueError("empty feature dictionary")
     ordinals = set()
     misses = []
     for name in sorted(prefixed_tokens(report)):
@@ -122,12 +120,10 @@ def score_report(
         raise FingerprintMismatch("selected-ordinal list differs from the model's")
     if fp.dictionary_sha256 and fp.dictionary_sha256 != dictionary.sha256():
         raise FingerprintMismatch("feature dictionary differs from the model's")
+    if selection.selected and max(selection.selected) >= len(dictionary):
+        raise FingerprintMismatch("selected ordinals exceed the feature dictionary")
 
     outcome = vectorize(report, dictionary)
-    projected = project_row(outcome.row, selection.selected)
-    matrix = DataMatrix(
-        len(selection.selected),
-        (SampleRecord("report", 0, projected),),
-    )
-    prediction = predict(model, matrix)[0]
+    row = DataMatrix(len(dictionary), [0, len(outcome.row)], outcome.row)
+    prediction = model.predict(project(row, selection.selected))[0]
     return prediction, outcome

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataMatrix, FeatureDictionary, LabelVector, SampleRecord
+from .dataset import DataMatrix, FeatureDictionary, LabelVector
 
 
 @dataclass(frozen=True)
@@ -37,17 +37,12 @@ class ContingencyTable:
     def n(self) -> int:
         return self.n00 + self.n01 + self.n10 + self.n11
 
-    def transpose(self) -> "ContingencyTable":
-        return ContingencyTable(self.n00, self.n10, self.n01, self.n11)
-
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Per-feature MI scores plus the chosen top-k ordinals."""
+    """The chosen top-k ordinals, best first."""
 
-    scores: tuple[float, ...]
     selected: tuple[int, ...]
-    k: int
 
 
 def mi_score(t: ContingencyTable) -> float:
@@ -85,13 +80,9 @@ def score_all(matrix: DataMatrix, y: LabelVector) -> np.ndarray:
     n_neg = n - n_pos
 
     # Per-column active counts split by class.
-    n11 = np.zeros(d, dtype=np.int64)
-    n10 = np.zeros(d, dtype=np.int64)
-    for row, label in zip(matrix.rows, labels):
-        if not row.active:
-            continue
-        target = n11 if label == 1 else n10
-        target[list(row.active)] += 1
+    positive = (labels == 1)[matrix.entry_rows()]
+    n11 = np.bincount(matrix.indices[positive], minlength=d)
+    n10 = np.bincount(matrix.indices[~positive], minlength=d)
     n01 = n_pos - n11
     n00 = n_neg - n10
 
@@ -109,50 +100,47 @@ def score_all(matrix: DataMatrix, y: LabelVector) -> np.ndarray:
     return scores
 
 
+def rank_features(scores) -> np.ndarray:
+    """Ordinals by score descending, ties by ascending ordinal."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return np.lexsort((np.arange(len(scores)), -scores))
+
+
 def select_k_best(scores, k: int) -> SelectionResult:
     """Top-k ordinals by score descending, ties by ascending ordinal."""
     scores = np.asarray(scores, dtype=np.float64)
     d = len(scores)
     if not 1 <= k <= d:
         raise ValueError(f"k={k} out of range [1, {d}]")
-    order = sorted(range(d), key=lambda j: (-scores[j], j))
-    return SelectionResult(
-        scores=tuple(float(s) for s in scores),
-        selected=tuple(order[:k]),
-        k=k,
-    )
+    return SelectionResult(tuple(rank_features(scores)[:k].tolist()))
 
 
 def project(matrix: DataMatrix, selected) -> DataMatrix:
     """Column subset re-encoded into the new ordinal space."""
-    selected = list(selected)
-    if len(set(selected)) != len(selected):
+    selected = np.asarray(list(selected), dtype=np.int64)
+    if len(np.unique(selected)) != len(selected):
         raise ValueError("duplicate ordinal in selection")
-    for j in selected:
-        if not 0 <= j < matrix.n_features:
-            raise ValueError(f"ordinal {j} out of range [0, {matrix.n_features})")
-    remap = {old: new for new, old in enumerate(selected)}
-    rows = tuple(
-        SampleRecord(
-            r.sample_id,
-            r.family_id,
-            tuple(sorted(remap[j] for j in r.active if j in remap)),
+    outside = selected[(selected < 0) | (selected >= matrix.n_features)]
+    if len(outside):
+        raise ValueError(
+            f"ordinal {outside[0]} out of range [0, {matrix.n_features})"
         )
-        for r in matrix.rows
+    new_ordinal = np.full(matrix.n_features, -1, dtype=np.int64)
+    new_ordinal[selected] = np.arange(len(selected))
+    remapped = new_ordinal[matrix.indices]
+    kept = remapped >= 0
+    rows = matrix.entry_rows()[kept]
+    remapped = remapped[kept]
+    order = np.lexsort((remapped, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=matrix.n_samples))))
+    return DataMatrix(
+        len(selected), indptr, remapped[order], matrix.family_ids, matrix.sample_ids
     )
-    return DataMatrix(len(selected), rows)
-
-
-def project_row(active, selected) -> tuple[int, ...]:
-    """Re-encode one sparse row into the selected-column space."""
-    remap = {old: new for new, old in enumerate(selected)}
-    return tuple(sorted(remap[j] for j in active if j in remap))
 
 
 def write_scores_csv(path, dictionary: FeatureDictionary, scores) -> None:
     """Dump ``feature_name,mi_score`` rows sorted by score descending."""
-    order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("feature_name,mi_score\n")
-        for j in order:
+        for j in rank_features(scores).tolist():
             fh.write(f"{dictionary.names[j]},{scores[j]:.12g}\n")

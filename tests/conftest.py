@@ -5,25 +5,17 @@ from rwdetect.dataset import (
     DataMatrix,
     FeatureDictionary,
     LabelVector,
-    SampleRecord,
 )
 
 
 def matrix_from_dense(dense, labels=None, family_ids=None):
     """Build a DataMatrix straight from a 0/1 array (test convenience)."""
     dense = np.asarray(dense)
-    n, d = dense.shape
+    n = len(dense)
     if family_ids is None:
         family_ids = labels if labels is not None else [0] * n
-    rows = tuple(
-        SampleRecord(
-            f"s{i}",
-            int(family_ids[i]),
-            tuple(int(j) for j in np.flatnonzero(dense[i])),
-        )
-        for i in range(n)
-    )
-    m = DataMatrix(d, rows)
+    rows = [np.flatnonzero(row) for row in dense]
+    m = DataMatrix.from_rows(dense.shape[1], rows, family_ids, [f"s{i}" for i in range(n)])
     y = LabelVector(tuple(int(v) for v in labels)) if labels is not None else None
     return (m, y) if labels is not None else m
 

@@ -24,7 +24,6 @@ from rwdetect.classifiers import (
     fit_gradient_boosting,
     fit_knn,
     fit_logistic_regression,
-    predict,
     serialize_model,
 )
 from rwdetect.selection import ContingencyTable, mi_score, score_all
@@ -73,7 +72,7 @@ def test_criterion_1_table_reproduction():
 
         for kind in MODEL_KINDS:
             model = FITTERS[kind](train_p, train_y)
-            preds = predict(model, test_p)
+            preds = model.predict(test_p)
             report = evaluation.evaluate_predictions(
                 kind, test_y, [p.label for p in preds]
             )
@@ -167,7 +166,7 @@ def test_criterion_5_knn_oracle():
                 if k > n:
                     continue
                 model = fit_knn(m, y, KnnParams(k_neighbors=k))
-                preds = predict(model, queries)
+                preds = model.predict(queries)
                 for q, p in zip(query_X, preds):
                     label, score = knn_oracle(train_X, train_y, q, k)
                     assert p.label == label and p.score == score
@@ -219,7 +218,7 @@ def test_criterion_7_determinism_and_persistence():
             blob = serialize_model(model)
             assert serialize_model(FITTERS[kind](m, y)) == blob
             restored = deserialize_model(blob)
-            assert predict(restored, test_m) == predict(model, test_m)
+            assert restored.predict(test_m) == model.predict(test_m)
 
 
 def test_criterion_8_pipeline_soundness():
@@ -244,7 +243,7 @@ def test_criterion_8_pipeline_soundness():
         test_p = selection.project(test_m, sel.selected)
         for kind in MODEL_KINDS:
             model = FITTERS[kind](train_p, train_y)
-            preds = predict(model, test_p)
+            preds = model.predict(test_p)
             acc = float(
                 evaluation.evaluate_predictions(
                     kind, test_y, [p.label for p in preds]

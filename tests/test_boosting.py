@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rwdetect.classifiers import GbtParams, fit_gradient_boosting, predict
+from rwdetect.classifiers import GbtParams, fit_gradient_boosting
 from rwdetect.errors import FitError
 
 from conftest import matrix_from_dense, random_dense
@@ -50,7 +50,7 @@ class TestGradientBoosting:
             [[0], [1], [0], [1]], labels=[0, 1, 1, 1]
         )
         model = fit_gradient_boosting(m, y, GbtParams(n_rounds=0))
-        for p in predict(model, m):
+        for p in model.predict(m):
             assert p.score == pytest.approx(0.75, abs=1e-12)
 
     def test_separating_feature_reaches_perfect_accuracy(self):
@@ -59,7 +59,7 @@ class TestGradientBoosting:
             labels=[0, 1, 0, 1, 0, 1],
         )
         model = fit_gradient_boosting(m, y, GbtParams(n_rounds=10))
-        assert [p.label for p in predict(model, m)] == list(y.labels)
+        assert [p.label for p in model.predict(m)] == list(y.labels)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_first_tree_matches_exhaustive_gain(self, seed):

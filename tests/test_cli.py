@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rwdetect import cli
 from rwdetect.classifiers import deserialize_model
 from rwdetect.dataset import (
@@ -199,3 +201,45 @@ class TestConfig:
         cfg.write_text("what is this\n")
         assert run(["mi-scores", "--config", cfg, "--out", tmp_path / "o"]) \
             == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("line", ["seed=abc", "top_k=x", "test_fraction=abc"])
+    def test_non_numeric_config_value(self, tmp_path, capsys, line):
+        data = make_dataset(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data={data}\n{line}\n")
+        assert run(["mi-scores", "--config", cfg, "--out", tmp_path / "o"]) \
+            == cli.EXIT_USAGE
+        assert line.split("=")[0] in capsys.readouterr().err
+
+    def test_threads_not_echoed(self, tmp_path):
+        data = make_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert run(["mi-scores", "--data", data, "--out", out]) == 0
+        keys = [line.split("=", 1)[0] for line in (out / "mi-scores.config").open()]
+        assert "threads" not in keys
+
+
+class TestHyperparameters:
+    @pytest.mark.parametrize("hp", [
+        "n_trees=abc",  # value does not parse
+        "n_tres=5",  # no model kind has this parameter
+        "bootstrap=maybe",
+        "learning_rate=fast",
+    ])
+    def test_bad_override_is_usage_error(self, tmp_path, capsys, hp):
+        data = make_dataset(tmp_path)
+        code = run(["train", "--data", data, "--model", "dt", "--out",
+                    tmp_path / "o", "--hp", hp])
+        assert code == cli.EXIT_USAGE
+        assert hp.split("=")[0] in capsys.readouterr().err
+
+    def test_foreign_key_is_shared_across_kinds(self, tmp_path, capsys):
+        # n_trees belongs to rf only; a dt run accepts and ignores it.
+        data = make_dataset(tmp_path)
+        assert run(["train", "--data", data, "--model", "dt", "--out",
+                    tmp_path / "o", "--top-k", 5, "--hp", "n_trees=3"]) == 0
+
+    def test_bad_seed_list(self, tmp_path, capsys):
+        data = make_dataset(tmp_path)
+        assert run(["reproduce", "--data", data, "--out", tmp_path / "o",
+                    "--seeds", "0,x"]) == cli.EXIT_USAGE

@@ -1,17 +1,21 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rwdetect.dataset import (
     DataMatrix,
     FeatureDictionary,
     LabelVector,
-    SampleRecord,
     SplitSpec,
     generic_dictionary,
     load_dense_csv,
     load_sparse,
     stratified_split,
     synthesize_dataset,
+    take_rows,
     write_dense_csv,
     write_sparse,
 )
@@ -46,6 +50,10 @@ class TestFeatureDictionary:
         with pytest.raises(DataFormatError):
             FeatureDictionary(("API",))
 
+    def test_empty_rejected(self):
+        with pytest.raises(DataFormatError, match="empty"):
+            FeatureDictionary(())
+
 
 class TestDenseLoader:
     def test_all_zero_matrix(self, tmp_path):
@@ -59,14 +67,16 @@ class TestDenseLoader:
         )
         m, d, y = load_dense_csv(p)
         assert m.n_samples == 3 and m.n_features == 4
-        assert all(r.active == () for r in m.rows)
+        assert m.indptr.tolist() == [0, 0, 0, 0]
         assert y.labels == (0, 1, 0)
 
     def test_direct_encoding(self, tmp_path):
         p = tmp_path / "d.csv"
         write_lines(p, "sample_id,family_id," + NAMES4, "s1,0,1,0,1,0")
         m, _, y = load_dense_csv(p)
-        assert m.rows[0] == SampleRecord("s1", 0, (0, 2))
+        assert m.sample_ids.tolist() == ["s1"]
+        assert m.family_ids.tolist() == [0]
+        assert m.row_ordinals()[0].tolist() == [0, 2]
         assert y.labels == (0,)
 
     def test_non_binary_cell_reports_location(self, tmp_path):
@@ -101,14 +111,14 @@ class TestSparseLoader:
             "s1\t2\tAPI:x STR:y",
         )
         m, _, y = load_sparse(p)
-        assert m.rows[0].active == (0, 1)
+        assert m.row_ordinals()[0].tolist() == [0, 1]
         assert y.labels == (1,)
 
     def test_empty_feature_list(self, tmp_path):
         p = tmp_path / "d.sparse"
         write_lines(p, "#FEATURES 1", "API:x", "#SAMPLES 1", "s1\t0\t")
         m, _, _ = load_sparse(p)
-        assert m.rows[0].active == ()
+        assert m.row_ordinals()[0].tolist() == []
 
     def test_unknown_feature_name(self, tmp_path):
         p = tmp_path / "d.sparse"
@@ -121,6 +131,117 @@ class TestSparseLoader:
         write_lines(p, "#SAMPLES 1", "s1\t0\t")
         with pytest.raises(DataFormatError, match="#FEATURES"):
             load_sparse(p)
+
+    @pytest.mark.parametrize("lines", [
+        ("#FEATURES x", "API:x", "#SAMPLES 1", "s1\t0\tAPI:x"),
+        ("#FEATURES -1", "#SAMPLES 1", "s1\t0\t"),
+        ("#FEATURES 99999999999999999999999", "API:x", "#SAMPLES 0"),
+        ("#FEATURES 1", "API:x", "#SAMPLES x", "s1\t0\tAPI:x"),
+    ])
+    def test_bad_section_count(self, tmp_path, lines):
+        p = tmp_path / "d.sparse"
+        write_lines(p, *lines)
+        with pytest.raises(DataFormatError, match="header"):
+            load_sparse(p)
+
+    def test_non_integer_family_id(self, tmp_path):
+        p = tmp_path / "d.sparse"
+        write_lines(p, "#FEATURES 1", "API:x", "#SAMPLES 1", "s1\tfoo\tAPI:x")
+        with pytest.raises(DataFormatError, match="family_id 'foo'"):
+            load_sparse(p)
+
+    def test_duplicate_sample_id(self, tmp_path):
+        p = tmp_path / "d.sparse"
+        write_lines(p, "#FEATURES 1", "API:x", "#SAMPLES 2", "s1\t0\tAPI:x", "s1\t1\t")
+        with pytest.raises(DataFormatError, match="duplicate sample id 's1'"):
+            load_sparse(p)
+
+    def test_repeated_token_is_one_active_column(self, tmp_path):
+        p = tmp_path / "d.sparse"
+        write_lines(
+            p, "#FEATURES 2", "API:x", "STR:y", "#SAMPLES 1", "s1\t0\tSTR:y API:x STR:y"
+        )
+        m, _, _ = load_sparse(p)
+        assert m.row_ordinals()[0].tolist() == [0, 1]
+
+    def test_invalid_utf8(self, tmp_path):
+        p = tmp_path / "d.sparse"
+        p.write_bytes(b"#FEATURES 1\nAPI:\xff\n#SAMPLES 0\n")
+        with pytest.raises(DataFormatError, match="UTF-8"):
+            load_sparse(p)
+
+
+VALID_SPARSE = (
+    b"#FEATURES 4\nAPI:a\nDROP:b\nREG:c\nSTR:d\n#SAMPLES 3\n"
+    b"s1\t0\tAPI:a REG:c\ns2\t3\t\ns3\t11\tSTR:d DROP:b API:a\n"
+)
+
+# Whole lines and fragments that resemble the format, so mutations reach
+# past the header checks.
+FRAGMENTS = st.sampled_from([
+    b"#FEATURES 2", b"#SAMPLES 1", b"#SAMPLES 9", b"API:a", b"API:a API:a", b"NOPE:x",
+    b"s1\t0\tAPI:a", b"s9\t12\t", b"s9\t-1\tSTR:d", b"s9\tx\t", b"\t", b" ", b"\n",
+    b"\r", b"\xff", b"\xed\xa0\x80", b"99999999999999999999999", b"",
+])
+
+
+@st.composite
+def mutated_sparse(draw):
+    data = VALID_SPARSE
+    for _ in range(draw(st.integers(1, 3))):
+        lines = data.split(b"\n")
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["delete", "duplicate", "replace", "splice"]))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "replace":
+            lines[i] = draw(FRAGMENTS | st.binary(max_size=6))
+        else:
+            at = draw(st.integers(0, len(lines[i])))
+            insert = draw(FRAGMENTS | st.binary(max_size=3))
+            lines[i] = lines[i][:at] + insert + lines[i][at:]
+        data = b"\n".join(lines)
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_sparse())
+def test_mutated_sparse_file_raises_only_data_format_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "d.sparse"
+        p.write_bytes(data)
+        try:
+            m, d, y = load_sparse(p)
+        except DataFormatError:
+            return
+    assert m.n_features == len(d) and len(y) == m.n_samples
+
+
+class TestDataMatrix:
+    @pytest.mark.parametrize("rows, families, ids, message", [
+        ([(1, 0)], [0], ["a"], "'a': active ordinals not strictly sorted"),
+        ([(0,), (2, 2)], [0, 0], ["a", "b"], "'b': active ordinals not strictly sorted"),
+        ([(), (0, 3)], [0, 0], ["a", "b"], "'b': ordinal 3 outside"),
+        ([(-1,)], [0], ["a"], "ordinal -1 outside"),
+        ([()], [12], ["a"], "family_id 12 outside"),
+        ([(), ()], [0, 0], ["a", "a"], "duplicate sample id 'a'"),
+    ])
+    def test_invariants_rejected(self, rows, families, ids, message):
+        with pytest.raises(DataFormatError, match=message):
+            DataMatrix.from_rows(3, rows, families, ids)
+
+    def test_take_rows_matches_dense_gather(self):
+        rng = np.random.default_rng(8)
+        dense = (rng.random((9, 7)) < 0.4).astype(np.uint8)
+        m = matrix_from_dense(dense, family_ids=rng.integers(0, 12, size=9))
+        order = [4, 0, 8, 3]
+        sub = take_rows(m, order)
+        assert np.array_equal(sub.to_dense(), dense[order])
+        assert sub.family_ids.tolist() == m.family_ids[order].tolist()
+        assert sub.sample_ids.tolist() == [f"s{i}" for i in order]
+        assert take_rows(m, []).n_samples == 0
 
 
 class TestCrossFormat:
@@ -220,8 +341,8 @@ class TestSynthesize:
 
     def test_label_rule_total(self):
         m, y = synthesize_dataset(40, 3, 0.5, [], seed=2)
-        for row, label in zip(m.rows, y.labels):
-            assert label == (row.family_id != 0)
+        for family_id, label in zip(m.family_ids, y.labels):
+            assert label == (family_id != 0)
 
     def test_out_of_range_signal_ordinal(self):
         with pytest.raises(ValueError, match="out of range"):

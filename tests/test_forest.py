@@ -6,7 +6,6 @@ from rwdetect.classifiers import (
     TreeParams,
     fit_decision_tree,
     fit_random_forest,
-    predict,
     serialize_model,
 )
 from rwdetect.dataset import synthesize_dataset
@@ -25,7 +24,7 @@ def test_degenerate_forest_equals_single_tree():
         m, labels, ForestParams(n_trees=1, features_per_split=6, bootstrap=False)
     )
     tree = fit_decision_tree(m, labels, TreeParams())
-    assert [p.label for p in predict(forest, m)] == [p.label for p in predict(tree, m)]
+    assert [p.label for p in forest.predict(m)] == [p.label for p in tree.predict(m)]
 
 
 def test_same_seed_byte_identical():
@@ -59,7 +58,7 @@ def test_forest_beats_single_tree_on_noisy_data():
     forest = fit_random_forest(train_m, train_y, ForestParams(n_trees=100, seed=3))
 
     def acc(model):
-        preds = predict(model, test_m)
+        preds = model.predict(test_m)
         return np.mean([p.label == t for p, t in zip(preds, test_y.labels)])
 
     assert acc(forest) > acc(tree)
@@ -71,7 +70,7 @@ def test_vote_fraction_score():
     y = rng.integers(0, 2, size=40)
     m, labels = matrix_from_dense(X, labels=y)
     forest = fit_random_forest(m, labels, ForestParams(n_trees=10, seed=7))
-    for p in predict(forest, m):
+    for p in forest.predict(m):
         # score is a vote fraction over 10 trees
         assert round(p.score * 10) == pytest.approx(p.score * 10)
         assert p.label == (p.score >= 0.5)

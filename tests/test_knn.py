@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rwdetect.classifiers import KnnParams, fit_knn, predict
+from rwdetect.classifiers import KnnParams, fit_knn
 from rwdetect.errors import FitError
 
 from conftest import matrix_from_dense, random_dense
@@ -20,7 +20,7 @@ def test_zero_distance_neighbor_wins():
     m, y = matrix_from_dense([[1, 0, 1], [0, 1, 0]], labels=[1, 0])
     model = fit_knn(m, y, KnnParams(k_neighbors=1))
     query = matrix_from_dense([[1, 0, 1]])
-    assert predict(model, query)[0].label == 1
+    assert model.predict(query)[0].label == 1
 
 
 def test_k_larger_than_n_rejected():
@@ -38,7 +38,7 @@ def test_matches_brute_force_on_random_data(k):
 
     m, labels = matrix_from_dense(train_X, labels=train_y)
     model = fit_knn(m, labels, KnnParams(k_neighbors=k))
-    preds = predict(model, matrix_from_dense(query_X))
+    preds = model.predict(matrix_from_dense(query_X))
 
     for q, p in zip(query_X, preds):
         label, score = knn_oracle(train_X, train_y, q, k)
@@ -51,7 +51,7 @@ def test_distance_tie_broken_by_training_index():
     m, y = matrix_from_dense([[1, 0], [0, 1]], labels=[1, 0])
     model = fit_knn(m, y, KnnParams(k_neighbors=1))
     query = matrix_from_dense([[0, 0]])
-    assert predict(model, query)[0].label == 1
+    assert model.predict(query)[0].label == 1
 
 
 def test_even_k_vote_tie_goes_negative():
@@ -59,6 +59,6 @@ def test_even_k_vote_tie_goes_negative():
     m, y = matrix_from_dense([[1, 0], [0, 1]], labels=[1, 0])
     model = fit_knn(m, y, KnnParams(k_neighbors=2))
     query = matrix_from_dense([[0, 0]])
-    p = predict(model, query)[0]
+    p = model.predict(query)[0]
     assert p.score == 0.5
     assert p.label == 0

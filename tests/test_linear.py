@@ -7,7 +7,6 @@ from rwdetect.classifiers import (
     fit_linear_svm,
     fit_logistic_regression,
     logistic_loss_and_gradient,
-    predict,
     svm_objective,
 )
 from rwdetect.errors import FitError
@@ -19,7 +18,7 @@ class TestLinearSvm:
     def test_separable_1d(self):
         m, y = matrix_from_dense([[0]] * 5 + [[1]] * 5, labels=[0] * 5 + [1] * 5)
         model = fit_linear_svm(m, y)
-        assert [p.label for p in predict(model, m)] == list(y.labels)
+        assert [p.label for p in model.predict(m)] == list(y.labels)
 
     def test_objective_not_worse_than_zero_vector(self):
         rng = np.random.default_rng(19)
@@ -46,8 +45,8 @@ class TestLinearSvm:
         doubled, y2 = matrix_from_dense(
             [[0, 1], [1, 0], [0, 0], [1, 1]] * 2, labels=[0, 1, 0, 1] * 2
         )
-        a = predict(fit_linear_svm(m, y), m)
-        b = predict(fit_linear_svm(doubled, y2), m)
+        a = fit_linear_svm(m, y).predict(m)
+        b = fit_linear_svm(doubled, y2).predict(m)
         assert [p.label for p in a] == [p.label for p in b]
 
     def test_single_class_rejected(self):
@@ -73,7 +72,7 @@ class TestLinearSvm:
         m, labels = matrix_from_dense(X, labels=y)
         model = fit_linear_svm(m, labels)
         margins = model.margins(X.astype(float))
-        for p, margin in zip(predict(model, m), margins):
+        for p, margin in zip(model.predict(m), margins):
             assert p.label == int(margin >= 0)
             assert p.label == int(p.score >= 0.5)
 
@@ -84,7 +83,7 @@ class TestLogisticRegression:
         model = fit_logistic_regression(m, y)
         assert model.weights == (0.0,)
         assert abs(model.bias) < 1e-9
-        assert predict(model, m)[0].score == pytest.approx(0.5, abs=1e-9)
+        assert model.predict(m)[0].score == pytest.approx(0.5, abs=1e-9)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(31)
@@ -111,7 +110,7 @@ class TestLogisticRegression:
     def test_separable_1d_monotone_and_perfect(self):
         m, y = matrix_from_dense([[0]] * 4 + [[1]] * 4, labels=[0] * 4 + [1] * 4)
         model = fit_logistic_regression(m, y)
-        preds = predict(model, m)
+        preds = model.predict(m)
         assert [p.label for p in preds] == list(y.labels)
         assert preds[-1].score > preds[0].score
 

@@ -3,12 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from rwdetect.classifiers import FITTERS, Fingerprint, KnnParams, predict
+from rwdetect.classifiers import FITTERS, Fingerprint, KnnParams
 from rwdetect.dataset import (
     DataMatrix,
     FeatureDictionary,
     LabelVector,
-    SampleRecord,
 )
 from rwdetect.errors import DataFormatError, FingerprintMismatch
 from rwdetect.reports import (
@@ -17,7 +16,7 @@ from rwdetect.reports import (
     score_report,
     vectorize,
 )
-from rwdetect.selection import SelectionResult, project, project_row
+from rwdetect.selection import SelectionResult, project
 
 
 @pytest.fixture
@@ -97,15 +96,14 @@ class TestVectorize:
 
 def train_knn_fixture(dictionary):
     # training matrix whose first row is a ransomware sample
-    rows = (
-        SampleRecord("r1", 2, (0, 2, 7)),
-        SampleRecord("g1", 0, (1, 4)),
-        SampleRecord("g2", 0, (5, 6)),
-        SampleRecord("r2", 5, (0, 3, 8)),
+    matrix = DataMatrix.from_rows(
+        10,
+        [(0, 2, 7), (1, 4), (5, 6), (0, 3, 8)],
+        family_ids=[2, 0, 0, 5],
+        sample_ids=["r1", "g1", "g2", "r2"],
     )
-    matrix = DataMatrix(10, rows)
-    y = LabelVector.from_rows(rows)
-    selection = SelectionResult(scores=(), selected=tuple(range(10)), k=10)
+    y = LabelVector.from_families(matrix.family_ids)
+    selection = SelectionResult(selected=tuple(range(10)))
     fingerprint = Fingerprint(10, dictionary.sha256(), selection.selected)
     model = FITTERS["knn"](
         project(matrix, selection.selected), y, KnnParams(k_neighbors=1), fingerprint
@@ -124,10 +122,9 @@ class TestScoreReport:
         assert outcome.matched == 3
 
     def test_empty_report_through_zero_logreg(self, dictionary):
-        rows = (SampleRecord("a", 0, ()), SampleRecord("b", 1, ()))
-        matrix = DataMatrix(10, rows)
+        matrix = DataMatrix.from_rows(10, [(), ()], [0, 1], ["a", "b"])
         y = LabelVector((0, 1))
-        selection = SelectionResult(scores=(), selected=tuple(range(10)), k=10)
+        selection = SelectionResult(selected=tuple(range(10)))
         fingerprint = Fingerprint(10, dictionary.sha256(), selection.selected)
         model = FITTERS["logreg"](matrix, y, fingerprint=fingerprint)
         pred, _ = score_report(BehaviorReport(), model, dictionary, selection)
@@ -135,7 +132,7 @@ class TestScoreReport:
 
     def test_fingerprint_mismatch_on_wrong_selection(self, dictionary):
         model, _, _, _ = train_knn_fixture(dictionary)
-        wrong = SelectionResult(scores=(), selected=(0, 1, 2), k=3)
+        wrong = SelectionResult(selected=(0, 1, 2))
         with pytest.raises(FingerprintMismatch):
             score_report(BehaviorReport(), model, dictionary, wrong)
 
@@ -158,9 +155,8 @@ class TestScoreReport:
             )
             pred, outcome = score_report(report, model, dictionary, selection)
 
-            projected_row = project_row(outcome.row, selection.selected)
-            one_row = DataMatrix(10, (SampleRecord("q", 0, projected_row),))
-            assert pred == predict(model, one_row)[0]
+            one_row = DataMatrix.from_rows(10, [outcome.row])
+            assert pred == model.predict(project(one_row, selection.selected))[0]
 
 
 def test_report_json_round_trip(dictionary):

@@ -64,7 +64,8 @@ class TestMiScore:
 
     @given(tables())
     def test_symmetry(self, t):
-        assert mi_score(t) == pytest.approx(mi_score(t.transpose()), abs=1e-12)
+        transposed = ContingencyTable(t.n00, t.n10, t.n01, t.n11)
+        assert mi_score(t) == pytest.approx(mi_score(transposed), abs=1e-12)
 
     @given(tables())
     def test_bounded_by_marginal_entropies(self, t):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rwdetect.classifiers import TreeParams, fit_decision_tree, predict
+from rwdetect.classifiers import TreeParams, fit_decision_tree
 from rwdetect.errors import FitError
 from rwdetect.dataset import DataMatrix, LabelVector
 
@@ -48,7 +48,7 @@ class TestDecisionTree:
         model = fit_decision_tree(m, y)
         assert model.root.feature == 0
         assert model.root.left.is_leaf and model.root.right.is_leaf
-        preds = predict(model, m)
+        preds = model.predict(m)
         assert [p.label for p in preds] == list(y.labels)
 
     def test_pure_input_single_leaf(self):
@@ -59,7 +59,7 @@ class TestDecisionTree:
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(FitError, match="empty"):
-            fit_decision_tree(DataMatrix(2, ()), LabelVector(()))
+            fit_decision_tree(DataMatrix.from_rows(2, []), LabelVector(()))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_root_matches_exhaustive_oracle(self, seed):
@@ -80,7 +80,7 @@ class TestDecisionTree:
         y = rng.integers(0, 2, size=len(X))
         m, labels = matrix_from_dense(X, labels=y)
         model = fit_decision_tree(m, labels, TreeParams(max_depth=64))
-        preds = predict(model, m)
+        preds = model.predict(m)
         assert [p.label for p in preds] == list(labels.labels)
 
     def test_max_depth_respected(self):
