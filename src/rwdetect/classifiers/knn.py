@@ -15,6 +15,8 @@ from ..dataset import DataMatrix, LabelVector
 from ..errors import FitError
 from .base import Fingerprint, KnnParams, Prediction, as_xy
 
+QUERY_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class KnnModel:
@@ -27,15 +29,21 @@ class KnnModel:
     def predict(self, matrix: DataMatrix) -> list[Prediction]:
         self.fingerprint.check_matrix(matrix)
         T = self.train.to_dense().astype(np.int64)
-        Q = matrix.to_dense().astype(np.int64)
+        t_ones = T.sum(axis=1)
+        Q = matrix.to_dense()
         labels = np.asarray(self.train_labels)
         k = self.params.k_neighbors
 
-        # Hamming distance via |q| + |t| - 2 q.t, exact in integers.
-        dists = Q.sum(axis=1)[:, None] + T.sum(axis=1)[None, :] - 2 * (Q @ T.T)
-        nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
-        return [Prediction(int(2 * ones > k), ones / k)
-                for ones in labels[nearest].sum(axis=1).tolist()]
+        # Query rows go in blocks, so the distance matrix stays
+        # QUERY_BLOCK x n_train however many rows are scored at once.
+        votes = []
+        for start in range(0, len(Q), QUERY_BLOCK):
+            q = Q[start:start + QUERY_BLOCK].astype(np.int64)
+            # Hamming distance via |q| + |t| - 2 q.t, exact in integers.
+            dists = q.sum(axis=1)[:, None] + t_ones[None, :] - 2 * (q @ T.T)
+            nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
+            votes += labels[nearest].sum(axis=1).tolist()
+        return [Prediction(int(2 * ones > k), ones / k) for ones in votes]
 
 
 def fit_knn(

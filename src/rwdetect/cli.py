@@ -6,10 +6,12 @@ Subcommands:
     evaluate    score a saved model on the held-out split
     reproduce   train and evaluate all six models, compare to the
                 published baseline numbers with per-cell deltas
-    score       batch-score sandbox behavioral reports with a saved model
+    score       batch-score sandbox behavioral reports with a saved model;
+                only the feature dictionary of --data is read
 
-Exit codes: 0 success, 1 usage/config error, 2 data error,
-3 baseline-tolerance failure (reproduce --strict).
+Exit codes: 0 success, 1 usage/config error (argument errors included),
+2 data error (a model whose fingerprint does not match the dataset's
+dictionary included), 3 baseline-tolerance failure (reproduce --strict).
 
 Flag > config file > default; the effective configuration is echoed next
 to every output so any run can be repeated bit-identically.
@@ -159,15 +161,19 @@ def build_config(args) -> RunConfig:
     return cfg
 
 
-def load_dataset(cfg: RunConfig):
+def data_path(cfg: RunConfig) -> str:
     if not cfg.data:
         raise UsageError(
             f"no dataset given: pass --data or set {DATA_ENV_VAR}"
         )
     if not Path(cfg.data).exists():
         raise UsageError(f"dataset file not found: {cfg.data}")
+    return cfg.data
+
+
+def load_dataset(cfg: RunConfig):
     loader = dataset.load_dense_csv if cfg.format == "dense" else dataset.load_sparse
-    return loader(cfg.data)
+    return loader(data_path(cfg))
 
 
 def make_params(kind: str, overrides: dict):
@@ -251,6 +257,7 @@ def cmd_evaluate(args) -> int:
         raise UsageError("--model-file must point to an existing model")
     model = classifiers.deserialize_model(Path(cfg.model_file).read_bytes())
     matrix, dictionary, y = load_dataset(cfg)
+    reports.check_fingerprint(model.fingerprint, dictionary, model.fingerprint.selected)
     out_dir = ensure_out(cfg, "evaluate")
 
     spec = dataset.SplitSpec(seed=cfg.seed, test_fraction=cfg.test_fraction)
@@ -345,14 +352,16 @@ def cmd_reproduce(args) -> int:
 
 
 def _iter_report_files(path: Path):
+    """(report_id, bytes) of every report; each is decoded when it is parsed."""
     if path.is_dir():
         for p in sorted(path.glob("*.json")):
-            yield p.name, p.read_text(encoding="utf-8")
+            yield p.name, p.read_bytes()
     else:
-        # newline-delimited batch stream
-        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
-            if line.strip():
-                yield f"{path.name}:{i + 1}", line
+        # newline-delimited batch stream; a line of ASCII whitespace is blank
+        with path.open("rb") as fh:
+            for i, line in enumerate(fh):
+                if line.strip():
+                    yield f"{path.name}:{i + 1}", line
 
 
 def cmd_score(args) -> int:
@@ -360,7 +369,8 @@ def cmd_score(args) -> int:
     if not cfg.model_file or not Path(cfg.model_file).exists():
         raise UsageError("--model-file must point to an existing model")
     model = classifiers.deserialize_model(Path(cfg.model_file).read_bytes())
-    _, dictionary, _ = load_dataset(cfg)  # dictionary source for token lookup
+    # Token lookup needs the training dictionary only, not its samples.
+    dictionary = dataset.load_dictionary(data_path(cfg), cfg.format)
     out_dir = ensure_out(cfg, "score")
 
     sel = selection.SelectionResult(model.fingerprint.selected)
@@ -368,34 +378,36 @@ def cmd_score(args) -> int:
     if not reports_path.exists():
         raise UsageError(f"reports path not found: {args.reports}")
 
+    verdicts, failures = reports.score_documents(
+        _iter_report_files(reports_path), model, dictionary, sel
+    )
+    for report_id, exc in failures:
+        print(f"{report_id}: {exc}", file=sys.stderr)
     lines = ["report_id,label,score,matched,unmatched"]
-    counts = {0: 0, 1: 0}
-    failures = 0
-    for report_id, text in _iter_report_files(reports_path):
-        try:
-            report = reports.parse_report(text)
-            pred, outcome = reports.score_report(report, model, dictionary, sel)
-        except RwdetectError as exc:
-            failures += 1
-            print(f"{report_id}: {exc}", file=sys.stderr)
-            continue
-        counts[pred.label] += 1
-        lines.append(
-            f"{report_id},{pred.label},{pred.score:.6f},"
-            f"{outcome.matched},{outcome.unmatched}"
-        )
+    lines += [
+        f"{report_id},{pred.label},{pred.score:.6f},{outcome.matched},{outcome.unmatched}"
+        for report_id, pred, outcome in verdicts
+    ]
     (out_dir / "verdicts.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    total = counts[0] + counts[1]
+    ransomware = sum(pred.label for _, pred, _ in verdicts)
     print("\n".join(lines))
     print(
-        f"scored {total} reports: {counts[1]} ransomware, {counts[0]} goodware, "
-        f"{failures} malformed"
+        f"scored {len(verdicts)} reports: {ransomware} ransomware, "
+        f"{len(verdicts) - ransomware} goodware, {len(failures)} malformed"
     )
     return EXIT_OK
 
 
+class ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a ``UsageError`` (exit 1); argparse
+    itself would exit 2, which is the data-error code."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="rwdetect",
         description="Behavioral ransomware detection pipeline",
     )
@@ -445,9 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -70,8 +70,16 @@ class FeatureDictionary:
     def ordinal(self, name: str) -> int:
         return self._index[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
+    def lookup(self, names) -> tuple[list[int], list[str]]:
+        """Ordinals of the known ``names`` and the unknown names, each in input order."""
+        known, unknown = [], []
+        for name in names:
+            j = self._index.get(name)
+            if j is None:
+                unknown.append(name)
+            else:
+                known.append(j)
+        return known, unknown
 
     def sha256(self) -> str:
         """Content hash used in model fingerprints, computed on first call."""
@@ -211,14 +219,9 @@ def load_dense_csv(path) -> tuple[DataMatrix, FeatureDictionary, LabelVector]:
     """
     rows, family_ids, sample_ids = [], [], []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            if header[:2] != ["sample_id", "family_id"]:
-                raise DataFormatError(
-                    f"{path}: header must start with 'sample_id,family_id', got {header[:2]}"
-                )
-            dictionary = FeatureDictionary(tuple(header[2:]))
+        with open(path, "rb") as fh:
+            reader = csv.reader(_decoded_lines(fh))
+            dictionary = _dense_dictionary(reader, path)
             d = len(dictionary)
             for line_no, cells in enumerate(reader, start=2):
                 if not cells:
@@ -261,6 +264,52 @@ def _section_count(head, tag: str, path) -> int:
     return count
 
 
+def _decoded_lines(fh):
+    """Lines of a binary file, each decoded from UTF-8 only when it is reached."""
+    return (raw.decode("utf-8") for raw in fh)
+
+
+def _nonblank(raw_lines):
+    """Lines without their trailing newline, blank ones skipped."""
+    return (line for line in (raw.rstrip("\n") for raw in raw_lines) if line)
+
+
+def _sparse_dictionary(lines, path) -> FeatureDictionary:
+    """The ``#FEATURES`` section, read from the non-blank lines of a sparse file."""
+    d = _section_count(next(lines, None), "#FEATURES", path)
+    names = tuple(itertools.islice(lines, d))
+    if len(names) < d:
+        raise DataFormatError(f"{path}: dictionary section truncated")
+    return FeatureDictionary(names)
+
+
+def _dense_dictionary(reader, path) -> FeatureDictionary:
+    """The feature names of a dense CSV's header row."""
+    header = next(reader, [])
+    if header[:2] != ["sample_id", "family_id"]:
+        raise DataFormatError(
+            f"{path}: header must start with 'sample_id,family_id', got {header[:2]}"
+        )
+    return FeatureDictionary(tuple(header[2:]))
+
+
+def load_dictionary(path, fmt: str) -> FeatureDictionary:
+    """Only the feature dictionary of a ``fmt`` ("sparse" or "dense") dataset file.
+
+    It is checked exactly as ``load_sparse`` and ``load_dense_csv`` check
+    it; the sample section is not parsed. The file is decoded one line at
+    a time, so no byte after the dictionary is read as text.
+    """
+    try:
+        with open(path, "rb") as fh:
+            if fmt == "dense":
+                return _dense_dictionary(csv.reader(_decoded_lines(fh)), path)
+            return _sparse_dictionary(_nonblank(_decoded_lines(fh)), path)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        kind = "CSV" if fmt == "dense" else "text"
+        raise DataFormatError(f"{path}: not readable as UTF-8 {kind}: {exc}") from None
+
+
 def load_sparse(path) -> tuple[DataMatrix, FeatureDictionary, LabelVector]:
     """Load the sparse tab-separated format (see module docstring).
 
@@ -271,12 +320,9 @@ def load_sparse(path) -> tuple[DataMatrix, FeatureDictionary, LabelVector]:
     rows, family_ids, sample_ids = [], [], []
     try:
         with open(path, encoding="utf-8", newline="\n") as fh:
-            lines = (line for line in (raw.rstrip("\n") for raw in fh) if line)
-            d = _section_count(next(lines, None), "#FEATURES", path)
-            names = tuple(itertools.islice(lines, d))
-            if len(names) < d:
-                raise DataFormatError(f"{path}: dictionary section truncated")
-            dictionary = FeatureDictionary(names)
+            lines = _nonblank(fh)
+            dictionary = _sparse_dictionary(lines, path)
+            d = len(dictionary)
             for i in range(_section_count(next(lines, None), "#SAMPLES", path)):
                 line = next(lines, None)
                 if line is None:

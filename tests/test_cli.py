@@ -1,21 +1,35 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rwdetect import cli
+from rwdetect import cli, dataset
 from rwdetect.classifiers import deserialize_model
+from rwdetect.classifiers.knn import KnnModel
 from rwdetect.dataset import (
+    DataMatrix,
+    FeatureDictionary,
     generic_dictionary,
+    load_sparse,
     synthesize_dataset,
     write_dense_csv,
     write_sparse,
 )
+from rwdetect.reports import parse_report, vectorize
+from rwdetect.selection import project
+
+from conftest import mutated_lines
 
 
-def make_dataset(tmp_path, fmt="sparse", n=80, d=12, seed=1):
+def make_dataset(tmp_path, fmt="sparse", n=80, d=12, seed=1, category="API"):
     signal = [(0, 0.05, 0.95), (1, 0.9, 0.1)]
     matrix, _ = synthesize_dataset(n, d, 0.3, signal, seed=seed)
-    dictionary = generic_dictionary(d, category="API")
+    dictionary = generic_dictionary(d, category=category)
     path = tmp_path / ("data.sparse" if fmt == "sparse" else "data.csv")
     (write_sparse if fmt == "sparse" else write_dense_csv)(path, matrix, dictionary)
     return path
@@ -105,6 +119,23 @@ class TestEvaluate:
         assert run(["evaluate", "--data", data, "--out", tmp_path / "o",
                     "--model-file", tmp_path / "nope.json"]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("d, category", [(4, "API"), (12, "STR")])
+    def test_other_dictionary_is_data_error(self, tmp_path, capsys, d, category):
+        # Narrower file: the model's ordinals would fall outside it.
+        # Same width, other names: it would be evaluated silently.
+        data = make_dataset(tmp_path, n=120)
+        out = tmp_path / "out"
+        run(["train", "--data", data, "--out", out, "--model", "dt", "--top-k", 12])
+        other_dir = tmp_path / "other"
+        other_dir.mkdir()
+        other = make_dataset(other_dir, n=120, d=d, category=category)
+        capsys.readouterr()
+        code = run(["evaluate", "--data", other, "--out", out,
+                    "--model-file", out / "model_dt.json"])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "feature dictionary differs" in err
+
 
 class TestReproduce:
     def test_dataset_absent_gives_data_error(self, tmp_path, monkeypatch, capsys):
@@ -182,6 +213,140 @@ class TestScore:
         assert code == 0
         assert "scored 0 reports" in capsys.readouterr().out
 
+    def test_other_dictionary_fails_the_batch_once(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, n=120)
+        out = tmp_path / "out"
+        run(["train", "--data", data, "--out", out, "--model", "knn", "--top-k", 5])
+        other_dir = tmp_path / "other"
+        other_dir.mkdir()
+        other = make_dataset(other_dir, n=120, category="STR")
+        batch = tmp_path / "batch.ndjson"
+        batch.write_text('{"strings": ["f00000"]}\n{}\n')
+        capsys.readouterr()
+        code = run(["score", "--data", other, "--out", out,
+                    "--model-file", out / "model_knn.json", batch])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "feature dictionary differs" in err
+        assert not (out / "verdicts.csv").exists()
+
+    @pytest.mark.parametrize("fmt", ["sparse", "dense"])
+    def test_one_predict_one_hash_no_sample_parsing(self, tmp_path, monkeypatch, capsys, fmt):
+        data = make_dataset(tmp_path, fmt=fmt, n=120)
+        out = tmp_path / "out"
+        run(["train", "--data", data, "--format", fmt, "--out", out, "--model", "knn",
+             "--top-k", 5])
+        n = 25
+        batch = tmp_path / "batch.ndjson"
+        batch.write_text("".join(json.dumps({"api_calls": [f"f{i % 12:05d}", "new"]}) + "\n"
+                                 for i in range(n)))
+        calls = {"predict": 0, "sha256": 0, "load": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(KnnModel, "predict", counted("predict", KnnModel.predict))
+        monkeypatch.setattr(FeatureDictionary, "sha256",
+                            counted("sha256", FeatureDictionary.sha256))
+        monkeypatch.setattr(dataset, "load_sparse", counted("load", dataset.load_sparse))
+        monkeypatch.setattr(dataset, "load_dense_csv",
+                            counted("load", dataset.load_dense_csv))
+        capsys.readouterr()
+        code = run(["score", "--data", data, "--format", fmt, "--out", out,
+                    "--model-file", out / "model_knn.json", batch])
+        assert code == 0
+        assert f"scored {n} reports" in capsys.readouterr().out
+        assert calls["predict"] == 1 and calls["sha256"] <= 1 and calls["load"] == 0
+
+    @pytest.mark.parametrize("fmt", ["sparse", "dense"])
+    def test_corrupt_sample_section_is_not_read(self, tmp_path, capsys, fmt):
+        data = make_dataset(tmp_path, fmt=fmt, n=120)
+        out = tmp_path / "out"
+        run(["train", "--data", data, "--format", fmt, "--out", out, "--model", "dt",
+             "--top-k", 5])
+        with open(data, "ab") as fh:
+            fh.write(b"broken\t99\tNOPE:x\xff\n" if fmt == "sparse" else b"s1,x,\xff\n")
+        assert run(["train", "--data", data, "--format", fmt, "--out", tmp_path / "o",
+                    "--model", "dt"]) == cli.EXIT_DATA
+        batch = tmp_path / "batch.ndjson"
+        batch.write_text('{"api_calls": ["f00000"]}\n')
+        capsys.readouterr()
+        code = run(["score", "--data", data, "--format", fmt, "--out", out,
+                    "--model-file", out / "model_dt.json", batch])
+        assert code == 0
+        assert "scored 1 reports" in capsys.readouterr().out
+
+
+class ScoringSetup:
+    """A dataset and three trained models, shared by the property test."""
+
+    def __init__(self, root: Path):
+        self.data = make_dataset(root, n=120)
+        self.out = root / "out"
+        self.dictionary = load_sparse(self.data)[1]
+        self.models = {}
+        for kind in ("dt", "knn", "logreg"):
+            assert run(["train", "--data", self.data, "--out", self.out, "--model", kind,
+                        "--top-k", 6, "--hp", "epochs=20"]) == 0
+            path = self.out / f"model_{kind}.json"
+            self.models[path] = deserialize_model(path.read_bytes())
+
+
+@pytest.fixture(scope="module")
+def scoring_setup(tmp_path_factory):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return ScoringSetup(tmp_path_factory.mktemp("scoring"))
+
+
+VALID_BATCH = b"\n".join([
+    b'{"api_calls": ["f00000", "f00003"], "strings": ["x"]}',
+    b"",
+    b'{"api_calls": ["f00001"]}',
+    b"{}",
+    b'{"api_calls": ["f00002", "f00002", "nope"], "dir_ops": ["f00004"]}',
+    b'{"api_calls": ["f00005", "f00006", "f00007", "f00008", "f00009", "f00010"]}',
+    b"",
+])
+
+REPORT_FRAGMENTS = st.sampled_from([
+    b"{}", b"[]", b"null", b'{"api_calls": ["f00000"]}', b'{"api_calls": "f00000"}',
+    b'{"strings": [1]}', b'"f00001"', b",", b"]", b"}", b'"', b"\\", b"\\u2028",
+    b"\xff", b"\xed\xa0\x80", b"\xe2\x80\xa8", b"\xc2\x85", b"\r", b"\t", b" ", b"\n",
+    b"", b"[" * 3000, b"1" * 5000,
+])
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=mutated_lines(VALID_BATCH, REPORT_FRAGMENTS), pick=st.integers(0, 2))
+def test_mutated_report_batch_scores_like_one_report_at_a_time(scoring_setup, batch, pick):
+    model_file, model = list(scoring_setup.models.items())[pick]
+    dictionary = scoring_setup.dictionary
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "batch.ndjson"
+        path.write_bytes(batch)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run(["score", "--data", scoring_setup.data, "--out", Path(tmp) / "out",
+                        "--model-file", model_file, path])
+        assert code == 0
+        assert "Traceback" not in stderr.getvalue()
+        rows = (Path(tmp) / "out" / "verdicts.csv").read_text(encoding="utf-8").splitlines()
+    malformed = int(re.search(r", (\d+) malformed$", stdout.getvalue().splitlines()[-1])[1])
+    lines = batch.split(b"\n")
+    assert len(rows) - 1 + malformed == sum(1 for line in lines if line.strip())
+    for row in rows[1:]:
+        report_id = row.split(",", 1)[0]
+        line = lines[int(report_id.rsplit(":", 1)[1]) - 1]
+        # The one-report composition: vectorize -> project -> predict.
+        outcome = vectorize(parse_report(line), dictionary)
+        one_row = DataMatrix.from_rows(len(dictionary), [outcome.row])
+        pred = model.predict(project(one_row, model.fingerprint.selected))[0]
+        assert row == (f"{report_id},{pred.label},{pred.score:.6f},"
+                       f"{outcome.matched},{outcome.unmatched}")
+
 
 class TestConfig:
     def test_config_file_and_flag_precedence(self, tmp_path, capsys):
@@ -238,6 +403,19 @@ class TestHyperparameters:
         data = make_dataset(tmp_path)
         assert run(["train", "--data", data, "--model", "dt", "--out",
                     tmp_path / "o", "--top-k", 5, "--hp", "n_trees=3"]) == 0
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--seed", "abc"], "--seed"),
+        (["--top-k", "x"], "--top-k"),
+        (["--test-fraction", "y"], "--test-fraction"),
+        (["--model", "bogus"], "--model"),
+    ])
+    def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, flags, name):
+        data = make_dataset(tmp_path)
+        code = run(["train", "--data", data, "--out", tmp_path / "o", *flags])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and name in err
 
     def test_bad_seed_list(self, tmp_path, capsys):
         data = make_dataset(tmp_path)

@@ -12,6 +12,7 @@ from rwdetect.dataset import (
     SplitSpec,
     generic_dictionary,
     load_dense_csv,
+    load_dictionary,
     load_sparse,
     stratified_split,
     synthesize_dataset,
@@ -21,7 +22,7 @@ from rwdetect.dataset import (
 )
 from rwdetect.errors import DataFormatError, SplitError
 
-from conftest import matrix_from_dense
+from conftest import matrix_from_dense, mutated_lines
 
 
 def write_lines(path, *lines):
@@ -53,6 +54,11 @@ class TestFeatureDictionary:
     def test_empty_rejected(self):
         with pytest.raises(DataFormatError, match="empty"):
             FeatureDictionary(())
+
+    def test_lookup_splits_known_and_unknown_in_input_order(self):
+        d = FeatureDictionary(("API:x", "STR:y", "DIR:z"))
+        assert d.lookup(["DIR:z", "API:nope", "API:x", "STR:zz"]) == \
+            ([2, 0], ["API:nope", "STR:zz"])
 
 
 class TestDenseLoader:
@@ -185,29 +191,8 @@ FRAGMENTS = st.sampled_from([
 ])
 
 
-@st.composite
-def mutated_sparse(draw):
-    data = VALID_SPARSE
-    for _ in range(draw(st.integers(1, 3))):
-        lines = data.split(b"\n")
-        i = draw(st.integers(0, len(lines) - 1))
-        op = draw(st.sampled_from(["delete", "duplicate", "replace", "splice"]))
-        if op == "delete":
-            del lines[i]
-        elif op == "duplicate":
-            lines.insert(i, lines[i])
-        elif op == "replace":
-            lines[i] = draw(FRAGMENTS | st.binary(max_size=6))
-        else:
-            at = draw(st.integers(0, len(lines[i])))
-            insert = draw(FRAGMENTS | st.binary(max_size=3))
-            lines[i] = lines[i][:at] + insert + lines[i][at:]
-        data = b"\n".join(lines)
-    return data
-
-
 @settings(max_examples=100, deadline=None)
-@given(mutated_sparse())
+@given(mutated_lines(VALID_SPARSE, FRAGMENTS))
 def test_mutated_sparse_file_raises_only_data_format_error(data):
     with tempfile.TemporaryDirectory() as tmp:
         p = Path(tmp) / "d.sparse"
@@ -347,3 +332,56 @@ class TestSynthesize:
     def test_out_of_range_signal_ordinal(self):
         with pytest.raises(ValueError, match="out of range"):
             synthesize_dataset(10, 3, 0.1, [(3, 0.0, 1.0)], seed=0)
+
+
+class TestLoadDictionary:
+    """The dictionary-only reader agrees with the full loaders."""
+
+    LOADERS = {"sparse": load_sparse, "dense": load_dense_csv}
+
+    def test_names_and_hash_match_full_loader(self, tmp_path):
+        rng = np.random.default_rng(11)
+        m = matrix_from_dense((rng.random((6, 9)) < 0.4).astype(np.uint8))
+        d = generic_dictionary(9, category="REG")
+        for fmt, write in (("sparse", write_sparse), ("dense", write_dense_csv)):
+            p = tmp_path / f"m.{fmt}"
+            write(p, m, d)
+            _, full, _ = self.LOADERS[fmt](p)
+            only = load_dictionary(p, fmt)
+            assert only.names == full.names == d.names
+            assert only.sha256() == full.sha256()
+
+    @pytest.mark.parametrize("fmt, content, message", [
+        ("sparse", b"#FEATURES x\nAPI:a\n#SAMPLES 0\n", "'#FEATURES <count>' header"),
+        ("sparse", b"#FEATURES -1\n#SAMPLES 0\n", "'#FEATURES <count>' header"),
+        ("sparse", b"API:a\n#SAMPLES 0\n", "'#FEATURES <count>' header"),
+        ("sparse", b"#FEATURES 3\nAPI:a\nSTR:b\n", "dictionary section truncated"),
+        ("sparse", b"#FEATURES 2\nAPI:a\nNOPE:b\n#SAMPLES 0\n", "category prefix"),
+        ("sparse", b"#FEATURES 2\nAPI:a\nAPI:a\n#SAMPLES 0\n", "duplicate feature name"),
+        ("sparse", b"#FEATURES 1\nAPI:\xff\n#SAMPLES 0\n", "UTF-8"),
+        ("sparse", b"#FEATURES 0\n#SAMPLES 0\n", "empty"),
+        ("dense", b"id,family,API:a\ns1,0,1\n", "header must start"),
+        ("dense", b"sample_id,family_id,API:a,NOPE:b\n", "category prefix"),
+        ("dense", b"sample_id,family_id,API:a,API:a\n", "duplicate feature name"),
+        ("dense", b"sample_id,family_id,API:\xff\n", "UTF-8"),
+        ("dense", b"sample_id,family_id\n", "empty"),
+        ("dense", b"sample_id,family_id,API:a\rs1,0,1\r", "UTF-8 CSV"),  # lines end in LF
+    ])
+    def test_same_defects_rejected(self, tmp_path, fmt, content, message):
+        p = tmp_path / "d.data"
+        p.write_bytes(content)
+        with pytest.raises(DataFormatError, match=message):
+            self.LOADERS[fmt](p)
+        with pytest.raises(DataFormatError, match=message):
+            load_dictionary(p, fmt)
+
+    @pytest.mark.parametrize("fmt, content", [
+        ("sparse", b"#FEATURES 1\nAPI:a\n#SAMPLES 3\ns1\tx\tAPI:zz\n\xff\xfe\n"),
+        ("dense", b"sample_id,family_id,API:a\ns1,0,7\ns1,99\n"),
+    ])
+    def test_sample_section_is_not_read(self, tmp_path, fmt, content):
+        p = tmp_path / "d.data"
+        p.write_bytes(content)
+        with pytest.raises(DataFormatError):
+            self.LOADERS[fmt](p)
+        assert load_dictionary(p, fmt).names == ("API:a",)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rwdetect.classifiers import KnnParams, fit_knn
+from rwdetect.classifiers import KnnParams, fit_knn, knn
 from rwdetect.errors import FitError
 
 from conftest import matrix_from_dense, random_dense
@@ -44,6 +44,20 @@ def test_matches_brute_force_on_random_data(k):
         label, score = knn_oracle(train_X, train_y, q, k)
         assert p.label == label
         assert p.score == pytest.approx(score, abs=1e-15)
+
+
+def test_query_blocks_match_brute_force(monkeypatch):
+    # 15 query rows in blocks of 4: the last block is short.
+    monkeypatch.setattr(knn, "QUERY_BLOCK", 4)
+    rng = np.random.default_rng(78)
+    train_X = random_dense(rng, 20, 10)
+    train_y = rng.integers(0, 2, size=20)
+    query_X = random_dense(rng, 15, 10)
+
+    m, labels = matrix_from_dense(train_X, labels=train_y)
+    preds = fit_knn(m, labels, KnnParams(k_neighbors=3)).predict(matrix_from_dense(query_X))
+    assert [(p.label, p.score) for p in preds] == \
+        [knn_oracle(train_X, train_y, q, 3) for q in query_X]
 
 
 def test_distance_tie_broken_by_training_index():

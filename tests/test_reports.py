@@ -14,6 +14,7 @@ from rwdetect.reports import (
     BehaviorReport,
     parse_report,
     score_report,
+    score_reports,
     vectorize,
 )
 from rwdetect.selection import SelectionResult, project
@@ -49,6 +50,19 @@ class TestParseReport:
     def test_non_object_document(self):
         with pytest.raises(DataFormatError, match="object"):
             parse_report("[1,2]")
+
+    @pytest.mark.parametrize("doc", [
+        b'{"api_calls": ["\xff"]}',  # not UTF-8
+        "[" * 100_000,  # nested too deeply for the JSON decoder
+        '{"x": ' + "1" * 5000 + "}",  # integer beyond the digit limit
+    ])
+    def test_undecodable_document(self, doc):
+        with pytest.raises(DataFormatError, match="malformed"):
+            parse_report(doc)
+
+    def test_bytes_and_text_agree(self):
+        text = '{"strings": ["caf\u00e9"], "api_calls": ["CreateFileW"]}'
+        assert parse_report(text.encode("utf-8")) == parse_report(text)
 
 
 class TestVectorize:
@@ -157,6 +171,26 @@ class TestScoreReport:
 
             one_row = DataMatrix.from_rows(10, [outcome.row])
             assert pred == model.predict(project(one_row, selection.selected))[0]
+
+
+    def test_batch_equals_one_report_at_a_time(self, dictionary):
+        model, selection, _, _ = train_knn_fixture(dictionary)
+        rng = np.random.default_rng(71)
+        names = dictionary.names
+        batch = []
+        for _ in range(12):
+            chosen = [names[j] for j in rng.choice(10, size=rng.integers(0, 6), replace=False)]
+            batch.append(BehaviorReport(
+                api_calls=tuple(c[4:] for c in chosen if c.startswith("API:")) + ("Unknown",),
+                strings=tuple(c[4:] for c in chosen if c.startswith("STR:")),
+                dropped_exts=tuple(c[5:] for c in chosen if c.startswith("DROP:")),
+            ))
+        assert score_reports(batch, model, dictionary, selection) == \
+            [score_report(report, model, dictionary, selection) for report in batch]
+
+    def test_empty_batch(self, dictionary):
+        model, selection, _, _ = train_knn_fixture(dictionary)
+        assert score_reports([], model, dictionary, selection) == []
 
 
 def test_report_json_round_trip(dictionary):
