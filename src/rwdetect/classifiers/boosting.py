@@ -18,22 +18,7 @@ import numpy as np
 from ..dataset import DataMatrix, LabelVector
 from ..errors import FitError
 from .base import Fingerprint, GbtParams, Prediction, as_xy, scores_to_predictions, sigmoid
-
-
-@dataclass(frozen=True)
-class GbtNode:
-    feature: int | None = None
-    left: "GbtNode | None" = None
-    right: "GbtNode | None" = None
-    weight: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
-def leaf_weight(g_sum: float, h_sum: float, lam: float) -> float:
-    return -g_sum / (h_sum + lam)
+from .tree import FlatTree, build_tree, leaf_values
 
 
 def split_gain(gl, hl, gr, hr, lam) -> float:
@@ -45,7 +30,12 @@ def split_gain(gl, hl, gr, hr, lam) -> float:
 
 
 def find_gain_split(X, g, h, idx, params: GbtParams):
-    """Best-gain binary split, ties broken by lowest feature ordinal."""
+    """Best-gain binary split, ties broken by lowest feature ordinal.
+
+    The node's rows are gathered once, as float64; G and H of the right
+    side are one matrix-vector product each, and the per-column counts a
+    third, exact because every partial sum is a small integer.
+    """
     cols = X[idx].astype(np.float64)
     g_sub = g[idx]
     h_sub = h[idx]
@@ -53,69 +43,49 @@ def find_gain_split(X, g, h, idx, params: GbtParams):
     hr = h_sub @ cols
     gl = g_sub.sum() - gr
     hl = h_sub.sum() - hr
-    n1 = X[idx].sum(axis=0)
+    n1 = np.ones(len(idx)) @ cols
     n0 = len(idx) - n1
 
     lam = params.l2_leaf_penalty
     gains = split_gain(gl, hl, gr, hr, lam)
-    valid = (
-        (n0 > 0)
-        & (n1 > 0)
-        & (hl >= params.min_child_weight)
-        & (hr >= params.min_child_weight)
-    )
+    valid = (n0 > 0) & (n1 > 0) & (np.minimum(hl, hr) >= params.min_child_weight)
     gains = np.where(valid, gains, -np.inf)
     best = int(np.argmax(gains))
     if gains[best] <= 0.0:
         return None
-    mask = X[idx, best] == 1
+    mask = cols[:, best] != 0
     return best, idx[~mask], idx[mask]
 
 
-def grow_gbt_tree(X, g, h, idx, params: GbtParams, depth=0) -> GbtNode:
-    if depth < params.max_depth:
-        split = find_gain_split(X, g, h, idx, params)
+def grow_gbt_tree(X, g, h, params: GbtParams, out) -> FlatTree:
+    """One round's tree; each leaf also writes its weight to ``out`` at its rows."""
+
+    def expand(idx, depth):
+        split = find_gain_split(X, g, h, idx, params) if depth < params.max_depth else None
         if split is not None:
-            feature, left_idx, right_idx = split
-            return GbtNode(
-                feature=feature,
-                left=grow_gbt_tree(X, g, h, left_idx, params, depth + 1),
-                right=grow_gbt_tree(X, g, h, right_idx, params, depth + 1),
-            )
-    return GbtNode(
-        weight=leaf_weight(
-            float(g[idx].sum()), float(h[idx].sum()), params.l2_leaf_penalty
-        )
-    )
+            return split
+        weight = -float(g[idx].sum()) / (float(h[idx].sum()) + params.l2_leaf_penalty)
+        out[idx] = weight
+        return weight
 
-
-def gbt_tree_outputs(root: GbtNode, X) -> np.ndarray:
-    out = np.empty(len(X), dtype=np.float64)
-    for i, row in enumerate(X):
-        node = root
-        while not node.is_leaf:
-            node = node.right if row[node.feature] else node.left
-        out[i] = node.weight
-    return out
+    return build_tree(expand, np.arange(len(g)))
 
 
 @dataclass(frozen=True)
 class GbtModel:
     kind = "gbt"
-    trees: tuple[GbtNode, ...]
+    trees: tuple[FlatTree, ...]
     base_score: float
     params: GbtParams
     fingerprint: Fingerprint
 
-    def raw_margin(self, X) -> np.ndarray:
-        margin = np.full(len(X), self.base_score, dtype=np.float64)
-        for root in self.trees:
-            margin += self.params.learning_rate * gbt_tree_outputs(root, X)
-        return margin
-
     def predict(self, matrix: DataMatrix) -> list[Prediction]:
         self.fingerprint.check_matrix(matrix)
-        return scores_to_predictions(sigmoid(self.raw_margin(matrix.to_dense())))
+        margin = np.full(matrix.n_samples, self.base_score, dtype=np.float64)
+        # One tree at a time, in round order, as the fit added them.
+        for outputs in leaf_values(self.trees, matrix.to_dense()).T:
+            margin += self.params.learning_rate * outputs
+        return scores_to_predictions(sigmoid(margin))
 
 
 def fit_gradient_boosting(
@@ -133,15 +103,14 @@ def fit_gradient_boosting(
     base_score = float(np.log(mean / (1.0 - mean)))
     margin = np.full(len(yf), base_score)
 
-    all_idx = np.arange(len(yf))
     trees = []
     for _ in range(params.n_rounds):
         p = sigmoid(margin)
         g = p - yf
         h = p * (1.0 - p)
-        root = grow_gbt_tree(X, g, h, all_idx, params)
-        trees.append(root)
-        margin = margin + params.learning_rate * gbt_tree_outputs(root, X)
+        outputs = np.empty(len(yf))
+        trees.append(grow_gbt_tree(X, g, h, params, outputs))
+        margin = margin + params.learning_rate * outputs
     return GbtModel(
         trees=tuple(trees),
         base_score=base_score,

@@ -10,25 +10,21 @@ import numpy as np
 from ..dataset import DataMatrix, LabelVector
 from ..errors import FitError
 from .base import Fingerprint, ForestParams, Prediction, TreeParams, as_xy, scores_to_predictions
-from .tree import TreeNode, grow_tree, tree_scores
+from .tree import FlatTree, grow_tree, leaf_values
 
 
 @dataclass(frozen=True)
 class RandomForestModel:
     kind = "rf"
-    trees: tuple[TreeNode, ...]
+    trees: tuple[FlatTree, ...]
     params: ForestParams
     fingerprint: Fingerprint
 
-    def vote_fractions(self, X) -> np.ndarray:
-        votes = np.zeros(len(X), dtype=np.float64)
-        for root in self.trees:
-            votes += tree_scores(root, X) >= 0.5
-        return votes / len(self.trees)
-
     def predict(self, matrix: DataMatrix) -> list[Prediction]:
+        """The score is the fraction of trees whose leaf score is at least 0.5."""
         self.fingerprint.check_matrix(matrix)
-        return scores_to_predictions(self.vote_fractions(matrix.to_dense()))
+        votes = np.count_nonzero(leaf_values(self.trees, matrix.to_dense()) >= 0.5, axis=1)
+        return scores_to_predictions(votes / len(self.trees))
 
 
 def fit_random_forest(
@@ -47,6 +43,7 @@ def fit_random_forest(
     if fps > d:
         raise FitError(f"features_per_split {fps} > n_features {d}")
 
+    XT = np.ascontiguousarray(X.T)
     tree_params = TreeParams(params.max_depth, params.min_samples_leaf)
     rng = np.random.default_rng(params.seed)
     trees = []
@@ -62,7 +59,7 @@ def fit_random_forest(
             def picker():
                 return np.sort(rng.choice(d, size=fps, replace=False))
 
-        trees.append(grow_tree(X, labels, idx, tree_params, candidate_picker=picker))
+        trees.append(grow_tree(XT, labels, idx, tree_params, candidate_picker=picker))
     return RandomForestModel(
         trees=tuple(trees),
         params=params,

@@ -19,26 +19,25 @@ from dataclasses import asdict, fields
 from ..dataset import DataMatrix
 from ..errors import DataFormatError, ModelFormatError
 from .base import DEFAULT_PARAMS, Fingerprint
-from .boosting import GbtModel, GbtNode
+from .boosting import GbtModel
 from .forest import RandomForestModel
 from .knn import KnnModel
 from .linear import LinearSvmModel, LogRegModel
-from .tree import DecisionTreeModel, TreeNode
+from .tree import DecisionTreeModel, FlatTree, build_tree
 
 FORMAT_VERSION = 1
 
 # JSON value types accepted for each hyperparameter annotation.
 _VALUE_TYPES = {"bool": {bool}, "int": {int}, "float": {int, float}, "None": {type(None)}}
 
-# Tree node type -> (leaf key in the file, leaf field of the node).
-_LEAF = {TreeNode: ("s", "score"), GbtNode: ("w", "weight")}
 
-
-def _encode_tree(node):
-    if node.is_leaf:
-        key, attr = _LEAF[type(node)]
-        return {key: getattr(node, attr)}
-    return {"f": node.feature, "l": _encode_tree(node.left), "r": _encode_tree(node.right)}
+def _encode_tree(tree: FlatTree, leaf_key: str, node: int = 0):
+    """Nested JSON of ``tree`` from ``node`` down: {"f", "l", "r"} at a split,
+    {leaf_key: value} at a leaf, where the key is "s" for dt/rf and "w" for gbt."""
+    if tree.is_leaf(node):
+        return {leaf_key: float(tree.value[node])}
+    return {"f": int(tree.feature[node]), "l": _encode_tree(tree, leaf_key, tree.left[node]),
+            "r": _encode_tree(tree, leaf_key, tree.right[node])}
 
 
 def _require(condition, message: str) -> None:
@@ -46,23 +45,21 @@ def _require(condition, message: str) -> None:
         raise ModelFormatError(message)
 
 
-def _decode_tree(obj, node_type, n_features: int):
-    _require(isinstance(obj, dict), "tree node must be a JSON object")
-    if "f" in obj:
+def _decode_tree(obj, leaf_key: str, n_features: int) -> FlatTree:
+    def expand(obj, depth):
+        _require(isinstance(obj, dict), "tree node must be a JSON object")
+        if "f" not in obj:
+            return _number(obj[leaf_key], "leaf value")
         feature = obj["f"]
         if type(feature) is not int or not 0 <= feature < n_features:
             raise ModelFormatError(f"split feature {feature!r} outside [0, {n_features})")
-        return node_type(
-            feature=feature,
-            left=_decode_tree(obj["l"], node_type, n_features),
-            right=_decode_tree(obj["r"], node_type, n_features),
-        )
-    key, attr = _LEAF[node_type]
-    return node_type(**{attr: _number(obj[key], "leaf value")})
+        return feature, obj["l"], obj["r"]
+
+    return build_tree(expand, obj)
 
 
-def _decode_trees(payload, node_type, n_features: int) -> tuple:
-    return tuple(_decode_tree(t, node_type, n_features)
+def _decode_trees(payload, leaf_key: str, n_features: int) -> tuple:
+    return tuple(_decode_tree(t, leaf_key, n_features)
                  for t in _list(payload["trees"], "trees"))
 
 
@@ -84,9 +81,9 @@ def _list(value, what: str, length: int | None = None) -> list:
 def _payload(model):
     kind = model.kind
     if kind == "dt":
-        return {"root": _encode_tree(model.root)}
+        return {"root": _encode_tree(model.tree, "s")}
     if kind == "rf":
-        return {"trees": [_encode_tree(t) for t in model.trees]}
+        return {"trees": [_encode_tree(t, "s") for t in model.trees]}
     if kind == "knn":
         return {
             "rows": [row.tolist() for row in model.train.row_ordinals()],
@@ -97,7 +94,7 @@ def _payload(model):
         return {"weights": list(model.weights), "bias": model.bias}
     if kind == "gbt":
         return {
-            "trees": [_encode_tree(t) for t in model.trees],
+            "trees": [_encode_tree(t, "w") for t in model.trees],
             "base_score": model.base_score,
         }
     raise ModelFormatError(f"unknown model kind {kind!r}")
@@ -185,11 +182,11 @@ def deserialize_model(data: bytes):
         if kind == "knn":
             return _decode_knn(payload, params, fingerprint)
         if kind == "dt":
-            return DecisionTreeModel(root=_decode_tree(payload["root"], TreeNode, d), **bound)
+            return DecisionTreeModel(tree=_decode_tree(payload["root"], "s", d), **bound)
         if kind == "rf":
-            return RandomForestModel(trees=_decode_trees(payload, TreeNode, d), **bound)
+            return RandomForestModel(trees=_decode_trees(payload, "s", d), **bound)
         if kind == "gbt":
-            return GbtModel(trees=_decode_trees(payload, GbtNode, d),
+            return GbtModel(trees=_decode_trees(payload, "w", d),
                             base_score=_number(payload["base_score"], "base_score"), **bound)
         linear = LinearSvmModel if kind == "svm" else LogRegModel
         weights = _list(payload["weights"], "weights", d)

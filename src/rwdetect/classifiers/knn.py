@@ -28,8 +28,8 @@ class KnnModel:
 
     def predict(self, matrix: DataMatrix) -> list[Prediction]:
         self.fingerprint.check_matrix(matrix)
-        T = self.train.to_dense().astype(np.int64)
-        t_ones = T.sum(axis=1)
+        T = self.train.to_dense().astype(np.float64)
+        t_ones = np.diff(self.train.indptr)
         Q = matrix.to_dense()
         labels = np.asarray(self.train_labels)
         k = self.params.k_neighbors
@@ -38,9 +38,15 @@ class KnnModel:
         # QUERY_BLOCK x n_train however many rows are scored at once.
         votes = []
         for start in range(0, len(Q), QUERY_BLOCK):
-            q = Q[start:start + QUERY_BLOCK].astype(np.int64)
-            # Hamming distance via |q| + |t| - 2 q.t, exact in integers.
-            dists = q.sum(axis=1)[:, None] + t_ones[None, :] - 2 * (q @ T.T)
+            q = Q[start:start + QUERY_BLOCK]
+            # Hamming distance |q| + |t| - 2 q.t, built in place in float64,
+            # exactly: every partial sum is an integer <= n_features. Cast to
+            # the narrowest type holding that, as numpy radix-sorts 8/16-bit keys.
+            dists = q.astype(np.float64) @ T.T
+            dists *= -2
+            dists += q.sum(axis=1)[:, None]
+            dists += t_ones
+            dists = dists.astype(np.min_scalar_type(matrix.n_features))
             nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
             votes += labels[nearest].sum(axis=1).tolist()
         return [Prediction(int(2 * ones > k), ones / k) for ones in votes]

@@ -1,4 +1,4 @@
-"""CART decision tree for binary features.
+"""CART decision tree for binary features, and the flat tree dt, rf and gbt share.
 
 Every feature is 0/1, so a split needs no threshold search: the left
 branch takes value 0 and the right branch value 1. Split quality is
@@ -13,62 +13,106 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dataset import DataMatrix, LabelVector
-from .base import (
-    Fingerprint,
-    Prediction,
-    TreeParams,
-    as_xy,
-    scores_to_predictions,
-)
+from .base import Fingerprint, Prediction, TreeParams, as_xy, scores_to_predictions
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """Internal node (feature set, children set) or leaf (score set)."""
+@dataclass(frozen=True, eq=False)
+class FlatTree:
+    """A binary tree as four parallel arrays, nodes in depth-first pre-order.
 
-    feature: int | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    score: float = 0.0
+    Node 0 is the root. Internal node i sends rows whose ``feature[i]``
+    is 0 to ``left[i]`` and rows where it is 1 to ``right[i]``. A leaf has
+    feature -1, both children pointing at itself, and its output in
+    ``value`` (internal nodes hold 0 there).
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    feature: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+    def is_leaf(self, node: int) -> bool:
+        return self.feature[node] < 0
 
 
-def find_gini_split(X, y, idx, candidates, min_samples_leaf):
-    """Best binary split of rows ``idx`` among candidate features.
+def build_tree(expand, root) -> FlatTree:
+    """The tree ``expand`` describes, node by node in depth-first pre-order.
 
-    Returns (feature, left_idx, right_idx) or None when no candidate
-    yields a strict impurity decrease. ``candidates`` must be sorted
-    ascending so the first optimum is the lowest ordinal.
+    ``expand(state, depth)`` gets the state of one node, ``root`` for
+    node 0, and returns either ``(feature, left_state, right_state)`` to
+    split it or a float, the value of a leaf.
+    """
+    feature, left, right, value = [], [], [], []
+
+    def grow(state, depth):
+        node = len(feature)
+        split = expand(state, depth)
+        is_split = isinstance(split, tuple)
+        feature.append(split[0] if is_split else -1)
+        left.append(node)
+        right.append(node)
+        value.append(0.0 if is_split else split)
+        if is_split:
+            left[node] = grow(split[1], depth + 1)
+            right[node] = grow(split[2], depth + 1)
+        return node
+
+    grow(root, 0)
+    return FlatTree(*(np.array(a, dtype=np.int32) for a in (feature, left, right)),
+                    np.array(value, dtype=np.float64))
+
+
+def leaf_values(trees, X) -> np.ndarray:
+    """Output of the leaf each row of ``X`` reaches in each tree, (rows, trees).
+
+    The trees are joined into one node array and every (row, tree) pair
+    moves down one depth level per step. Leaves point at themselves, so a
+    pair that has reached one stays there, whatever column it reads.
+    """
+    if not trees:
+        return np.zeros((len(X), 0))
+    roots = np.cumsum([0] + [len(t.feature) for t in trees[:-1]], dtype=np.int32)
+    feature = np.concatenate([t.feature for t in trees])
+    left = np.concatenate([t.left + root for t, root in zip(trees, roots)])
+    right = np.concatenate([t.right + root for t, root in zip(trees, roots)])
+    value = np.concatenate([t.value for t in trees])
+    node = np.broadcast_to(roots, (len(X), len(trees)))
+    rows = np.arange(len(X))[:, None]
+    f = feature[node]
+    while (f >= 0).any():
+        node = np.where(X[rows, f], right[node], left[node])
+        f = feature[node]
+    return value[node]
+
+
+def find_gini_split(XT, y_sub, pos, idx, candidates, min_samples_leaf):
+    """Best binary split of rows ``idx`` among ``candidates`` (sorted, or
+    None for all features) of the features x samples matrix ``XT``, given
+    their labels ``y_sub`` and its sum ``pos``. Returns (feature, left_idx,
+    right_idx), or None when no candidate strictly decreases impurity.
 
     Weighted Gini of a candidate j is (m - s_j)/m with
     s_j = (pos0^2+neg0^2)/n0 + (pos1^2+neg1^2)/n1, so minimizing impurity
     means maximizing s_j; both sides fit in int64 for any realistic n.
     """
     m = len(idx)
-    pos = int(y[idx].sum())
-    if pos == 0 or pos == m:
-        return None
-
-    cols = X[np.ix_(idx, candidates)].astype(np.int64)
-    n1 = cols.sum(axis=0)
-    pos1 = y[idx] @ cols
+    cols = (XT if candidates is None else XT[candidates])[:, idx]
+    n1 = cols.sum(axis=1, dtype=np.int64)
+    pos1 = cols @ y_sub
     n0 = m - n1
     pos0 = pos - pos1
     neg1 = n1 - pos1
     neg0 = n0 - pos0
 
-    valid = (n0 >= max(1, min_samples_leaf)) & (n1 >= max(1, min_samples_leaf))
-    if not np.any(valid):
+    valid = np.minimum(n0, n1) >= max(1, min_samples_leaf)
+    if not valid.any():
         return None
 
     s_num = (pos0**2 + neg0**2) * n1 + (pos1**2 + neg1**2) * n0
     s_den = n0 * n1
     # Exact-quotient floats: equal rationals divide to identical doubles,
     # so argmax picks the lowest-ordinal candidate on true ties.
-    score = np.where(valid, s_num / np.where(s_den > 0, s_den, 1), -np.inf)
+    score = np.divide(s_num, s_den, out=np.full(len(n1), -np.inf), where=valid)
     best = int(np.argmax(score))
 
     # Strict gain test, exact in integers: s > (pos^2 + neg^2)/m.
@@ -76,53 +120,37 @@ def find_gini_split(X, y, idx, candidates, min_samples_leaf):
     if int(s_num[best]) * m <= (pos**2 + neg**2) * int(s_den[best]):
         return None
 
-    feature = int(candidates[best])
-    mask = X[idx, feature] == 1
+    mask = cols[best] != 0
+    feature = best if candidates is None else int(candidates[best])
     return feature, idx[~mask], idx[mask]
 
 
-def grow_tree(X, y, idx, params: TreeParams, depth=0, candidate_picker=None):
-    """Recursive CART growth; leaf score is the positive-class fraction."""
-    m = len(idx)
-    pos = int(y[idx].sum())
-    if depth >= params.max_depth or pos == 0 or pos == m or m < 2 * params.min_samples_leaf:
-        return TreeNode(score=pos / m)
+def grow_tree(XT, y, idx, params: TreeParams, candidate_picker=None) -> FlatTree:
+    """CART growth over rows ``idx``; leaf value is the positive-class fraction."""
 
-    if candidate_picker is None:
-        candidates = np.arange(X.shape[1])
-    else:
-        candidates = candidate_picker()
-    split = find_gini_split(X, y, idx, candidates, params.min_samples_leaf)
-    if split is None:
-        return TreeNode(score=pos / m)
-    feature, left_idx, right_idx = split
-    return TreeNode(
-        feature=feature,
-        left=grow_tree(X, y, left_idx, params, depth + 1, candidate_picker),
-        right=grow_tree(X, y, right_idx, params, depth + 1, candidate_picker),
-    )
+    def expand(idx, depth):
+        m = len(idx)
+        y_sub = y[idx]
+        pos = int(y_sub.sum())
+        if depth >= params.max_depth or pos in (0, m) or m < 2 * params.min_samples_leaf:
+            return pos / m
+        candidates = None if candidate_picker is None else candidate_picker()
+        split = find_gini_split(XT, y_sub, pos, idx, candidates, params.min_samples_leaf)
+        return pos / m if split is None else split
 
-
-def tree_scores(root: TreeNode, X) -> np.ndarray:
-    out = np.empty(len(X), dtype=np.float64)
-    for i, row in enumerate(X):
-        node = root
-        while not node.is_leaf:
-            node = node.right if row[node.feature] else node.left
-        out[i] = node.score
-    return out
+    return build_tree(expand, idx)
 
 
 @dataclass(frozen=True)
 class DecisionTreeModel:
     kind = "dt"
-    root: TreeNode
+    tree: FlatTree
     params: TreeParams
     fingerprint: Fingerprint
 
     def predict(self, matrix: DataMatrix) -> list[Prediction]:
         self.fingerprint.check_matrix(matrix)
-        return scores_to_predictions(tree_scores(self.root, matrix.to_dense()))
+        return scores_to_predictions(leaf_values((self.tree,), matrix.to_dense())[:, 0])
 
 
 def fit_decision_tree(
@@ -132,9 +160,9 @@ def fit_decision_tree(
     fingerprint: Fingerprint | None = None,
 ) -> DecisionTreeModel:
     X, labels = as_xy(matrix, y)
-    root = grow_tree(X, labels, np.arange(len(labels)), params)
+    tree = grow_tree(np.ascontiguousarray(X.T), labels, np.arange(len(labels)), params)
     return DecisionTreeModel(
-        root=root,
+        tree=tree,
         params=params,
         fingerprint=fingerprint or Fingerprint(matrix.n_features),
     )

@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from . import classifiers, dataset, evaluation, reports, selection
-from .errors import RwdetectError
+from .errors import DataFormatError, RwdetectError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,8 +62,12 @@ class UsageError(RwdetectError):
 
 def read_config_file(path) -> dict:
     """Plain key=value config, '#' comments allowed."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from None
     values = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -80,6 +84,14 @@ def boolean(text: str) -> bool:
     if word not in ("1", "true", "yes", "0", "false", "no"):
         raise ValueError(text)
     return word in ("1", "true", "yes")
+
+
+def seed(text: str) -> int:
+    """A random seed: an integer >= 0, as numpy's generators require."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
 
 
 def parse_value(cast, text: str, what: str):
@@ -129,7 +141,7 @@ def build_config(args) -> RunConfig:
 
     cfg.data = pick("data", "data", str, os.environ.get(DATA_ENV_VAR))
     cfg.format = pick("format", "format", str, cfg.format)
-    cfg.seed = pick("seed", "seed", int, cfg.seed)
+    cfg.seed = pick("seed", "seed", seed, cfg.seed)
     cfg.test_fraction = pick("test_fraction", "test_fraction", float, cfg.test_fraction)
     cfg.top_k = pick("top_k", "top_k", int, cfg.top_k)
     cfg.model = pick("model", "model", str, cfg.model)
@@ -166,8 +178,8 @@ def data_path(cfg: RunConfig) -> str:
         raise UsageError(
             f"no dataset given: pass --data or set {DATA_ENV_VAR}"
         )
-    if not Path(cfg.data).exists():
-        raise UsageError(f"dataset file not found: {cfg.data}")
+    if not Path(cfg.data).is_file():
+        raise UsageError(f"dataset file not found: {cfg.data!r}")
     return cfg.data
 
 
@@ -184,15 +196,24 @@ def make_params(kind: str, overrides: dict):
         if key not in fields:
             continue  # overrides are shared across kinds; ignore foreign keys
         target = str(fields[key].type)
-        cast = boolean if "bool" in target else int if "int" in target else float
+        cast = boolean if "bool" in target else seed if key == "seed" \
+            else int if "int" in target else float
         kwargs[key] = parse_value(cast, raw, f"hyperparameter {key}")
     return cls(**kwargs)
 
 
+def write_output(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path``; a path that cannot be written is a usage error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise UsageError(f"cannot write {str(path)!r}: {exc}") from None
+
+
 def ensure_out(cfg: RunConfig, command: str) -> Path:
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{command}.config").write_text(cfg.echo(), encoding="utf-8")
+    write_output(out_dir / f"{command}.config", cfg.echo().encode("utf-8"))
     return out_dir
 
 
@@ -242,7 +263,7 @@ def cmd_train(args) -> int:
 
     blob = classifiers.serialize_model(model)
     model_path = Path(cfg.model_file or out_dir / f"model_{cfg.model}.json")
-    model_path.write_bytes(blob)
+    write_output(model_path, blob)
 
     preds = model.predict(train_p)
     report = evaluation.evaluate_predictions(cfg.model, train_y, [p.label for p in preds])
@@ -303,7 +324,7 @@ def cmd_reproduce(args) -> int:
             file=sys.stderr,
         )
         return EXIT_DATA
-    seeds = [parse_value(int, s, "--seeds entry") for s in args.seeds.split(",")] \
+    seeds = [parse_value(seed, s, "--seeds entry") for s in args.seeds.split(",")] \
         if args.seeds else [cfg.seed]
     matrix, dictionary, y = load_dataset(cfg)
     out_dir = ensure_out(cfg, "reproduce")
@@ -352,10 +373,18 @@ def cmd_reproduce(args) -> int:
 
 
 def _iter_report_files(path: Path):
-    """(report_id, bytes) of every report; each is decoded when it is parsed."""
+    """(report_id, bytes) of every report; each is decoded when it is parsed.
+
+    In a directory only regular files are reports; one that cannot be read
+    comes as a ``DataFormatError``, so it is counted as malformed."""
     if path.is_dir():
         for p in sorted(path.glob("*.json")):
-            yield p.name, p.read_bytes()
+            if not p.is_file():
+                continue
+            try:
+                yield p.name, p.read_bytes()
+            except OSError as exc:
+                yield p.name, DataFormatError(f"cannot read report: {exc.strerror or exc}")
     else:
         # newline-delimited batch stream; a line of ASCII whitespace is blank
         with path.open("rb") as fh:
@@ -416,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--data", help=f"dataset path (fallback: ${DATA_ENV_VAR})")
         p.add_argument("--format", choices=("dense", "sparse"))
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=seed)
         p.add_argument("--test-fraction", dest="test_fraction", type=float)
         p.add_argument("--top-k", dest="top_k", type=int)
         p.add_argument("--out")

@@ -19,7 +19,11 @@ from __future__ import annotations
 
 import json
 import logging
+from array import array
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from .classifiers import Prediction
 from .dataset import DataMatrix, FeatureDictionary
@@ -60,6 +64,13 @@ class VectorizeOutcome:
     matched: int
     unmatched: int
     unmatched_samples: tuple[str, ...] = field(default=())
+
+
+class MatchCounts(NamedTuple):
+    """What a batch keeps of each report's ``VectorizeOutcome``."""
+
+    matched: int
+    unmatched: int
 
 
 def parse_report(text: str | bytes) -> BehaviorReport:
@@ -128,18 +139,26 @@ def score_reports(
     model,
     dictionary: FeatureDictionary,
     selection: SelectionResult,
-) -> list[tuple[Prediction, VectorizeOutcome]]:
+) -> list[tuple[Prediction, MatchCounts]]:
     """vectorize -> project through the selection -> predict, for a whole batch.
 
     The fingerprint is checked once, before any report is read, and the
     model predicts every report's row in one call; results follow the
-    order of ``reports``, which may be any iterable.
+    order of ``reports``, which may be any iterable. Each report's row
+    goes straight into the batch's sparse arrays, and only its match
+    counts are kept beside them.
     """
     check_fingerprint(model.fingerprint, dictionary, selection.selected)
-    outcomes = [vectorize(report, dictionary) for report in reports]
-    matrix = DataMatrix.from_rows(len(dictionary), [o.row for o in outcomes])
+    indptr, indices, counts = [0], array("i"), []
+    for report in reports:
+        outcome = vectorize(report, dictionary)
+        indices.extend(outcome.row)
+        indptr.append(len(indices))
+        counts.append(MatchCounts(outcome.matched, outcome.unmatched))
+    matrix = DataMatrix(len(dictionary), np.array(indptr, dtype=np.int64),
+                        np.asarray(indices, dtype=np.int32))
     predictions = model.predict(project(matrix, selection.selected))
-    return list(zip(predictions, outcomes))
+    return list(zip(predictions, counts))
 
 
 def score_report(
@@ -147,7 +166,7 @@ def score_report(
     model,
     dictionary: FeatureDictionary,
     selection: SelectionResult,
-) -> tuple[Prediction, VectorizeOutcome]:
+) -> tuple[Prediction, MatchCounts]:
     """``score_reports`` of a one-report batch."""
     return score_reports([report], model, dictionary, selection)[0]
 
@@ -155,17 +174,20 @@ def score_report(
 def score_documents(documents, model, dictionary: FeatureDictionary, selection: SelectionResult):
     """Parse and score ``(report_id, text)`` documents as one batch.
 
-    Returns ``(verdicts, failures)``: ``(report_id, prediction, outcome)``
-    for every document that parses, in input order, and
-    ``(report_id, DataFormatError)`` for every one that does not. Each
-    document is parsed as ``score_reports`` reaches it, so only its
-    vectorized row outlives it.
+    A document that could not be read is passed as its ``DataFormatError``
+    in place of the text. Returns ``(verdicts, failures)``:
+    ``(report_id, prediction, counts)`` for every document that parses, in
+    input order, and ``(report_id, DataFormatError)`` for every one that
+    does not. Each document is parsed as ``score_reports`` reaches it, so
+    only its vectorized row outlives it.
     """
     report_ids, failures = [], []
 
     def parsed():
         for report_id, text in documents:
             try:
+                if isinstance(text, DataFormatError):
+                    raise text
                 report = parse_report(text)
             except DataFormatError as exc:
                 failures.append((report_id, exc))

@@ -181,9 +181,9 @@ def test_criterion_6_tree_split_oracles():
                 y = np.array([(pattern >> i) & 1 for i in range(8)], dtype=np.int64)
                 m, labels = matrix_from_dense(X, labels=y)
 
-                tree = fit_decision_tree(m, labels)
+                tree = fit_decision_tree(m, labels).tree
                 expected = gini_oracle_root(X, y)
-                actual = None if tree.root.is_leaf else tree.root.feature
+                actual = None if tree.is_leaf(0) else tree.feature[0]
                 assert actual == expected, (pattern, actual, expected)
 
                 if y.min() == y.max():
@@ -192,14 +192,15 @@ def test_criterion_6_tree_split_oracles():
                     m, labels, GbtParams(n_rounds=1, max_depth=1)
                 )
                 best_gain, optimal, results = gain_oracle(X, y, lam=1.0)
-                root = gbt.trees[0]
+                tree = gbt.trees[0]
                 if best_gain is None or best_gain <= 0:
-                    assert root.is_leaf
+                    assert tree.is_leaf(0)
                 else:
-                    assert root.feature in optimal
-                    wl, wr = results[root.feature][1]
-                    assert abs(root.left.weight - wl) < 1e-12
-                    assert abs(root.right.weight - wr) < 1e-12
+                    feature = int(tree.feature[0])
+                    assert feature in optimal
+                    wl, wr = results[feature][1]
+                    assert abs(tree.value[tree.left[0]] - wl) < 1e-12
+                    assert abs(tree.value[tree.right[0]] - wr) < 1e-12
 
 
 def test_criterion_7_determinism_and_persistence():

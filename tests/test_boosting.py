@@ -75,14 +75,15 @@ class TestGradientBoosting:
         )
         best_gain, optimal, results = gain_oracle(X, y, lam)
 
-        root = model.trees[0]
+        tree = model.trees[0]
         if best_gain is None or best_gain <= 0:
-            assert root.is_leaf
+            assert tree.is_leaf(0)
             return
-        assert root.feature in optimal
-        expected_left, expected_right = results[root.feature][1]
-        assert root.left.weight == pytest.approx(expected_left, abs=1e-12)
-        assert root.right.weight == pytest.approx(expected_right, abs=1e-12)
+        feature = int(tree.feature[0])
+        assert feature in optimal
+        expected_left, expected_right = results[feature][1]
+        assert tree.value[tree.left[0]] == pytest.approx(expected_left, abs=1e-12)
+        assert tree.value[tree.right[0]] == pytest.approx(expected_right, abs=1e-12)
 
     def test_huge_l2_penalty_flattens_leaves(self):
         rng = np.random.default_rng(33)
@@ -93,15 +94,15 @@ class TestGradientBoosting:
             m, labels, GbtParams(n_rounds=5, l2_leaf_penalty=1e9)
         )
 
-        def leaves(node):
-            if node.is_leaf:
-                yield node.weight
+        def leaves(tree, node=0):
+            if tree.is_leaf(node):
+                yield tree.value[node]
             else:
-                yield from leaves(node.left)
-                yield from leaves(node.right)
+                yield from leaves(tree, tree.left[node])
+                yield from leaves(tree, tree.right[node])
 
-        for root in model.trees:
-            for w in leaves(root):
+        for tree in model.trees:
+            for w in leaves(tree):
                 assert abs(w) < 1e-6
 
     def test_non_positive_learning_rate_rejected(self):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -200,6 +201,34 @@ class TestScore:
         assert verdicts[0] == "report_id,label,score,matched,unmatched"
         assert len(verdicts) == 3
 
+    def test_directory_entries_that_are_not_readable_files(self, tmp_path, capsys,
+                                                             monkeypatch):
+        data = make_dataset(tmp_path, n=120)
+        out = tmp_path / "out"
+        run(["train", "--data", data, "--out", out, "--model", "dt", "--top-k", 5])
+        reports_dir = tmp_path / "reports"
+        reports_dir.mkdir()
+        (reports_dir / "a.json").write_text(json.dumps({"api_calls": ["f00000"]}))
+        (reports_dir / "sub.json").mkdir()  # a directory is not a report
+        (reports_dir / "locked.json").write_text("{}")
+        read_bytes = Path.read_bytes
+
+        def unreadable(path):
+            if path.name == "locked.json":
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", unreadable)
+        capsys.readouterr()
+        code = run(["score", "--data", data, "--out", out,
+                    "--model-file", out / "model_dt.json", reports_dir])
+        assert code == 0
+        printed = capsys.readouterr()
+        assert "scored 1 reports: " in printed.out and "1 malformed" in printed.out
+        assert printed.err == "locked.json: cannot read report: Permission denied\n"
+        verdicts = (out / "verdicts.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in verdicts[1:]] == ["a.json"]
+
     def test_empty_batch(self, tmp_path, capsys):
         data = make_dataset(tmp_path, n=120)
         out = tmp_path / "out"
@@ -376,6 +405,35 @@ class TestConfig:
             == cli.EXIT_USAGE
         assert line.split("=")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, flags", [
+        (b"data=@DATA@\nseed=3\xff\n", []),  # not UTF-8
+        (b"data=@DATA@\nseed=-1\n", []),
+        (b"data=@DATA@\nhp.seed=-1\n", []),
+        (b"data=@DATA@\n", ["--seed", "-1"]),
+        (b"data=@TMP@\n", []),  # a directory, not a dataset file
+        (b"data=@DATA@\nout=@DATA@\n", []),  # output directory is a file
+        (b"data=@DATA@\nout=o\x00\n", []),
+        (b"data=@DATA@\nmodel_file=@TMP@\n", []),  # model file is a directory
+    ])
+    def test_unusable_config_is_one_line_usage_error(self, tmp_path, capsys, config, flags):
+        data = make_dataset(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        config = b"out=@TMP@/o\n" + config  # a later out= line takes precedence
+        cfg.write_bytes(config.replace(b"@DATA@", bytes(data)).replace(b"@TMP@", bytes(tmp_path)))
+        capsys.readouterr()
+        code = run(["train", "--config", cfg, "--top-k", 5, *flags])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        assert run(["mi-scores", "--config", tmp_path / "none.cfg"]) == cli.EXIT_USAGE
+        assert "none.cfg" in capsys.readouterr().err
+
+    def test_negative_seed_in_sweep(self, tmp_path, capsys):
+        data = make_dataset(tmp_path)
+        assert run(["reproduce", "--data", data, "--out", tmp_path / "o",
+                    "--seeds", "0,-1"]) == cli.EXIT_USAGE
+
     def test_threads_not_echoed(self, tmp_path):
         data = make_dataset(tmp_path)
         out = tmp_path / "out"
@@ -421,3 +479,62 @@ class TestHyperparameters:
         data = make_dataset(tmp_path)
         assert run(["reproduce", "--data", data, "--out", tmp_path / "o",
                     "--seeds", "0,x"]) == cli.EXIT_USAGE
+
+
+CONFIG_TEMPLATE = b"\n".join([
+    b"# train settings",
+    b"data=@DATA@",
+    b"format=sparse",
+    b"seed=3",
+    b"test_fraction=0.25",
+    b"top_k=5",
+    b"model=dt",
+    b"out=out",
+    b"hp.max_depth=4",
+    b"hp.n_trees=3",
+    b"hp.n_rounds=3",
+    b"hp.epochs=5",
+    b"",
+])
+
+CONFIG_FRAGMENTS = st.sampled_from([
+    b"=", b"#", b"# x=1", b"seed=-1", b"seed=abc", b"seed=" + b"9" * 40, b"seed=1e3",
+    b"top_k=0", b"top_k=-5", b"top_k=" + b"9" * 30, b"test_fraction=nan",
+    b"test_fraction=1e-300", b"test_fraction=0.999999", b"test_fraction=inf",
+    b"model=rf", b"model=gbt", b"model=knn", b"model=svm", b"model=logreg", b"model=bogus",
+    b"model=", b"format=dense", b"format=xml", b"data=", b"data=missing.sparse",
+    b"data=.", b"data=\x00", b"out=\x00", b"out=data.sparse", b"out=.", b"model_file=.",
+    b"model_file=\x00", b"hp.seed=-1", b"top_k=1.5", b"hp.n_tres=1", b"hp.bootstrap=maybe", b"hp.max_depth=-1",
+    b"hp.n_trees=0", b"hp.k_neighbors=100000", b"hp.k_neighbors=0",
+    b"hp.learning_rate=-1", b"hp.learning_rate=nan", b"hp.features_per_split=100",
+    b"hp.regularization=0", b"hp.min_samples_leaf=0", b"strict=1",
+    b"\xff", b"\xed\xa0\x80", b"\r", b"\t", b" ", b"\\", b"\xe2\x80\xa8", b"",
+])
+
+
+@pytest.fixture(scope="module")
+def config_dataset(tmp_path_factory):
+    return make_dataset(tmp_path_factory.mktemp("config"), n=60)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=mutated_lines(CONFIG_TEMPLATE, CONFIG_FRAGMENTS))
+def test_mutated_config_file_ends_in_documented_exit(config_dataset, text):
+    """A mutated --config file makes ``train`` exit 0, 1 or 2; a failure
+    prints one line of message and never a traceback."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "data.sparse").write_bytes(config_dataset.read_bytes())
+        Path(tmp, "run.cfg").write_bytes(text.replace(b"@DATA@", b"data.sparse"))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run(["train", "--config", "run.cfg"])
+        finally:
+            os.chdir(cwd)
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA)
+    message = stderr.getvalue()
+    assert "Traceback" not in message
+    if code != cli.EXIT_OK:
+        assert message.count("\n") == 1 and message.startswith(("error: ", "data error: "))

@@ -167,8 +167,10 @@ class TestScoreReport:
                 api_calls=tuple(c.split(":", 1)[1] for c in chosen if c.startswith("API:")),
                 strings=tuple(c.split(":", 1)[1] for c in chosen if c.startswith("STR:")),
             )
-            pred, outcome = score_report(report, model, dictionary, selection)
+            pred, counts = score_report(report, model, dictionary, selection)
 
+            outcome = vectorize(report, dictionary)
+            assert counts == (outcome.matched, outcome.unmatched)
             one_row = DataMatrix.from_rows(10, [outcome.row])
             assert pred == model.predict(project(one_row, selection.selected))[0]
 

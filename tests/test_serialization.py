@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -9,9 +10,14 @@ from rwdetect.classifiers import (
     FITTERS,
     MODEL_KINDS,
     Fingerprint,
+    ForestParams,
+    GbtParams,
+    TreeParams,
     deserialize_model,
     serialize_model,
 )
+from rwdetect.classifiers.base import sigmoid
+from rwdetect.dataset import synthesize_dataset
 from rwdetect.errors import FingerprintMismatch, ModelFormatError
 
 from conftest import matrix_from_dense, random_dense
@@ -200,3 +206,77 @@ def test_mutated_model_raises_only_model_format_error(blob):
     query = matrix_from_dense(np.eye(2, max(width, 1), dtype=np.uint8)[:, :width])
     with np.errstate(all="ignore"):
         assert len(model.predict(query)) == 2
+
+
+# sha256 of each kind's model file, fitted with default hyperparameters on
+# the synthetic set of ``pinned_dataset``. Any change to a fit, to the tree
+# layout or to the codec that moves one byte of a model file fails here.
+# The float-valued models (svm, gbt, logreg) were recorded with numpy's
+# OpenBLAS on x86-64; another BLAS may order its sums differently.
+PINNED_SHA256 = {
+    "dt": "33d30bccb90961450b0de0645d9d679538a7b52e37ef7194c3a6bee79724be20",
+    "rf": "925ae49715f722d304594538379f21331dfe0d858660789c21b8389d8d4edfea",
+    "knn": "17db3964777c20be0d17748c2f8ba41c322663bb7b5a5489eb0b77095396cd31",
+    "svm": "0299240d7ae711a1f708798db26b9608680d76cb5f1fe22cd4c3a853a62ddd4c",
+    "gbt": "9e6b08634c7aced243405dd8366673edf91a80e1334083f6ceb9a740d69e7cd4",
+    "logreg": "2f587c85b852a44f258c2892ba1f5aee4035217bcff67293e7f8ba769f31ba99",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_dataset():
+    signal = [(0, 0.1, 0.6), (3, 0.5, 0.2), (7, 0.3, 0.45), (12, 0.2, 0.3)]
+    return synthesize_dataset(240, 40, 0.2, signal, seed=2024)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_model_bytes_are_pinned(pinned_dataset, kind):
+    blob = serialize_model(FITTERS[kind](*pinned_dataset))
+    assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256[kind]
+
+
+def walk(node, x, leaf_key):
+    """Leaf value a 0/1 row reaches in a tree of the nested file layout."""
+    while "f" in node:
+        node = node["r"] if x[node["f"]] else node["l"]
+    return node[leaf_key]
+
+
+def nested_scores(doc, X):
+    """dt/rf/gbt scores computed from the model file's nested trees alone."""
+    payload = doc["payload"]
+    if doc["model_kind"] == "dt":
+        return [walk(payload["root"], x, "s") for x in X]
+    if doc["model_kind"] == "rf":
+        trees = payload["trees"]
+        return [sum(walk(t, x, "s") >= 0.5 for t in trees) / len(trees) for x in X]
+    margin = np.full(len(X), payload["base_score"])
+    for t in payload["trees"]:
+        margin += doc["hyperparameters"]["learning_rate"] * np.array([walk(t, x, "w") for x in X])
+    return sigmoid(margin).tolist()
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("kind, params", [
+    ("dt", TreeParams()),
+    ("dt", TreeParams(max_depth=3, min_samples_leaf=4)),
+    ("rf", ForestParams(n_trees=9, seed=5)),
+    ("rf", ForestParams(n_trees=4, max_depth=2, bootstrap=False, seed=1)),
+    ("gbt", GbtParams(n_rounds=7)),
+    ("gbt", GbtParams(n_rounds=5, max_depth=2, learning_rate=0.7)),
+])
+def test_flat_tree_predictions_match_nested_walk(kind, params, seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 12))
+    X = random_dense(rng, 70, d, p=rng.uniform(0.1, 0.9))
+    y = rng.integers(0, 2, size=70)
+    y[:2] = (0, 1)
+    m, labels = matrix_from_dense(X, labels=y)
+    queries = random_dense(rng, 40, d)
+    model = FITTERS[kind](m, labels, params)
+    blob = serialize_model(model)
+    expected = nested_scores(json.loads(blob), queries)
+    for candidate in (model, deserialize_model(blob)):
+        preds = candidate.predict(matrix_from_dense(queries))
+        assert [p.score for p in preds] == expected
+        assert [p.label for p in preds] == [int(s >= 0.5) for s in expected]

@@ -46,16 +46,17 @@ class TestDecisionTree:
             [[0, 1], [1, 0], [0, 0], [1, 1]], labels=[0, 1, 0, 1]
         )
         model = fit_decision_tree(m, y)
-        assert model.root.feature == 0
-        assert model.root.left.is_leaf and model.root.right.is_leaf
+        tree = model.tree
+        assert tree.feature[0] == 0
+        assert tree.is_leaf(tree.left[0]) and tree.is_leaf(tree.right[0])
         preds = model.predict(m)
         assert [p.label for p in preds] == list(y.labels)
 
     def test_pure_input_single_leaf(self):
         m, y = matrix_from_dense([[0, 1], [1, 0]], labels=[1, 1], family_ids=[1, 1])
-        model = fit_decision_tree(m, y)
-        assert model.root.is_leaf
-        assert model.root.score == 1.0
+        tree = fit_decision_tree(m, y).tree
+        assert tree.is_leaf(0)
+        assert tree.value[0] == 1.0
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(FitError, match="empty"):
@@ -69,7 +70,7 @@ class TestDecisionTree:
         m, labels = matrix_from_dense(X, labels=y)
         model = fit_decision_tree(m, labels)
         expected = gini_oracle_root(X, y.astype(np.int64))
-        actual = None if model.root.is_leaf else model.root.feature
+        actual = None if model.tree.is_leaf(0) else model.tree.feature[0]
         assert actual == expected
 
     def test_perfect_training_accuracy_on_consistent_data(self):
@@ -90,12 +91,14 @@ class TestDecisionTree:
         m, labels = matrix_from_dense(X, labels=y)
         model = fit_decision_tree(m, labels, TreeParams(max_depth=2))
 
-        def depth(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(depth(node.left), depth(node.right))
+        tree = model.tree
 
-        assert depth(model.root) <= 2
+        def depth(node):
+            if tree.is_leaf(node):
+                return 0
+            return 1 + max(depth(tree.left[node]), depth(tree.right[node]))
+
+        assert depth(0) <= 2
 
     def test_min_samples_leaf_respected(self):
         rng = np.random.default_rng(6)
@@ -104,12 +107,14 @@ class TestDecisionTree:
         m, labels = matrix_from_dense(X, labels=y)
         model = fit_decision_tree(m, labels, TreeParams(min_samples_leaf=5))
 
+        tree = model.tree
+
         def check(node, idx):
-            if node.is_leaf:
+            if tree.is_leaf(node):
                 assert len(idx) >= 5
                 return
-            mask = X[idx, node.feature] == 1
-            check(node.left, idx[~mask])
-            check(node.right, idx[mask])
+            mask = X[idx, tree.feature[node]] == 1
+            check(tree.left[node], idx[~mask])
+            check(tree.right[node], idx[mask])
 
-        check(model.root, np.arange(30))
+        check(0, np.arange(30))
