@@ -33,12 +33,19 @@ from .errors import DataFormatError, SplitError
 
 CATEGORY_CODES = ("API", "DROP", "REG", "FILES", "FILES_EXT", "DIR", "STR")
 
+# A feature name starts with one of these.
+NAME_PREFIXES = tuple(code + ":" for code in CATEGORY_CODES)
+
 MAX_FAMILY_ID = 11
 
 # Column ordinals are stored as int32.
 INT32_LIMIT = 2**31
 
 ARRAY_FIELDS = ("indptr", "indices", "family_ids", "sample_ids")
+
+# Dictionary names are read from a file and hashed this many at a time,
+# which bounds the memory a block of them holds.
+BLOCK_LINES = 8192
 
 
 @dataclass(frozen=True)
@@ -50,18 +57,20 @@ class FeatureDictionary:
     _sha256: str | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.names:
+        names = self.names
+        if not names:
             raise DataFormatError("feature dictionary is empty")
-        index = {}
-        for j, name in enumerate(self.names):
-            prefix = name.split(":", 1)[0]
-            if prefix not in CATEGORY_CODES or ":" not in name:
-                raise DataFormatError(
-                    f"feature name {name!r} lacks a valid category prefix"
-                )
-            if name in index:
-                raise DataFormatError(f"duplicate feature name {name!r}")
-            index[name] = j
+        index = dict(zip(names, range(len(names))))
+        if len(index) < len(names) or not all(
+                map(str.startswith, names, itertools.repeat(NAME_PREFIXES))):
+            seen = set()  # name the first offender in order
+            for name in names:
+                if not name.startswith(NAME_PREFIXES):
+                    raise DataFormatError(
+                        f"feature name {name!r} lacks a valid category prefix")
+                if name in seen:
+                    raise DataFormatError(f"duplicate feature name {name!r}")
+                seen.add(name)
         object.__setattr__(self, "_index", index)
 
     def __len__(self):
@@ -85,9 +94,9 @@ class FeatureDictionary:
         """Content hash used in model fingerprints, computed on first call."""
         if self._sha256 is None:
             h = hashlib.sha256()
-            for name in self.names:
-                h.update(name.encode("utf-8"))
-                h.update(b"\n")
+            for start in range(0, len(self.names), BLOCK_LINES):
+                block = self.names[start:start + BLOCK_LINES]
+                h.update(("\n".join(block) + "\n").encode("utf-8"))
             object.__setattr__(self, "_sha256", h.hexdigest())
         return self._sha256
 
@@ -269,18 +278,28 @@ def _decoded_lines(fh):
     return (raw.decode("utf-8") for raw in fh)
 
 
-def _nonblank(raw_lines):
-    """Lines without their trailing newline, blank ones skipped."""
-    return (line for line in (raw.rstrip("\n") for raw in raw_lines) if line)
+def _nonblank(fh):
+    """Non-blank lines of a binary file without their trailing newline, each
+    decoded from UTF-8 only when it is reached."""
+    return (raw.decode("utf-8").rstrip("\n") for raw in fh if raw != b"\n")
 
 
-def _sparse_dictionary(lines, path) -> FeatureDictionary:
-    """The ``#FEATURES`` section, read from the non-blank lines of a sparse file."""
-    d = _section_count(next(lines, None), "#FEATURES", path)
-    names = tuple(itertools.islice(lines, d))
-    if len(names) < d:
-        raise DataFormatError(f"{path}: dictionary section truncated")
-    return FeatureDictionary(names)
+def _sparse_dictionary(fh, path) -> FeatureDictionary:
+    """The ``#FEATURES`` section of a sparse file open in binary mode.
+
+    The names are read in blocks of at most ``BLOCK_LINES`` lines, and each
+    block is decoded and split once, blank lines dropped. No line after
+    the last name is read.
+    """
+    d = _section_count(next(_nonblank(fh), None), "#FEATURES", path)
+    names = []
+    while len(names) < d:
+        block = list(itertools.islice(fh, min(d - len(names), BLOCK_LINES)))
+        if not block:
+            raise DataFormatError(f"{path}: dictionary section truncated")
+        # Blank lines, and the newline that ends the block, split off as "".
+        names += filter(None, b"".join(block).decode("utf-8").split("\n"))
+    return FeatureDictionary(tuple(names))
 
 
 def _dense_dictionary(reader, path) -> FeatureDictionary:
@@ -297,14 +316,14 @@ def load_dictionary(path, fmt: str) -> FeatureDictionary:
     """Only the feature dictionary of a ``fmt`` ("sparse" or "dense") dataset file.
 
     It is checked exactly as ``load_sparse`` and ``load_dense_csv`` check
-    it; the sample section is not parsed. The file is decoded one line at
-    a time, so no byte after the dictionary is read as text.
+    it; the sample section is not parsed, and no byte after the
+    dictionary is decoded.
     """
     try:
         with open(path, "rb") as fh:
             if fmt == "dense":
                 return _dense_dictionary(csv.reader(_decoded_lines(fh)), path)
-            return _sparse_dictionary(_nonblank(_decoded_lines(fh)), path)
+            return _sparse_dictionary(fh, path)
     except (UnicodeDecodeError, csv.Error) as exc:
         kind = "CSV" if fmt == "dense" else "text"
         raise DataFormatError(f"{path}: not readable as UTF-8 {kind}: {exc}") from None
@@ -316,14 +335,16 @@ def load_sparse(path) -> tuple[DataMatrix, FeatureDictionary, LabelVector]:
     The file is read line by line and each sample's tokens are mapped to
     ordinals as its line is read, so no whole-file token list is held.
     Blank lines are skipped; a token repeated within a line counts once.
+    A non-blank line after the last of the ``#SAMPLES`` lines is an error.
     """
     rows, family_ids, sample_ids = [], [], []
     try:
-        with open(path, encoding="utf-8", newline="\n") as fh:
+        with open(path, "rb") as fh:
+            dictionary = _sparse_dictionary(fh, path)
+            ordinal = dictionary._index.__getitem__
             lines = _nonblank(fh)
-            dictionary = _sparse_dictionary(lines, path)
-            d = len(dictionary)
-            for i in range(_section_count(next(lines, None), "#SAMPLES", path)):
+            n = _section_count(next(lines, None), "#SAMPLES", path)
+            for i in range(n):
                 line = next(lines, None)
                 if line is None:
                     raise DataFormatError(f"{path}: sample section truncated at row {i}")
@@ -334,18 +355,23 @@ def load_sparse(path) -> tuple[DataMatrix, FeatureDictionary, LabelVector]:
                     )
                 sample_id, family, tokens = parts[0], parts[1], parts[2].split()
                 try:
-                    ordinals = np.fromiter(map(dictionary._index.__getitem__, tokens),
-                                           dtype=np.int64, count=len(tokens))
+                    ordinals = np.fromiter(map(ordinal, tokens), dtype=np.int64,
+                                           count=len(tokens))
                 except KeyError as exc:
                     raise DataFormatError(
                         f"{path}: sample {sample_id!r}: unknown feature {exc.args[0]!r}"
                     ) from None
-                rows.append(np.unique(ordinals))
+                ordinals.sort()
+                if (ordinals[1:] == ordinals[:-1]).any():
+                    ordinals = np.unique(ordinals)
+                rows.append(ordinals)
                 family_ids.append(_parse_family(family, f"{path}: sample {sample_id!r}"))
                 sample_ids.append(sample_id)
+            if next(lines, None) is not None:
+                raise DataFormatError(f"{path}: more sample lines than '#SAMPLES {n}' gives")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not readable as UTF-8 text: {exc}") from None
-    matrix = DataMatrix.from_rows(d, rows, family_ids, sample_ids)
+    matrix = DataMatrix.from_rows(len(dictionary), rows, family_ids, sample_ids)
     return matrix, dictionary, LabelVector.from_families(matrix.family_ids)
 
 

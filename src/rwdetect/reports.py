@@ -9,10 +9,10 @@ diagnostics, never errors.
 
 Reports are scored in batches: the model's fingerprint is checked once
 against the dictionary and selection, every report is vectorized into one
-sparse matrix, and the model predicts all rows in one call. The dictionary
-comes from the feature section of the training dataset alone; a
-fingerprint mismatch fails the whole batch, while a report that does not
-parse is set aside and the rest are scored.
+sparse matrix of the selected columns, and the model predicts all rows in
+one call. The dictionary comes from the feature section of the training
+dataset alone; a fingerprint mismatch fails the whole batch, while a
+report that does not parse is set aside and the rest are scored.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .classifiers import Prediction
 from .dataset import DataMatrix, FeatureDictionary
 from .errors import DataFormatError, FingerprintMismatch
-from .selection import SelectionResult, project
+from .selection import SelectionResult
 
 logger = logging.getLogger(__name__)
 
@@ -144,21 +144,30 @@ def score_reports(
 
     The fingerprint is checked once, before any report is read, and the
     model predicts every report's row in one call; results follow the
-    order of ``reports``, which may be any iterable. Each report's row
-    goes straight into the batch's sparse arrays, and only its match
-    counts are kept beside them.
+    order of ``reports``, which may be any iterable. Each report's row is
+    projected onto the selected columns as it is vectorized and goes
+    straight into the batch's sparse arrays, and only its match counts are
+    kept beside them.
     """
-    check_fingerprint(model.fingerprint, dictionary, selection.selected)
+    selected = selection.selected
+    check_fingerprint(model.fingerprint, dictionary, selected)
+    if len(set(selected)) != len(selected) or min(selected, default=0) < 0:
+        raise ValueError("selection must be distinct ordinals >= 0")
+    # dictionary ordinal -> selected column, None where not selected
+    column = [None] * len(dictionary)
+    for c, j in enumerate(selected):
+        column[j] = c
     indptr, indices, counts = [0], array("i"), []
     for report in reports:
         outcome = vectorize(report, dictionary)
-        indices.extend(outcome.row)
+        row = [c for c in map(column.__getitem__, outcome.row) if c is not None]
+        row.sort()
+        indices.extend(row)
         indptr.append(len(indices))
         counts.append(MatchCounts(outcome.matched, outcome.unmatched))
-    matrix = DataMatrix(len(dictionary), np.array(indptr, dtype=np.int64),
+    matrix = DataMatrix(len(selected), np.array(indptr, dtype=np.int64),
                         np.asarray(indices, dtype=np.int32))
-    predictions = model.predict(project(matrix, selection.selected))
-    return list(zip(predictions, counts))
+    return list(zip(model.predict(matrix), counts))
 
 
 def score_report(

@@ -140,7 +140,17 @@ def project(matrix: DataMatrix, selected) -> DataMatrix:
 
 def write_scores_csv(path, dictionary: FeatureDictionary, scores) -> None:
     """Dump ``feature_name,mi_score`` rows sorted by score descending."""
+    order = rank_features(scores)
+    ranked = np.asarray(scores, dtype=np.float64)[order]
+    # Equal scores are adjacent and repeat a lot: each run of one bit
+    # pattern is formatted once.
+    bits = ranked.view(np.int64)
+    change = np.ones(len(bits), dtype=bool)
+    change[1:] = bits[1:] != bits[:-1]
+    starts = np.flatnonzero(change).tolist()
+    names = dictionary.names
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("feature_name,mi_score\n")
-        for j in rank_features(scores).tolist():
-            fh.write(f"{dictionary.names[j]},{scores[j]:.12g}\n")
+        for a, b in zip(starts, starts[1:] + [len(bits)]):
+            tail = f",{ranked[a]:.12g}\n"
+            fh.writelines(names[j] + tail for j in order[a:b].tolist())

@@ -28,12 +28,16 @@ def random_dense(rng, n, d, p=0.5):
 @st.composite
 def mutated_lines(draw, data: bytes, fragments):
     """``data`` after one to three line mutations: delete, duplicate,
-    replace with a fragment or random bytes, or splice one into a line."""
+    replace with a fragment or random bytes, splice one into a line, or
+    append a fragment as a line after the last one."""
     for _ in range(draw(st.integers(1, 3))):
         lines = data.split(b"\n")
         i = draw(st.integers(0, len(lines) - 1))
-        op = draw(st.sampled_from(["delete", "duplicate", "replace", "splice"]))
-        if op == "delete":
+        op = draw(st.sampled_from(["delete", "duplicate", "replace", "splice", "append"]))
+        if op == "append":
+            # before the empty piece that a final newline leaves
+            lines.insert(len(lines) - (lines[-1] == b""), draw(fragments))
+        elif op == "delete":
             del lines[i]
         elif op == "duplicate":
             lines.insert(i, lines[i])

@@ -93,6 +93,16 @@ class TestTrain:
         model = deserialize_model((out / "model_gbt.json").read_bytes())
         assert model.trees == ()
 
+    def test_surplus_sample_lines_are_a_data_error(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, n=80)
+        text = data.read_text(encoding="utf-8").replace("#SAMPLES 80\n", "#SAMPLES 78\n")
+        data.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert run(["train", "--data", data, "--out", tmp_path / "o", "--model", "dt",
+                    "--top-k", 5]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "more sample lines than '#SAMPLES 78'" in err
+
     def test_unknown_model_kind(self, tmp_path):
         data = make_dataset(tmp_path)
         assert run(["train", "--data", data, "--model", "dt", "--out",

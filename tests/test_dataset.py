@@ -1,11 +1,15 @@
+import hashlib
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rwdetect import dataset
 from rwdetect.dataset import (
+    CATEGORY_CODES,
     DataMatrix,
     FeatureDictionary,
     LabelVector,
@@ -59,6 +63,68 @@ class TestFeatureDictionary:
         d = FeatureDictionary(("API:x", "STR:y", "DIR:z"))
         assert d.lookup(["DIR:z", "API:nope", "API:x", "STR:zz"]) == \
             ([2, 0], ["API:nope", "STR:zz"])
+
+
+def reference_index(names):
+    """The per-name dictionary check that ``FeatureDictionary`` replaces."""
+    if not names:
+        raise DataFormatError("feature dictionary is empty")
+    index = {}
+    for j, name in enumerate(names):
+        prefix = name.split(":", 1)[0]
+        if prefix not in CATEGORY_CODES or ":" not in name:
+            raise DataFormatError(f"feature name {name!r} lacks a valid category prefix")
+        if name in index:
+            raise DataFormatError(f"duplicate feature name {name!r}")
+        index[name] = j
+    return index
+
+
+def reference_sha256(names):
+    """The per-name streaming hash that ``FeatureDictionary.sha256`` replaces."""
+    h = hashlib.sha256()
+    for name in names:
+        h.update(name.encode("utf-8"))
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+VALID_NAMES = st.builds("{}:{}".format, st.sampled_from(CATEGORY_CODES), st.text(max_size=5))
+BAD_NAMES = st.text(max_size=8) | st.sampled_from([
+    "API", "STR", "", ":x", "api:x", "FILES_EXTRA:x", "FILES_EX:y", "DIRS:z", "\u00c9TR:x",
+    " API:x",
+])
+
+
+@st.composite
+def name_lists(draw):
+    """Distinct valid names with up to three defects inserted: a bad name
+    or a repeat of an earlier name."""
+    names = draw(st.lists(VALID_NAMES, max_size=25, unique=True))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(names)))
+        if names and draw(st.booleans()):
+            names.insert(at, draw(st.sampled_from(names)))
+        else:
+            names.insert(at, draw(BAD_NAMES))
+    return tuple(names)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name_lists(), st.integers(1, 4))
+def test_feature_dictionary_matches_per_name_reference(names, block):
+    try:
+        expected = reference_index(names)
+    except DataFormatError as exc:
+        with pytest.raises(DataFormatError) as raised:
+            FeatureDictionary(names)
+        assert str(raised.value) == str(exc)
+        return
+    with mock.patch.object(dataset, "BLOCK_LINES", block):
+        d = FeatureDictionary(names)
+        assert d.sha256() == reference_sha256(names)
+    assert d._index == expected
+    assert FeatureDictionary(names).sha256() == reference_sha256(names)
 
 
 class TestDenseLoader:
@@ -176,6 +242,34 @@ class TestSparseLoader:
         with pytest.raises(DataFormatError, match="UTF-8"):
             load_sparse(p)
 
+    def test_surplus_sample_lines_rejected(self, tmp_path):
+        p = tmp_path / "d.sparse"
+        write_lines(p, "#FEATURES 1", "API:x", "#SAMPLES 1",
+                    "s1\t0\tAPI:x", "s2\t1\t", "s3\t0\tAPI:x")
+        with pytest.raises(DataFormatError, match="more sample lines than '#SAMPLES 1'"):
+            load_sparse(p)
+
+    def test_trailing_blank_lines_allowed(self, tmp_path):
+        p = tmp_path / "d.sparse"
+        p.write_bytes(b"#FEATURES 1\nAPI:x\n#SAMPLES 1\ns1\t0\tAPI:x\n\n\n")
+        m, _, _ = load_sparse(p)
+        assert m.n_samples == 1
+
+    def test_invalid_utf8_after_the_samples(self, tmp_path):
+        p = tmp_path / "d.sparse"
+        p.write_bytes(b"#FEATURES 1\nAPI:x\n#SAMPLES 1\ns1\t0\tAPI:x\n\n\xff\n")
+        with pytest.raises(DataFormatError, match="UTF-8"):
+            load_sparse(p)
+
+    def test_repeated_tokens_among_many(self, tmp_path):
+        d = generic_dictionary(40)
+        tokens = [d.names[j] for j in (30, 2, 17, 2, 39, 0, 30, 5)]
+        p = tmp_path / "d.sparse"
+        write_lines(p, "#FEATURES 40", *d.names, "#SAMPLES 2",
+                    "s1\t0\t" + " ".join(tokens), "s2\t1\t" + " ".join(tokens[:3]))
+        m, _, _ = load_sparse(p)
+        assert [r.tolist() for r in m.row_ordinals()] == [[0, 2, 5, 17, 30, 39], [2, 17, 30]]
+
 
 VALID_SPARSE = (
     b"#FEATURES 4\nAPI:a\nDROP:b\nREG:c\nSTR:d\n#SAMPLES 3\n"
@@ -188,6 +282,7 @@ FRAGMENTS = st.sampled_from([
     b"#FEATURES 2", b"#SAMPLES 1", b"#SAMPLES 9", b"API:a", b"API:a API:a", b"NOPE:x",
     b"s1\t0\tAPI:a", b"s9\t12\t", b"s9\t-1\tSTR:d", b"s9\tx\t", b"\t", b" ", b"\n",
     b"\r", b"\xff", b"\xed\xa0\x80", b"99999999999999999999999", b"",
+    b"s4\t0\tSTR:d",
 ])
 
 
@@ -202,6 +297,8 @@ def test_mutated_sparse_file_raises_only_data_format_error(data):
         except DataFormatError:
             return
     assert m.n_features == len(d) and len(y) == m.n_samples
+    # Every non-blank line is a header, a name or a sample: none was dropped.
+    assert sum(1 for line in data.split(b"\n") if line) == 2 + len(d) + m.n_samples
 
 
 class TestDataMatrix:
@@ -374,6 +471,57 @@ class TestLoadDictionary:
             self.LOADERS[fmt](p)
         with pytest.raises(DataFormatError, match=message):
             load_dictionary(p, fmt)
+
+    @pytest.mark.parametrize("content, names", [
+        (b"\n\n#FEATURES 3\n\nAPI:a\n\n\nSTR:b\n\nREG:c\n\n#SAMPLES 0\n",
+         ("API:a", "STR:b", "REG:c")),
+        (b"#FEATURES 2\nAPI:a\r\nSTR:b\n#SAMPLES 0\n", ("API:a\r", "STR:b")),
+    ])
+    @pytest.mark.parametrize("block", [1, 2, dataset.BLOCK_LINES])
+    def test_sparse_section_layout(self, tmp_path, monkeypatch, content, names, block):
+        monkeypatch.setattr(dataset, "BLOCK_LINES", block)
+        p = tmp_path / "d.sparse"
+        p.write_bytes(content)
+        assert load_dictionary(p, "sparse").names == names
+        assert load_sparse(p)[1].names == names
+
+    def test_last_name_without_newline(self, tmp_path):
+        p = tmp_path / "d.sparse"
+        p.write_bytes(b"#FEATURES 2\nAPI:a\n\nSTR:b")
+        assert load_dictionary(p, "sparse").names == ("API:a", "STR:b")
+        with pytest.raises(DataFormatError, match="'#SAMPLES <count>' header"):
+            load_sparse(p)
+
+    def test_dictionary_wider_than_a_block(self, tmp_path):
+        d = generic_dictionary(2 * dataset.BLOCK_LINES + 5)
+        m = DataMatrix.from_rows(len(d), [[0, 8191, 8192, len(d) - 1], []])
+        p = tmp_path / "d.sparse"
+        write_sparse(p, m, d)
+        only = load_dictionary(p, "sparse")
+        full, loaded, _ = load_sparse(p)
+        assert only.names == loaded.names == d.names
+        assert only.sha256() == reference_sha256(d.names)
+        assert full == m
+
+    def test_blank_lines_at_block_borders(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset, "BLOCK_LINES", 3)
+        names = [f"STR:n{j}" for j in range(10)]
+        lines = ["#FEATURES 10", *names[:2], "", "", *names[2:5], "", *names[5:], "",
+                 "#SAMPLES 1", "s1\t0\tSTR:n9 STR:n3"]
+        p = tmp_path / "d.sparse"
+        write_lines(p, *lines)
+        assert load_dictionary(p, "sparse").names == tuple(names)
+        m, d, _ = load_sparse(p)
+        assert d.names == tuple(names) and m.row_ordinals()[0].tolist() == [3, 9]
+
+    def test_undecodable_samples_after_a_multi_block_section(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset, "BLOCK_LINES", 2)
+        p = tmp_path / "d.sparse"
+        p.write_bytes(b"#FEATURES 5\nAPI:a\nAPI:b\nAPI:c\n\nAPI:d\nAPI:e\n"
+                      b"#SAMPLES 1\ns1\t0\tAPI:\xff\n")
+        assert load_dictionary(p, "sparse").names == ("API:a", "API:b", "API:c", "API:d", "API:e")
+        with pytest.raises(DataFormatError, match="UTF-8"):
+            load_sparse(p)
 
     @pytest.mark.parametrize("fmt, content", [
         ("sparse", b"#FEATURES 1\nAPI:a\n#SAMPLES 3\ns1\tx\tAPI:zz\n\xff\xfe\n"),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from rwdetect.dataset import (
 )
 from rwdetect.errors import DataFormatError, FingerprintMismatch
 from rwdetect.reports import (
+    CATEGORY_FIELDS,
     BehaviorReport,
     parse_report,
     score_report,
@@ -189,6 +191,39 @@ class TestScoreReport:
             ))
         assert score_reports(batch, model, dictionary, selection) == \
             [score_report(report, model, dictionary, selection) for report in batch]
+
+    @pytest.mark.parametrize("kind", ["knn", "logreg", "dt"])
+    def test_batch_projected_while_vectorizing(self, dictionary, kind):
+        # a selection that reorders and drops columns: the batch built on the
+        # selected columns predicts as projecting the full-width batch does
+        rng = np.random.default_rng(72)
+        full = DataMatrix.from_rows(
+            10, [np.flatnonzero(rng.random(10) < 0.5) for _ in range(30)],
+            family_ids=rng.integers(0, 2, 30) * 3)
+        selection = SelectionResult(selected=(7, 2, 9, 0, 4))
+        fingerprint = Fingerprint(5, dictionary.sha256(), selection.selected)
+        y = LabelVector.from_families(full.family_ids)
+        model = FITTERS[kind](project(full, selection.selected), y, fingerprint=fingerprint)
+        field_of = {prefix: name for name, prefix in CATEGORY_FIELDS.items()}
+        batch = []
+        for row in full.row_ordinals():
+            fields = {}
+            for j in row:
+                prefix, token = dictionary.names[j].split(":", 1)
+                fields.setdefault(field_of[prefix], []).append(token)
+            batch.append(BehaviorReport(**{f: tuple(v) for f, v in fields.items()}))
+        assert [vectorize(r, dictionary).row for r in batch] == \
+            [tuple(row.tolist()) for row in full.row_ordinals()]
+        expected = model.predict(project(full, selection.selected))
+        assert [pred for pred, _ in score_reports(batch, model, dictionary, selection)] == \
+            list(expected)
+
+    def test_duplicate_or_negative_selection_rejected(self, dictionary):
+        model, _, _, _ = train_knn_fixture(dictionary)
+        model = dataclasses.replace(model, fingerprint=Fingerprint(3, dictionary.sha256()))
+        for selected in ((1, 1, 2), (0, -1, 2)):
+            with pytest.raises(ValueError, match="distinct"):
+                score_reports([], model, dictionary, SelectionResult(selected=selected))
 
     def test_empty_batch(self, dictionary):
         model, selection, _, _ = train_knn_fixture(dictionary)

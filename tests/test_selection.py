@@ -190,3 +190,15 @@ def test_scores_csv_sorted_descending(tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == [
         "STR:f00001", "STR:f00002", "STR:f00000",
     ]
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 1 / 3, 1e-300, 2.0, math.nan, math.inf]),
+                min_size=1, max_size=40))
+def test_scores_csv_matches_per_row_formatting(tmp_path_factory, values):
+    # each run of equal scores is formatted once; the text is that of every row
+    d = generic_dictionary(len(values))
+    p = tmp_path_factory.mktemp("scores") / "scores.csv"
+    write_scores_csv(p, d, np.array(values))
+    order = np.lexsort((np.arange(len(values)), -np.array(values)))
+    expected = ["feature_name,mi_score"] + [f"{d.names[j]},{values[j]:.12g}" for j in order]
+    assert p.read_text().splitlines() == expected
