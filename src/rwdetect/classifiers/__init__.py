@@ -37,34 +37,3 @@ FITTERS = {
     "logreg": fit_logistic_regression,
 }
 
-
-__all__ = [
-    "DECISION_THRESHOLD",
-    "DEFAULT_PARAMS",
-    "FITTERS",
-    "Fingerprint",
-    "ForestParams",
-    "GbtModel",
-    "GbtParams",
-    "KnnModel",
-    "KnnParams",
-    "LinearSvmModel",
-    "LogRegModel",
-    "LogRegParams",
-    "MODEL_KINDS",
-    "Prediction",
-    "RandomForestModel",
-    "DecisionTreeModel",
-    "SvmParams",
-    "TreeParams",
-    "deserialize_model",
-    "fit_decision_tree",
-    "fit_gradient_boosting",
-    "fit_knn",
-    "fit_linear_svm",
-    "fit_logistic_regression",
-    "fit_random_forest",
-    "logistic_loss_and_gradient",
-    "serialize_model",
-    "svm_objective",
-]

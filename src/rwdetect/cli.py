@@ -13,14 +13,17 @@ Exit codes: 0 success, 1 usage/config error (argument errors included),
 2 data error (a model whose fingerprint does not match the dataset's
 dictionary included), 3 baseline-tolerance failure (reproduce --strict).
 
-Flag > config file > default; the effective configuration is echoed next
-to every output so any run can be repeated bit-identically.
+Every setting is a ``RunConfig`` field, which is its flag, its config-file
+key and its line in the echo. Flag > config file > default; the effective
+configuration is echoed next to every output so any run can be repeated
+bit-identically.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import statistics
 import sys
@@ -36,24 +39,18 @@ EXIT_TOLERANCE = 3
 
 DATA_ENV_VAR = "RWDETECT_DATA"
 
-# Baseline results this pipeline is compared against (accuracy in percent).
-REFERENCE_ACCURACY = {
-    "dt": 95.63, "rf": 96.02, "knn": 93.64,
-    "svm": 96.42, "gbt": 98.21, "logreg": 98.21,
+# Baseline results this pipeline is compared against, per kind: display
+# name, accuracy in percent, precision, recall.
+BASELINE = {
+    "dt": ("Decision Tree", 95.63, 0.92, 0.97),
+    "rf": ("Random Forest", 96.02, 0.92, 0.98),
+    "knn": ("KNN", 93.64, 0.89, 0.95),
+    "svm": ("SVM", 96.42, 0.93, 0.97),
+    "gbt": ("XGBoost-style GBT", 98.21, 0.96, 0.99),
+    "logreg": ("Logistic Regression", 98.21, 0.97, 0.98),
 }
-REFERENCE_PRECISION = {
-    "dt": 0.92, "rf": 0.92, "knn": 0.89, "svm": 0.93, "gbt": 0.96, "logreg": 0.97,
-}
-REFERENCE_RECALL = {
-    "dt": 0.97, "rf": 0.98, "knn": 0.95, "svm": 0.97, "gbt": 0.99, "logreg": 0.98,
-}
-ACCURACY_TOLERANCE_PP = 2.5
-PR_TOLERANCE = 0.04
-
-MODEL_DISPLAY = {
-    "dt": "Decision Tree", "rf": "Random Forest", "knn": "KNN",
-    "svm": "SVM", "gbt": "XGBoost-style GBT", "logreg": "Logistic Regression",
-}
+# How far accuracy (in points), precision and recall may each miss it.
+TOLERANCE = (2.5, 0.04, 0.04)
 
 
 class UsageError(RwdetectError):
@@ -94,6 +91,15 @@ def seed(text: str) -> int:
     return value
 
 
+def cast_of(field: dataclasses.Field):
+    """The parser of a dataclass field's text value, from its name and annotation."""
+    kind = str(field.type)
+    if field.name == "seed":
+        return seed
+    return boolean if "bool" in kind else int if "int" in kind \
+        else float if "float" in kind else str
+
+
 def parse_value(cast, text: str, what: str):
     """``cast(text)``, or a usage error naming ``what``."""
     try:
@@ -104,7 +110,11 @@ def parse_value(cast, text: str, what: str):
 
 @dataclasses.dataclass
 class RunConfig:
-    data: str | None = None
+    """Every setting of a run. Each field but ``hp`` is the ``--flag-name``
+    of the commands that take it, a config-file key and an echo line."""
+
+    data: str | None = dataclasses.field(
+        default=None, metadata={"help": f"dataset path (fallback: ${DATA_ENV_VAR})"})
     format: str = "sparse"
     seed: int = 0
     test_fraction: float = 503 / 1524
@@ -112,47 +122,41 @@ class RunConfig:
     model: str = "gbt"
     model_file: str | None = None
     out: str = "out"
-    strict: bool = False
+    strict: bool = dataclasses.field(default=False, metadata={
+        "help": "exit 3 if any model misses the baseline tolerance (reproduce) "
+                "or a metric is undefined (evaluate)"})
     hp: dict = dataclasses.field(default_factory=dict)
 
     def echo(self) -> str:
-        lines = []
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.name == "hp":
-                for k, v in sorted(value.items()):
-                    lines.append(f"hp.{k}={v}")
-            else:
-                lines.append(f"{f.name}={value}")
+        """The config file that repeats this run; unset settings are left out."""
+        lines = [f"{f.name}={getattr(self, f.name)}" for f in SETTINGS
+                 if getattr(self, f.name) is not None]
+        lines += [f"hp.{k}={v}" for k, v in sorted(self.hp.items())]
         return "\n".join(lines) + "\n"
 
 
+SETTINGS = tuple(f for f in dataclasses.fields(RunConfig) if f.name != "hp")
+CHOICES = {"format": ("dense", "sparse"), "model": classifiers.MODEL_KINDS}
+
+
 def build_config(args) -> RunConfig:
-    cfg = RunConfig()
-    file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def pick(flag_name, file_key, cast, default):
-        flag = getattr(args, flag_name, None)
-        if flag is not None:
-            return flag
-        if file_key in file_values:
-            return parse_value(cast, file_values[file_key], f"config {file_key}")
-        return default
-
-    cfg.data = pick("data", "data", str, os.environ.get(DATA_ENV_VAR))
-    cfg.format = pick("format", "format", str, cfg.format)
-    cfg.seed = pick("seed", "seed", seed, cfg.seed)
-    cfg.test_fraction = pick("test_fraction", "test_fraction", float, cfg.test_fraction)
-    cfg.top_k = pick("top_k", "top_k", int, cfg.top_k)
-    cfg.model = pick("model", "model", str, cfg.model)
-    cfg.model_file = pick("model_file", "model_file", str, None)
-    cfg.out = pick("out", "out", str, cfg.out)
-    cfg.strict = bool(getattr(args, "strict", False))
+    """Each setting from its flag, else from the ``--config`` file, else its default."""
+    file_values = read_config_file(args.config) if args.config else {}
+    cfg = RunConfig(data=os.environ.get(DATA_ENV_VAR))
+    for f in SETTINGS:
+        value = getattr(args, f.name, None)
+        if value is None and f.name in file_values:
+            value = parse_value(cast_of(f), file_values[f.name], f"config {f.name}")
+        if value is not None:
+            setattr(cfg, f.name, value)
+    for name, allowed in CHOICES.items():
+        if getattr(cfg, name) not in allowed:
+            raise UsageError(f"unknown {name} {getattr(cfg, name)!r}, expected one of {allowed}")
 
     for key, value in file_values.items():
         if key.startswith("hp."):
             cfg.hp[key[3:]] = value
-    for item in getattr(args, "hp", None) or []:
+    for item in args.hp or []:
         if "=" not in item:
             raise UsageError(f"--hp expects name=value, got {item!r}")
         key, value = item.split("=", 1)
@@ -164,8 +168,6 @@ def build_config(args) -> RunConfig:
     for kind in classifiers.MODEL_KINDS:
         make_params(kind, cfg.hp)  # reject values that do not parse
 
-    if cfg.format not in ("dense", "sparse"):
-        raise UsageError(f"unknown format {cfg.format!r}, expected dense or sparse")
     if not 0.0 < cfg.test_fraction < 1.0:
         raise UsageError(f"test_fraction {cfg.test_fraction} not in (0,1)")
     if cfg.top_k < 1:
@@ -189,24 +191,27 @@ def load_dataset(cfg: RunConfig):
 
 
 def make_params(kind: str, overrides: dict):
+    """``kind``'s hyperparameters with those of ``overrides`` that are its
+    fields; overrides are shared across kinds, so other keys are ignored."""
     cls = classifiers.DEFAULT_PARAMS[kind]
-    kwargs = {}
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    for key, raw in overrides.items():
-        if key not in fields:
-            continue  # overrides are shared across kinds; ignore foreign keys
-        target = str(fields[key].type)
-        cast = boolean if "bool" in target else seed if key == "seed" \
-            else int if "int" in target else float
-        kwargs[key] = parse_value(cast, raw, f"hyperparameter {key}")
-    return cls(**kwargs)
+    return cls(**{key: parse_value(cast_of(fields[key]), raw, f"hyperparameter {key}")
+                  for key, raw in overrides.items() if key in fields})
 
 
-def write_output(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path``; a path that cannot be written is a usage error."""
+def load_model(cfg: RunConfig):
+    """The model in ``cfg.model_file``; no such file is a usage error."""
+    if not cfg.model_file or not Path(cfg.model_file).is_file():
+        raise UsageError("--model-file must point to an existing model")
+    return classifiers.deserialize_model(Path(cfg.model_file).read_bytes())
+
+
+def write_output(path: Path, data) -> None:
+    """Write ``data`` to ``path``, or call ``data(path)`` when it is a function
+    that writes the file itself; a path that cannot be written is a usage error."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
+        data(path) if callable(data) else path.write_bytes(data)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise UsageError(f"cannot write {str(path)!r}: {exc}") from None
 
@@ -241,7 +246,7 @@ def cmd_mi_scores(args) -> int:
     out_dir = ensure_out(cfg, "mi-scores")
     scores = selection.score_all(matrix, y)
     out_path = out_dir / "mi_scores.csv"
-    selection.write_scores_csv(out_path, dictionary, scores)
+    write_output(out_path, lambda path: selection.write_scores_csv(path, dictionary, scores))
     print(f"wrote {len(scores)} feature scores to {out_path}")
     print("top 20 features by MI (nats):")
     for j in selection.rank_features(scores)[:20].tolist():
@@ -251,10 +256,6 @@ def cmd_mi_scores(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = build_config(args)
-    if cfg.model not in classifiers.MODEL_KINDS:
-        raise UsageError(
-            f"unknown model {cfg.model!r}, expected one of {classifiers.MODEL_KINDS}"
-        )
     matrix, dictionary, y = load_dataset(cfg)
     out_dir = ensure_out(cfg, "train")
     train_p, train_y, _, _, fingerprint = split_and_select(matrix, dictionary, y, cfg)
@@ -274,9 +275,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = build_config(args)
-    if not cfg.model_file or not Path(cfg.model_file).exists():
-        raise UsageError("--model-file must point to an existing model")
-    model = classifiers.deserialize_model(Path(cfg.model_file).read_bytes())
+    model = load_model(cfg)
     matrix, dictionary, y = load_dataset(cfg)
     reports.check_fingerprint(model.fingerprint, dictionary, model.fingerprint.selected)
     out_dir = ensure_out(cfg, "evaluate")
@@ -289,13 +288,11 @@ def cmd_evaluate(args) -> int:
 
     preds = model.predict(projected)
     report = evaluation.evaluate_predictions(
-        MODEL_DISPLAY.get(model.kind, model.kind), test_y, [p.label for p in preds]
+        BASELINE[model.kind][0], test_y, [p.label for p in preds]
     )
-    table = evaluation.compare_models_text([report])
-    print(table)
-    (out_dir / "evaluation.csv").write_text(
-        evaluation.compare_models_csv([report]), encoding="utf-8"
-    )
+    print(evaluation.compare_models_text([report]))
+    write_output(out_dir / "evaluation.csv",
+                 evaluation.compare_models_csv([report]).encode("utf-8"))
     return EXIT_TOLERANCE if cfg.strict and report.has_undefined() else EXIT_OK
 
 
@@ -309,7 +306,7 @@ def _reproduce_once(matrix, dictionary, y, cfg: RunConfig, seed: int):
         model = classifiers.FITTERS[kind](train_p, train_y, make_params(kind, cfg.hp), fingerprint)
         preds = model.predict(test_p)
         results[kind] = evaluation.evaluate_predictions(
-            MODEL_DISPLAY[kind], test_y, [p.label for p in preds]
+            BASELINE[kind][0], test_y, [p.label for p in preds]
         )
     return results
 
@@ -338,34 +335,25 @@ def cmd_reproduce(args) -> int:
     rows = [header]
     within_tolerance = True
     for kind in classifiers.MODEL_KINDS:
+        display, *reference = BASELINE[kind]
         accs = [float(r[kind].accuracy) * 100 for r in per_seed]
         first = per_seed[0][kind]
-        acc = accs[0]
-        prec = float(first.precision) if first.precision is not None else float("nan")
-        rec = float(first.recall) if first.recall is not None else float("nan")
-        d_acc = acc - REFERENCE_ACCURACY[kind]
-        d_prec = prec - REFERENCE_PRECISION[kind]
-        d_rec = rec - REFERENCE_RECALL[kind]
-        if abs(d_acc) > ACCURACY_TOLERANCE_PP or abs(d_prec) > PR_TOLERANCE \
-                or abs(d_rec) > PR_TOLERANCE:
-            within_tolerance = False
-        row = [MODEL_DISPLAY[kind], f"{acc:.2f}", f"{REFERENCE_ACCURACY[kind]:.2f}",
-               f"{d_acc:+.2f}", f"{prec:.2f}", f"{REFERENCE_PRECISION[kind]:.2f}",
-               f"{d_prec:+.2f}", f"{rec:.2f}", f"{REFERENCE_RECALL[kind]:.2f}",
-               f"{d_rec:+.2f}", str(first.cm.tp), str(first.cm.tn),
-               str(first.cm.fp), str(first.cm.fn)]
+        measured = [accs[0], *(float("nan") if v is None else float(v)
+                               for v in (first.precision, first.recall))]
+        row = [display]
+        for value, ref, tolerance in zip(measured, reference, TOLERANCE):
+            # An undefined metric is NaN, which compares False: within tolerance.
+            if abs(value - ref) > tolerance:
+                within_tolerance = False
+            row += [f"{value:.2f}", f"{ref:.2f}", f"{value - ref:+.2f}"]
+        row += [str(first.cm.tp), str(first.cm.tn), str(first.cm.fp), str(first.cm.fn)]
         if len(seeds) > 1:
-            mean = statistics.mean(accs)
-            std = statistics.stdev(accs) if len(accs) > 1 else 0.0
-            row += [f"{mean:.2f}", f"{std:.2f}"]
+            row += [f"{statistics.mean(accs):.2f}", f"{statistics.stdev(accs):.2f}"]
         rows.append(row)
 
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    for r in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    (out_dir / "reproduce.csv").write_text(
-        "\n".join(",".join(r) for r in rows) + "\n", encoding="utf-8"
-    )
+    print(evaluation.aligned(rows))
+    write_output(out_dir / "reproduce.csv",
+                 ("\n".join(",".join(r) for r in rows) + "\n").encode("utf-8"))
     if cfg.strict and not within_tolerance:
         print("one or more models fell outside the baseline tolerance", file=sys.stderr)
         return EXIT_TOLERANCE
@@ -395,9 +383,7 @@ def _iter_report_files(path: Path):
 
 def cmd_score(args) -> int:
     cfg = build_config(args)
-    if not cfg.model_file or not Path(cfg.model_file).exists():
-        raise UsageError("--model-file must point to an existing model")
-    model = classifiers.deserialize_model(Path(cfg.model_file).read_bytes())
+    model = load_model(cfg)
     # Token lookup needs the training dictionary only, not its samples.
     dictionary = dataset.load_dictionary(data_path(cfg), cfg.format)
     out_dir = ensure_out(cfg, "score")
@@ -417,7 +403,7 @@ def cmd_score(args) -> int:
         f"{report_id},{pred.label},{pred.score:.6f},{outcome.matched},{outcome.unmatched}"
         for report_id, pred, outcome in verdicts
     ]
-    (out_dir / "verdicts.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_output(out_dir / "verdicts.csv", ("\n".join(lines) + "\n").encode("utf-8"))
     ransomware = sum(pred.label for _, pred, _ in verdicts)
     print("\n".join(lines))
     print(
@@ -435,53 +421,46 @@ class ArgumentParser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+COMMON = ("data", "format", "seed", "test_fraction", "top_k", "out")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line, built once: each command takes its ``RunConfig``
+    fields as ``--flag-name`` options, plus ``--config`` and ``--hp``."""
     parser = ArgumentParser(
         prog="rwdetect",
         description="Behavioral ransomware detection pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--data", help=f"dataset path (fallback: ${DATA_ENV_VAR})")
-        p.add_argument("--format", choices=("dense", "sparse"))
-        p.add_argument("--seed", type=seed)
-        p.add_argument("--test-fraction", dest="test_fraction", type=float)
-        p.add_argument("--top-k", dest="top_k", type=int)
-        p.add_argument("--out")
+    commands = {  # name: (handler, help, settings besides COMMON)
+        "mi-scores": (cmd_mi_scores, "dump per-feature MI scores", ()),
+        "train": (cmd_train, "train one model on the train split", ("model", "model_file")),
+        "evaluate": (cmd_evaluate, "evaluate a saved model on the test split",
+                     ("model_file", "strict")),
+        "reproduce": (cmd_reproduce, "run all six models and compare to baseline",
+                      ("strict",)),
+        "score": (cmd_score, "batch-score sandbox behavioral reports", ("model_file",)),
+    }
+    fields = {f.name: f for f in SETTINGS}
+    for name, (handler, help_text, own) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=handler)
+        for key in COMMON + own:
+            f = fields[key]
+            flag = "--" + key.replace("_", "-")
+            if cast_of(f) is boolean:  # None when absent, so a config value applies
+                p.add_argument(flag, action="store_true", default=None,
+                               help=f.metadata.get("help"))
+            else:
+                p.add_argument(flag, type=cast_of(f), choices=CHOICES.get(key),
+                               help=f.metadata.get("help"))
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--hp", action="append", metavar="NAME=VALUE",
                        help="hyperparameter override, repeatable")
-
-    p = sub.add_parser("mi-scores", help="dump per-feature MI scores")
-    add_common(p)
-    p.set_defaults(func=cmd_mi_scores)
-
-    p = sub.add_parser("train", help="train one model on the train split")
-    add_common(p)
-    p.add_argument("--model", choices=classifiers.MODEL_KINDS)
-    p.add_argument("--model-file", dest="model_file")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="evaluate a saved model on the test split")
-    add_common(p)
-    p.add_argument("--model-file", dest="model_file", required=True)
-    p.add_argument("--strict", action="store_true")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("reproduce", help="run all six models and compare to baseline")
-    add_common(p)
-    p.add_argument("--seeds", help="comma-separated seed sweep")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 3 if any model misses the baseline tolerance")
-    p.set_defaults(func=cmd_reproduce, seeds=None)
-
-    p = sub.add_parser("score", help="batch-score sandbox behavioral reports")
-    add_common(p)
-    p.add_argument("--model-file", dest="model_file", required=True)
-    p.add_argument("reports", help="report file (NDJSON) or directory of *.json")
-    p.set_defaults(func=cmd_score)
-
+    sub.choices["reproduce"].add_argument("--seeds", help="comma-separated seed sweep")
+    sub.choices["score"].add_argument(
+        "reports", help="report file (NDJSON) or directory of *.json")
     return parser
 
 

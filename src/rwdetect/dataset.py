@@ -263,10 +263,11 @@ def _parse_family(text: str, where: str) -> int:
 
 
 def _section_count(head, tag: str, path) -> int:
-    """The count of a ``<tag> <count>`` section header line."""
+    """The count of a ``<tag> <count>`` section header line, which has no other word."""
+    words = head.split() if head and head.startswith(tag + " ") else ()
     try:
-        count = int(head.split()[1]) if head and head.startswith(tag + " ") else -1
-    except (IndexError, ValueError):
+        count = int(words[1]) if len(words) == 2 else -1
+    except ValueError:
         count = -1
     if not 0 <= count <= INT32_LIMIT:
         raise DataFormatError(f"{path}: expected a '{tag} <count>' header, got {head!r}")

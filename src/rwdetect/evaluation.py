@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -28,23 +30,16 @@ class ConfusionMatrix:
 
 
 def confusion(y_true, y_pred) -> ConfusionMatrix:
-    true_labels = getattr(y_true, "labels", y_true)
-    if len(true_labels) != len(y_pred):
+    true_labels = np.asarray(getattr(y_true, "labels", y_true))
+    predicted = np.asarray(y_pred)
+    if len(true_labels) != len(predicted):
         raise ValueError(
-            f"length mismatch: {len(true_labels)} labels vs {len(y_pred)} predictions"
+            f"length mismatch: {len(true_labels)} labels vs {len(predicted)} predictions"
         )
-    tp = tn = fp = fn = 0
-    for t, p in zip(true_labels, y_pred):
-        if t == 1:
-            if p == 1:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if p == 1:
-                fp += 1
-            else:
-                tn += 1
+    if not (np.isin(true_labels, (0, 1)).all() and np.isin(predicted, (0, 1)).all()):
+        raise ValueError("labels and predictions must be 0 or 1")
+    cells = 2 * true_labels.astype(np.int64) + predicted.astype(np.int64)
+    tn, fp, fn, tp = np.bincount(cells, minlength=4).tolist()
     return ConfusionMatrix(tp, tn, fp, fn)
 
 
@@ -115,16 +110,18 @@ def report_cells(r: EvalReport) -> tuple[str, ...]:
     )
 
 
+def aligned(rows) -> str:
+    """Rows of text cells as columns two spaces apart, each as wide as its widest cell."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+                     for row in rows)
+
+
 def compare_models_text(reports: list[EvalReport]) -> str:
     """Aligned text table, models in input order."""
     if not reports:
         raise ValueError("no reports to compare")
-    rows = [COLUMNS] + [report_cells(r) for r in reports]
-    widths = [max(len(row[i]) for row in rows) for i in range(len(COLUMNS))]
-    lines = []
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+    return aligned([COLUMNS] + [report_cells(r) for r in reports])
 
 
 def compare_models_csv(reports: list[EvalReport]) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import logging
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +44,6 @@ CATEGORY_FIELDS = {
 }
 
 UNMATCHED_WARN_RATIO = 0.9
-UNMATCHED_SAMPLE_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -58,17 +57,11 @@ class BehaviorReport:
     strings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class VectorizeOutcome:
+class VectorizeOutcome(NamedTuple):
+    """A report's sorted dictionary ordinals and how many of its distinct
+    tokens the dictionary has and has not; a batch keeps it with ``row=()``."""
+
     row: tuple[int, ...]
-    matched: int
-    unmatched: int
-    unmatched_samples: tuple[str, ...] = field(default=())
-
-
-class MatchCounts(NamedTuple):
-    """What a batch keeps of each report's ``VectorizeOutcome``."""
-
     matched: int
     unmatched: int
 
@@ -103,19 +96,13 @@ def prefixed_tokens(report: BehaviorReport) -> set[str]:
 def vectorize(report: BehaviorReport, dictionary: FeatureDictionary) -> VectorizeOutcome:
     ordinals, misses = dictionary.lookup(prefixed_tokens(report))
     ordinals.sort()
-    misses.sort()
     total = len(ordinals) + len(misses)
     if total and len(misses) / total > UNMATCHED_WARN_RATIO:
         logger.warning(
             "report matched only %d of %d tokens; dictionary drift likely",
             len(ordinals), total,
         )
-    return VectorizeOutcome(
-        row=tuple(ordinals),
-        matched=len(ordinals),
-        unmatched=len(misses),
-        unmatched_samples=tuple(misses[:UNMATCHED_SAMPLE_LIMIT]),
-    )
+    return VectorizeOutcome(tuple(ordinals), len(ordinals), len(misses))
 
 
 def check_fingerprint(fingerprint, dictionary: FeatureDictionary, selected) -> None:
@@ -139,15 +126,15 @@ def score_reports(
     model,
     dictionary: FeatureDictionary,
     selection: SelectionResult,
-) -> list[tuple[Prediction, MatchCounts]]:
+) -> list[tuple[Prediction, VectorizeOutcome]]:
     """vectorize -> project through the selection -> predict, for a whole batch.
 
     The fingerprint is checked once, before any report is read, and the
     model predicts every report's row in one call; results follow the
     order of ``reports``, which may be any iterable. Each report's row is
     projected onto the selected columns as it is vectorized and goes
-    straight into the batch's sparse arrays, and only its match counts are
-    kept beside them.
+    straight into the batch's sparse arrays, and its outcome is kept beside
+    them with ``row=()``.
     """
     selected = selection.selected
     check_fingerprint(model.fingerprint, dictionary, selected)
@@ -164,7 +151,7 @@ def score_reports(
         row.sort()
         indices.extend(row)
         indptr.append(len(indices))
-        counts.append(MatchCounts(outcome.matched, outcome.unmatched))
+        counts.append(outcome._replace(row=()))
     matrix = DataMatrix(len(selected), np.array(indptr, dtype=np.int64),
                         np.asarray(indices, dtype=np.int32))
     return list(zip(model.predict(matrix), counts))
@@ -175,7 +162,7 @@ def score_report(
     model,
     dictionary: FeatureDictionary,
     selection: SelectionResult,
-) -> tuple[Prediction, MatchCounts]:
+) -> tuple[Prediction, VectorizeOutcome]:
     """``score_reports`` of a one-report batch."""
     return score_reports([report], model, dictionary, selection)[0]
 
@@ -185,7 +172,7 @@ def score_documents(documents, model, dictionary: FeatureDictionary, selection: 
 
     A document that could not be read is passed as its ``DataFormatError``
     in place of the text. Returns ``(verdicts, failures)``:
-    ``(report_id, prediction, counts)`` for every document that parses, in
+    ``(report_id, prediction, outcome)`` for every document that parses, in
     input order, and ``(report_id, DataFormatError)`` for every one that
     does not. Each document is parsed as ``score_reports`` reaches it, so
     only its vectorized row outlives it.

@@ -130,6 +130,14 @@ class TestEvaluate:
         assert run(["evaluate", "--data", data, "--out", tmp_path / "o",
                     "--model-file", tmp_path / "nope.json"]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["evaluate", "score"])
+    def test_model_file_is_a_directory(self, tmp_path, capsys, command):
+        data = make_dataset(tmp_path)
+        reports = [tmp_path] if command == "score" else []
+        assert run([command, "--data", data, "--out", tmp_path / "o",
+                    "--model-file", tmp_path, *reports]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.count("\n") == 1
+
     @pytest.mark.parametrize("d, category", [(4, "API"), (12, "STR")])
     def test_other_dictionary_is_data_error(self, tmp_path, capsys, d, category):
         # Narrower file: the model's ordinals would fall outside it.
@@ -489,6 +497,66 @@ class TestHyperparameters:
         data = make_dataset(tmp_path)
         assert run(["reproduce", "--data", data, "--out", tmp_path / "o",
                     "--seeds", "0,x"]) == cli.EXIT_USAGE
+
+
+# Each command's flags besides --data, --out and --top-k, run in a
+# directory prepared by ``prepare_commands``.
+COMMAND_FLAGS = {
+    "mi-scores": [],
+    "train": ["--model", "dt", "--seed", 3],
+    "evaluate": ["--model-file", "models/model_dt.json", "--seed", 3],
+    "score": ["--model-file", "models/model_dt.json", "batch.ndjson"],
+    # Models this small miss the baseline tolerance: exit 3.
+    "reproduce": ["--strict", "--test-fraction", "0.3", "--hp", "n_trees=5",
+                  "--hp", "n_rounds=5", "--hp", "epochs=20"],
+}
+
+
+def prepare_commands(root, monkeypatch):
+    """Make ``root`` the working directory, holding data.sparse, a dt model in
+    models/ and batch.ndjson."""
+    monkeypatch.chdir(root)
+    make_dataset(root, n=100)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["train", "--data", "data.sparse", "--out", "models", "--model", "dt",
+                    "--top-k", 5]) == 0
+    Path("batch.ndjson").write_text('{"api_calls": ["f00000"]}\n{"strings": ["x"]}\n')
+
+
+def command_line(command):
+    return [command, "--data", "data.sparse", "--out", "out", "--top-k", 5,
+            *COMMAND_FLAGS[command]]
+
+
+def tree_bytes(root):
+    """Every path under ``root`` with its bytes (None for a directory)."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_config_replay_is_byte_identical(tmp_path, monkeypatch, capsys, command):
+    prepare_commands(tmp_path, monkeypatch)
+    first = run(command_line(command)), capsys.readouterr().out
+    assert first[0] == (cli.EXIT_TOLERANCE if command == "reproduce" else cli.EXIT_OK)
+    before = tree_bytes(tmp_path)
+    reports = ["batch.ndjson"] if command == "score" else []
+    again = run([command, "--config", f"out/{command}.config", *reports])
+    assert (again, capsys.readouterr().out) == first
+    assert tree_bytes(tmp_path) == before  # same outputs, same echo, no stray file
+
+
+@pytest.mark.parametrize("command, output", [
+    ("mi-scores", "mi_scores.csv"), ("evaluate", "evaluation.csv"),
+    ("reproduce", "reproduce.csv"), ("score", "verdicts.csv"),
+])
+def test_unwritable_output_is_one_line_usage_error(tmp_path, monkeypatch, capsys,
+                                                   command, output):
+    prepare_commands(tmp_path, monkeypatch)
+    Path("out", output).mkdir(parents=True)
+    assert run(command_line(command)) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and output in err
 
 
 CONFIG_TEMPLATE = b"\n".join([

@@ -209,6 +209,8 @@ class TestSparseLoader:
         ("#FEATURES -1", "#SAMPLES 1", "s1\t0\t"),
         ("#FEATURES 99999999999999999999999", "API:x", "#SAMPLES 0"),
         ("#FEATURES 1", "API:x", "#SAMPLES x", "s1\t0\tAPI:x"),
+        ("#FEATURES 1 junk", "API:x", "#SAMPLES 1", "s1\t0\tAPI:x"),
+        ("#FEATURES 1", "API:x", "#SAMPLES 1 more", "s1\t0\tAPI:x"),
     ])
     def test_bad_section_count(self, tmp_path, lines):
         p = tmp_path / "d.sparse"
@@ -452,6 +454,7 @@ class TestLoadDictionary:
         ("sparse", b"#FEATURES x\nAPI:a\n#SAMPLES 0\n", "'#FEATURES <count>' header"),
         ("sparse", b"#FEATURES -1\n#SAMPLES 0\n", "'#FEATURES <count>' header"),
         ("sparse", b"API:a\n#SAMPLES 0\n", "'#FEATURES <count>' header"),
+        ("sparse", b"#FEATURES 1 junk\nAPI:a\n#SAMPLES 0\n", "'#FEATURES <count>' header"),
         ("sparse", b"#FEATURES 3\nAPI:a\nSTR:b\n", "dictionary section truncated"),
         ("sparse", b"#FEATURES 2\nAPI:a\nNOPE:b\n#SAMPLES 0\n", "category prefix"),
         ("sparse", b"#FEATURES 2\nAPI:a\nAPI:a\n#SAMPLES 0\n", "duplicate feature name"),

@@ -45,6 +45,12 @@ class TestConfusion:
         with pytest.raises(ValueError, match="length"):
             confusion([0, 1], [0])
 
+    @pytest.mark.parametrize("y_true, y_pred", [([0, 2], [0, 1]), ([0, 1], [0, -1]),
+                                                 ([1, 0], [0.5, 1])])
+    def test_label_outside_zero_one(self, y_true, y_pred):
+        with pytest.raises(ValueError, match="0 or 1"):
+            confusion(y_true, y_pred)
+
 
 class TestMetrics:
     def test_reference_xgb_row(self):

@@ -82,7 +82,6 @@ class TestVectorize:
         assert outcome.matched == 3
         assert outcome.unmatched == 2
         assert outcome.row == (0, 2, 7)
-        assert set(outcome.unmatched_samples) == {"API:TotallyNew", "DROP:xyz"}
 
     def test_duplicates_are_idempotent(self, dictionary):
         once = vectorize(BehaviorReport(api_calls=("CreateFileW",)), dictionary)
@@ -172,7 +171,7 @@ class TestScoreReport:
             pred, counts = score_report(report, model, dictionary, selection)
 
             outcome = vectorize(report, dictionary)
-            assert counts == (outcome.matched, outcome.unmatched)
+            assert counts == outcome._replace(row=())
             one_row = DataMatrix.from_rows(10, [outcome.row])
             assert pred == model.predict(project(one_row, selection.selected))[0]
 
