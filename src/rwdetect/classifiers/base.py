@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset import DataMatrix, LabelVector
+from ..dataset import DataMatrix
 from ..errors import FingerprintMismatch, FitError
 
 DECISION_THRESHOLD = 0.5
@@ -44,13 +44,13 @@ def scores_to_predictions(scores) -> list[Prediction]:
     ]
 
 
-def as_xy(matrix: DataMatrix, y: LabelVector):
+def as_xy(matrix: DataMatrix, y: np.ndarray):
     """Dense float-free views used by all fitters."""
     if matrix.n_samples == 0:
         raise FitError("empty training matrix")
     if len(y) != matrix.n_samples:
         raise FitError(f"labels length {len(y)} != n_samples {matrix.n_samples}")
-    return matrix.to_dense(), y.to_array()
+    return matrix.to_dense(), np.asarray(y)
 
 
 @dataclass(frozen=True)

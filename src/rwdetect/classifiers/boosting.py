@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset import DataMatrix, LabelVector
+from ..dataset import DataMatrix
 from ..errors import FitError
 from .base import Fingerprint, GbtParams, Prediction, as_xy, scores_to_predictions, sigmoid
 from .tree import FlatTree, build_tree, leaf_values
@@ -90,7 +90,7 @@ class GbtModel:
 
 def fit_gradient_boosting(
     matrix: DataMatrix,
-    y: LabelVector,
+    y: np.ndarray,
     params: GbtParams = GbtParams(),
     fingerprint: Fingerprint | None = None,
 ) -> GbtModel:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset import DataMatrix, LabelVector
+from ..dataset import DataMatrix
 from ..errors import FitError
 from .base import Fingerprint, ForestParams, Prediction, TreeParams, as_xy, scores_to_predictions
 from .tree import FlatTree, grow_tree, leaf_values
@@ -29,7 +29,7 @@ class RandomForestModel:
 
 def fit_random_forest(
     matrix: DataMatrix,
-    y: LabelVector,
+    y: np.ndarray,
     params: ForestParams = ForestParams(),
     fingerprint: Fingerprint | None = None,
 ) -> RandomForestModel:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset import DataMatrix, LabelVector
+from ..dataset import DataMatrix
 from ..errors import FitError
 from .base import Fingerprint, KnnParams, Prediction, as_xy
 
@@ -54,18 +54,18 @@ class KnnModel:
 
 def fit_knn(
     matrix: DataMatrix,
-    y: LabelVector,
+    y: np.ndarray,
     params: KnnParams = KnnParams(),
     fingerprint: Fingerprint | None = None,
 ) -> KnnModel:
-    as_xy(matrix, y)  # shape validation only
+    _, labels = as_xy(matrix, y)
     if params.k_neighbors > matrix.n_samples:
         raise FitError(
             f"k_neighbors {params.k_neighbors} > n_samples {matrix.n_samples}"
         )
     return KnnModel(
         train=DataMatrix(matrix.n_features, matrix.indptr, matrix.indices),
-        train_labels=y.labels,
+        train_labels=tuple(labels.tolist()),
         params=params,
         fingerprint=fingerprint or Fingerprint(matrix.n_features),
     )

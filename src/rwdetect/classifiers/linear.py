@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dataset import DataMatrix, LabelVector
+from ..dataset import DataMatrix
 from ..errors import FitError
 from .base import (
     Fingerprint,
@@ -49,7 +49,7 @@ def svm_objective(w, b, X, y_pm, lam: float) -> float:
 
 def fit_linear_svm(
     matrix: DataMatrix,
-    y: LabelVector,
+    y: np.ndarray,
     params: SvmParams = SvmParams(),
     fingerprint: Fingerprint | None = None,
 ) -> LinearSvmModel:
@@ -123,7 +123,7 @@ def logistic_loss_and_gradient(w, b, X, y, l2: float):
 
 def fit_logistic_regression(
     matrix: DataMatrix,
-    y: LabelVector,
+    y: np.ndarray,
     params: LogRegParams = LogRegParams(),
     fingerprint: Fingerprint | None = None,
 ) -> LogRegModel:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset import DataMatrix, LabelVector
+from ..dataset import DataMatrix
 from .base import Fingerprint, Prediction, TreeParams, as_xy, scores_to_predictions
 
 
@@ -155,7 +155,7 @@ class DecisionTreeModel:
 
 def fit_decision_tree(
     matrix: DataMatrix,
-    y: LabelVector,
+    y: np.ndarray,
     params: TreeParams = TreeParams(),
     fingerprint: Fingerprint | None = None,
 ) -> DecisionTreeModel:

@@ -91,11 +91,18 @@ def seed(text: str) -> int:
     return value
 
 
+def seed_list(text: str) -> str:
+    """Comma-separated seeds, each as ``seed`` takes it, in the text the echo repeats."""
+    return ",".join(str(seed(s)) for s in text.split(","))
+
+
 def cast_of(field: dataclasses.Field):
     """The parser of a dataclass field's text value, from its name and annotation."""
     kind = str(field.type)
     if field.name == "seed":
         return seed
+    if field.name == "seeds":
+        return seed_list
     return boolean if "bool" in kind else int if "int" in kind \
         else float if "float" in kind else str
 
@@ -117,6 +124,9 @@ class RunConfig:
         default=None, metadata={"help": f"dataset path (fallback: ${DATA_ENV_VAR})"})
     format: str = "sparse"
     seed: int = 0
+    seeds: str | None = dataclasses.field(
+        default=None, metadata={"help": "comma-separated seed sweep"})
+    # The test fraction that gives 503 test samples of the 1524 in the reference dataset.
     test_fraction: float = 503 / 1524
     top_k: int = 400
     model: str = "gbt"
@@ -224,20 +234,17 @@ def ensure_out(cfg: RunConfig, command: str) -> Path:
 
 def split_and_select(matrix, dictionary, y, cfg: RunConfig):
     """Projected train and test partitions, their labels and the models' fingerprint."""
-    spec = dataset.SplitSpec(seed=cfg.seed, test_fraction=cfg.test_fraction)
-    train_idx, test_idx = dataset.stratified_split(matrix, y, spec)
+    train_idx, test_idx = dataset.stratified_split(matrix, y, cfg.seed, cfg.test_fraction)
     train_m = dataset.take_rows(matrix, train_idx)
-    train_y = dataset.take_labels(y, train_idx)
     test_m = dataset.take_rows(matrix, test_idx)
-    test_y = dataset.take_labels(y, test_idx)
     # Selection is fit on the training partition only.
-    scores = selection.score_all(train_m, train_y)
+    scores = selection.score_all(train_m, y[train_idx])
     k = min(cfg.top_k, matrix.n_features)
-    sel = selection.select_k_best(scores, k)
-    fingerprint = classifiers.Fingerprint(k, dictionary.sha256(), sel.selected)
-    train_p = selection.project(train_m, sel.selected)
-    test_p = selection.project(test_m, sel.selected)
-    return train_p, train_y, test_p, test_y, fingerprint
+    selected = selection.select_k_best(scores, k)
+    fingerprint = classifiers.Fingerprint(k, dictionary.sha256(), selected)
+    train_p = selection.project(train_m, selected)
+    test_p = selection.project(test_m, selected)
+    return train_p, y[train_idx], test_p, y[test_idx], fingerprint
 
 
 def cmd_mi_scores(args) -> int:
@@ -277,18 +284,16 @@ def cmd_evaluate(args) -> int:
     cfg = build_config(args)
     model = load_model(cfg)
     matrix, dictionary, y = load_dataset(cfg)
-    reports.check_fingerprint(model.fingerprint, dictionary, model.fingerprint.selected)
+    reports.check_fingerprint(model.fingerprint, dictionary)
     out_dir = ensure_out(cfg, "evaluate")
 
-    spec = dataset.SplitSpec(seed=cfg.seed, test_fraction=cfg.test_fraction)
-    _, test_idx = dataset.stratified_split(matrix, y, spec)
+    _, test_idx = dataset.stratified_split(matrix, y, cfg.seed, cfg.test_fraction)
     test_m = dataset.take_rows(matrix, test_idx)
-    test_y = dataset.take_labels(y, test_idx)
     projected = selection.project(test_m, model.fingerprint.selected)
 
     preds = model.predict(projected)
     report = evaluation.evaluate_predictions(
-        BASELINE[model.kind][0], test_y, [p.label for p in preds]
+        BASELINE[model.kind][0], y[test_idx], [p.label for p in preds]
     )
     print(evaluation.compare_models_text([report]))
     write_output(out_dir / "evaluation.csv",
@@ -314,15 +319,9 @@ def _reproduce_once(matrix, dictionary, y, cfg: RunConfig, seed: int):
 def cmd_reproduce(args) -> int:
     cfg = build_config(args)
     if not cfg.data or not Path(cfg.data).exists():
-        print(
-            "reproduce needs the 1524-sample behavioral dataset.\n"
-            f"Point --data (or {DATA_ENV_VAR}) at it in dense CSV or sparse "
-            "format; see README for the file layouts.",
-            file=sys.stderr,
-        )
-        return EXIT_DATA
-    seeds = [parse_value(seed, s, "--seeds entry") for s in args.seeds.split(",")] \
-        if args.seeds else [cfg.seed]
+        raise RwdetectError(f"reproduce needs the 1524-sample behavioral dataset: pass --data "
+                            f"or set {DATA_ENV_VAR} (README gives the file layouts)")
+    seeds = [int(s) for s in cfg.seeds.split(",")] if cfg.seeds else [cfg.seed]
     matrix, dictionary, y = load_dataset(cfg)
     out_dir = ensure_out(cfg, "reproduce")
 
@@ -383,18 +382,16 @@ def _iter_report_files(path: Path):
 
 def cmd_score(args) -> int:
     cfg = build_config(args)
+    reports_path = Path(args.reports)
+    if not reports_path.exists():
+        raise UsageError(f"reports path not found: {args.reports}")
     model = load_model(cfg)
     # Token lookup needs the training dictionary only, not its samples.
     dictionary = dataset.load_dictionary(data_path(cfg), cfg.format)
     out_dir = ensure_out(cfg, "score")
 
-    sel = selection.SelectionResult(model.fingerprint.selected)
-    reports_path = Path(args.reports)
-    if not reports_path.exists():
-        raise UsageError(f"reports path not found: {args.reports}")
-
     verdicts, failures = reports.score_documents(
-        _iter_report_files(reports_path), model, dictionary, sel
+        _iter_report_files(reports_path), model, dictionary
     )
     for report_id, exc in failures:
         print(f"{report_id}: {exc}", file=sys.stderr)
@@ -439,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluate": (cmd_evaluate, "evaluate a saved model on the test split",
                      ("model_file", "strict")),
         "reproduce": (cmd_reproduce, "run all six models and compare to baseline",
-                      ("strict",)),
+                      ("strict", "seeds")),
         "score": (cmd_score, "batch-score sandbox behavioral reports", ("model_file",)),
     }
     fields = {f.name: f for f in SETTINGS}
@@ -458,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--hp", action="append", metavar="NAME=VALUE",
                        help="hyperparameter override, repeatable")
-    sub.choices["reproduce"].add_argument("--seeds", help="comma-separated seed sweep")
     sub.choices["score"].add_argument(
         "reports", help="report file (NDJSON) or directory of *.json")
     return parser

@@ -187,40 +187,14 @@ class DataMatrix:
         return out
 
 
-@dataclass(frozen=True)
-class LabelVector:
-    """Binary labels: 0 goodware, 1 ransomware."""
-
-    labels: tuple[int, ...]
-
-    def __len__(self):
-        return len(self.labels)
-
-    def to_array(self) -> np.ndarray:
-        return np.asarray(self.labels, dtype=np.int64)
-
-    @classmethod
-    def from_families(cls, family_ids) -> "LabelVector":
-        return cls(tuple(int(f != 0) for f in family_ids))
+def binary_labels(matrix: DataMatrix) -> np.ndarray:
+    """Read-only int64 labels of the rows: 1 ransomware (family_id != 0), 0 goodware."""
+    labels = (matrix.family_ids != 0).astype(np.int64)
+    labels.setflags(write=False)
+    return labels
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Seeded stratified train/test split parameters.
-
-    The default fraction yields a 503-sample test partition on the
-    1524-sample reference dataset shape.
-    """
-
-    seed: int = 0
-    test_fraction: float = 503 / 1524
-
-    def __post_init__(self):
-        if not 0.0 < self.test_fraction < 1.0:
-            raise SplitError(f"test_fraction {self.test_fraction} not in (0,1)")
-
-
-def load_dense_csv(path) -> tuple[DataMatrix, FeatureDictionary, LabelVector]:
+def load_dense_csv(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
     """Load the dense CSV format.
 
     Header row must be ``sample_id,family_id,<feature names...>``; body
@@ -252,7 +226,7 @@ def load_dense_csv(path) -> tuple[DataMatrix, FeatureDictionary, LabelVector]:
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataFormatError(f"{path}: not readable as UTF-8 CSV: {exc}") from None
     matrix = DataMatrix.from_rows(d, rows, family_ids, sample_ids)
-    return matrix, dictionary, LabelVector.from_families(matrix.family_ids)
+    return matrix, dictionary, binary_labels(matrix)
 
 
 def _parse_family(text: str, where: str) -> int:
@@ -330,7 +304,7 @@ def load_dictionary(path, fmt: str) -> FeatureDictionary:
         raise DataFormatError(f"{path}: not readable as UTF-8 {kind}: {exc}") from None
 
 
-def load_sparse(path) -> tuple[DataMatrix, FeatureDictionary, LabelVector]:
+def load_sparse(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
     """Load the sparse tab-separated format (see module docstring).
 
     The file is read line by line and each sample's tokens are mapped to
@@ -373,7 +347,7 @@ def load_sparse(path) -> tuple[DataMatrix, FeatureDictionary, LabelVector]:
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not readable as UTF-8 text: {exc}") from None
     matrix = DataMatrix.from_rows(len(dictionary), rows, family_ids, sample_ids)
-    return matrix, dictionary, LabelVector.from_families(matrix.family_ids)
+    return matrix, dictionary, binary_labels(matrix)
 
 
 def write_dense_csv(path, matrix: DataMatrix, dictionary: FeatureDictionary) -> None:
@@ -397,30 +371,31 @@ def write_sparse(path, matrix: DataMatrix, dictionary: FeatureDictionary) -> Non
 
 
 def stratified_split(
-    matrix: DataMatrix, y: LabelVector, spec: SplitSpec
+    matrix: DataMatrix, y: np.ndarray, seed: int, test_fraction: float
 ) -> tuple[list[int], list[int]]:
     """Partition row indices into (train, test), deterministic per seed.
 
     Each class contributes round(class_count * test_fraction) test samples.
     """
+    if not 0.0 < test_fraction < 1.0:
+        raise SplitError(f"test_fraction {test_fraction} not in (0,1)")
     n = matrix.n_samples
     if n < 2:
         raise SplitError("need at least 2 samples to split")
     if len(y) != n:
         raise SplitError(f"labels length {len(y)} != n_samples {n}")
-    rng = np.random.default_rng(spec.seed)
-    labels = y.to_array()
+    rng = np.random.default_rng(seed)
 
-    classes = np.unique(labels)
+    classes = np.unique(y)
     if len(classes) < 2:
         raise SplitError("stratified split requires both classes present")
     test_idx: list[int] = []
     for c in classes:
-        members = np.flatnonzero(labels == c)
-        k = round(len(members) * spec.test_fraction)
+        members = np.flatnonzero(y == c)
+        k = round(len(members) * test_fraction)
         if k == 0 or k == len(members):
             raise SplitError(
-                f"test_fraction {spec.test_fraction} empties a partition "
+                f"test_fraction {test_fraction} empties a partition "
                 f"for class {c}"
             )
         perm = rng.permutation(members)
@@ -445,10 +420,6 @@ def take_rows(matrix: DataMatrix, indices) -> DataMatrix:
     )
 
 
-def take_labels(y: LabelVector, indices) -> LabelVector:
-    return LabelVector(tuple(y.labels[i] for i in indices))
-
-
 def synthesize_dataset(
     n: int,
     d: int,
@@ -456,8 +427,8 @@ def synthesize_dataset(
     class_signal: list[tuple[int, float, float]],
     seed: int,
     positive_rate: float = 0.5,
-) -> tuple[DataMatrix, LabelVector]:
-    """Generate a reproducible synthetic binary dataset.
+) -> tuple[DataMatrix, np.ndarray]:
+    """Generate a reproducible synthetic binary dataset and its labels.
 
     ``class_signal`` entries are (ordinal, P(x=1 | y=0), P(x=1 | y=1));
     every other feature is class-independent Bernoulli(sparsity).
@@ -485,7 +456,7 @@ def synthesize_dataset(
     matrix = DataMatrix.from_rows(
         d, [np.flatnonzero(row) for row in dense], labels, [f"synth{i:05d}" for i in range(n)]
     )
-    return matrix, LabelVector(tuple(int(v) for v in labels))
+    return matrix, binary_labels(matrix)
 
 
 def generic_dictionary(d: int, category: str = "STR") -> FeatureDictionary:

@@ -30,7 +30,7 @@ class ConfusionMatrix:
 
 
 def confusion(y_true, y_pred) -> ConfusionMatrix:
-    true_labels = np.asarray(getattr(y_true, "labels", y_true))
+    true_labels = np.asarray(y_true)
     predicted = np.asarray(y_pred)
     if len(true_labels) != len(predicted):
         raise ValueError(

@@ -8,7 +8,7 @@ are collapsed before matching. Unknown tokens are counted as unmatched
 diagnostics, never errors.
 
 Reports are scored in batches: the model's fingerprint is checked once
-against the dictionary and selection, every report is vectorized into one
+against the dictionary, every report is vectorized into one
 sparse matrix of the selected columns, and the model predicts all rows in
 one call. The dictionary comes from the feature section of the training
 dataset alone; a fingerprint mismatch fails the whole batch, while a
@@ -28,7 +28,6 @@ import numpy as np
 from .classifiers import Prediction
 from .dataset import DataMatrix, FeatureDictionary
 from .errors import DataFormatError, FingerprintMismatch
-from .selection import SelectionResult
 
 logger = logging.getLogger(__name__)
 
@@ -105,29 +104,25 @@ def vectorize(report: BehaviorReport, dictionary: FeatureDictionary) -> Vectoriz
     return VectorizeOutcome(tuple(ordinals), len(ordinals), len(misses))
 
 
-def check_fingerprint(fingerprint, dictionary: FeatureDictionary, selected) -> None:
-    """Raise ``FingerprintMismatch`` unless the ``selected`` ordinals of
-    ``dictionary`` are the feature space the model was trained on."""
+def check_fingerprint(fingerprint, dictionary: FeatureDictionary) -> None:
+    """Raise ``FingerprintMismatch`` unless the fingerprint's selected
+    ordinals of ``dictionary`` are the feature space the model was trained on."""
+    selected = fingerprint.selected
     if fingerprint.n_features != len(selected):
         raise FingerprintMismatch(
             f"model expects {fingerprint.n_features} selected features, "
             f"selection has {len(selected)}"
         )
-    if fingerprint.selected and tuple(fingerprint.selected) != tuple(selected):
-        raise FingerprintMismatch("selected-ordinal list differs from the model's")
-    if fingerprint.dictionary_sha256 and fingerprint.dictionary_sha256 != dictionary.sha256():
+    if fingerprint.dictionary_sha256 != dictionary.sha256():
         raise FingerprintMismatch("feature dictionary differs from the model's")
     if selected and max(selected) >= len(dictionary):
         raise FingerprintMismatch("selected ordinals exceed the feature dictionary")
 
 
 def score_reports(
-    reports,
-    model,
-    dictionary: FeatureDictionary,
-    selection: SelectionResult,
+    reports, model, dictionary: FeatureDictionary
 ) -> list[tuple[Prediction, VectorizeOutcome]]:
-    """vectorize -> project through the selection -> predict, for a whole batch.
+    """vectorize -> project through the model's selection -> predict, for a whole batch.
 
     The fingerprint is checked once, before any report is read, and the
     model predicts every report's row in one call; results follow the
@@ -136,8 +131,8 @@ def score_reports(
     straight into the batch's sparse arrays, and its outcome is kept beside
     them with ``row=()``.
     """
-    selected = selection.selected
-    check_fingerprint(model.fingerprint, dictionary, selected)
+    selected = model.fingerprint.selected
+    check_fingerprint(model.fingerprint, dictionary)
     if len(set(selected)) != len(selected) or min(selected, default=0) < 0:
         raise ValueError("selection must be distinct ordinals >= 0")
     # dictionary ordinal -> selected column, None where not selected
@@ -158,16 +153,13 @@ def score_reports(
 
 
 def score_report(
-    report: BehaviorReport,
-    model,
-    dictionary: FeatureDictionary,
-    selection: SelectionResult,
+    report: BehaviorReport, model, dictionary: FeatureDictionary
 ) -> tuple[Prediction, VectorizeOutcome]:
     """``score_reports`` of a one-report batch."""
-    return score_reports([report], model, dictionary, selection)[0]
+    return score_reports([report], model, dictionary)[0]
 
 
-def score_documents(documents, model, dictionary: FeatureDictionary, selection: SelectionResult):
+def score_documents(documents, model, dictionary: FeatureDictionary):
     """Parse and score ``(report_id, text)`` documents as one batch.
 
     A document that could not be read is passed as its ``DataFormatError``
@@ -191,5 +183,5 @@ def score_documents(documents, model, dictionary: FeatureDictionary, selection: 
             report_ids.append(report_id)
             yield report
 
-    scored = score_reports(parsed(), model, dictionary, selection)
+    scored = score_reports(parsed(), model, dictionary)
     return [(report_id, *result) for report_id, result in zip(report_ids, scored)], failures

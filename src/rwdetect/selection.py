@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataMatrix, FeatureDictionary, LabelVector
+from .dataset import DataMatrix, FeatureDictionary
 
 
 @dataclass(frozen=True)
@@ -36,13 +36,6 @@ class ContingencyTable:
     @property
     def n(self) -> int:
         return self.n00 + self.n01 + self.n10 + self.n11
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    """The chosen top-k ordinals, best first."""
-
-    selected: tuple[int, ...]
 
 
 def mi_score(t: ContingencyTable) -> float:
@@ -67,7 +60,7 @@ def mi_score(t: ContingencyTable) -> float:
     return max(total, 0.0)
 
 
-def score_all(matrix: DataMatrix, y: LabelVector) -> np.ndarray:
+def score_all(matrix: DataMatrix, y: np.ndarray) -> np.ndarray:
     """MI score of every column against the label, vectorized over columns."""
     if len(y) != matrix.n_samples:
         raise ValueError(
@@ -75,12 +68,11 @@ def score_all(matrix: DataMatrix, y: LabelVector) -> np.ndarray:
         )
     n = matrix.n_samples
     d = matrix.n_features
-    labels = y.to_array()
-    n_pos = int(labels.sum())
+    n_pos = int(y.sum())
     n_neg = n - n_pos
 
     # Per-column active counts split by class.
-    positive = (labels == 1)[matrix.entry_rows()]
+    positive = (y == 1)[matrix.entry_rows()]
     n11 = np.bincount(matrix.indices[positive], minlength=d)
     n10 = np.bincount(matrix.indices[~positive], minlength=d)
     n01 = n_pos - n11
@@ -106,13 +98,13 @@ def rank_features(scores) -> np.ndarray:
     return np.lexsort((np.arange(len(scores)), -scores))
 
 
-def select_k_best(scores, k: int) -> SelectionResult:
+def select_k_best(scores, k: int) -> tuple[int, ...]:
     """Top-k ordinals by score descending, ties by ascending ordinal."""
     scores = np.asarray(scores, dtype=np.float64)
     d = len(scores)
     if not 1 <= k <= d:
         raise ValueError(f"k={k} out of range [1, {d}]")
-    return SelectionResult(tuple(rank_features(scores)[:k].tolist()))
+    return tuple(rank_features(scores)[:k].tolist())
 
 
 def project(matrix: DataMatrix, selected) -> DataMatrix:

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from rwdetect.dataset import (
     DataMatrix,
     FeatureDictionary,
-    LabelVector,
 )
 
 
@@ -17,7 +16,7 @@ def matrix_from_dense(dense, labels=None, family_ids=None):
         family_ids = labels if labels is not None else [0] * n
     rows = [np.flatnonzero(row) for row in dense]
     m = DataMatrix.from_rows(dense.shape[1], rows, family_ids, [f"s{i}" for i in range(n)])
-    y = LabelVector(tuple(int(v) for v in labels)) if labels is not None else None
+    y = np.asarray(labels, dtype=np.int64) if labels is not None else None
     return (m, y) if labels is not None else m
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rwdetect import classifiers, dataset, evaluation, selection
+from rwdetect import classifiers, cli, dataset, evaluation, selection
 from rwdetect.classifiers import (
     FITTERS,
     MODEL_KINDS,
@@ -59,16 +59,16 @@ def test_criterion_1_table_reproduction():
         pytest.skip("real dataset not available; set RWDETECT_DATA to run")
     with criterion(1, "published-table reproduction on the real dataset"):
         matrix, _, y = dataset.load_sparse(data_path)
-        spec = dataset.SplitSpec(seed=0)
-        train_idx, test_idx = dataset.stratified_split(matrix, y, spec)
+        train_idx, test_idx = dataset.stratified_split(
+            matrix, y, 0, cli.RunConfig().test_fraction)
         train_m = dataset.take_rows(matrix, train_idx)
-        train_y = dataset.take_labels(y, train_idx)
+        train_y = y[train_idx]
         test_m = dataset.take_rows(matrix, test_idx)
-        test_y = dataset.take_labels(y, test_idx)
+        test_y = y[test_idx]
 
-        sel = selection.select_k_best(score_all(train_m, train_y), 400)
-        train_p = selection.project(train_m, sel.selected)
-        test_p = selection.project(test_m, sel.selected)
+        selected = selection.select_k_best(score_all(train_m, train_y), 400)
+        train_p = selection.project(train_m, selected)
+        test_p = selection.project(test_m, selected)
 
         for kind in MODEL_KINDS:
             model = FITTERS[kind](train_p, train_y)
@@ -229,19 +229,18 @@ def test_criterion_8_pipeline_soundness():
         signal = [(j, 0.05, 0.9) for j in range(signal_d)]
         matrix, y = dataset.synthesize_dataset(n, d, 0.02, signal, seed=88)
 
-        spec = dataset.SplitSpec(seed=1, test_fraction=1 / 3)
-        train_idx, test_idx = dataset.stratified_split(matrix, y, spec)
+        train_idx, test_idx = dataset.stratified_split(matrix, y, 1, 1 / 3)
         train_m = dataset.take_rows(matrix, train_idx)
-        train_y = dataset.take_labels(y, train_idx)
+        train_y = y[train_idx]
         test_m = dataset.take_rows(matrix, test_idx)
-        test_y = dataset.take_labels(y, test_idx)
+        test_y = y[test_idx]
 
-        sel = selection.select_k_best(score_all(train_m, train_y), 50)
-        recovered = sum(1 for j in sel.selected if j < signal_d)
+        selected = selection.select_k_best(score_all(train_m, train_y), 50)
+        recovered = sum(1 for j in selected if j < signal_d)
         assert recovered >= 9, recovered
 
-        train_p = selection.project(train_m, sel.selected)
-        test_p = selection.project(test_m, sel.selected)
+        train_p = selection.project(train_m, selected)
+        test_p = selection.project(test_m, selected)
         for kind in MODEL_KINDS:
             model = FITTERS[kind](train_p, train_y)
             preds = model.predict(test_p)

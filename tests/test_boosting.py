@@ -59,7 +59,7 @@ class TestGradientBoosting:
             labels=[0, 1, 0, 1, 0, 1],
         )
         model = fit_gradient_boosting(m, y, GbtParams(n_rounds=10))
-        assert [p.label for p in model.predict(m)] == list(y.labels)
+        assert [p.label for p in model.predict(m)] == y.tolist()
 
     @pytest.mark.parametrize("seed", range(30))
     def test_first_tree_matches_exhaustive_gain(self, seed):

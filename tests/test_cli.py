@@ -155,12 +155,33 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "feature dictionary differs" in err
 
+    @pytest.mark.parametrize("command", ["evaluate", "score"])
+    def test_blank_dictionary_hash_is_data_error(self, tmp_path, capsys, command):
+        # A model without a dictionary hash would score any same-width dictionary.
+        data = make_dataset(tmp_path, n=120)
+        out = tmp_path / "out"
+        run(["train", "--data", data, "--out", out, "--model", "dt", "--top-k", 5])
+        doc = json.loads((out / "model_dt.json").read_bytes())
+        doc["fingerprint"]["dictionary_sha256"] = ""
+        blank = tmp_path / "blank.json"
+        blank.write_text(json.dumps(doc))
+        other_dir = tmp_path / "other"
+        other_dir.mkdir()
+        other = make_dataset(other_dir, n=120, category="STR")
+        reports = [other] if command == "score" else []
+        capsys.readouterr()
+        assert run([command, "--data", other, "--out", tmp_path / "o",
+                    "--model-file", blank, *reports]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "feature dictionary differs" in err
+
 
 class TestReproduce:
     def test_dataset_absent_gives_data_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv(cli.DATA_ENV_VAR, raising=False)
         assert run(["reproduce", "--out", tmp_path / "o"]) == cli.EXIT_DATA
-        assert "dataset" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "dataset" in err
 
     def test_table_shape_on_synthetic_data(self, tmp_path, capsys):
         data = make_dataset(tmp_path, n=100)
@@ -246,6 +267,18 @@ class TestScore:
         assert printed.err == "locked.json: cannot read report: Permission denied\n"
         verdicts = (out / "verdicts.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in verdicts[1:]] == ["a.json"]
+
+    def test_missing_reports_path_leaves_no_echo(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, n=120)
+        out = tmp_path / "out"
+        run(["train", "--data", data, "--out", tmp_path / "models", "--model", "dt",
+             "--top-k", 5])
+        capsys.readouterr()
+        assert run(["score", "--data", data, "--out", out, "--model-file",
+                    tmp_path / "models" / "model_dt.json", tmp_path / "missing.ndjson"]) \
+            == cli.EXIT_USAGE
+        assert "reports path not found" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_batch(self, tmp_path, capsys):
         data = make_dataset(tmp_path, n=120)
@@ -507,7 +540,7 @@ COMMAND_FLAGS = {
     "evaluate": ["--model-file", "models/model_dt.json", "--seed", 3],
     "score": ["--model-file", "models/model_dt.json", "batch.ndjson"],
     # Models this small miss the baseline tolerance: exit 3.
-    "reproduce": ["--strict", "--test-fraction", "0.3", "--hp", "n_trees=5",
+    "reproduce": ["--strict", "--seeds", "0,1", "--test-fraction", "0.3", "--hp", "n_trees=5",
                   "--hp", "n_rounds=5", "--hp", "epochs=20"],
 }
 

@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rwdetect import dataset
+from rwdetect import cli, dataset
 from rwdetect.dataset import (
     CATEGORY_CODES,
     DataMatrix,
     FeatureDictionary,
-    LabelVector,
-    SplitSpec,
     generic_dictionary,
     load_dense_csv,
     load_dictionary,
@@ -140,7 +138,7 @@ class TestDenseLoader:
         m, d, y = load_dense_csv(p)
         assert m.n_samples == 3 and m.n_features == 4
         assert m.indptr.tolist() == [0, 0, 0, 0]
-        assert y.labels == (0, 1, 0)
+        assert y.tolist() == [0, 1, 0]
 
     def test_direct_encoding(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -149,7 +147,7 @@ class TestDenseLoader:
         assert m.sample_ids.tolist() == ["s1"]
         assert m.family_ids.tolist() == [0]
         assert m.row_ordinals()[0].tolist() == [0, 2]
-        assert y.labels == (0,)
+        assert y.tolist() == [0]
 
     def test_non_binary_cell_reports_location(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -184,7 +182,7 @@ class TestSparseLoader:
         )
         m, _, y = load_sparse(p)
         assert m.row_ordinals()[0].tolist() == [0, 1]
-        assert y.labels == (1,)
+        assert y.tolist() == [1]
 
     def test_empty_feature_list(self, tmp_path):
         p = tmp_path / "d.sparse"
@@ -345,7 +343,7 @@ class TestCrossFormat:
         m2, d2, y2 = load_sparse(sparse_path)
         assert m1 == m2
         assert d1 == d2
-        assert y1 == y2
+        assert np.array_equal(y1, y2)
 
     @pytest.mark.parametrize("fmt", ["dense", "sparse"])
     def test_round_trip_identity(self, tmp_path, fmt):
@@ -370,7 +368,7 @@ class TestStratifiedSplit:
         # 942 negatives + 582 positives, like the real dataset.
         labels = [0] * 942 + [1] * 582
         m = matrix_from_dense(np.zeros((1524, 1), dtype=np.uint8))
-        train, test = stratified_split(m, LabelVector(tuple(labels)), SplitSpec(seed=11))
+        train, test = stratified_split(m, np.array(labels), 11, cli.RunConfig().test_fraction)
         assert len(test) == 503 and len(train) == 1021
         test_pos = sum(labels[i] for i in test)
         # class ratio preserved within one sample
@@ -378,54 +376,53 @@ class TestStratifiedSplit:
 
     def test_tiny_symmetric_split(self):
         m, y = matrix_from_dense(np.zeros((4, 1), dtype=np.uint8), labels=[0, 0, 1, 1])
-        train, test = stratified_split(m, y, SplitSpec(seed=0, test_fraction=0.5))
-        assert sum(y.labels[i] for i in test) == 1
-        assert sum(y.labels[i] for i in train) == 1
+        train, test = stratified_split(m, y, 0, 0.5)
+        assert sum(y[i] for i in test) == 1
+        assert sum(y[i] for i in train) == 1
 
     def test_deterministic_per_seed(self):
         labels = [0] * 30 + [1] * 20
         m = matrix_from_dense(np.zeros((50, 1), dtype=np.uint8))
-        y = LabelVector(tuple(labels))
-        a = stratified_split(m, y, SplitSpec(seed=5, test_fraction=0.3))
-        b = stratified_split(m, y, SplitSpec(seed=5, test_fraction=0.3))
+        y = np.array(labels)
+        a = stratified_split(m, y, 5, 0.3)
+        b = stratified_split(m, y, 5, 0.3)
         assert a == b
-        c = stratified_split(m, y, SplitSpec(seed=6, test_fraction=0.3))
+        c = stratified_split(m, y, 6, 0.3)
         assert a != c
 
     @pytest.mark.parametrize("seed", range(10))
     def test_partition_disjoint_exhaustive(self, seed):
         labels = [0] * 13 + [1] * 9
         m = matrix_from_dense(np.zeros((22, 1), dtype=np.uint8))
-        train, test = stratified_split(
-            m, LabelVector(tuple(labels)), SplitSpec(seed=seed, test_fraction=0.3)
-        )
+        train, test = stratified_split(m, np.array(labels), seed, 0.3)
         assert sorted(train + test) == list(range(22))
 
     def test_single_class_stratified_fails(self):
         m, y = matrix_from_dense(np.zeros((4, 1), dtype=np.uint8), labels=[1, 1, 1, 1])
         with pytest.raises(SplitError, match="both classes"):
-            stratified_split(m, y, SplitSpec(test_fraction=0.5))
+            stratified_split(m, y, 0, 0.5)
 
     def test_degenerate_fraction_fails(self):
         m, y = matrix_from_dense(np.zeros((4, 1), dtype=np.uint8), labels=[0, 0, 1, 1])
-        with pytest.raises(SplitError):
-            stratified_split(m, y, SplitSpec(test_fraction=0.01))
+        for fraction in (0.01, 0.0, 1.0):
+            with pytest.raises(SplitError):
+                stratified_split(m, y, 0, fraction)
 
 
 class TestSynthesize:
     def test_perfect_signal_separates(self):
         m, y = synthesize_dataset(100, 5, 0.2, [(2, 0.0, 1.0)], seed=4)
         dense = m.to_dense()
-        assert np.array_equal(dense[:, 2], y.to_array())
+        assert np.array_equal(dense[:, 2], y)
 
     def test_same_seed_identical(self):
         a = synthesize_dataset(50, 8, 0.3, [(0, 0.1, 0.9)], seed=9)
         b = synthesize_dataset(50, 8, 0.3, [(0, 0.1, 0.9)], seed=9)
-        assert a == b
+        assert a[0] == b[0] and np.array_equal(a[1], b[1])
 
     def test_label_rule_total(self):
         m, y = synthesize_dataset(40, 3, 0.5, [], seed=2)
-        for family_id, label in zip(m.family_ids, y.labels):
+        for family_id, label in zip(m.family_ids, y):
             assert label == (family_id != 0)
 
     def test_out_of_range_signal_ordinal(self):

@@ -59,7 +59,7 @@ def test_forest_beats_single_tree_on_noisy_data():
 
     def acc(model):
         preds = model.predict(test_m)
-        return np.mean([p.label == t for p, t in zip(preds, test_y.labels)])
+        return np.mean([p.label == t for p, t in zip(preds, test_y)])
 
     assert acc(forest) > acc(tree)
 

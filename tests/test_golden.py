@@ -113,7 +113,7 @@ GOLDEN_SHA256 = {
     "mi-scores/mi-scores.config": "e2ef6d1b4371f0bbe36a844a6c6bbfd3f22be5b88b14378893b6063202098e34",
     "mi-scores/mi_scores.csv": "13c5db73471188ee66af22e0da0056b9010462bd04831d1e5af43db9bfe44543",
     "mi-scores/stdout": "57f107791b72d72c2b81ccd554d889f819a9a5b8184543b882e21699e3c2e91f",
-    "reproduce/reproduce.config": "683d2618ba85500a5fb7cc476d9a7c6f8f7ca08cfc55e712a9ede375b44bcae2",
+    "reproduce/reproduce.config": "b1fc1daccb14e45f11337bc6104dfe110f27af19a84b32aac45ca50d4daa5bc7",
     "reproduce/reproduce.csv": "b671cb8b0b69dfa6f4634932ded3b5965e5f15aa9a67697ab74f90dcc2f57eb3",
     "reproduce/stdout": "9dc243ddc55eeb1fd5184ea1cfa8508bdd6ab22383b8e51fb3d05bcba14b4256",
     "score-dt/score.config": "8b1b91de9a5b95084f5ca1b2bef39fb12f6173d62f92e296c6c77ae72d30a389",

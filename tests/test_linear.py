@@ -18,7 +18,7 @@ class TestLinearSvm:
     def test_separable_1d(self):
         m, y = matrix_from_dense([[0]] * 5 + [[1]] * 5, labels=[0] * 5 + [1] * 5)
         model = fit_linear_svm(m, y)
-        assert [p.label for p in model.predict(m)] == list(y.labels)
+        assert [p.label for p in model.predict(m)] == y.tolist()
 
     def test_objective_not_worse_than_zero_vector(self):
         rng = np.random.default_rng(19)
@@ -111,7 +111,7 @@ class TestLogisticRegression:
         m, y = matrix_from_dense([[0]] * 4 + [[1]] * 4, labels=[0] * 4 + [1] * 4)
         model = fit_logistic_regression(m, y)
         preds = model.predict(m)
-        assert [p.label for p in preds] == list(y.labels)
+        assert [p.label for p in preds] == y.tolist()
         assert preds[-1].score > preds[0].score
 
     def test_loss_monotone_decreasing_at_small_lr(self):

@@ -8,7 +8,7 @@ from rwdetect.classifiers import FITTERS, Fingerprint, KnnParams
 from rwdetect.dataset import (
     DataMatrix,
     FeatureDictionary,
-    LabelVector,
+    binary_labels,
 )
 from rwdetect.errors import DataFormatError, FingerprintMismatch
 from rwdetect.reports import (
@@ -19,7 +19,7 @@ from rwdetect.reports import (
     score_reports,
     vectorize,
 )
-from rwdetect.selection import SelectionResult, project
+from rwdetect.selection import project
 
 
 @pytest.fixture
@@ -117,49 +117,45 @@ def train_knn_fixture(dictionary):
         family_ids=[2, 0, 0, 5],
         sample_ids=["r1", "g1", "g2", "r2"],
     )
-    y = LabelVector.from_families(matrix.family_ids)
-    selection = SelectionResult(selected=tuple(range(10)))
-    fingerprint = Fingerprint(10, dictionary.sha256(), selection.selected)
-    model = FITTERS["knn"](
-        project(matrix, selection.selected), y, KnnParams(k_neighbors=1), fingerprint
-    )
-    return model, selection, matrix, y
+    fingerprint = Fingerprint(10, dictionary.sha256(), tuple(range(10)))
+    return FITTERS["knn"](project(matrix, fingerprint.selected), binary_labels(matrix),
+                          KnnParams(k_neighbors=1), fingerprint)
 
 
 class TestScoreReport:
     def test_training_sample_reproduced_as_report(self, dictionary):
-        model, selection, _, _ = train_knn_fixture(dictionary)
+        model = train_knn_fixture(dictionary)
         report = BehaviorReport(
             api_calls=("CreateFileW",), dropped_exts=("exe",), strings=("bitcoin",)
         )
-        pred, outcome = score_report(report, model, dictionary, selection)
+        pred, outcome = score_report(report, model, dictionary)
         assert pred.label == 1
         assert outcome.matched == 3
 
     def test_empty_report_through_zero_logreg(self, dictionary):
         matrix = DataMatrix.from_rows(10, [(), ()], [0, 1], ["a", "b"])
-        y = LabelVector((0, 1))
-        selection = SelectionResult(selected=tuple(range(10)))
-        fingerprint = Fingerprint(10, dictionary.sha256(), selection.selected)
+        y = np.array([0, 1])
+        fingerprint = Fingerprint(10, dictionary.sha256(), tuple(range(10)))
         model = FITTERS["logreg"](matrix, y, fingerprint=fingerprint)
-        pred, _ = score_report(BehaviorReport(), model, dictionary, selection)
+        pred, _ = score_report(BehaviorReport(), model, dictionary)
         assert pred.score == pytest.approx(0.5, abs=1e-9)
 
     def test_fingerprint_mismatch_on_wrong_selection(self, dictionary):
-        model, _, _, _ = train_knn_fixture(dictionary)
-        wrong = SelectionResult(selected=(0, 1, 2))
+        model = train_knn_fixture(dictionary)
+        wrong = dataclasses.replace(model.fingerprint, selected=(0, 1, 2))
         with pytest.raises(FingerprintMismatch):
-            score_report(BehaviorReport(), model, dictionary, wrong)
+            score_report(BehaviorReport(), dataclasses.replace(model, fingerprint=wrong),
+                         dictionary)
 
     def test_fingerprint_mismatch_on_wrong_dictionary(self, dictionary):
-        model, selection, _, _ = train_knn_fixture(dictionary)
+        model = train_knn_fixture(dictionary)
         other = FeatureDictionary(tuple(f"API:x{i}" for i in range(10)))
         with pytest.raises(FingerprintMismatch, match="dictionary"):
-            score_report(BehaviorReport(), model, other, selection)
+            score_report(BehaviorReport(), model, other)
 
     def test_composition_law_on_random_fixtures(self, dictionary):
         # score_report must equal predict(project(vectorize(...))) exactly
-        model, selection, _, _ = train_knn_fixture(dictionary)
+        model = train_knn_fixture(dictionary)
         rng = np.random.default_rng(70)
         names = dictionary.names
         for _ in range(20):
@@ -168,16 +164,16 @@ class TestScoreReport:
                 api_calls=tuple(c.split(":", 1)[1] for c in chosen if c.startswith("API:")),
                 strings=tuple(c.split(":", 1)[1] for c in chosen if c.startswith("STR:")),
             )
-            pred, counts = score_report(report, model, dictionary, selection)
+            pred, counts = score_report(report, model, dictionary)
 
             outcome = vectorize(report, dictionary)
             assert counts == outcome._replace(row=())
             one_row = DataMatrix.from_rows(10, [outcome.row])
-            assert pred == model.predict(project(one_row, selection.selected))[0]
+            assert pred == model.predict(project(one_row, model.fingerprint.selected))[0]
 
 
     def test_batch_equals_one_report_at_a_time(self, dictionary):
-        model, selection, _, _ = train_knn_fixture(dictionary)
+        model = train_knn_fixture(dictionary)
         rng = np.random.default_rng(71)
         names = dictionary.names
         batch = []
@@ -188,8 +184,8 @@ class TestScoreReport:
                 strings=tuple(c[4:] for c in chosen if c.startswith("STR:")),
                 dropped_exts=tuple(c[5:] for c in chosen if c.startswith("DROP:")),
             ))
-        assert score_reports(batch, model, dictionary, selection) == \
-            [score_report(report, model, dictionary, selection) for report in batch]
+        assert score_reports(batch, model, dictionary) == \
+            [score_report(report, model, dictionary) for report in batch]
 
     @pytest.mark.parametrize("kind", ["knn", "logreg", "dt"])
     def test_batch_projected_while_vectorizing(self, dictionary, kind):
@@ -199,10 +195,10 @@ class TestScoreReport:
         full = DataMatrix.from_rows(
             10, [np.flatnonzero(rng.random(10) < 0.5) for _ in range(30)],
             family_ids=rng.integers(0, 2, 30) * 3)
-        selection = SelectionResult(selected=(7, 2, 9, 0, 4))
-        fingerprint = Fingerprint(5, dictionary.sha256(), selection.selected)
-        y = LabelVector.from_families(full.family_ids)
-        model = FITTERS[kind](project(full, selection.selected), y, fingerprint=fingerprint)
+        selected = (7, 2, 9, 0, 4)
+        fingerprint = Fingerprint(5, dictionary.sha256(), selected)
+        y = binary_labels(full)
+        model = FITTERS[kind](project(full, selected), y, fingerprint=fingerprint)
         field_of = {prefix: name for name, prefix in CATEGORY_FIELDS.items()}
         batch = []
         for row in full.row_ordinals():
@@ -213,20 +209,20 @@ class TestScoreReport:
             batch.append(BehaviorReport(**{f: tuple(v) for f, v in fields.items()}))
         assert [vectorize(r, dictionary).row for r in batch] == \
             [tuple(row.tolist()) for row in full.row_ordinals()]
-        expected = model.predict(project(full, selection.selected))
-        assert [pred for pred, _ in score_reports(batch, model, dictionary, selection)] == \
+        expected = model.predict(project(full, selected))
+        assert [pred for pred, _ in score_reports(batch, model, dictionary)] == \
             list(expected)
 
     def test_duplicate_or_negative_selection_rejected(self, dictionary):
-        model, _, _, _ = train_knn_fixture(dictionary)
-        model = dataclasses.replace(model, fingerprint=Fingerprint(3, dictionary.sha256()))
+        model = train_knn_fixture(dictionary)
         for selected in ((1, 1, 2), (0, -1, 2)):
+            fingerprint = Fingerprint(3, dictionary.sha256(), selected)
             with pytest.raises(ValueError, match="distinct"):
-                score_reports([], model, dictionary, SelectionResult(selected=selected))
+                score_reports([], dataclasses.replace(model, fingerprint=fingerprint), dictionary)
 
     def test_empty_batch(self, dictionary):
-        model, selection, _, _ = train_knn_fixture(dictionary)
-        assert score_reports([], model, dictionary, selection) == []
+        model = train_knn_fixture(dictionary)
+        assert score_reports([], model, dictionary) == []
 
 
 def test_report_json_round_trip(dictionary):

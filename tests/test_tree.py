@@ -5,7 +5,7 @@ import pytest
 
 from rwdetect.classifiers import TreeParams, fit_decision_tree
 from rwdetect.errors import FitError
-from rwdetect.dataset import DataMatrix, LabelVector
+from rwdetect.dataset import DataMatrix
 
 from conftest import matrix_from_dense, random_dense
 
@@ -50,7 +50,7 @@ class TestDecisionTree:
         assert tree.feature[0] == 0
         assert tree.is_leaf(tree.left[0]) and tree.is_leaf(tree.right[0])
         preds = model.predict(m)
-        assert [p.label for p in preds] == list(y.labels)
+        assert [p.label for p in preds] == y.tolist()
 
     def test_pure_input_single_leaf(self):
         m, y = matrix_from_dense([[0, 1], [1, 0]], labels=[1, 1], family_ids=[1, 1])
@@ -60,7 +60,7 @@ class TestDecisionTree:
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(FitError, match="empty"):
-            fit_decision_tree(DataMatrix.from_rows(2, []), LabelVector(()))
+            fit_decision_tree(DataMatrix.from_rows(2, []), np.zeros(0, dtype=np.int64))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_root_matches_exhaustive_oracle(self, seed):
@@ -82,7 +82,7 @@ class TestDecisionTree:
         m, labels = matrix_from_dense(X, labels=y)
         model = fit_decision_tree(m, labels, TreeParams(max_depth=64))
         preds = model.predict(m)
-        assert [p.label for p in preds] == list(labels.labels)
+        assert [p.label for p in preds] == labels.tolist()
 
     def test_max_depth_respected(self):
         rng = np.random.default_rng(5)
