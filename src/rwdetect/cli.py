@@ -237,14 +237,15 @@ def split_and_select(matrix, dictionary, y, cfg: RunConfig):
     train_idx, test_idx = dataset.stratified_split(matrix, y, cfg.seed, cfg.test_fraction)
     train_m = dataset.take_rows(matrix, train_idx)
     test_m = dataset.take_rows(matrix, test_idx)
+    train_y = y[train_idx]
     # Selection is fit on the training partition only.
-    scores = selection.score_all(train_m, y[train_idx])
+    scores = selection.score_all(train_m, train_y)
     k = min(cfg.top_k, matrix.n_features)
     selected = selection.select_k_best(scores, k)
     fingerprint = classifiers.Fingerprint(k, dictionary.sha256(), selected)
     train_p = selection.project(train_m, selected)
     test_p = selection.project(test_m, selected)
-    return train_p, y[train_idx], test_p, y[test_idx], fingerprint
+    return train_p, train_y, test_p, y[test_idx], fingerprint
 
 
 def cmd_mi_scores(args) -> int:

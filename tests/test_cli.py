@@ -168,7 +168,9 @@ class TestEvaluate:
         other_dir = tmp_path / "other"
         other_dir.mkdir()
         other = make_dataset(other_dir, n=120, category="STR")
-        reports = [other] if command == "score" else []
+        batch = tmp_path / "batch.ndjson"
+        batch.write_text('{"strings": ["f00000"]}\n')
+        reports = [batch] if command == "score" else []
         capsys.readouterr()
         assert run([command, "--data", other, "--out", tmp_path / "o",
                     "--model-file", blank, *reports]) == cli.EXIT_DATA
