@@ -1,22 +1,13 @@
-"""Command-line pipeline driver.
-
-Subcommands:
-    mi-scores   score every feature's MI against the label, dump CSV
-    train       split, select top-k features, fit one model, save it
-    evaluate    score a saved model on the held-out split
-    reproduce   train and evaluate all six models, compare to the
-                published baseline numbers with per-cell deltas
-    score       batch-score sandbox behavioral reports with a saved model;
-                only the feature dictionary of --data is read
+"""Command-line interface of the pipeline; ``COMMANDS`` lists the subcommands.
 
 Exit codes: 0 success, 1 usage/config error (argument errors included),
 2 data error (a model whose fingerprint does not match the dataset's
 dictionary included), 3 baseline-tolerance failure (reproduce --strict).
 
 Every setting is a ``RunConfig`` field, which is its flag, its config-file
-key and its line in the echo. Flag > config file > default; the effective
-configuration is echoed next to every output so any run can be repeated
-bit-identically.
+key and its line in the echo; each command takes only the settings it
+reads. Flag > config file > default; the effective configuration is
+echoed next to every output so any run can be repeated bit-identically.
 """
 
 from __future__ import annotations
@@ -30,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import classifiers, dataset, evaluation, reports, selection
-from .errors import DataFormatError, RwdetectError
+from .errors import DataFormatError, FingerprintMismatch, RwdetectError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -122,7 +113,6 @@ class RunConfig:
 
     data: str | None = dataclasses.field(
         default=None, metadata={"help": f"dataset path (fallback: ${DATA_ENV_VAR})"})
-    format: str = "sparse"
     seed: int = 0
     seeds: str | None = dataclasses.field(
         default=None, metadata={"help": "comma-separated seed sweep"})
@@ -137,36 +127,36 @@ class RunConfig:
                 "or a metric is undefined (evaluate)"})
     hp: dict = dataclasses.field(default_factory=dict)
 
-    def echo(self) -> str:
-        """The config file that repeats this run; unset settings are left out."""
-        lines = [f"{f.name}={getattr(self, f.name)}" for f in SETTINGS
-                 if getattr(self, f.name) is not None]
+    def echo(self, names) -> str:
+        """The config file that repeats a run of a command taking the settings
+        ``names``; unset settings are left out."""
+        lines = [f"{name}={getattr(self, name)}" for name in names
+                 if name != "hp" and getattr(self, name) is not None]
         lines += [f"hp.{k}={v}" for k, v in sorted(self.hp.items())]
         return "\n".join(lines) + "\n"
 
 
-SETTINGS = tuple(f for f in dataclasses.fields(RunConfig) if f.name != "hp")
-CHOICES = {"format": ("dense", "sparse"), "model": classifiers.MODEL_KINDS}
+FIELDS = {f.name: f for f in dataclasses.fields(RunConfig) if f.name != "hp"}
 
 
 def build_config(args) -> RunConfig:
-    """Each setting from its flag, else from the ``--config`` file, else its default."""
+    """Each setting the command takes from its flag, else from the ``--config``
+    file, else its default. File keys the command does not take are ignored."""
+    names = COMMANDS[args.command][2]
     file_values = read_config_file(args.config) if args.config else {}
     cfg = RunConfig(data=os.environ.get(DATA_ENV_VAR))
-    for f in SETTINGS:
-        value = getattr(args, f.name, None)
+    for f in (FIELDS[name] for name in names if name != "hp"):
+        value = getattr(args, f.name)
         if value is None and f.name in file_values:
             value = parse_value(cast_of(f), file_values[f.name], f"config {f.name}")
         if value is not None:
             setattr(cfg, f.name, value)
-    for name, allowed in CHOICES.items():
-        if getattr(cfg, name) not in allowed:
-            raise UsageError(f"unknown {name} {getattr(cfg, name)!r}, expected one of {allowed}")
+    if cfg.model not in classifiers.MODEL_KINDS:
+        raise UsageError(f"unknown model {cfg.model!r}, expected one of {classifiers.MODEL_KINDS}")
 
-    for key, value in file_values.items():
-        if key.startswith("hp."):
-            cfg.hp[key[3:]] = value
-    for item in args.hp or []:
+    if "hp" in names:
+        cfg.hp = {key[3:]: value for key, value in file_values.items() if key.startswith("hp.")}
+    for item in getattr(args, "hp", None) or []:
         if "=" not in item:
             raise UsageError(f"--hp expects name=value, got {item!r}")
         key, value = item.split("=", 1)
@@ -187,17 +177,16 @@ def build_config(args) -> RunConfig:
 
 def data_path(cfg: RunConfig) -> str:
     if not cfg.data:
-        raise UsageError(
-            f"no dataset given: pass --data or set {DATA_ENV_VAR}"
-        )
+        raise UsageError(f"no dataset given: pass --data or set {DATA_ENV_VAR}")
     if not Path(cfg.data).is_file():
         raise UsageError(f"dataset file not found: {cfg.data!r}")
     return cfg.data
 
 
 def load_dataset(cfg: RunConfig):
-    loader = dataset.load_dense_csv if cfg.format == "dense" else dataset.load_sparse
-    return loader(data_path(cfg))
+    path = data_path(cfg)
+    dense = dataset.file_format(path) == "dense"
+    return (dataset.load_dense_csv if dense else dataset.load_sparse)(path)
 
 
 def make_params(kind: str, overrides: dict):
@@ -228,8 +217,14 @@ def write_output(path: Path, data) -> None:
 
 def ensure_out(cfg: RunConfig, command: str) -> Path:
     out_dir = Path(cfg.out)
-    write_output(out_dir / f"{command}.config", cfg.echo().encode("utf-8"))
+    write_output(out_dir / f"{command}.config", cfg.echo(COMMANDS[command][2]).encode("utf-8"))
     return out_dir
+
+
+def predict_and_evaluate(model, matrix, y):
+    """``model``'s metrics on the rows of ``matrix``, under its kind's display name."""
+    labels = [p.label for p in model.predict(matrix)]
+    return evaluation.evaluate_predictions(BASELINE[model.kind][0], y, labels)
 
 
 def split_and_select(matrix, dictionary, y, cfg: RunConfig):
@@ -265,8 +260,8 @@ def cmd_mi_scores(args) -> int:
 def cmd_train(args) -> int:
     cfg = build_config(args)
     matrix, dictionary, y = load_dataset(cfg)
-    out_dir = ensure_out(cfg, "train")
     train_p, train_y, _, _, fingerprint = split_and_select(matrix, dictionary, y, cfg)
+    out_dir = ensure_out(cfg, "train")
     params = make_params(cfg.model, cfg.hp)
     model = classifiers.FITTERS[cfg.model](train_p, train_y, params, fingerprint)
 
@@ -274,8 +269,7 @@ def cmd_train(args) -> int:
     model_path = Path(cfg.model_file or out_dir / f"model_{cfg.model}.json")
     write_output(model_path, blob)
 
-    preds = model.predict(train_p)
-    report = evaluation.evaluate_predictions(cfg.model, train_y, [p.label for p in preds])
+    report = predict_and_evaluate(model, train_p, train_y)
     print(f"model written to {model_path} ({len(blob)} bytes)")
     print(f"train accuracy: {float(report.accuracy):.4f}")
     return EXIT_OK
@@ -286,34 +280,27 @@ def cmd_evaluate(args) -> int:
     model = load_model(cfg)
     matrix, dictionary, y = load_dataset(cfg)
     reports.check_fingerprint(model.fingerprint, dictionary)
+    # The test partition is the model's only when this split selects its features.
+    _, _, test_p, test_y, fingerprint = split_and_select(
+        matrix, dictionary, y, dataclasses.replace(cfg, top_k=model.fingerprint.n_features))
+    if fingerprint != model.fingerprint:
+        raise FingerprintMismatch(
+            f"the model was not trained on the split of seed {cfg.seed} and test_fraction "
+            f"{cfg.test_fraction}: its selected features differ")
     out_dir = ensure_out(cfg, "evaluate")
-
-    _, test_idx = dataset.stratified_split(matrix, y, cfg.seed, cfg.test_fraction)
-    test_m = dataset.take_rows(matrix, test_idx)
-    projected = selection.project(test_m, model.fingerprint.selected)
-
-    preds = model.predict(projected)
-    report = evaluation.evaluate_predictions(
-        BASELINE[model.kind][0], y[test_idx], [p.label for p in preds]
-    )
+    report = predict_and_evaluate(model, test_p, test_y)
     print(evaluation.compare_models_text([report]))
     write_output(out_dir / "evaluation.csv",
                  evaluation.compare_models_csv([report]).encode("utf-8"))
     return EXIT_TOLERANCE if cfg.strict and report.has_undefined() else EXIT_OK
 
 
-def _reproduce_once(matrix, dictionary, y, cfg: RunConfig, seed: int):
-    run_cfg = dataclasses.replace(cfg, seed=seed)
-    train_p, train_y, test_p, test_y, fingerprint = split_and_select(
-        matrix, dictionary, y, run_cfg
-    )
+def _reproduce_once(split, hp: dict):
+    train_p, train_y, test_p, test_y, fingerprint = split
     results = {}
     for kind in classifiers.MODEL_KINDS:
-        model = classifiers.FITTERS[kind](train_p, train_y, make_params(kind, cfg.hp), fingerprint)
-        preds = model.predict(test_p)
-        results[kind] = evaluation.evaluate_predictions(
-            BASELINE[kind][0], test_y, [p.label for p in preds]
-        )
+        model = classifiers.FITTERS[kind](train_p, train_y, make_params(kind, hp), fingerprint)
+        results[kind] = predict_and_evaluate(model, test_p, test_y)
     return results
 
 
@@ -324,9 +311,11 @@ def cmd_reproduce(args) -> int:
                             f"or set {DATA_ENV_VAR} (README gives the file layouts)")
     seeds = [int(s) for s in cfg.seeds.split(",")] if cfg.seeds else [cfg.seed]
     matrix, dictionary, y = load_dataset(cfg)
+    splits = [split_and_select(matrix, dictionary, y, dataclasses.replace(cfg, seed=s))
+              for s in seeds]
     out_dir = ensure_out(cfg, "reproduce")
 
-    per_seed = [_reproduce_once(matrix, dictionary, y, cfg, s) for s in seeds]
+    per_seed = [_reproduce_once(split, cfg.hp) for split in splits]
 
     header = ["model", "acc%", "ref_acc%", "d_acc", "prec", "ref_prec", "d_prec",
               "rec", "ref_rec", "d_rec", "tp", "tn", "fp", "fn"]
@@ -388,7 +377,8 @@ def cmd_score(args) -> int:
         raise UsageError(f"reports path not found: {args.reports}")
     model = load_model(cfg)
     # Token lookup needs the training dictionary only, not its samples.
-    dictionary = dataset.load_dictionary(data_path(cfg), cfg.format)
+    path = data_path(cfg)
+    dictionary = dataset.load_dictionary(path, dataset.file_format(path))
     out_dir = ensure_out(cfg, "score")
 
     verdicts, failures = reports.score_documents(
@@ -419,43 +409,48 @@ class ArgumentParser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-COMMON = ("data", "format", "seed", "test_fraction", "top_k", "out")
+# Each command's handler, help and the settings it reads, in echo order;
+# "hp" is the repeatable ``--hp`` and the ``hp.*`` config keys.
+COMMANDS = {
+    "mi-scores": (cmd_mi_scores, "dump per-feature MI scores", ("data", "out")),
+    "train": (cmd_train, "train one model on the train split",
+              ("data", "seed", "test_fraction", "top_k", "model", "model_file", "out", "hp")),
+    "evaluate": (cmd_evaluate, "evaluate a saved model on the test split",
+                 ("data", "seed", "test_fraction", "model_file", "out", "strict")),
+    "reproduce": (cmd_reproduce, "run all six models and compare to baseline",
+                  ("data", "seed", "seeds", "test_fraction", "top_k", "out", "strict", "hp")),
+    "score": (cmd_score, "batch-score sandbox behavioral reports",
+              ("data", "model_file", "out")),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line, built once: each command takes its ``RunConfig``
-    fields as ``--flag-name`` options, plus ``--config`` and ``--hp``."""
+    """The command line, built once: each command takes its settings as
+    ``--flag-name`` options, plus ``--config``."""
     parser = ArgumentParser(
         prog="rwdetect",
         description="Behavioral ransomware detection pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {  # name: (handler, help, settings besides COMMON)
-        "mi-scores": (cmd_mi_scores, "dump per-feature MI scores", ()),
-        "train": (cmd_train, "train one model on the train split", ("model", "model_file")),
-        "evaluate": (cmd_evaluate, "evaluate a saved model on the test split",
-                     ("model_file", "strict")),
-        "reproduce": (cmd_reproduce, "run all six models and compare to baseline",
-                      ("strict", "seeds")),
-        "score": (cmd_score, "batch-score sandbox behavioral reports", ("model_file",)),
-    }
-    fields = {f.name: f for f in SETTINGS}
-    for name, (handler, help_text, own) in commands.items():
+    for name, (handler, help_text, names) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=handler)
-        for key in COMMON + own:
-            f = fields[key]
+        for key in names:
+            if key == "hp":
+                p.add_argument("--hp", action="append", metavar="NAME=VALUE",
+                               help="hyperparameter override, repeatable")
+                continue
+            f = FIELDS[key]
             flag = "--" + key.replace("_", "-")
             if cast_of(f) is boolean:  # None when absent, so a config value applies
                 p.add_argument(flag, action="store_true", default=None,
                                help=f.metadata.get("help"))
             else:
-                p.add_argument(flag, type=cast_of(f), choices=CHOICES.get(key),
+                choices = classifiers.MODEL_KINDS if key == "model" else None
+                p.add_argument(flag, type=cast_of(f), choices=choices,
                                help=f.metadata.get("help"))
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--hp", action="append", metavar="NAME=VALUE",
-                       help="hyperparameter override, repeatable")
     sub.choices["score"].add_argument(
         "reports", help="report file (NDJSON) or directory of *.json")
     return parser

@@ -9,7 +9,8 @@ column ordinals rather than a dense vector.
 
 Two on-disk formats are supported and produce identical in-memory results:
 a dense CSV (header ``sample_id,family_id,<names...>``, cells "0"/"1") and
-a sparse tab-separated format (canonical for wide matrices):
+a sparse tab-separated format (canonical for wide matrices); ``file_format``
+tells them apart:
 
     #FEATURES <d>
     <feature name>          (d lines, column order)
@@ -285,6 +286,18 @@ def _dense_dictionary(reader, path) -> FeatureDictionary:
             f"{path}: header must start with 'sample_id,family_id', got {header[:2]}"
         )
     return FeatureDictionary(tuple(header[2:]))
+
+
+def file_format(path) -> str:
+    """"dense" when the first non-blank line of ``path`` starts with the dense
+    CSV header's ``sample_id,family_id``, else "sparse". Only the start of
+    that line is looked at."""
+    prefix = b"sample_id,family_id"
+    with open(path, "rb") as fh:
+        head = b"\n"
+        while head == b"\n":
+            head = fh.readline(len(prefix))
+    return "dense" if head == prefix else "sparse"
 
 
 def load_dictionary(path, fmt: str) -> FeatureDictionary:

@@ -98,16 +98,8 @@ COLUMNS = ("Model", "Accuracy(%)", "Precision", "Recall", "TP", "TN", "FP", "FN"
 
 
 def report_cells(r: EvalReport) -> tuple[str, ...]:
-    return (
-        r.model_name,
-        _fmt_pct(r.accuracy),
-        _fmt_ratio(r.precision),
-        _fmt_ratio(r.recall),
-        str(r.cm.tp),
-        str(r.cm.tn),
-        str(r.cm.fp),
-        str(r.cm.fn),
-    )
+    return (r.model_name, _fmt_pct(r.accuracy), _fmt_ratio(r.precision), _fmt_ratio(r.recall),
+            *map(str, (r.cm.tp, r.cm.tn, r.cm.fp, r.cm.fn)))
 
 
 def aligned(rows) -> str:
@@ -127,9 +119,6 @@ def compare_models_text(reports: list[EvalReport]) -> str:
 def compare_models_csv(reports: list[EvalReport]) -> str:
     if not reports:
         raise ValueError("no reports to compare")
-    header = "model,accuracy_pct,precision,recall,tp,tn,fp,fn"
-    lines = [header]
-    for r in reports:
-        cells = report_cells(r)
-        lines.append(",".join(cells))
+    lines = ["model,accuracy_pct,precision,recall,tp,tn,fp,fn"]
+    lines += [",".join(report_cells(r)) for r in reports]
     return "\n".join(lines) + "\n"

@@ -316,7 +316,7 @@ class TestScore:
     def test_one_predict_one_hash_no_sample_parsing(self, tmp_path, monkeypatch, capsys, fmt):
         data = make_dataset(tmp_path, fmt=fmt, n=120)
         out = tmp_path / "out"
-        run(["train", "--data", data, "--format", fmt, "--out", out, "--model", "knn",
+        run(["train", "--data", data, "--out", out, "--model", "knn",
              "--top-k", 5])
         n = 25
         batch = tmp_path / "batch.ndjson"
@@ -337,7 +337,7 @@ class TestScore:
         monkeypatch.setattr(dataset, "load_dense_csv",
                             counted("load", dataset.load_dense_csv))
         capsys.readouterr()
-        code = run(["score", "--data", data, "--format", fmt, "--out", out,
+        code = run(["score", "--data", data, "--out", out,
                     "--model-file", out / "model_knn.json", batch])
         assert code == 0
         assert f"scored {n} reports" in capsys.readouterr().out
@@ -347,16 +347,16 @@ class TestScore:
     def test_corrupt_sample_section_is_not_read(self, tmp_path, capsys, fmt):
         data = make_dataset(tmp_path, fmt=fmt, n=120)
         out = tmp_path / "out"
-        run(["train", "--data", data, "--format", fmt, "--out", out, "--model", "dt",
+        run(["train", "--data", data, "--out", out, "--model", "dt",
              "--top-k", 5])
         with open(data, "ab") as fh:
             fh.write(b"broken\t99\tNOPE:x\xff\n" if fmt == "sparse" else b"s1,x,\xff\n")
-        assert run(["train", "--data", data, "--format", fmt, "--out", tmp_path / "o",
+        assert run(["train", "--data", data, "--out", tmp_path / "o",
                     "--model", "dt"]) == cli.EXIT_DATA
         batch = tmp_path / "batch.ndjson"
         batch.write_text('{"api_calls": ["f00000"]}\n')
         capsys.readouterr()
-        code = run(["score", "--data", data, "--format", fmt, "--out", out,
+        code = run(["score", "--data", data, "--out", out,
                     "--model-file", out / "model_dt.json", batch])
         assert code == 0
         assert "scored 1 reports" in capsys.readouterr().out
@@ -454,8 +454,7 @@ class TestConfig:
         data = make_dataset(tmp_path)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"data={data}\n{line}\n")
-        assert run(["mi-scores", "--config", cfg, "--out", tmp_path / "o"]) \
-            == cli.EXIT_USAGE
+        assert run(["train", "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_USAGE
         assert line.split("=")[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("config, flags", [
@@ -534,33 +533,32 @@ class TestHyperparameters:
                     "--seeds", "0,x"]) == cli.EXIT_USAGE
 
 
-# Each command's flags besides --data, --out and --top-k, run in a
-# directory prepared by ``prepare_commands``.
+# Each command's flags besides --data and --out, run in a directory
+# prepared by ``prepare_commands``.
 COMMAND_FLAGS = {
     "mi-scores": [],
-    "train": ["--model", "dt", "--seed", 3],
+    "train": ["--model", "dt", "--top-k", 5, "--seed", 3],
     "evaluate": ["--model-file", "models/model_dt.json", "--seed", 3],
     "score": ["--model-file", "models/model_dt.json", "batch.ndjson"],
     # Models this small miss the baseline tolerance: exit 3.
-    "reproduce": ["--strict", "--seeds", "0,1", "--test-fraction", "0.3", "--hp", "n_trees=5",
-                  "--hp", "n_rounds=5", "--hp", "epochs=20"],
+    "reproduce": ["--top-k", 5, "--strict", "--seeds", "0,1", "--test-fraction", "0.3",
+                  "--hp", "n_trees=5", "--hp", "n_rounds=5", "--hp", "epochs=20"],
 }
 
 
 def prepare_commands(root, monkeypatch):
-    """Make ``root`` the working directory, holding data.sparse, a dt model in
-    models/ and batch.ndjson."""
+    """Make ``root`` the working directory, holding data.sparse, a seed-3 dt
+    model in models/ and batch.ndjson."""
     monkeypatch.chdir(root)
     make_dataset(root, n=100)
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(["train", "--data", "data.sparse", "--out", "models", "--model", "dt",
-                    "--top-k", 5]) == 0
+                    "--top-k", 5, "--seed", 3]) == 0
     Path("batch.ndjson").write_text('{"api_calls": ["f00000"]}\n{"strings": ["x"]}\n')
 
 
 def command_line(command):
-    return [command, "--data", "data.sparse", "--out", "out", "--top-k", 5,
-            *COMMAND_FLAGS[command]]
+    return [command, "--data", "data.sparse", "--out", "out", *COMMAND_FLAGS[command]]
 
 
 def tree_bytes(root):
@@ -579,6 +577,97 @@ def test_config_replay_is_byte_identical(tmp_path, monkeypatch, capsys, command)
     again = run([command, "--config", f"out/{command}.config", *reports])
     assert (again, capsys.readouterr().out) == first
     assert tree_bytes(tmp_path) == before  # same outputs, same echo, no stray file
+
+
+# The settings of each command, as flags; every command also takes --config.
+COMMAND_SETTINGS = {
+    "mi-scores": "--data --out",
+    "train": "--data --seed --test-fraction --top-k --model --model-file --out --hp",
+    "evaluate": "--data --seed --test-fraction --model-file --out --strict",
+    "reproduce": "--data --seed --seeds --test-fraction --top-k --out --strict --hp",
+    "score": "--data --model-file --out",
+}
+
+
+# Keys the echoes held when every command took every setting, in their
+# order, and values for those a command does not read.
+EARLIER_KEYS = ("data", "format", "seed", "seeds", "test_fraction", "top_k", "model",
+                "model_file", "out", "strict")
+UNREAD = {"format": "sparse", "seed": "99", "test_fraction": "0.9", "top_k": "1",
+          "model": "gbt", "strict": "True"}
+
+
+def earlier_form(command: str, echo: str) -> str:
+    """``echo`` of ``command`` as it was written when every command took every
+    setting, for a run given the ``UNREAD`` values and, when the command
+    reads no hyperparameter, ``--hp max_depth=1``."""
+    values = {**UNREAD, **dict(line.split("=", 1) for line in echo.splitlines())}
+    if "--hp" not in COMMAND_SETTINGS[command]:
+        values["hp.max_depth"] = "1"
+    keys = [*EARLIER_KEYS, *(key for key in values if key.startswith("hp."))]
+    return "".join(f"{key}={values[key]}\n" for key in keys if key in values)
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_earlier_form_echo_replays_byte_identically(tmp_path, monkeypatch, capsys, command):
+    prepare_commands(tmp_path, monkeypatch)
+    first = run(command_line(command)), capsys.readouterr().out
+    echo = Path("out", f"{command}.config").read_text()
+    Path("earlier.config").write_text(earlier_form(command, echo))
+    before = tree_bytes(tmp_path)
+    reports = ["batch.ndjson"] if command == "score" else []
+    again = run([command, "--config", "earlier.config", *reports])
+    assert (again, capsys.readouterr().out) == first
+    assert tree_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", list(COMMAND_SETTINGS))
+def test_help_lists_exactly_the_command_settings(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        run([command, "--help"])
+    assert exit_info.value.code == 0
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags == {*COMMAND_SETTINGS[command].split(), "--config", "--help"}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("score", ["--seed", 1]),
+    ("mi-scores", ["--top-k", 5]),
+    ("evaluate", ["--hp", "max_depth=3"]),
+    ("train", ["--format", "sparse"]),
+])
+def test_flag_of_an_unread_setting_is_one_line_usage_error(tmp_path, monkeypatch, capsys,
+                                                           command, flags):
+    prepare_commands(tmp_path, monkeypatch)
+    assert run([*command_line(command), *flags]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unrecognized arguments" in err
+    assert not Path("out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "reproduce"])
+def test_failed_split_leaves_no_echo(tmp_path, monkeypatch, capsys, command):
+    prepare_commands(tmp_path, monkeypatch)
+    lines = Path("data.sparse").read_text(encoding="utf-8").splitlines(keepends=True)
+    # Every sample goodware: the dictionary is the model's, the split fails.
+    one_class = [re.sub(r"\t\d+\t", "\t0\t", line, count=1) for line in lines]
+    Path("data.sparse").write_text("".join(one_class), encoding="utf-8")
+    capsys.readouterr()
+    assert run(command_line(command)) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "both classes" in err
+    assert not Path("out").exists()
+
+
+@pytest.mark.parametrize("flags", [["--seed", 0], ["--test-fraction", 0.5]])
+def test_evaluate_on_another_split_is_data_error(tmp_path, monkeypatch, capsys, flags):
+    # The model was fit on the seed-3 training partition, which would hold
+    # most of another split's test rows.
+    prepare_commands(tmp_path, monkeypatch)
+    assert run([*command_line("evaluate"), *flags]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "selected features differ" in err
+    assert not Path("out").exists()
 
 
 @pytest.mark.parametrize("command, output", [

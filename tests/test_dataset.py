@@ -12,6 +12,7 @@ from rwdetect.dataset import (
     CATEGORY_CODES,
     DataMatrix,
     FeatureDictionary,
+    file_format,
     generic_dictionary,
     load_dense_csv,
     load_dictionary,
@@ -533,3 +534,39 @@ class TestLoadDictionary:
         with pytest.raises(DataFormatError):
             self.LOADERS[fmt](p)
         assert load_dictionary(p, fmt).names == ("API:a",)
+
+
+class TestFileFormat:
+    """A file is dense CSV when its first non-blank line starts with
+    ``sample_id,family_id``, and sparse otherwise."""
+
+    def test_written_files(self, tmp_path):
+        m = matrix_from_dense([[1, 0], [0, 1]])
+        d = generic_dictionary(2)
+        for fmt, write in (("sparse", write_sparse), ("dense", write_dense_csv)):
+            p = tmp_path / f"m.{fmt}"
+            write(p, m, d)
+            assert file_format(p) == fmt
+
+    @pytest.mark.parametrize("content, fmt", [
+        (b"sample_id,family_id,API:a\ns1,0,1\n", "dense"),
+        (b"\n\nsample_id,family_id,API:a\n", "dense"),
+        (b"sample_id,family_id", "dense"),
+        (b"#FEATURES 1\nAPI:a\n#SAMPLES 0\n", "sparse"),
+        (b"\n#FEATURES 1\nAPI:a\n", "sparse"),
+        (b"id,family,API:a\ns1,0,1\n", "sparse"),
+        (b"sample_id,family\nsample_id,family_id,API:a\n", "sparse"),
+        (b" sample_id,family_id,API:a\n", "sparse"),
+        (b"\xff\xfe\n", "sparse"),
+        (b"", "sparse"),
+    ])
+    def test_first_non_blank_line_decides(self, tmp_path, content, fmt):
+        p = tmp_path / "d.data"
+        p.write_bytes(content)
+        assert file_format(p) == fmt
+
+    def test_sparse_errors_keep_their_message(self, tmp_path):
+        p = tmp_path / "d.data"
+        p.write_bytes(b"id,family,API:a\ns1,0,1\n")
+        with pytest.raises(DataFormatError, match="'#FEATURES <count>' header"):
+            load_dictionary(p, file_format(p))
