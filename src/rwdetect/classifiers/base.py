@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset import DataMatrix
 from ..errors import FingerprintMismatch, FitError
 
 DECISION_THRESHOLD = 0.5
@@ -20,11 +19,11 @@ class Fingerprint:
     dictionary_sha256: str = ""
     selected: tuple[int, ...] = ()
 
-    def check_matrix(self, matrix: DataMatrix) -> None:
-        if matrix.n_features != self.n_features:
+    def check_matrix(self, X: np.ndarray) -> None:
+        if X.shape[1] != self.n_features:
             raise FingerprintMismatch(
                 f"model expects {self.n_features} features, "
-                f"matrix has {matrix.n_features}"
+                f"matrix has {X.shape[1]}"
             )
 
 
@@ -44,23 +43,41 @@ def scores_to_predictions(scores) -> list[Prediction]:
     ]
 
 
-def as_xy(matrix: DataMatrix, y: np.ndarray):
-    """Dense float-free views used by all fitters."""
-    if matrix.n_samples == 0:
+def check_xy(X: np.ndarray, y: np.ndarray) -> None:
+    """Reject what no fitter trains on: a 0/1 array with no rows, or not one label per row."""
+    if len(X) == 0:
         raise FitError("empty training matrix")
-    if len(y) != matrix.n_samples:
-        raise FitError(f"labels length {len(y)} != n_samples {matrix.n_samples}")
-    return matrix.to_dense(), np.asarray(y)
+    if len(y) != len(X):
+        raise FitError(f"labels length {len(y)} != n_samples {len(X)}")
+
+
+# Counts that must be at least 1 when set, and rates that must be above 0.
+AT_LEAST_ONE = ("n_trees", "k_neighbors", "epochs", "features_per_split")
+POSITIVE = ("learning_rate", "regularization")
+
+
+class Params:
+    """Checks its hyperparameters' ranges when made, so ``--hp``, config files
+    and model files all apply one rule; every float must also be finite."""
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise FitError(f"{name}={value!r} is not finite")
+            if name in AT_LEAST_ONE and value is not None and value < 1:
+                raise FitError(f"{name}={value!r} must be >= 1")
+            if name in POSITIVE and value <= 0:
+                raise FitError(f"{name}={value!r} must be > 0")
 
 
 @dataclass(frozen=True)
-class TreeParams:
+class TreeParams(Params):
     max_depth: int = 32
     min_samples_leaf: int = 1
 
 
 @dataclass(frozen=True)
-class ForestParams:
+class ForestParams(Params):
     n_trees: int = 100
     features_per_split: int | None = None  # None -> ceil(sqrt(d))
     bootstrap: bool = True
@@ -70,19 +87,19 @@ class ForestParams:
 
 
 @dataclass(frozen=True)
-class KnnParams:
+class KnnParams(Params):
     k_neighbors: int = 5
 
 
 @dataclass(frozen=True)
-class SvmParams:
+class SvmParams(Params):
     regularization: float = 1e-4
     epochs: int = 50
     seed: int = 0
 
 
 @dataclass(frozen=True)
-class GbtParams:
+class GbtParams(Params):
     n_rounds: int = 100
     learning_rate: float = 0.3
     max_depth: int = 6
@@ -91,7 +108,7 @@ class GbtParams:
 
 
 @dataclass(frozen=True)
-class LogRegParams:
+class LogRegParams(Params):
     learning_rate: float = 0.1
     epochs: int = 500
     l2_penalty: float = 1e-4

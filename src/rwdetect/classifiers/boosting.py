@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset import DataMatrix
-from ..errors import FitError
-from .base import Fingerprint, GbtParams, Prediction, as_xy, scores_to_predictions, sigmoid
+from .base import Fingerprint, GbtParams, Prediction, check_xy, scores_to_predictions, sigmoid
 from .tree import FlatTree, build_tree, leaf_values
 
 
@@ -79,25 +77,23 @@ class GbtModel:
     params: GbtParams
     fingerprint: Fingerprint
 
-    def predict(self, matrix: DataMatrix) -> list[Prediction]:
-        self.fingerprint.check_matrix(matrix)
-        margin = np.full(matrix.n_samples, self.base_score, dtype=np.float64)
+    def predict(self, X: np.ndarray) -> list[Prediction]:
+        self.fingerprint.check_matrix(X)
+        margin = np.full(len(X), self.base_score, dtype=np.float64)
         # One tree at a time, in round order, as the fit added them.
-        for outputs in leaf_values(self.trees, matrix.to_dense()).T:
+        for outputs in leaf_values(self.trees, X).T:
             margin += self.params.learning_rate * outputs
         return scores_to_predictions(sigmoid(margin))
 
 
 def fit_gradient_boosting(
-    matrix: DataMatrix,
+    X: np.ndarray,
     y: np.ndarray,
     params: GbtParams = GbtParams(),
     fingerprint: Fingerprint | None = None,
 ) -> GbtModel:
-    if params.learning_rate <= 0:
-        raise FitError("learning_rate must be positive")
-    X, labels = as_xy(matrix, y)
-    yf = labels.astype(np.float64)
+    check_xy(X, y)
+    yf = y.astype(np.float64)
 
     mean = float(np.clip(yf.mean(), 1e-12, 1 - 1e-12))
     base_score = float(np.log(mean / (1.0 - mean)))
@@ -115,5 +111,5 @@ def fit_gradient_boosting(
         trees=tuple(trees),
         base_score=base_score,
         params=params,
-        fingerprint=fingerprint or Fingerprint(matrix.n_features),
+        fingerprint=fingerprint or Fingerprint(X.shape[1]),
     )

@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset import DataMatrix
 from ..errors import FitError
-from .base import Fingerprint, ForestParams, Prediction, TreeParams, as_xy, scores_to_predictions
+from .base import Fingerprint, ForestParams, Prediction, TreeParams, check_xy, scores_to_predictions
 from .tree import FlatTree, grow_tree, leaf_values
 
 
@@ -20,20 +19,20 @@ class RandomForestModel:
     params: ForestParams
     fingerprint: Fingerprint
 
-    def predict(self, matrix: DataMatrix) -> list[Prediction]:
+    def predict(self, X: np.ndarray) -> list[Prediction]:
         """The score is the fraction of trees whose leaf score is at least 0.5."""
-        self.fingerprint.check_matrix(matrix)
-        votes = np.count_nonzero(leaf_values(self.trees, matrix.to_dense()) >= 0.5, axis=1)
+        self.fingerprint.check_matrix(X)
+        votes = np.count_nonzero(leaf_values(self.trees, X) >= 0.5, axis=1)
         return scores_to_predictions(votes / len(self.trees))
 
 
 def fit_random_forest(
-    matrix: DataMatrix,
+    X: np.ndarray,
     y: np.ndarray,
     params: ForestParams = ForestParams(),
     fingerprint: Fingerprint | None = None,
 ) -> RandomForestModel:
-    X, labels = as_xy(matrix, y)
+    check_xy(X, y)
     n, d = X.shape
     if n < 2:
         raise FitError("random forest needs at least 2 samples")
@@ -59,9 +58,9 @@ def fit_random_forest(
             def picker():
                 return np.sort(rng.choice(d, size=fps, replace=False))
 
-        trees.append(grow_tree(XT, labels, idx, tree_params, candidate_picker=picker))
+        trees.append(grow_tree(XT, y, idx, tree_params, candidate_picker=picker))
     return RandomForestModel(
         trees=tuple(trees),
         params=params,
-        fingerprint=fingerprint or Fingerprint(matrix.n_features),
+        fingerprint=fingerprint or Fingerprint(d),
     )

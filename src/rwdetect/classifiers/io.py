@@ -14,10 +14,11 @@ can be used to predict.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, fields
 
 from ..dataset import DataMatrix
-from ..errors import DataFormatError, ModelFormatError
+from ..errors import DataFormatError, FitError, ModelFormatError
 from .base import DEFAULT_PARAMS, Fingerprint
 from .boosting import GbtModel
 from .forest import RandomForestModel
@@ -64,9 +65,9 @@ def _decode_trees(payload, leaf_key: str, n_features: int) -> tuple:
 
 
 def _number(value, what: str) -> float:
-    """A JSON number as a float; an int beyond float range fails here, not at predict."""
-    if type(value) not in (int, float):
-        raise ModelFormatError(f"{what} {value!r} is not a number")
+    """A finite JSON number as a float; NaN, Infinity and huge ints fail here, not at predict."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ModelFormatError(f"{what} {value!r} is not a finite number")
     return float(value)
 
 
@@ -86,9 +87,9 @@ def _payload(model):
         return {"trees": [_encode_tree(t, "s") for t in model.trees]}
     if kind == "knn":
         return {
-            "rows": [row.tolist() for row in model.train.row_ordinals()],
+            "rows": [row.nonzero()[0].tolist() for row in model.train],
             "labels": list(model.train_labels),
-            "n_features": model.train.n_features,
+            "n_features": model.train.shape[1],
         }
     if kind in ("svm", "logreg"):
         return {"weights": list(model.weights), "bias": model.bias}
@@ -134,7 +135,7 @@ def _decode_params(kind: str, hp):
 
 def _decode_fingerprint(fp) -> Fingerprint:
     n_features, sha = fp["n_features"], fp["dictionary_sha256"]
-    _require(type(n_features) is int and n_features >= 0,
+    _require(type(n_features) is int and n_features >= 1,
              f"fingerprint n_features {n_features!r} is invalid")
     _require(isinstance(sha, str), "fingerprint dictionary_sha256 must be a string")
     selected = _list(fp["selected"], "fingerprint selected")
@@ -158,7 +159,7 @@ def _decode_knn(payload, params, fingerprint: Fingerprint) -> KnnModel:
              f"k_neighbors {params.k_neighbors} outside [1, {len(rows)}] stored rows")
     _require(all(type(j) is int for row in rows for j in _list(row, "knn row")),
              "knn row ordinals must be integers")
-    return KnnModel(DataMatrix.from_rows(n_features, rows), tuple(labels), params,
+    return KnnModel(DataMatrix.from_rows(n_features, rows).to_dense(), tuple(labels), params,
                     fingerprint)
 
 
@@ -192,5 +193,7 @@ def deserialize_model(data: bytes):
         weights = _list(payload["weights"], "weights", d)
         return linear(weights=tuple(_number(w, "weight") for w in weights),
                       bias=_number(payload["bias"], "bias"), **bound)
+    except FitError as exc:  # a hyperparameter out of its range
+        raise ModelFormatError(f"hyperparameter {exc}") from None
     except (KeyError, TypeError, OverflowError, DataFormatError) as exc:
         raise ModelFormatError(f"truncated or malformed payload: {exc}") from exc

@@ -6,14 +6,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dataset import DataMatrix
 from ..errors import FitError
 from .base import (
     Fingerprint,
     LogRegParams,
     Prediction,
     SvmParams,
-    as_xy,
+    check_xy,
     scores_to_predictions,
     sigmoid,
 )
@@ -27,14 +26,11 @@ class LinearSvmModel:
     params: SvmParams
     fingerprint: Fingerprint
 
-    def margins(self, X) -> np.ndarray:
-        return X @ np.asarray(self.weights) + self.bias
-
-    def predict(self, matrix: DataMatrix) -> list[Prediction]:
+    def predict(self, X: np.ndarray) -> list[Prediction]:
         """Label is the margin sign; the score maps the margin through a
         fixed logistic link so thresholding at 0.5 agrees with the sign."""
-        self.fingerprint.check_matrix(matrix)
-        margins = self.margins(matrix.to_dense().astype(np.float64))
+        self.fingerprint.check_matrix(X)
+        margins = X.astype(np.float64) @ np.asarray(self.weights) + self.bias
         return [
             Prediction(int(m >= 0.0), float(sigmoid(m))) for m in margins
         ]
@@ -48,7 +44,7 @@ def svm_objective(w, b, X, y_pm, lam: float) -> float:
 
 
 def fit_linear_svm(
-    matrix: DataMatrix,
+    X: np.ndarray,
     y: np.ndarray,
     params: SvmParams = SvmParams(),
     fingerprint: Fingerprint | None = None,
@@ -58,11 +54,11 @@ def fit_linear_svm(
     iterate-averaged weights. The unit offset in the step keeps early
     iterates bounded when lam is small; the bias rides along as a
     constant-1 feature so the projection keeps it bounded too."""
-    X, labels = as_xy(matrix, y)
-    if labels.min() == labels.max():
+    check_xy(X, y)
+    if y.min() == y.max():
         raise FitError("SVM requires both classes in the training set")
     Xf = np.hstack([X.astype(np.float64), np.ones((X.shape[0], 1))])
-    y_pm = np.where(labels == 1, 1.0, -1.0)
+    y_pm = np.where(y == 1, 1.0, -1.0)
     n, d = Xf.shape
     lam = params.regularization
     radius = 1.0 / np.sqrt(lam)
@@ -88,7 +84,7 @@ def fit_linear_svm(
         weights=tuple(float(v) for v in w_avg[:-1]),
         bias=float(w_avg[-1]),
         params=params,
-        fingerprint=fingerprint or Fingerprint(matrix.n_features),
+        fingerprint=fingerprint or Fingerprint(X.shape[1]),
     )
 
 
@@ -101,12 +97,10 @@ class LogRegModel:
     fingerprint: Fingerprint
     loss_history: tuple[float, ...] = field(default=(), compare=False)
 
-    def scores(self, X) -> np.ndarray:
-        return sigmoid(X @ np.asarray(self.weights) + self.bias)
-
-    def predict(self, matrix: DataMatrix) -> list[Prediction]:
-        self.fingerprint.check_matrix(matrix)
-        return scores_to_predictions(self.scores(matrix.to_dense().astype(np.float64)))
+    def predict(self, X: np.ndarray) -> list[Prediction]:
+        self.fingerprint.check_matrix(X)
+        margins = X.astype(np.float64) @ np.asarray(self.weights) + self.bias
+        return scores_to_predictions(sigmoid(margins))
 
 
 def logistic_loss_and_gradient(w, b, X, y, l2: float):
@@ -122,17 +116,15 @@ def logistic_loss_and_gradient(w, b, X, y, l2: float):
 
 
 def fit_logistic_regression(
-    matrix: DataMatrix,
+    X: np.ndarray,
     y: np.ndarray,
     params: LogRegParams = LogRegParams(),
     fingerprint: Fingerprint | None = None,
 ) -> LogRegModel:
     """Full-batch gradient descent from zero initialization."""
-    if params.learning_rate <= 0:
-        raise FitError("learning_rate must be positive")
-    X, labels = as_xy(matrix, y)
+    check_xy(X, y)
     Xf = X.astype(np.float64)
-    yf = labels.astype(np.float64)
+    yf = y.astype(np.float64)
     d = Xf.shape[1]
 
     w = np.zeros(d)
@@ -150,6 +142,6 @@ def fit_logistic_regression(
         weights=tuple(float(v) for v in w),
         bias=float(b),
         params=params,
-        fingerprint=fingerprint or Fingerprint(matrix.n_features),
+        fingerprint=fingerprint or Fingerprint(d),
         loss_history=tuple(history),
     )

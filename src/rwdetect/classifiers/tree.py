@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset import DataMatrix
-from .base import Fingerprint, Prediction, TreeParams, as_xy, scores_to_predictions
+from .base import Fingerprint, Prediction, TreeParams, check_xy, scores_to_predictions
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,21 +147,21 @@ class DecisionTreeModel:
     params: TreeParams
     fingerprint: Fingerprint
 
-    def predict(self, matrix: DataMatrix) -> list[Prediction]:
-        self.fingerprint.check_matrix(matrix)
-        return scores_to_predictions(leaf_values((self.tree,), matrix.to_dense())[:, 0])
+    def predict(self, X: np.ndarray) -> list[Prediction]:
+        self.fingerprint.check_matrix(X)
+        return scores_to_predictions(leaf_values((self.tree,), X)[:, 0])
 
 
 def fit_decision_tree(
-    matrix: DataMatrix,
+    X: np.ndarray,
     y: np.ndarray,
     params: TreeParams = TreeParams(),
     fingerprint: Fingerprint | None = None,
 ) -> DecisionTreeModel:
-    X, labels = as_xy(matrix, y)
-    tree = grow_tree(np.ascontiguousarray(X.T), labels, np.arange(len(labels)), params)
+    check_xy(X, y)
+    tree = grow_tree(np.ascontiguousarray(X.T), y, np.arange(len(y)), params)
     return DecisionTreeModel(
         tree=tree,
         params=params,
-        fingerprint=fingerprint or Fingerprint(matrix.n_features),
+        fingerprint=fingerprint or Fingerprint(X.shape[1]),
     )

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import classifiers, dataset, evaluation, reports, selection
-from .errors import DataFormatError, FingerprintMismatch, RwdetectError
+from .errors import DataFormatError, FingerprintMismatch, FitError, RwdetectError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -194,8 +194,11 @@ def make_params(kind: str, overrides: dict):
     fields; overrides are shared across kinds, so other keys are ignored."""
     cls = classifiers.DEFAULT_PARAMS[kind]
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    return cls(**{key: parse_value(cast_of(fields[key]), raw, f"hyperparameter {key}")
-                  for key, raw in overrides.items() if key in fields})
+    try:
+        return cls(**{key: parse_value(cast_of(fields[key]), raw, f"hyperparameter {key}")
+                      for key, raw in overrides.items() if key in fields})
+    except FitError as exc:  # a value out of its range
+        raise UsageError(f"hyperparameter {exc}") from None
 
 
 def load_model(cfg: RunConfig):
@@ -221,26 +224,23 @@ def ensure_out(cfg: RunConfig, command: str) -> Path:
     return out_dir
 
 
-def predict_and_evaluate(model, matrix, y):
-    """``model``'s metrics on the rows of ``matrix``, under its kind's display name."""
-    labels = [p.label for p in model.predict(matrix)]
+def predict_and_evaluate(model, X, y):
+    """``model``'s metrics on the rows of ``X``, under its kind's display name."""
+    labels = [p.label for p in model.predict(X)]
     return evaluation.evaluate_predictions(BASELINE[model.kind][0], y, labels)
 
 
 def split_and_select(matrix, dictionary, y, cfg: RunConfig):
     """Projected train and test partitions, their labels and the models' fingerprint."""
     train_idx, test_idx = dataset.stratified_split(matrix, y, cfg.seed, cfg.test_fraction)
-    train_m = dataset.take_rows(matrix, train_idx)
-    test_m = dataset.take_rows(matrix, test_idx)
     train_y = y[train_idx]
     # Selection is fit on the training partition only.
-    scores = selection.score_all(train_m, train_y)
+    scores = selection.score_all(dataset.take_rows(matrix, train_idx), train_y)
     k = min(cfg.top_k, matrix.n_features)
     selected = selection.select_k_best(scores, k)
     fingerprint = classifiers.Fingerprint(k, dictionary.sha256(), selected)
-    train_p = selection.project(train_m, selected)
-    test_p = selection.project(test_m, selected)
-    return train_p, train_y, test_p, y[test_idx], fingerprint
+    X = selection.project(matrix, selected)
+    return X[train_idx], train_y, X[test_idx], y[test_idx], fingerprint
 
 
 def cmd_mi_scores(args) -> int:

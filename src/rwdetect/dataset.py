@@ -199,7 +199,7 @@ def load_dense_csv(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
     """Load the dense CSV format.
 
     Header row must be ``sample_id,family_id,<feature names...>``; body
-    cells are strictly "0"/"1".
+    cells are strictly "0"/"1". Blank lines are skipped, also before the header.
     """
     rows, family_ids, sample_ids = [], [], []
     try:
@@ -207,9 +207,8 @@ def load_dense_csv(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
             reader = csv.reader(_decoded_lines(fh))
             dictionary = _dense_dictionary(reader, path)
             d = len(dictionary)
-            for line_no, cells in enumerate(reader, start=2):
-                if not cells:
-                    continue
+            for cells in filter(None, reader):
+                line_no = reader.line_num
                 if len(cells) != d + 2:
                     raise DataFormatError(
                         f"{path}: line {line_no}: expected {d + 2} cells, got {len(cells)}"
@@ -279,8 +278,8 @@ def _sparse_dictionary(fh, path) -> FeatureDictionary:
 
 
 def _dense_dictionary(reader, path) -> FeatureDictionary:
-    """The feature names of a dense CSV's header row."""
-    header = next(reader, [])
+    """The feature names of a dense CSV's header row, its first non-blank row."""
+    header = next(filter(None, reader), [])
     if header[:2] != ["sample_id", "family_id"]:
         raise DataFormatError(
             f"{path}: header must start with 'sample_id,family_id', got {header[:2]}"

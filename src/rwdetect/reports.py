@@ -9,7 +9,7 @@ diagnostics, never errors.
 
 Reports are scored in batches: the model's fingerprint is checked once
 against the dictionary, every report is vectorized into one
-sparse matrix of the selected columns, and the model predicts all rows in
+0/1 array of the selected columns, and the model predicts all rows in
 one call. The dictionary comes from the feature section of the training
 dataset alone; a fingerprint mismatch fails the whole batch, while a
 report that does not parse is set aside and the rest are scored.
@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .classifiers import Prediction
-from .dataset import DataMatrix, FeatureDictionary
+from .dataset import FeatureDictionary
 from .errors import DataFormatError, FingerprintMismatch
 
 logger = logging.getLogger(__name__)
@@ -127,9 +127,9 @@ def score_reports(
     The fingerprint is checked once, before any report is read, and the
     model predicts every report's row in one call; results follow the
     order of ``reports``, which may be any iterable. Each report's row is
-    projected onto the selected columns as it is vectorized and goes
-    straight into the batch's sparse arrays, and its outcome is kept beside
-    them with ``row=()``.
+    projected onto the selected columns as it is vectorized, only its
+    (row, column) entries are kept until the batch's array is filled, and
+    its outcome is kept beside them with ``row=()``.
     """
     selected = model.fingerprint.selected
     check_fingerprint(model.fingerprint, dictionary)
@@ -139,17 +139,16 @@ def score_reports(
     column = [None] * len(dictionary)
     for c, j in enumerate(selected):
         column[j] = c
-    indptr, indices, counts = [0], array("i"), []
+    rows, columns, counts = array("i"), array("i"), []
     for report in reports:
         outcome = vectorize(report, dictionary)
         row = [c for c in map(column.__getitem__, outcome.row) if c is not None]
-        row.sort()
-        indices.extend(row)
-        indptr.append(len(indices))
+        rows.extend([len(counts)] * len(row))
+        columns.extend(row)
         counts.append(outcome._replace(row=()))
-    matrix = DataMatrix(len(selected), np.array(indptr, dtype=np.int64),
-                        np.asarray(indices, dtype=np.int32))
-    return list(zip(model.predict(matrix), counts))
+    X = np.zeros((len(counts), len(selected)), dtype=np.uint8)
+    X[np.asarray(rows), np.asarray(columns)] = 1
+    return list(zip(model.predict(X), counts))
 
 
 def score_report(

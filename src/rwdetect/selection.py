@@ -107,8 +107,8 @@ def select_k_best(scores, k: int) -> tuple[int, ...]:
     return tuple(rank_features(scores)[:k].tolist())
 
 
-def project(matrix: DataMatrix, selected) -> DataMatrix:
-    """Column subset re-encoded into the new ordinal space."""
+def project(matrix: DataMatrix, selected) -> np.ndarray:
+    """The ``selected`` columns of ``matrix``, in that order, as a dense 0/1 uint8 array."""
     selected = np.asarray(list(selected), dtype=np.int64)
     if len(np.unique(selected)) != len(selected):
         raise ValueError("duplicate ordinal in selection")
@@ -120,14 +120,12 @@ def project(matrix: DataMatrix, selected) -> DataMatrix:
     new_ordinal = np.full(matrix.n_features, -1, dtype=np.int64)
     new_ordinal[selected] = np.arange(len(selected))
     remapped = new_ordinal[matrix.indices]
-    kept = remapped >= 0
-    rows = matrix.entry_rows()[kept]
-    remapped = remapped[kept]
-    order = np.lexsort((remapped, rows))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=matrix.n_samples))))
-    return DataMatrix(
-        len(selected), indptr, remapped[order], matrix.family_ids, matrix.sample_ids
-    )
+    kept = np.flatnonzero(remapped >= 0)
+    # The row of each kept entry is looked up in ``indptr``: a row number for
+    # every entry would be one more int64 array as long as ``indices``.
+    out = np.zeros((matrix.n_samples, len(selected)), dtype=np.uint8)
+    out[np.searchsorted(matrix.indptr, kept, side="right") - 1, remapped[kept]] = 1
+    return out
 
 
 def write_scores_csv(path, dictionary: FeatureDictionary, scores) -> None:

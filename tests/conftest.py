@@ -20,6 +20,11 @@ def matrix_from_dense(dense, labels=None, family_ids=None):
     return (m, y) if labels is not None else m
 
 
+def xy(dense, labels):
+    """A 0/1 uint8 array and its int64 labels, as the fitters take them."""
+    return np.asarray(dense, dtype=np.uint8), np.asarray(labels, dtype=np.int64)
+
+
 def random_dense(rng, n, d, p=0.5):
     return (rng.random((n, d)) < p).astype(np.uint8)
 

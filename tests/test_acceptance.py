@@ -160,13 +160,11 @@ def test_criterion_5_knn_oracle():
             train_X = random_dense(rng, n, d)
             train_y = rng.integers(0, 2, size=n)
             query_X = random_dense(rng, 5, d)
-            m, y = matrix_from_dense(train_X, labels=train_y)
-            queries = matrix_from_dense(query_X)
             for k in (1, 3, 5):
                 if k > n:
                     continue
-                model = fit_knn(m, y, KnnParams(k_neighbors=k))
-                preds = model.predict(queries)
+                model = fit_knn(train_X, train_y, KnnParams(k_neighbors=k))
+                preds = model.predict(query_X)
                 for q, p in zip(query_X, preds):
                     label, score = knn_oracle(train_X, train_y, q, k)
                     assert p.label == label and p.score == score
@@ -179,9 +177,8 @@ def test_criterion_6_tree_split_oracles():
         for X in matrices:
             for pattern in range(256):  # every label assignment
                 y = np.array([(pattern >> i) & 1 for i in range(8)], dtype=np.int64)
-                m, labels = matrix_from_dense(X, labels=y)
 
-                tree = fit_decision_tree(m, labels).tree
+                tree = fit_decision_tree(X, y).tree
                 expected = gini_oracle_root(X, y)
                 actual = None if tree.is_leaf(0) else tree.feature[0]
                 assert actual == expected, (pattern, actual, expected)
@@ -189,7 +186,7 @@ def test_criterion_6_tree_split_oracles():
                 if y.min() == y.max():
                     continue
                 gbt = fit_gradient_boosting(
-                    m, labels, GbtParams(n_rounds=1, max_depth=1)
+                    X, y, GbtParams(n_rounds=1, max_depth=1)
                 )
                 best_gain, optimal, results = gain_oracle(X, y, lam=1.0)
                 tree = gbt.trees[0]
@@ -211,15 +208,14 @@ def test_criterion_7_determinism_and_persistence():
         rng.shuffle(train_y)
         if train_y.min() == train_y.max():
             train_y[0] = 1 - train_y[0]
-        m, y = matrix_from_dense(train_X, labels=train_y)
-        test_m = matrix_from_dense(random_dense(rng, 1000, 10))
+        test_X = random_dense(rng, 1000, 10)
 
         for kind in MODEL_KINDS:
-            model = FITTERS[kind](m, y)
+            model = FITTERS[kind](train_X, train_y)
             blob = serialize_model(model)
-            assert serialize_model(FITTERS[kind](m, y)) == blob
+            assert serialize_model(FITTERS[kind](train_X, train_y)) == blob
             restored = deserialize_model(blob)
-            assert restored.predict(test_m) == model.predict(test_m)
+            assert restored.predict(test_X) == model.predict(test_X)
 
 
 def test_criterion_8_pipeline_soundness():

@@ -6,7 +6,7 @@ import pytest
 from rwdetect.classifiers import GbtParams, fit_gradient_boosting
 from rwdetect.errors import FitError
 
-from conftest import matrix_from_dense, random_dense
+from conftest import random_dense, xy
 
 
 def sigmoid(z):
@@ -46,20 +46,15 @@ def gain_oracle(X, y, lam):
 
 class TestGradientBoosting:
     def test_zero_rounds_predicts_positive_rate(self):
-        m, y = matrix_from_dense(
-            [[0], [1], [0], [1]], labels=[0, 1, 1, 1]
-        )
-        model = fit_gradient_boosting(m, y, GbtParams(n_rounds=0))
-        for p in model.predict(m):
+        X, y = xy([[0], [1], [0], [1]], [0, 1, 1, 1])
+        model = fit_gradient_boosting(X, y, GbtParams(n_rounds=0))
+        for p in model.predict(X):
             assert p.score == pytest.approx(0.75, abs=1e-12)
 
     def test_separating_feature_reaches_perfect_accuracy(self):
-        m, y = matrix_from_dense(
-            [[0, 1], [1, 0], [0, 0], [1, 1], [0, 1], [1, 0]],
-            labels=[0, 1, 0, 1, 0, 1],
-        )
-        model = fit_gradient_boosting(m, y, GbtParams(n_rounds=10))
-        assert [p.label for p in model.predict(m)] == y.tolist()
+        X, y = xy([[0, 1], [1, 0], [0, 0], [1, 1], [0, 1], [1, 0]], [0, 1, 0, 1, 0, 1])
+        model = fit_gradient_boosting(X, y, GbtParams(n_rounds=10))
+        assert [p.label for p in model.predict(X)] == y.tolist()
 
     @pytest.mark.parametrize("seed", range(30))
     def test_first_tree_matches_exhaustive_gain(self, seed):
@@ -68,10 +63,9 @@ class TestGradientBoosting:
         y = rng.integers(0, 2, size=8)
         if y.min() == y.max():
             y[0] = 1 - y[0]
-        m, labels = matrix_from_dense(X, labels=y)
         lam = 1.0
         model = fit_gradient_boosting(
-            m, labels, GbtParams(n_rounds=1, max_depth=1, l2_leaf_penalty=lam)
+            X, y, GbtParams(n_rounds=1, max_depth=1, l2_leaf_penalty=lam)
         )
         best_gain, optimal, results = gain_oracle(X, y, lam)
 
@@ -89,9 +83,8 @@ class TestGradientBoosting:
         rng = np.random.default_rng(33)
         X = random_dense(rng, 40, 6)
         y = rng.integers(0, 2, size=40)
-        m, labels = matrix_from_dense(X, labels=y)
         model = fit_gradient_boosting(
-            m, labels, GbtParams(n_rounds=5, l2_leaf_penalty=1e9)
+            X, y, GbtParams(n_rounds=5, l2_leaf_penalty=1e9)
         )
 
         def leaves(tree, node=0):
@@ -106,11 +99,11 @@ class TestGradientBoosting:
                 assert abs(w) < 1e-6
 
     def test_non_positive_learning_rate_rejected(self):
-        m, y = matrix_from_dense([[0], [1]], labels=[0, 1])
+        X, y = xy([[0], [1]], [0, 1])
         with pytest.raises(FitError, match="learning_rate"):
-            fit_gradient_boosting(m, y, GbtParams(learning_rate=0.0))
+            fit_gradient_boosting(X, y, GbtParams(learning_rate=0.0))
 
     def test_base_score_is_logit_of_mean(self):
-        m, y = matrix_from_dense([[0]] * 3 + [[1]], labels=[0, 0, 0, 1])
-        model = fit_gradient_boosting(m, y, GbtParams(n_rounds=0))
+        X, y = xy([[0]] * 3 + [[1]], [0, 0, 0, 1])
+        model = fit_gradient_boosting(X, y, GbtParams(n_rounds=0))
         assert sigmoid(model.base_score) == pytest.approx(0.25, abs=1e-12)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rwdetect import cli, dataset
-from rwdetect.classifiers import deserialize_model
+from rwdetect.classifiers import MODEL_KINDS, deserialize_model
 from rwdetect.classifiers.knn import KnnModel
 from rwdetect.dataset import (
     DataMatrix,
@@ -57,6 +58,15 @@ class TestMiScores:
         data = make_dataset(tmp_path)
         monkeypatch.setenv(cli.DATA_ENV_VAR, str(data))
         assert run(["mi-scores", "--out", tmp_path / "o"]) == 0
+
+    def test_blank_lines_before_dense_header(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, fmt="dense")
+        padded = tmp_path / "padded.csv"
+        padded.write_bytes(b"\n\n" + data.read_bytes())
+        for path, out in ((data, "plain"), (padded, "padded")):
+            assert run(["mi-scores", "--data", path, "--out", tmp_path / out]) == 0
+        assert (tmp_path / "padded" / "mi_scores.csv").read_bytes() == \
+            (tmp_path / "plain" / "mi_scores.csv").read_bytes()
 
 
 class TestTrain:
@@ -362,6 +372,75 @@ class TestScore:
         assert "scored 1 reports" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A directory holding data.sparse, batch.ndjson and a seed-3 model of each kind."""
+    root = tmp_path_factory.mktemp("trained")
+    data = make_dataset(root, n=100)
+    (root / "batch.ndjson").write_text('{"api_calls": ["f00000"]}\n')
+    with contextlib.redirect_stdout(io.StringIO()):
+        for kind in MODEL_KINDS:
+            assert run(["train", "--data", data, "--out", root, "--model", kind, "--top-k", 5,
+                        "--seed", 3, "--hp", "n_trees=3", "--hp", "n_rounds=3"]) == 0
+    return root
+
+
+def first_leaf(tree):
+    """The leftmost leaf of a tree in the model file's nested layout."""
+    while "f" in tree:
+        tree = tree["l"]
+    return tree
+
+
+def no_features(doc):
+    doc["fingerprint"].update(n_features=0, selected=[])
+    doc["payload"]["weights"] = []
+
+
+# Defects of a model file, each an edit of the decoded document of one kind.
+MODEL_FILE_DEFECTS = {
+    "rf n_trees=0": ("rf", lambda doc: doc["hyperparameters"].update(n_trees=0)),
+    "rf features_per_split=-1":
+        ("rf", lambda doc: doc["hyperparameters"].update(features_per_split=-1)),
+    "svm epochs=0": ("svm", lambda doc: doc["hyperparameters"].update(epochs=0)),
+    "svm regularization=0": ("svm", lambda doc: doc["hyperparameters"].update(regularization=0.0)),
+    "gbt learning_rate<0": ("gbt", lambda doc: doc["hyperparameters"].update(learning_rate=-0.1)),
+    "gbt learning_rate=NaN":
+        ("gbt", lambda doc: doc["hyperparameters"].update(learning_rate=math.nan)),
+    "logreg weight NaN": ("logreg", lambda doc: doc["payload"]["weights"].__setitem__(0, math.nan)),
+    "svm bias Infinity": ("svm", lambda doc: doc["payload"].update(bias=math.inf)),
+    "gbt base_score NaN": ("gbt", lambda doc: doc["payload"].update(base_score=math.nan)),
+    "dt leaf NaN": ("dt", lambda doc: first_leaf(doc["payload"]["root"]).update(s=math.nan)),
+    "rf leaf Infinity":
+        ("rf", lambda doc: first_leaf(doc["payload"]["trees"][0]).update(s=math.inf)),
+    "gbt leaf -Infinity":
+        ("gbt", lambda doc: first_leaf(doc["payload"]["trees"][0]).update(w=-math.inf)),
+    "logreg zero features": ("logreg", no_features),
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "score"])
+@pytest.mark.parametrize("defect", [None, *MODEL_FILE_DEFECTS])
+def test_model_file_out_of_range_or_non_finite_is_one_line_data_error(trained, tmp_path, capsys,
+                                                                     command, defect):
+    kind, edit = MODEL_FILE_DEFECTS.get(defect, ("dt", lambda doc: None))
+    doc = json.loads((trained / f"model_{kind}.json").read_bytes())
+    edit(doc)
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+    args = ["--seed", 3] if command == "evaluate" else [trained / "batch.ndjson"]
+    capsys.readouterr()
+    code = run([command, "--data", trained / "data.sparse", "--out", tmp_path / "o",
+                "--model-file", model_file, *args])
+    if defect is None:  # the file as trained
+        assert code == cli.EXIT_OK
+        return
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("data error: ")
+    assert not (tmp_path / "o").exists()
+
+
 class ScoringSetup:
     """A dataset and three trained models, shared by the property test."""
 
@@ -507,6 +586,34 @@ class TestHyperparameters:
                     tmp_path / "o", "--hp", hp])
         assert code == cli.EXIT_USAGE
         assert hp.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model, hp", [
+        ("knn", "k_neighbors=0"),
+        ("svm", "regularization=-1"),
+        ("rf", "features_per_split=-1"),
+        ("rf", "n_trees=0"),
+        ("svm", "epochs=0"),
+        ("logreg", "epochs=0"),
+        ("gbt", "learning_rate=nan"),
+        ("logreg", "learning_rate=nan"),
+        ("logreg", "l2_penalty=nan"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_out_of_range_value_is_one_line_usage_error(self, tmp_path, capsys, model, hp,
+                                                        source):
+        data = make_dataset(tmp_path)
+        out = tmp_path / "o"
+        args = ["train", "--data", data, "--model", model, "--top-k", 5, "--out", out]
+        if source == "flag":
+            args += ["--hp", hp]
+        else:
+            (tmp_path / "run.cfg").write_text(f"hp.{hp}\n")
+            args += ["--config", tmp_path / "run.cfg"]
+        assert run(args) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: hyperparameter {hp.split('=')[0]}=")
+        assert not out.exists()
 
     def test_foreign_key_is_shared_across_kinds(self, tmp_path, capsys):
         # n_trees belongs to rf only; a dt run accepts and ignores it.

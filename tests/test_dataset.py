@@ -168,6 +168,29 @@ class TestDenseLoader:
         with pytest.raises(DataFormatError, match="family_id"):
             load_dense_csv(p)
 
+    def test_blank_lines_before_header_skipped(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_lines(p, "", "", "sample_id,family_id," + NAMES4, "s1,0,1,0,1,0", "", "s2,3,0,1,0,0")
+        m, d, y = load_dense_csv(p)
+        assert file_format(p) == "dense"
+        assert d.names == tuple(NAMES4.split(","))
+        assert [r.tolist() for r in m.row_ordinals()] == [[0, 2], [1]]
+        assert y.tolist() == [0, 1]
+        assert load_dictionary(p, "dense").names == d.names
+
+    @pytest.mark.parametrize("bad_line, message", [
+        ("s2,0,1,2,0,0", "line 6: cell for feature 'DROP:b'"),
+        ("s2,0,1", "line 6: expected 6 cells, got 3"),
+        ("s2,x,0,0,0,0", "line 6: family_id 'x'"),
+    ])
+    def test_errors_name_the_line_of_the_file(self, tmp_path, bad_line, message):
+        # Two blank lines before the header and one inside the body:
+        # the bad row is the file's sixth line.
+        p = tmp_path / "d.csv"
+        write_lines(p, "", "", "sample_id,family_id," + NAMES4, "s1,0,0,0,0,0", "", bad_line)
+        with pytest.raises(DataFormatError, match=message):
+            load_dense_csv(p)
+
 
 class TestSparseLoader:
     def test_direct_encoding(self, tmp_path):

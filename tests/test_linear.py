@@ -11,14 +11,14 @@ from rwdetect.classifiers import (
 )
 from rwdetect.errors import FitError
 
-from conftest import matrix_from_dense, random_dense
+from conftest import random_dense, xy
 
 
 class TestLinearSvm:
     def test_separable_1d(self):
-        m, y = matrix_from_dense([[0]] * 5 + [[1]] * 5, labels=[0] * 5 + [1] * 5)
-        model = fit_linear_svm(m, y)
-        assert [p.label for p in model.predict(m)] == y.tolist()
+        X, y = xy([[0]] * 5 + [[1]] * 5, [0] * 5 + [1] * 5)
+        model = fit_linear_svm(X, y)
+        assert [p.label for p in model.predict(X)] == y.tolist()
 
     def test_objective_not_worse_than_zero_vector(self):
         rng = np.random.default_rng(19)
@@ -26,9 +26,8 @@ class TestLinearSvm:
         y = rng.integers(0, 2, size=30)
         if y.min() == y.max():
             y[0] = 1 - y[0]
-        m, labels = matrix_from_dense(X, labels=y)
         params = SvmParams()
-        model = fit_linear_svm(m, labels, params)
+        model = fit_linear_svm(X, y, params)
 
         y_pm = np.where(y == 1, 1.0, -1.0)
         w = np.asarray(model.weights)
@@ -39,28 +38,23 @@ class TestLinearSvm:
         assert j_final <= j_zero
 
     def test_duplicated_dataset_same_boundary_signs(self):
-        m, y = matrix_from_dense(
-            [[0, 1], [1, 0], [0, 0], [1, 1]], labels=[0, 1, 0, 1]
-        )
-        doubled, y2 = matrix_from_dense(
-            [[0, 1], [1, 0], [0, 0], [1, 1]] * 2, labels=[0, 1, 0, 1] * 2
-        )
-        a = fit_linear_svm(m, y).predict(m)
-        b = fit_linear_svm(doubled, y2).predict(m)
+        X, y = xy([[0, 1], [1, 0], [0, 0], [1, 1]], [0, 1, 0, 1])
+        doubled, y2 = xy([[0, 1], [1, 0], [0, 0], [1, 1]] * 2, [0, 1, 0, 1] * 2)
+        a = fit_linear_svm(X, y).predict(X)
+        b = fit_linear_svm(doubled, y2).predict(X)
         assert [p.label for p in a] == [p.label for p in b]
 
     def test_single_class_rejected(self):
-        m, y = matrix_from_dense([[0], [1]], labels=[1, 1], family_ids=[1, 1])
+        X, y = xy([[0], [1]], [1, 1])
         with pytest.raises(FitError, match="both classes"):
-            fit_linear_svm(m, y)
+            fit_linear_svm(X, y)
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(20)
         X = random_dense(rng, 20, 5)
         y = np.r_[np.zeros(10, dtype=int), np.ones(10, dtype=int)]
-        m, labels = matrix_from_dense(X, labels=y)
-        a = fit_linear_svm(m, labels, SvmParams(seed=4))
-        b = fit_linear_svm(m, labels, SvmParams(seed=4))
+        a = fit_linear_svm(X, y, SvmParams(seed=4))
+        b = fit_linear_svm(X, y, SvmParams(seed=4))
         assert a.weights == b.weights and a.bias == b.bias
 
     def test_label_is_margin_sign_and_score_link_agrees(self):
@@ -69,21 +63,20 @@ class TestLinearSvm:
         y = rng.integers(0, 2, size=25)
         if y.min() == y.max():
             y[0] = 1 - y[0]
-        m, labels = matrix_from_dense(X, labels=y)
-        model = fit_linear_svm(m, labels)
-        margins = model.margins(X.astype(float))
-        for p, margin in zip(model.predict(m), margins):
+        model = fit_linear_svm(X, y)
+        margins = X.astype(float) @ np.asarray(model.weights) + model.bias
+        for p, margin in zip(model.predict(X), margins):
             assert p.label == int(margin >= 0)
             assert p.label == int(p.score >= 0.5)
 
 
 class TestLogisticRegression:
     def test_all_zero_features_balanced_labels(self):
-        m, y = matrix_from_dense([[0], [0], [0], [0]], labels=[0, 1, 0, 1])
-        model = fit_logistic_regression(m, y)
+        X, y = xy([[0], [0], [0], [0]], [0, 1, 0, 1])
+        model = fit_logistic_regression(X, y)
         assert model.weights == (0.0,)
         assert abs(model.bias) < 1e-9
-        assert model.predict(m)[0].score == pytest.approx(0.5, abs=1e-9)
+        assert model.predict(X)[0].score == pytest.approx(0.5, abs=1e-9)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(31)
@@ -108,9 +101,9 @@ class TestLogisticRegression:
         assert abs(fd_b - grad_b) / max(abs(fd_b), 1e-8) < 1e-5
 
     def test_separable_1d_monotone_and_perfect(self):
-        m, y = matrix_from_dense([[0]] * 4 + [[1]] * 4, labels=[0] * 4 + [1] * 4)
-        model = fit_logistic_regression(m, y)
-        preds = model.predict(m)
+        X, y = xy([[0]] * 4 + [[1]] * 4, [0] * 4 + [1] * 4)
+        model = fit_logistic_regression(X, y)
+        preds = model.predict(X)
         assert [p.label for p in preds] == y.tolist()
         assert preds[-1].score > preds[0].score
 
@@ -118,14 +111,13 @@ class TestLogisticRegression:
         rng = np.random.default_rng(32)
         X = random_dense(rng, 30, 6)
         y = rng.integers(0, 2, size=30)
-        m, labels = matrix_from_dense(X, labels=y)
         model = fit_logistic_regression(
-            m, labels, LogRegParams(learning_rate=0.01, epochs=200)
+            X, y, LogRegParams(learning_rate=0.01, epochs=200)
         )
         history = model.loss_history
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
     def test_non_positive_learning_rate_rejected(self):
-        m, y = matrix_from_dense([[0], [1]], labels=[0, 1])
+        X, y = xy([[0], [1]], [0, 1])
         with pytest.raises(FitError, match="learning_rate"):
-            fit_logistic_regression(m, y, LogRegParams(learning_rate=-1.0))
+            fit_logistic_regression(X, y, LogRegParams(learning_rate=-1.0))

@@ -133,10 +133,10 @@ class TestScoreReport:
         assert outcome.matched == 3
 
     def test_empty_report_through_zero_logreg(self, dictionary):
-        matrix = DataMatrix.from_rows(10, [(), ()], [0, 1], ["a", "b"])
+        X = np.zeros((2, 10), dtype=np.uint8)
         y = np.array([0, 1])
         fingerprint = Fingerprint(10, dictionary.sha256(), tuple(range(10)))
-        model = FITTERS["logreg"](matrix, y, fingerprint=fingerprint)
+        model = FITTERS["logreg"](X, y, fingerprint=fingerprint)
         pred, _ = score_report(BehaviorReport(), model, dictionary)
         assert pred.score == pytest.approx(0.5, abs=1e-9)
 

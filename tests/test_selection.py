@@ -152,12 +152,15 @@ class TestProject:
     def test_identity_selection(self):
         rng = np.random.default_rng(1)
         m = matrix_from_dense(random_dense(rng, 5, 6))
-        assert project(m, range(6)) == m
+        projected = project(m, range(6))
+        assert projected.dtype == np.uint8
+        assert np.array_equal(projected, m.to_dense())
 
     def test_perfectly_separating_column(self):
         m, y = synthesize_dataset(50, 8, 0.3, [(4, 0.0, 1.0)], seed=5)
         projected = project(m, [4])
-        assert np.array_equal(projected.to_dense()[:, 0], y)
+        assert np.array_equal(projected, m.to_dense()[:, [4]])
+        assert np.array_equal(projected[:, 0], y)
 
     def test_matches_dense_slicing(self):
         rng = np.random.default_rng(2)
@@ -165,7 +168,14 @@ class TestProject:
         m = matrix_from_dense(dense)
         subset = [9, 2, 5]
         projected = project(m, subset)
-        assert np.array_equal(projected.to_dense(), dense[:, subset])
+        assert np.array_equal(projected, m.to_dense()[:, subset])
+        assert np.array_equal(projected, dense[:, subset])
+
+    def test_empty_rows_around_filled_ones(self):
+        dense = np.zeros((6, 5), dtype=np.uint8)
+        dense[[1, 4]] = [[1, 0, 1, 1, 0], [0, 1, 1, 0, 1]]
+        m = matrix_from_dense(dense)
+        assert np.array_equal(project(m, [4, 2, 0]), m.to_dense()[:, [4, 2, 0]])
 
     def test_duplicate_ordinal_rejected(self):
         m = matrix_from_dense([[0, 1]])

@@ -20,24 +20,23 @@ from rwdetect.classifiers.base import sigmoid
 from rwdetect.dataset import synthesize_dataset
 from rwdetect.errors import FingerprintMismatch, ModelFormatError
 
-from conftest import matrix_from_dense, random_dense
+from conftest import random_dense, xy
 
 
 def fitted_models():
     rng = np.random.default_rng(55)
     X = random_dense(rng, 30, 7)
     y = np.r_[np.zeros(15, dtype=int), np.ones(15, dtype=int)]
-    m, labels = matrix_from_dense(X, labels=y)
-    return m, {kind: FITTERS[kind](m, labels) for kind in MODEL_KINDS}
+    return X, {kind: FITTERS[kind](X, y) for kind in MODEL_KINDS}
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_round_trip_byte_equal(kind):
-    m, models = fitted_models()
+    X, models = fitted_models()
     blob = serialize_model(models[kind])
     restored = deserialize_model(blob)
     assert serialize_model(restored) == blob
-    assert restored.predict(m) == models[kind].predict(m)
+    assert restored.predict(X) == models[kind].predict(X)
 
 
 def test_version_mismatch_rejected():
@@ -67,9 +66,8 @@ def test_fingerprint_dimension_mismatch():
     rng = np.random.default_rng(56)
     X = random_dense(rng, 10, 4)
     y = np.r_[np.zeros(5, dtype=int), np.ones(5, dtype=int)]
-    m, labels = matrix_from_dense(X, labels=y)
-    model = FITTERS["logreg"](m, labels, fingerprint=Fingerprint(4))
-    narrow = matrix_from_dense(random_dense(rng, 3, 3))
+    model = FITTERS["logreg"](X, y, fingerprint=Fingerprint(4))
+    narrow = random_dense(rng, 3, 3)
     with pytest.raises(FingerprintMismatch, match="expects 4 features"):
         model.predict(narrow)
 
@@ -78,9 +76,8 @@ def test_fingerprint_survives_round_trip():
     rng = np.random.default_rng(57)
     X = random_dense(rng, 10, 4)
     y = np.r_[np.zeros(5, dtype=int), np.ones(5, dtype=int)]
-    m, labels = matrix_from_dense(X, labels=y)
     fp = Fingerprint(4, "ab" * 32, (3, 1, 9, 2))
-    model = FITTERS["svm"](m, labels, fingerprint=fp)
+    model = FITTERS["svm"](X, y, fingerprint=fp)
     assert deserialize_model(serialize_model(model)).fingerprint == fp
 
 
@@ -139,19 +136,32 @@ def test_integer_weights_decode_as_floats(models):
 
     model = deserialize_model(weight(2**70))
     assert model.weights[0] == float(2**70)
-    assert len(model.predict(matrix_from_dense(np.eye(7, dtype=np.uint8)))) == 7
+    assert len(model.predict(np.eye(7, dtype=np.uint8))) == 7
     with pytest.raises(ModelFormatError, match="truncated or malformed"):
         deserialize_model(weight(10**400))
 
 
+@pytest.mark.parametrize("kind, values", [
+    ("knn", {"k_neighbors": 1}),
+    ("rf", {"n_trees": 1, "features_per_split": 1}),
+    ("rf", {"features_per_split": None}),
+    ("svm", {"epochs": 1, "regularization": 5e-324}),
+    ("gbt", {"n_rounds": 0, "learning_rate": 5e-324}),
+    ("logreg", {"epochs": 1, "learning_rate": 5e-324, "l2_penalty": 0.0}),
+])
+def test_hyperparameters_at_their_bounds_are_accepted(kind, values):
+    params = DEFAULT_PARAMS[kind](**values)
+    assert all(getattr(params, name) == value for name, value in values.items())
+
+
 def small_blobs():
     rng = np.random.default_rng(58)
-    m, labels = matrix_from_dense(random_dense(rng, 8, 3), labels=[0, 1] * 4)
+    X, labels = xy(random_dense(rng, 8, 3), [0, 1] * 4)
     small = {"rf": {"n_trees": 2}, "gbt": {"n_rounds": 2}, "svm": {"epochs": 2},
              "logreg": {"epochs": 2}, "knn": {"k_neighbors": 3}}
     fp = Fingerprint(3, "ab" * 32, (4, 0, 2))
     return [
-        serialize_model(FITTERS[k](m, labels, DEFAULT_PARAMS[k](**small.get(k, {})), fp))
+        serialize_model(FITTERS[k](X, labels, DEFAULT_PARAMS[k](**small.get(k, {})), fp))
         for k in MODEL_KINDS
     ]
 
@@ -203,7 +213,7 @@ def test_mutated_model_raises_only_model_format_error(blob):
         return
     # A model that decodes can predict on data of its fingerprint's width.
     width = model.fingerprint.n_features
-    query = matrix_from_dense(np.eye(2, max(width, 1), dtype=np.uint8)[:, :width])
+    query = np.eye(2, max(width, 1), dtype=np.uint8)[:, :width]
     with np.errstate(all="ignore"):
         assert len(model.predict(query)) == 2
 
@@ -226,7 +236,8 @@ PINNED_SHA256 = {
 @pytest.fixture(scope="module")
 def pinned_dataset():
     signal = [(0, 0.1, 0.6), (3, 0.5, 0.2), (7, 0.3, 0.45), (12, 0.2, 0.3)]
-    return synthesize_dataset(240, 40, 0.2, signal, seed=2024)
+    matrix, y = synthesize_dataset(240, 40, 0.2, signal, seed=2024)
+    return matrix.to_dense(), y
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -271,12 +282,11 @@ def test_flat_tree_predictions_match_nested_walk(kind, params, seed):
     X = random_dense(rng, 70, d, p=rng.uniform(0.1, 0.9))
     y = rng.integers(0, 2, size=70)
     y[:2] = (0, 1)
-    m, labels = matrix_from_dense(X, labels=y)
     queries = random_dense(rng, 40, d)
-    model = FITTERS[kind](m, labels, params)
+    model = FITTERS[kind](X, y, params)
     blob = serialize_model(model)
     expected = nested_scores(json.loads(blob), queries)
     for candidate in (model, deserialize_model(blob)):
-        preds = candidate.predict(matrix_from_dense(queries))
+        preds = candidate.predict(queries)
         assert [p.score for p in preds] == expected
         assert [p.label for p in preds] == [int(s >= 0.5) for s in expected]

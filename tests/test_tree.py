@@ -5,9 +5,8 @@ import pytest
 
 from rwdetect.classifiers import TreeParams, fit_decision_tree
 from rwdetect.errors import FitError
-from rwdetect.dataset import DataMatrix
 
-from conftest import matrix_from_dense, random_dense
+from conftest import random_dense, xy
 
 
 def gini_oracle_root(X, y, min_leaf=1):
@@ -42,33 +41,30 @@ def gini_oracle_root(X, y, min_leaf=1):
 
 class TestDecisionTree:
     def test_single_separating_feature(self):
-        m, y = matrix_from_dense(
-            [[0, 1], [1, 0], [0, 0], [1, 1]], labels=[0, 1, 0, 1]
-        )
-        model = fit_decision_tree(m, y)
+        X, y = xy([[0, 1], [1, 0], [0, 0], [1, 1]], [0, 1, 0, 1])
+        model = fit_decision_tree(X, y)
         tree = model.tree
         assert tree.feature[0] == 0
         assert tree.is_leaf(tree.left[0]) and tree.is_leaf(tree.right[0])
-        preds = model.predict(m)
+        preds = model.predict(X)
         assert [p.label for p in preds] == y.tolist()
 
     def test_pure_input_single_leaf(self):
-        m, y = matrix_from_dense([[0, 1], [1, 0]], labels=[1, 1], family_ids=[1, 1])
-        tree = fit_decision_tree(m, y).tree
+        X, y = xy([[0, 1], [1, 0]], [1, 1])
+        tree = fit_decision_tree(X, y).tree
         assert tree.is_leaf(0)
         assert tree.value[0] == 1.0
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(FitError, match="empty"):
-            fit_decision_tree(DataMatrix.from_rows(2, []), np.zeros(0, dtype=np.int64))
+            fit_decision_tree(np.zeros((0, 2), dtype=np.uint8), np.zeros(0, dtype=np.int64))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_root_matches_exhaustive_oracle(self, seed):
         rng = np.random.default_rng(seed)
         X = random_dense(rng, 8, 3)
         y = rng.integers(0, 2, size=8)
-        m, labels = matrix_from_dense(X, labels=y)
-        model = fit_decision_tree(m, labels)
+        model = fit_decision_tree(X, y)
         expected = gini_oracle_root(X, y.astype(np.int64))
         actual = None if model.tree.is_leaf(0) else model.tree.feature[0]
         assert actual == expected
@@ -79,17 +75,15 @@ class TestDecisionTree:
         # deduplicate feature vectors so no two rows conflict
         X = np.unique(X, axis=0)
         y = rng.integers(0, 2, size=len(X))
-        m, labels = matrix_from_dense(X, labels=y)
-        model = fit_decision_tree(m, labels, TreeParams(max_depth=64))
-        preds = model.predict(m)
-        assert [p.label for p in preds] == labels.tolist()
+        model = fit_decision_tree(X, y, TreeParams(max_depth=64))
+        preds = model.predict(X)
+        assert [p.label for p in preds] == y.tolist()
 
     def test_max_depth_respected(self):
         rng = np.random.default_rng(5)
         X = random_dense(rng, 60, 10)
         y = rng.integers(0, 2, size=60)
-        m, labels = matrix_from_dense(X, labels=y)
-        model = fit_decision_tree(m, labels, TreeParams(max_depth=2))
+        model = fit_decision_tree(X, y, TreeParams(max_depth=2))
 
         tree = model.tree
 
@@ -104,8 +98,7 @@ class TestDecisionTree:
         rng = np.random.default_rng(6)
         X = random_dense(rng, 30, 6)
         y = rng.integers(0, 2, size=30)
-        m, labels = matrix_from_dense(X, labels=y)
-        model = fit_decision_tree(m, labels, TreeParams(min_samples_leaf=5))
+        model = fit_decision_tree(X, y, TreeParams(min_samples_leaf=5))
 
         tree = model.tree
 
