@@ -51,8 +51,11 @@ def check_xy(X: np.ndarray, y: np.ndarray) -> None:
         raise FitError(f"labels length {len(y)} != n_samples {len(X)}")
 
 
-# Counts that must be at least 1 when set, and rates that must be above 0.
-AT_LEAST_ONE = ("n_trees", "k_neighbors", "epochs", "features_per_split")
+# Counts that must be at least 1 when set, values that must be at least 0,
+# and rates that must be above 0.
+AT_LEAST_ONE = ("n_trees", "k_neighbors", "epochs", "features_per_split", "n_rounds",
+                "min_samples_leaf")
+NON_NEGATIVE = ("max_depth", "l2_leaf_penalty", "min_child_weight", "tolerance")
 POSITIVE = ("learning_rate", "regularization")
 
 
@@ -66,6 +69,8 @@ class Params:
                 raise FitError(f"{name}={value!r} is not finite")
             if name in AT_LEAST_ONE and value is not None and value < 1:
                 raise FitError(f"{name}={value!r} must be >= 1")
+            if name in NON_NEGATIVE and value < 0:
+                raise FitError(f"{name}={value!r} must be >= 0")
             if name in POSITIVE and value <= 0:
                 raise FitError(f"{name}={value!r} must be > 0")
 

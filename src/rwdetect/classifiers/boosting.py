@@ -44,8 +44,8 @@ def find_gain_split(X, g, h, idx, params: GbtParams):
     n1 = np.ones(len(idx)) @ cols
     n0 = len(idx) - n1
 
-    lam = params.l2_leaf_penalty
-    gains = split_gain(gl, hl, gr, hr, lam)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at lam = 0 is masked below
+        gains = split_gain(gl, hl, gr, hr, params.l2_leaf_penalty)
     valid = (n0 > 0) & (n1 > 0) & (np.minimum(hl, hr) >= params.min_child_weight)
     gains = np.where(valid, gains, -np.inf)
     best = int(np.argmax(gains))

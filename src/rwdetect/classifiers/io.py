@@ -59,9 +59,9 @@ def _decode_tree(obj, leaf_key: str, n_features: int) -> FlatTree:
     return build_tree(expand, obj)
 
 
-def _decode_trees(payload, leaf_key: str, n_features: int) -> tuple:
+def _decode_trees(payload, leaf_key: str, n_features: int, count: int) -> tuple:
     return tuple(_decode_tree(t, leaf_key, n_features)
-                 for t in _list(payload["trees"], "trees"))
+                 for t in _list(payload["trees"], "trees", count))
 
 
 def _number(value, what: str) -> float:
@@ -185,9 +185,10 @@ def deserialize_model(data: bytes):
         if kind == "dt":
             return DecisionTreeModel(tree=_decode_tree(payload["root"], "s", d), **bound)
         if kind == "rf":
-            return RandomForestModel(trees=_decode_trees(payload, "s", d), **bound)
+            return RandomForestModel(trees=_decode_trees(payload, "s", d, params.n_trees),
+                                     **bound)
         if kind == "gbt":
-            return GbtModel(trees=_decode_trees(payload, "w", d),
+            return GbtModel(trees=_decode_trees(payload, "w", d, params.n_rounds),
                             base_score=_number(payload["base_score"], "base_score"), **bound)
         linear = LinearSvmModel if kind == "svm" else LogRegModel
         weights = _list(payload["weights"], "weights", d)

@@ -80,16 +80,9 @@ class FeatureDictionary:
     def ordinal(self, name: str) -> int:
         return self._index[name]
 
-    def lookup(self, names) -> tuple[list[int], list[str]]:
-        """Ordinals of the known ``names`` and the unknown names, each in input order."""
-        known, unknown = [], []
-        for name in names:
-            j = self._index.get(name)
-            if j is None:
-                unknown.append(name)
-            else:
-                known.append(j)
-        return known, unknown
+    def unknown(self, names: set[str]) -> set[str]:
+        """The ``names`` the dictionary does not hold."""
+        return names.difference(self._index)
 
     def sha256(self) -> str:
         """Content hash used in model fingerprints, computed on first call."""

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import logging
 from array import array
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -45,29 +44,16 @@ CATEGORY_FIELDS = {
 UNMATCHED_WARN_RATIO = 0.9
 
 
-@dataclass(frozen=True)
-class BehaviorReport:
-    api_calls: tuple[str, ...] = ()
-    registry_ops: tuple[str, ...] = ()
-    file_ops: tuple[str, ...] = ()
-    file_ext_ops: tuple[str, ...] = ()
-    dir_ops: tuple[str, ...] = ()
-    dropped_exts: tuple[str, ...] = ()
-    strings: tuple[str, ...] = ()
-
-
 class VectorizeOutcome(NamedTuple):
-    """A report's sorted dictionary ordinals and how many of its distinct
-    tokens the dictionary has and has not; a batch keeps it with ``row=()``."""
+    """How many of a report's distinct tokens the dictionary has and has not."""
 
-    row: tuple[int, ...]
     matched: int
     unmatched: int
 
 
-def parse_report(text: str | bytes) -> BehaviorReport:
-    """Parse one JSON report document (bytes must be UTF-8); missing arrays
-    default to empty."""
+def parse_report(text: str | bytes) -> set[str]:
+    """The distinct category-prefixed tokens of one JSON report document
+    (bytes must be UTF-8); a missing array counts as empty."""
     try:
         doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except (ValueError, RecursionError) as exc:
@@ -76,32 +62,26 @@ def parse_report(text: str | bytes) -> BehaviorReport:
         raise DataFormatError(f"malformed report document: {exc}") from None
     if not isinstance(doc, dict):
         raise DataFormatError("report document must be a JSON object")
-    fields = {}
-    for name in CATEGORY_FIELDS:
+    tokens = set()
+    for name, prefix in CATEGORY_FIELDS.items():
         value = doc.get(name, [])
-        if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
+        if not isinstance(value, list) or not set(map(type, value)) <= {str}:
             raise DataFormatError(f"report field {name!r} must be an array of strings")
-        fields[name] = tuple(value)
-    return BehaviorReport(**fields)
+        tokens.update(map(f"{prefix}:".__add__, value))
+    return tokens
 
 
-def prefixed_tokens(report: BehaviorReport) -> set[str]:
-    """Distinct category-prefixed feature names occurring in the report."""
-    return {f"{prefix}:{token}"
-            for field_name, prefix in CATEGORY_FIELDS.items()
-            for token in getattr(report, field_name)}
-
-
-def vectorize(report: BehaviorReport, dictionary: FeatureDictionary) -> VectorizeOutcome:
-    ordinals, misses = dictionary.lookup(prefixed_tokens(report))
-    ordinals.sort()
-    total = len(ordinals) + len(misses)
-    if total and len(misses) / total > UNMATCHED_WARN_RATIO:
+def vectorize(tokens: set[str], dictionary: FeatureDictionary) -> VectorizeOutcome:
+    """Count the report's tokens the dictionary has and has not, warning
+    when nearly all are unknown."""
+    unmatched = len(dictionary.unknown(tokens))
+    matched = len(tokens) - unmatched
+    if tokens and unmatched / len(tokens) > UNMATCHED_WARN_RATIO:
         logger.warning(
             "report matched only %d of %d tokens; dictionary drift likely",
-            len(ordinals), total,
+            matched, len(tokens),
         )
-    return VectorizeOutcome(tuple(ordinals), len(ordinals), len(misses))
+    return VectorizeOutcome(matched, unmatched)
 
 
 def check_fingerprint(fingerprint, dictionary: FeatureDictionary) -> None:
@@ -124,38 +104,35 @@ def score_reports(
 ) -> list[tuple[Prediction, VectorizeOutcome]]:
     """vectorize -> project through the model's selection -> predict, for a whole batch.
 
-    The fingerprint is checked once, before any report is read, and the
-    model predicts every report's row in one call; results follow the
-    order of ``reports``, which may be any iterable. Each report's row is
-    projected onto the selected columns as it is vectorized, only its
-    (row, column) entries are kept until the batch's array is filled, and
-    its outcome is kept beside them with ``row=()``.
+    ``reports`` is any iterable of ``parse_report`` token sets. The
+    fingerprint is checked once, before any report is read, and the model
+    predicts every report's row in one call; results follow the order of
+    ``reports``. A report's selected columns are the tokens it shares with
+    the selected names; only its (row, column) entries and its outcome are
+    kept until the batch's array is filled.
     """
     selected = model.fingerprint.selected
     check_fingerprint(model.fingerprint, dictionary)
     if len(set(selected)) != len(selected) or min(selected, default=0) < 0:
         raise ValueError("selection must be distinct ordinals >= 0")
-    # dictionary ordinal -> selected column, None where not selected
-    column = [None] * len(dictionary)
-    for c, j in enumerate(selected):
-        column[j] = c
+    column = {dictionary.names[j]: c for c, j in enumerate(selected)}
+    names = frozenset(column)  # a set intersection walks the smaller side
     rows, columns, counts = array("i"), array("i"), []
-    for report in reports:
-        outcome = vectorize(report, dictionary)
-        row = [c for c in map(column.__getitem__, outcome.row) if c is not None]
-        rows.extend([len(counts)] * len(row))
-        columns.extend(row)
-        counts.append(outcome._replace(row=()))
+    for tokens in reports:
+        counts.append(vectorize(tokens, dictionary))
+        hits = tokens.intersection(names)
+        rows.extend([len(counts) - 1] * len(hits))
+        columns.extend(map(column.__getitem__, hits))
     X = np.zeros((len(counts), len(selected)), dtype=np.uint8)
     X[np.asarray(rows), np.asarray(columns)] = 1
     return list(zip(model.predict(X), counts))
 
 
 def score_report(
-    report: BehaviorReport, model, dictionary: FeatureDictionary
+    tokens: set[str], model, dictionary: FeatureDictionary
 ) -> tuple[Prediction, VectorizeOutcome]:
     """``score_reports`` of a one-report batch."""
-    return score_reports([report], model, dictionary)[0]
+    return score_reports([tokens], model, dictionary)[0]
 
 
 def score_documents(documents, model, dictionary: FeatureDictionary):
@@ -175,12 +152,12 @@ def score_documents(documents, model, dictionary: FeatureDictionary):
             try:
                 if isinstance(text, DataFormatError):
                     raise text
-                report = parse_report(text)
+                tokens = parse_report(text)
             except DataFormatError as exc:
                 failures.append((report_id, exc))
                 continue
             report_ids.append(report_id)
-            yield report
+            yield tokens
 
     scored = score_reports(parsed(), model, dictionary)
     return [(report_id, *result) for report_id, result in zip(report_ids, scored)], failures

@@ -7,14 +7,14 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rwdetect import cli, dataset
+from rwdetect import cli, dataset, reports
 from rwdetect.classifiers import MODEL_KINDS, deserialize_model
 from rwdetect.classifiers.knn import KnnModel
 from rwdetect.dataset import (
-    DataMatrix,
     FeatureDictionary,
     generic_dictionary,
     load_sparse,
@@ -22,10 +22,9 @@ from rwdetect.dataset import (
     write_dense_csv,
     write_sparse,
 )
-from rwdetect.reports import parse_report, vectorize
-from rwdetect.selection import project
 
 from conftest import mutated_lines
+from report_oracle import reference_report
 
 
 def make_dataset(tmp_path, fmt="sparse", n=80, d=12, seed=1, category="API"):
@@ -91,17 +90,6 @@ class TestTrain:
                  "--top-k", 5, "--seed", 3])
             blobs.append((out / "model_rf.json").read_bytes())
         assert blobs[0] == blobs[1]
-
-    def test_gbt_zero_rounds_constant_model(self, tmp_path, capsys):
-        data = make_dataset(tmp_path)
-        out = tmp_path / "out"
-        code = run([
-            "train", "--data", data, "--out", out, "--model", "gbt",
-            "--top-k", 5, "--hp", "n_rounds=0",
-        ])
-        assert code == 0
-        model = deserialize_model((out / "model_gbt.json").read_bytes())
-        assert model.trees == ()
 
     def test_surplus_sample_lines_are_a_data_error(self, tmp_path, capsys):
         data = make_dataset(tmp_path, n=80)
@@ -353,6 +341,44 @@ class TestScore:
         assert f"scored {n} reports" in capsys.readouterr().out
         assert calls["predict"] == 1 and calls["sha256"] <= 1 and calls["load"] == 0
 
+    def test_parse_once_per_report_and_vectorize_once_per_parsed_report(
+            self, tmp_path, monkeypatch, capsys):
+        # The benchmark times and counts the per-report path by wrapping these two names.
+        data = make_dataset(tmp_path, n=120)
+        out = tmp_path / "out"
+        run(["train", "--data", data, "--out", out, "--model", "dt", "--top-k", 5])
+        batch = tmp_path / "batch.ndjson"
+        batch.write_bytes(b"\n".join([
+            b'{"api_calls": ["f00000", "f00000", "new"], "strings": ["f00000"]}',
+            b"{oops", b"", b"[1]", b'{"dir_ops": [3]}', b"\xff", b"{}", b"  ",
+            b'{"api_calls": ["f00001"]}',
+        ]) + b"\n")
+        parse_report, vectorize = reports.parse_report, reports.vectorize
+        parsed, vectorized = [], []
+
+        def parse(text):
+            parsed.append(text)
+            return parse_report(text)
+
+        def count(tokens, dictionary):
+            outcome = vectorize(tokens, dictionary)
+            vectorized.append((tokens, outcome))
+            return outcome
+
+        monkeypatch.setattr(reports, "parse_report", parse)
+        monkeypatch.setattr(reports, "vectorize", count)
+        capsys.readouterr()
+        assert run(["score", "--data", data, "--out", out,
+                    "--model-file", out / "model_dt.json", batch]) == 0
+        assert capsys.readouterr().out.endswith(", 4 malformed\n")
+        assert len(parsed) == 7  # every non-blank line, once
+        assert [(sorted(tokens), tuple(outcome)) for tokens, outcome in vectorized] == [
+            (["API:f00000", "API:new", "STR:f00000"], (1, 2)), ([], (0, 0)),
+            (["API:f00001"], (1, 0))]
+        verdicts = (out / "verdicts.csv").read_text().splitlines()[1:]
+        assert [row.rsplit(",", 2)[1:] for row in verdicts] == [["1", "2"], ["0", "0"],
+                                                               ["1", "0"]]
+
     @pytest.mark.parametrize("fmt", ["sparse", "dense"])
     def test_corrupt_sample_section_is_not_read(self, tmp_path, capsys, fmt):
         data = make_dataset(tmp_path, fmt=fmt, n=120)
@@ -416,6 +442,9 @@ MODEL_FILE_DEFECTS = {
     "gbt leaf -Infinity":
         ("gbt", lambda doc: first_leaf(doc["payload"]["trees"][0]).update(w=-math.inf)),
     "logreg zero features": ("logreg", no_features),
+    "rf no trees": ("rf", lambda doc: doc["payload"].update(trees=[])),
+    "gbt 1 of 3 trees": ("gbt", lambda doc: doc["payload"].update(
+        trees=doc["payload"]["trees"][:1])),
 }
 
 
@@ -501,12 +530,11 @@ def test_mutated_report_batch_scores_like_one_report_at_a_time(scoring_setup, ba
     for row in rows[1:]:
         report_id = row.split(",", 1)[0]
         line = lines[int(report_id.rsplit(":", 1)[1]) - 1]
-        # The one-report composition: vectorize -> project -> predict.
-        outcome = vectorize(parse_report(line), dictionary)
-        one_row = DataMatrix.from_rows(len(dictionary), [outcome.row])
-        pred = model.predict(project(one_row, model.fingerprint.selected))[0]
-        assert row == (f"{report_id},{pred.label},{pred.score:.6f},"
-                       f"{outcome.matched},{outcome.unmatched}")
+        # The one-report composition, from the reference reading of the line.
+        _, matched, unmatched, one_row = reference_report(
+            line, dictionary.names, model.fingerprint.selected)
+        pred = model.predict(np.array([one_row], dtype=np.uint8))[0]
+        assert row == f"{report_id},{pred.label},{pred.score:.6f},{matched},{unmatched}"
 
 
 class TestConfig:
@@ -573,6 +601,29 @@ class TestConfig:
         assert "threads" not in keys
 
 
+# Every bounded hyperparameter of each kind, a value just outside its range
+# and one at its bound (just inside it where the bound itself is excluded).
+HP_BOUNDS = [
+    ("dt", "max_depth", "-1", "0"),
+    ("dt", "min_samples_leaf", "0", "1"),
+    ("rf", "n_trees", "0", "1"),
+    ("rf", "features_per_split", "0", "1"),
+    ("rf", "max_depth", "-1", "0"),
+    ("rf", "min_samples_leaf", "0", "1"),
+    ("knn", "k_neighbors", "0", "1"),
+    ("svm", "regularization", "0.0", "1e-06"),
+    ("svm", "epochs", "0", "1"),
+    ("gbt", "n_rounds", "0", "1"),
+    ("gbt", "learning_rate", "0.0", "5e-324"),
+    ("gbt", "max_depth", "-1", "0"),
+    ("gbt", "l2_leaf_penalty", "-5e-324", "0.0"),
+    ("gbt", "min_child_weight", "-5e-324", "0.0"),
+    ("logreg", "learning_rate", "0.0", "5e-324"),
+    ("logreg", "epochs", "0", "1"),
+    ("logreg", "tolerance", "-5e-324", "0.0"),
+]
+
+
 class TestHyperparameters:
     @pytest.mark.parametrize("hp", [
         "n_trees=abc",  # value does not parse
@@ -614,6 +665,47 @@ class TestHyperparameters:
         assert err.count("\n") == 1
         assert err.startswith(f"error: hyperparameter {hp.split('=')[0]}=")
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["hp", "config", "model"])
+    @pytest.mark.parametrize("side", ["below", "at"])
+    @pytest.mark.parametrize("kind, name, below, at", HP_BOUNDS)
+    def test_bound(self, tmp_path, capsys, kind, name, below, at, side, source):
+        data = make_dataset(tmp_path)
+        value = below if side == "below" and source != "model" else at
+        small = [] if name in ("n_trees", "n_rounds") else ["n_trees=3", "n_rounds=3"]
+        args = ["train", "--data", data, "--model", kind, "--top-k", 5, "--out",
+                tmp_path / "o", *(f"--hp={hp}" for hp in small)]
+        if source == "config":
+            (tmp_path / "run.cfg").write_text(f"hp.{name}={value}\n")
+            args += ["--config", tmp_path / "run.cfg"]
+        else:
+            args += ["--hp", f"{name}={value}"]
+        code = run(args)
+        if source == "model":  # the file trained at the bound, and its copy holding `below`
+            assert code == cli.EXIT_OK
+            model_file = tmp_path / "o" / f"model_{kind}.json"
+            if side == "below":
+                doc = json.loads(model_file.read_bytes())
+                doc["hyperparameters"][name] = json.loads(below)
+                model_file.write_text(json.dumps(doc))
+            batch = tmp_path / "batch.ndjson"
+            batch.write_text('{"api_calls": ["f00000"]}\n')
+            capsys.readouterr()
+            code = run(["score", "--data", data, "--out", tmp_path / "s",
+                        "--model-file", model_file, batch])
+        if side == "at":
+            assert code == cli.EXIT_OK
+            return
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        if source == "model":
+            assert code == cli.EXIT_DATA
+            assert err.startswith(f"data error: hyperparameter {name}={below}")
+            assert not (tmp_path / "s").exists()
+        else:
+            assert code == cli.EXIT_USAGE
+            assert err.startswith(f"error: hyperparameter {name}={below}")
+            assert not (tmp_path / "o").exists()
 
     def test_foreign_key_is_shared_across_kinds(self, tmp_path, capsys):
         # n_trees belongs to rf only; a dt run accepts and ignores it.

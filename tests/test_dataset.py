@@ -58,10 +58,11 @@ class TestFeatureDictionary:
         with pytest.raises(DataFormatError, match="empty"):
             FeatureDictionary(())
 
-    def test_lookup_splits_known_and_unknown_in_input_order(self):
+    def test_unknown_names_are_those_not_held(self):
         d = FeatureDictionary(("API:x", "STR:y", "DIR:z"))
-        assert d.lookup(["DIR:z", "API:nope", "API:x", "STR:zz"]) == \
-            ([2, 0], ["API:nope", "STR:zz"])
+        assert d.unknown({"DIR:z", "API:nope", "API:x", "STR:zz", "x"}) == \
+            {"API:nope", "STR:zz", "x"}
+        assert d.unknown(set()) == set()
 
 
 def reference_index(names):

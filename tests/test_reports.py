@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rwdetect.classifiers import FITTERS, Fingerprint, KnnParams
 from rwdetect.dataset import (
@@ -13,7 +15,6 @@ from rwdetect.dataset import (
 from rwdetect.errors import DataFormatError, FingerprintMismatch
 from rwdetect.reports import (
     CATEGORY_FIELDS,
-    BehaviorReport,
     parse_report,
     score_report,
     score_reports,
@@ -21,25 +22,41 @@ from rwdetect.reports import (
 )
 from rwdetect.selection import project
 
+from report_oracle import FIELDS, BadReport, RecordingModel, reference_report
+
+NAMES = (
+    "API:CreateFileW", "API:RegOpenKeyExA", "DROP:exe", "REG:HKCU\\Run",
+    "FILES:write", "FILES_EXT:docx", "DIR:enum", "STR:bitcoin",
+    "STR:decrypt", "API:NtTerminateProcess",
+)
+
 
 @pytest.fixture
 def dictionary():
-    return FeatureDictionary((
-        "API:CreateFileW", "API:RegOpenKeyExA", "DROP:exe", "REG:HKCU\\Run",
-        "FILES:write", "FILES_EXT:docx", "DIR:enum", "STR:bitcoin",
-        "STR:decrypt", "API:NtTerminateProcess",
-    ))
+    return FeatureDictionary(NAMES)
+
+
+def report(**fields):
+    """The JSON text of a report holding ``fields``."""
+    return json.dumps(fields)
+
+
+def batch_array(texts, dictionary, selected=tuple(range(10))):
+    """The 0/1 array ``score_reports`` builds for the reports ``texts`` on
+    the ``selected`` ordinals, and each report's outcome."""
+    model = RecordingModel(Fingerprint(len(selected), dictionary.sha256(), tuple(selected)))
+    outcomes = [outcome for _, outcome in
+                score_reports([parse_report(t) for t in texts], model, dictionary)]
+    [X] = model.arrays
+    return X, outcomes
 
 
 class TestParseReport:
     def test_all_empty(self):
-        report = parse_report("{}")
-        assert report == BehaviorReport()
+        assert parse_report("{}") == set()
 
     def test_single_field(self):
-        report = parse_report('{"api_calls": ["CreateFileW"]}')
-        assert report.api_calls == ("CreateFileW",)
-        assert report.strings == ()
+        assert parse_report('{"api_calls": ["CreateFileW"]}') == {"API:CreateFileW"}
 
     def test_malformed_json(self):
         with pytest.raises(DataFormatError, match="malformed"):
@@ -63,50 +80,61 @@ class TestParseReport:
             parse_report(doc)
 
     def test_bytes_and_text_agree(self):
-        text = '{"strings": ["caf\u00e9"], "api_calls": ["CreateFileW"]}'
+        text = '{"strings": ["café"], "api_calls": ["CreateFileW"]}'
         assert parse_report(text.encode("utf-8")) == parse_report(text)
 
 
 class TestVectorize:
     def test_empty_report(self, dictionary):
-        outcome = vectorize(BehaviorReport(), dictionary)
-        assert outcome.row == () and outcome.matched == 0
+        assert vectorize(set(), dictionary) == (0, 0)
+        X, _ = batch_array(["{}"], dictionary)
+        assert X.tolist() == [[0] * 10]
 
     def test_known_and_unknown_tokens(self, dictionary):
-        report = BehaviorReport(
-            api_calls=("CreateFileW", "TotallyNew"),
-            strings=("bitcoin",),
-            dropped_exts=("exe", "xyz"),
-        )
-        outcome = vectorize(report, dictionary)
+        text = report(api_calls=["CreateFileW", "TotallyNew"], strings=["bitcoin"],
+                      dropped_exts=["exe", "xyz"])
+        outcome = vectorize(parse_report(text), dictionary)
         assert outcome.matched == 3
         assert outcome.unmatched == 2
-        assert outcome.row == (0, 2, 7)
+        X, _ = batch_array([text], dictionary)
+        assert X.tolist() == [reference_report(text, NAMES, range(10))[3]]
+        assert np.flatnonzero(X[0]).tolist() == [0, 2, 7]
 
     def test_duplicates_are_idempotent(self, dictionary):
-        once = vectorize(BehaviorReport(api_calls=("CreateFileW",)), dictionary)
-        many = vectorize(BehaviorReport(api_calls=("CreateFileW",) * 5), dictionary)
+        once = parse_report(report(api_calls=["CreateFileW"]))
+        many = parse_report(report(api_calls=["CreateFileW"] * 5))
         assert once == many
+        assert vectorize(once, dictionary) == vectorize(many, dictionary) == (1, 0)
 
     def test_fixture_round_trip(self, dictionary):
         # a report built from 10 known tokens matches all 10
-        report = BehaviorReport(
-            api_calls=("CreateFileW", "RegOpenKeyExA", "NtTerminateProcess"),
-            dropped_exts=("exe",),
-            registry_ops=("HKCU\\Run",),
-            file_ops=("write",),
-            file_ext_ops=("docx",),
-            dir_ops=("enum",),
-            strings=("bitcoin", "decrypt"),
+        text = report(
+            api_calls=["CreateFileW", "RegOpenKeyExA", "NtTerminateProcess"],
+            dropped_exts=["exe"],
+            registry_ops=["HKCU\\Run"],
+            file_ops=["write"],
+            file_ext_ops=["docx"],
+            dir_ops=["enum"],
+            strings=["bitcoin", "decrypt"],
         )
-        outcome = vectorize(report, dictionary)
+        X, [outcome] = batch_array([text], dictionary)
         assert outcome.matched == 10 and outcome.unmatched == 0
-        assert outcome.row == tuple(range(10))
+        assert X.tolist() == [[1] * 10]
 
     def test_unmatched_tokens_do_not_alter_row(self, dictionary):
-        base = BehaviorReport(strings=("bitcoin",))
-        noisy = BehaviorReport(strings=("bitcoin", "zz1", "zz2"))
-        assert vectorize(base, dictionary).row == vectorize(noisy, dictionary).row
+        base = report(strings=["bitcoin"])
+        noisy = report(strings=["bitcoin", "zz1", "zz2"])
+        X, _ = batch_array([base, noisy], dictionary)
+        assert X[0].tolist() == X[1].tolist() == reference_report(base, NAMES, range(10))[3]
+
+    def test_drift_warning_above_nine_tenths_unmatched(self, dictionary, caplog):
+        nine = {"API:CreateFileW", *(f"STR:zz{i}" for i in range(9))}
+        with caplog.at_level(logging.WARNING, logger="rwdetect.reports"):
+            vectorize(nine, dictionary)  # 9 of 10 unmatched is not above 0.9
+            assert caplog.messages == []
+            vectorize(nine | {"STR:zz9"}, dictionary)
+        assert caplog.messages == [
+            "report matched only 1 of 11 tokens; dictionary drift likely"]
 
 
 def train_knn_fixture(dictionary):
@@ -122,13 +150,22 @@ def train_knn_fixture(dictionary):
                           KnnParams(k_neighbors=1), fingerprint)
 
 
+def report_of(names):
+    """The JSON text of a report holding the dictionary ``names``."""
+    field_of = {prefix: field for field, prefix in CATEGORY_FIELDS.items()}
+    fields = {}
+    for name in names:
+        prefix, token = name.split(":", 1)
+        fields.setdefault(field_of[prefix], []).append(token)
+    return json.dumps(fields)
+
+
 class TestScoreReport:
     def test_training_sample_reproduced_as_report(self, dictionary):
         model = train_knn_fixture(dictionary)
-        report = BehaviorReport(
-            api_calls=("CreateFileW",), dropped_exts=("exe",), strings=("bitcoin",)
-        )
-        pred, outcome = score_report(report, model, dictionary)
+        tokens = parse_report(report(api_calls=["CreateFileW"], dropped_exts=["exe"],
+                                     strings=["bitcoin"]))
+        pred, outcome = score_report(tokens, model, dictionary)
         assert pred.label == 1
         assert outcome.matched == 3
 
@@ -137,60 +174,48 @@ class TestScoreReport:
         y = np.array([0, 1])
         fingerprint = Fingerprint(10, dictionary.sha256(), tuple(range(10)))
         model = FITTERS["logreg"](X, y, fingerprint=fingerprint)
-        pred, _ = score_report(BehaviorReport(), model, dictionary)
+        pred, _ = score_report(set(), model, dictionary)
         assert pred.score == pytest.approx(0.5, abs=1e-9)
 
     def test_fingerprint_mismatch_on_wrong_selection(self, dictionary):
         model = train_knn_fixture(dictionary)
         wrong = dataclasses.replace(model.fingerprint, selected=(0, 1, 2))
         with pytest.raises(FingerprintMismatch):
-            score_report(BehaviorReport(), dataclasses.replace(model, fingerprint=wrong),
-                         dictionary)
+            score_report(set(), dataclasses.replace(model, fingerprint=wrong), dictionary)
 
     def test_fingerprint_mismatch_on_wrong_dictionary(self, dictionary):
         model = train_knn_fixture(dictionary)
         other = FeatureDictionary(tuple(f"API:x{i}" for i in range(10)))
         with pytest.raises(FingerprintMismatch, match="dictionary"):
-            score_report(BehaviorReport(), model, other)
+            score_report(set(), model, other)
 
     def test_composition_law_on_random_fixtures(self, dictionary):
-        # score_report must equal predict(project(vectorize(...))) exactly
+        # score_report must equal predict of the reference row exactly
         model = train_knn_fixture(dictionary)
         rng = np.random.default_rng(70)
-        names = dictionary.names
         for _ in range(20):
-            chosen = [names[j] for j in rng.choice(10, size=4, replace=False)]
-            report = BehaviorReport(
-                api_calls=tuple(c.split(":", 1)[1] for c in chosen if c.startswith("API:")),
-                strings=tuple(c.split(":", 1)[1] for c in chosen if c.startswith("STR:")),
-            )
-            pred, counts = score_report(report, model, dictionary)
+            chosen = [NAMES[j] for j in rng.choice(10, size=4, replace=False)]
+            text = report_of(chosen + ["API:Unknown"])
+            pred, counts = score_report(parse_report(text), model, dictionary)
 
-            outcome = vectorize(report, dictionary)
-            assert counts == outcome._replace(row=())
-            one_row = DataMatrix.from_rows(10, [outcome.row])
-            assert pred == model.predict(project(one_row, model.fingerprint.selected))[0]
-
+            _, matched, unmatched, row = reference_report(text, NAMES, model.fingerprint.selected)
+            assert counts == (matched, unmatched)
+            assert pred == model.predict(np.array([row], dtype=np.uint8))[0]
 
     def test_batch_equals_one_report_at_a_time(self, dictionary):
         model = train_knn_fixture(dictionary)
         rng = np.random.default_rng(71)
-        names = dictionary.names
         batch = []
         for _ in range(12):
-            chosen = [names[j] for j in rng.choice(10, size=rng.integers(0, 6), replace=False)]
-            batch.append(BehaviorReport(
-                api_calls=tuple(c[4:] for c in chosen if c.startswith("API:")) + ("Unknown",),
-                strings=tuple(c[4:] for c in chosen if c.startswith("STR:")),
-                dropped_exts=tuple(c[5:] for c in chosen if c.startswith("DROP:")),
-            ))
+            chosen = [NAMES[j] for j in rng.choice(10, size=rng.integers(0, 6), replace=False)]
+            batch.append(parse_report(report_of(chosen + ["API:Unknown"])))
         assert score_reports(batch, model, dictionary) == \
-            [score_report(report, model, dictionary) for report in batch]
+            [score_report(tokens, model, dictionary) for tokens in batch]
 
     @pytest.mark.parametrize("kind", ["knn", "logreg", "dt"])
     def test_batch_projected_while_vectorizing(self, dictionary, kind):
         # a selection that reorders and drops columns: the batch built on the
-        # selected columns predicts as projecting the full-width batch does
+        # selected columns is the projected full-width batch, and predicts as it does
         rng = np.random.default_rng(72)
         full = DataMatrix.from_rows(
             10, [np.flatnonzero(rng.random(10) < 0.5) for _ in range(30)],
@@ -199,19 +224,13 @@ class TestScoreReport:
         fingerprint = Fingerprint(5, dictionary.sha256(), selected)
         y = binary_labels(full)
         model = FITTERS[kind](project(full, selected), y, fingerprint=fingerprint)
-        field_of = {prefix: name for name, prefix in CATEGORY_FIELDS.items()}
-        batch = []
-        for row in full.row_ordinals():
-            fields = {}
-            for j in row:
-                prefix, token = dictionary.names[j].split(":", 1)
-                fields.setdefault(field_of[prefix], []).append(token)
-            batch.append(BehaviorReport(**{f: tuple(v) for f, v in fields.items()}))
-        assert [vectorize(r, dictionary).row for r in batch] == \
-            [tuple(row.tolist()) for row in full.row_ordinals()]
+        texts = [report_of([NAMES[j] for j in row]) for row in full.row_ordinals()]
+        X, _ = batch_array(texts, dictionary, selected)
+        assert np.array_equal(X, full.to_dense()[:, list(selected)])
+        assert X.tolist() == [reference_report(t, NAMES, selected)[3] for t in texts]
         expected = model.predict(project(full, selected))
-        assert [pred for pred, _ in score_reports(batch, model, dictionary)] == \
-            list(expected)
+        assert [pred for pred, _ in score_reports(map(parse_report, texts), model,
+                                                  dictionary)] == list(expected)
 
     def test_duplicate_or_negative_selection_rejected(self, dictionary):
         model = train_knn_fixture(dictionary)
@@ -227,6 +246,65 @@ class TestScoreReport:
 
 def test_report_json_round_trip(dictionary):
     doc = {"api_calls": ["CreateFileW"], "strings": ["bitcoin", "decrypt"]}
-    report = parse_report(json.dumps(doc))
-    outcome = vectorize(report, dictionary)
+    outcome = vectorize(parse_report(json.dumps(doc)), dictionary)
     assert outcome.matched == 3
+
+
+# A dictionary where "enum" and "exe" are each known under two categories.
+TWIN_NAMES = NAMES[:6] + ("DIR:enum", "API:enum", "STR:exe", "STR:bitcoin")
+TWIN_DICTIONARY = FeatureDictionary(TWIN_NAMES)
+TOKENS = st.sampled_from([
+    "CreateFileW", "RegOpenKeyExA", "exe", "HKCU\\Run", "write", "docx", "enum",
+    "bitcoin", "nope", "", "API:CreateFileW", "café", "a\"b",
+])
+NOT_STRINGS = st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) \
+    | st.just([]) | st.just({"k": "v"})
+
+
+@st.composite
+def field_values(draw):
+    """Mostly an array of tokens (with repeats); now and then not an array,
+    or an array with one value that is not a string."""
+    tokens = draw(st.lists(TOKENS, max_size=6))
+    defect = draw(st.integers(0, 11))
+    if defect == 0:
+        return draw(NOT_STRINGS | st.sampled_from(["exe", "[]"]))
+    if defect == 1:
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(NOT_STRINGS))
+    return tokens
+
+
+@st.composite
+def report_texts(draw):
+    """A JSON document: now and then not an object, else an object whose
+    report fields are missing, empty or filled, in any key order, among
+    keys that are not report fields."""
+    if draw(st.integers(0, 19)) == 0:
+        doc = draw(st.sampled_from([[], [1], "x", 3, None]))
+    else:
+        keys = draw(st.lists(st.sampled_from([f for f, _ in FIELDS] + ["comment", "id"]),
+                             unique=True))
+        doc = {key: draw(field_values()) for key in keys}
+    text = json.dumps(doc, ensure_ascii=draw(st.booleans()))
+    return text.encode("utf-8") if draw(st.booleans()) else text
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=report_texts(),
+       selected=st.permutations(range(10)).flatmap(
+           lambda order: st.integers(1, 10).map(lambda k: tuple(order[:k]))))
+def test_parse_vectorize_and_columns_match_reference(text, selected):
+    try:
+        tokens, matched, unmatched, row = reference_report(text, TWIN_NAMES, selected)
+    except BadReport as exc:
+        # the same message, naming the first bad field in CATEGORY_FIELDS order
+        with pytest.raises(DataFormatError) as raised:
+            parse_report(text)
+        assert str(raised.value) == str(exc)
+        return
+    parsed = parse_report(text)
+    assert parsed == set(tokens) and len(parsed) == len(tokens)
+    assert vectorize(parsed, TWIN_DICTIONARY) == (matched, unmatched)
+    X, [outcome] = batch_array([text], TWIN_DICTIONARY, selected)
+    assert outcome == (matched, unmatched)
+    assert X.dtype == np.uint8 and X.tolist() == [row]

@@ -146,7 +146,7 @@ def test_integer_weights_decode_as_floats(models):
     ("rf", {"n_trees": 1, "features_per_split": 1}),
     ("rf", {"features_per_split": None}),
     ("svm", {"epochs": 1, "regularization": 5e-324}),
-    ("gbt", {"n_rounds": 0, "learning_rate": 5e-324}),
+    ("gbt", {"n_rounds": 1, "learning_rate": 5e-324}),
     ("logreg", {"epochs": 1, "learning_rate": 5e-324, "l2_penalty": 0.0}),
 ])
 def test_hyperparameters_at_their_bounds_are_accepted(kind, values):
