@@ -22,7 +22,6 @@ from .linear import (
     fit_linear_svm,
     fit_logistic_regression,
     logistic_loss_and_gradient,
-    svm_objective,
 )
 from .tree import DecisionTreeModel, fit_decision_tree
 

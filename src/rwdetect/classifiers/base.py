@@ -51,11 +51,18 @@ def check_xy(X: np.ndarray, y: np.ndarray) -> None:
         raise FitError(f"labels length {len(y)} != n_samples {len(X)}")
 
 
+def check_finite(values) -> None:
+    """Reject a fit that overflowed: a model file holds only finite numbers."""
+    if not np.isfinite(values).all():
+        raise FitError("the fit produced a non-finite number; "
+                       "a smaller learning_rate or a larger penalty avoids it")
+
+
 # Counts that must be at least 1 when set, values that must be at least 0,
 # and rates that must be above 0.
 AT_LEAST_ONE = ("n_trees", "k_neighbors", "epochs", "features_per_split", "n_rounds",
                 "min_samples_leaf")
-NON_NEGATIVE = ("max_depth", "l2_leaf_penalty", "min_child_weight", "tolerance")
+NON_NEGATIVE = ("max_depth", "l2_leaf_penalty", "min_child_weight", "tolerance", "l2_penalty")
 POSITIVE = ("learning_rate", "regularization")
 
 

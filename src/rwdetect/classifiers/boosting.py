@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import Fingerprint, GbtParams, Prediction, check_xy, scores_to_predictions, sigmoid
+from .base import (
+    Fingerprint,
+    GbtParams,
+    Prediction,
+    check_finite,
+    check_xy,
+    scores_to_predictions,
+    sigmoid,
+)
 from .tree import FlatTree, build_tree, leaf_values
 
 
@@ -44,8 +52,7 @@ def find_gain_split(X, g, h, idx, params: GbtParams):
     n1 = np.ones(len(idx)) @ cols
     n0 = len(idx) - n1
 
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at lam = 0 is masked below
-        gains = split_gain(gl, hl, gr, hr, params.l2_leaf_penalty)
+    gains = split_gain(gl, hl, gr, hr, params.l2_leaf_penalty)  # 0/0 at lam = 0 is masked below
     valid = (n0 > 0) & (n1 > 0) & (np.minimum(hl, hr) >= params.min_child_weight)
     gains = np.where(valid, gains, -np.inf)
     best = int(np.argmax(gains))
@@ -62,7 +69,7 @@ def grow_gbt_tree(X, g, h, params: GbtParams, out) -> FlatTree:
         split = find_gain_split(X, g, h, idx, params) if depth < params.max_depth else None
         if split is not None:
             return split
-        weight = -float(g[idx].sum()) / (float(h[idx].sum()) + params.l2_leaf_penalty)
+        weight = float(-g[idx].sum() / (h[idx].sum() + params.l2_leaf_penalty))
         out[idx] = weight
         return weight
 
@@ -100,13 +107,17 @@ def fit_gradient_boosting(
     margin = np.full(len(yf), base_score)
 
     trees = []
-    for _ in range(params.n_rounds):
-        p = sigmoid(margin)
-        g = p - yf
-        h = p * (1.0 - p)
-        outputs = np.empty(len(yf))
-        trees.append(grow_gbt_tree(X, g, h, params, outputs))
-        margin = margin + params.learning_rate * outputs
+    # At lam = 0 a leaf whose hessians are all 0 divides by 0, and a large
+    # learning rate overflows the margin: either ends in check_finite.
+    with np.errstate(all="ignore"):
+        for _ in range(params.n_rounds):
+            p = sigmoid(margin)
+            g = p - yf
+            h = p * (1.0 - p)
+            outputs = np.empty(len(yf))
+            trees.append(grow_gbt_tree(X, g, h, params, outputs))
+            margin = margin + params.learning_rate * outputs
+    check_finite(np.concatenate([t.value for t in trees]))
     return GbtModel(
         trees=tuple(trees),
         base_score=base_score,

@@ -12,6 +12,7 @@ from .base import (
     LogRegParams,
     Prediction,
     SvmParams,
+    check_finite,
     check_xy,
     scores_to_predictions,
     sigmoid,
@@ -34,13 +35,6 @@ class LinearSvmModel:
         return [
             Prediction(int(m >= 0.0), float(sigmoid(m))) for m in margins
         ]
-
-
-def svm_objective(w, b, X, y_pm, lam: float) -> float:
-    """lam/2 ||w||^2 + mean hinge loss; used by fit and by tests."""
-    margins = y_pm * (X @ w + b)
-    hinge = np.maximum(0.0, 1.0 - margins)
-    return 0.5 * lam * float(w @ w) + float(hinge.mean())
 
 
 def fit_linear_svm(
@@ -130,14 +124,16 @@ def fit_logistic_regression(
     w = np.zeros(d)
     b = 0.0
     history = []
-    for _ in range(params.epochs):
-        loss, grad_w, grad_b = logistic_loss_and_gradient(w, b, Xf, yf, params.l2_penalty)
-        history.append(loss)
-        grad_norm = float(np.sqrt(grad_w @ grad_w + grad_b * grad_b))
-        if grad_norm < params.tolerance:
-            break
-        w = w - params.learning_rate * grad_w
-        b = b - params.learning_rate * grad_b
+    with np.errstate(all="ignore"):  # a step that overflows ends in check_finite
+        for _ in range(params.epochs):
+            loss, grad_w, grad_b = logistic_loss_and_gradient(w, b, Xf, yf, params.l2_penalty)
+            history.append(loss)
+            grad_norm = float(np.sqrt(grad_w @ grad_w + grad_b * grad_b))
+            if grad_norm < params.tolerance:
+                break
+            w = w - params.learning_rate * grad_w
+            b = b - params.learning_rate * grad_b
+    check_finite(np.append(w, b))
     return LogRegModel(
         weights=tuple(float(v) for v in w),
         bias=float(b),

@@ -183,12 +183,6 @@ def data_path(cfg: RunConfig) -> str:
     return cfg.data
 
 
-def load_dataset(cfg: RunConfig):
-    path = data_path(cfg)
-    dense = dataset.file_format(path) == "dense"
-    return (dataset.load_dense_csv if dense else dataset.load_sparse)(path)
-
-
 def make_params(kind: str, overrides: dict):
     """``kind``'s hyperparameters with those of ``overrides`` that are its
     fields; overrides are shared across kinds, so other keys are ignored."""
@@ -245,7 +239,7 @@ def split_and_select(matrix, dictionary, y, cfg: RunConfig):
 
 def cmd_mi_scores(args) -> int:
     cfg = build_config(args)
-    matrix, dictionary, y = load_dataset(cfg)
+    matrix, dictionary, y = dataset.load(data_path(cfg))
     out_dir = ensure_out(cfg, "mi-scores")
     scores = selection.score_all(matrix, y)
     out_path = out_dir / "mi_scores.csv"
@@ -259,7 +253,7 @@ def cmd_mi_scores(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = build_config(args)
-    matrix, dictionary, y = load_dataset(cfg)
+    matrix, dictionary, y = dataset.load(data_path(cfg))
     train_p, train_y, _, _, fingerprint = split_and_select(matrix, dictionary, y, cfg)
     out_dir = ensure_out(cfg, "train")
     params = make_params(cfg.model, cfg.hp)
@@ -278,7 +272,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = build_config(args)
     model = load_model(cfg)
-    matrix, dictionary, y = load_dataset(cfg)
+    matrix, dictionary, y = dataset.load(data_path(cfg))
     reports.check_fingerprint(model.fingerprint, dictionary)
     # The test partition is the model's only when this split selects its features.
     _, _, test_p, test_y, fingerprint = split_and_select(
@@ -310,7 +304,7 @@ def cmd_reproduce(args) -> int:
         raise RwdetectError(f"reproduce needs the 1524-sample behavioral dataset: pass --data "
                             f"or set {DATA_ENV_VAR} (README gives the file layouts)")
     seeds = [int(s) for s in cfg.seeds.split(",")] if cfg.seeds else [cfg.seed]
-    matrix, dictionary, y = load_dataset(cfg)
+    matrix, dictionary, y = dataset.load(data_path(cfg))
     splits = [split_and_select(matrix, dictionary, y, dataclasses.replace(cfg, seed=s))
               for s in seeds]
     out_dir = ensure_out(cfg, "reproduce")
@@ -377,8 +371,7 @@ def cmd_score(args) -> int:
         raise UsageError(f"reports path not found: {args.reports}")
     model = load_model(cfg)
     # Token lookup needs the training dictionary only, not its samples.
-    path = data_path(cfg)
-    dictionary = dataset.load_dictionary(path, dataset.file_format(path))
+    dictionary = dataset.load_dictionary(data_path(cfg))
     out_dir = ensure_out(cfg, "score")
 
     verdicts, failures = reports.score_documents(

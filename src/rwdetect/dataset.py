@@ -1,4 +1,4 @@
-"""Binary behavioral feature dataset: loading, labeling, splitting, synthesis.
+"""Binary behavioral feature dataset: loading, labeling, splitting.
 
 A sample is a set of fired behavioral events. Each event is a feature name
 of the form ``<CATEGORY>:<identifier>`` where the category is one of the
@@ -9,13 +9,15 @@ column ordinals rather than a dense vector.
 
 Two on-disk formats are supported and produce identical in-memory results:
 a dense CSV (header ``sample_id,family_id,<names...>``, cells "0"/"1") and
-a sparse tab-separated format (canonical for wide matrices); ``file_format``
-tells them apart:
+a sparse tab-separated format (canonical for wide matrices):
 
     #FEATURES <d>
     <feature name>          (d lines, column order)
     #SAMPLES <n>
     <sample_id>\t<family_id>\t<name name ...>
+
+``file_format`` tells them apart, so ``load`` and ``load_dictionary`` read
+either without being told which.
 
 Family ID 0 is goodware; IDs 1..11 are ransomware families. The binary
 label is simply ``family_id != 0``.
@@ -76,9 +78,6 @@ class FeatureDictionary:
 
     def __len__(self):
         return len(self.names)
-
-    def ordinal(self, name: str) -> int:
-        return self._index[name]
 
     def unknown(self, names: set[str]) -> set[str]:
         """The ``names`` the dictionary does not hold."""
@@ -155,20 +154,9 @@ class DataMatrix:
                                  or [np.zeros(0, dtype=np.int64)])
         return cls(n_features, indptr, indices, family_ids, sample_ids)
 
-    def __eq__(self, other):
-        if not isinstance(other, DataMatrix):
-            return NotImplemented
-        return self.n_features == other.n_features and all(
-            np.array_equal(getattr(self, f), getattr(other, f)) for f in ARRAY_FIELDS)
-
     @property
     def n_samples(self) -> int:
         return len(self.indptr) - 1
-
-    def row_ordinals(self) -> list[np.ndarray]:
-        """Active ordinals of every row, as views into ``indices``."""
-        bounds = self.indptr.tolist()
-        return [self.indices[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def entry_rows(self) -> np.ndarray:
         """Row number of every entry of ``indices``."""
@@ -292,21 +280,26 @@ def file_format(path) -> str:
     return "dense" if head == prefix else "sparse"
 
 
-def load_dictionary(path, fmt: str) -> FeatureDictionary:
-    """Only the feature dictionary of a ``fmt`` ("sparse" or "dense") dataset file.
+def load_dictionary(path) -> FeatureDictionary:
+    """Only the feature dictionary of a dataset file, in either format.
 
-    It is checked exactly as ``load_sparse`` and ``load_dense_csv`` check
-    it; the sample section is not parsed, and no byte after the
-    dictionary is decoded.
+    It is checked exactly as ``load`` checks it; the sample section is not
+    parsed, and no byte after the dictionary is decoded.
     """
+    dense = file_format(path) == "dense"
     try:
         with open(path, "rb") as fh:
-            if fmt == "dense":
+            if dense:
                 return _dense_dictionary(csv.reader(_decoded_lines(fh)), path)
             return _sparse_dictionary(fh, path)
     except (UnicodeDecodeError, csv.Error) as exc:
-        kind = "CSV" if fmt == "dense" else "text"
+        kind = "CSV" if dense else "text"
         raise DataFormatError(f"{path}: not readable as UTF-8 {kind}: {exc}") from None
+
+
+def load(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
+    """The matrix, dictionary and labels of a dataset file, in either format."""
+    return (load_dense_csv if file_format(path) == "dense" else load_sparse)(path)
 
 
 def load_sparse(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
@@ -353,26 +346,6 @@ def load_sparse(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
         raise DataFormatError(f"{path}: not readable as UTF-8 text: {exc}") from None
     matrix = DataMatrix.from_rows(len(dictionary), rows, family_ids, sample_ids)
     return matrix, dictionary, binary_labels(matrix)
-
-
-def write_dense_csv(path, matrix: DataMatrix, dictionary: FeatureDictionary) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "family_id", *dictionary.names])
-        for sid, family, row in zip(matrix.sample_ids, matrix.family_ids, matrix.to_dense()):
-            writer.writerow([sid, str(family), *map(str, row.tolist())])
-
-
-def write_sparse(path, matrix: DataMatrix, dictionary: FeatureDictionary) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#FEATURES {matrix.n_features}\n")
-        fh.writelines(name + "\n" for name in dictionary.names)
-        fh.write(f"#SAMPLES {matrix.n_samples}\n")
-        for sid, family, active in zip(
-            matrix.sample_ids, matrix.family_ids.tolist(), matrix.row_ordinals()
-        ):
-            feats = " ".join(dictionary.names[j] for j in active.tolist())
-            fh.write(f"{sid}\t{family}\t{feats}\n")
 
 
 def stratified_split(
@@ -424,46 +397,3 @@ def take_rows(matrix: DataMatrix, indices) -> DataMatrix:
         matrix.family_ids[rows], matrix.sample_ids[rows],
     )
 
-
-def synthesize_dataset(
-    n: int,
-    d: int,
-    sparsity: float,
-    class_signal: list[tuple[int, float, float]],
-    seed: int,
-    positive_rate: float = 0.5,
-) -> tuple[DataMatrix, np.ndarray]:
-    """Generate a reproducible synthetic binary dataset and its labels.
-
-    ``class_signal`` entries are (ordinal, P(x=1 | y=0), P(x=1 | y=1));
-    every other feature is class-independent Bernoulli(sparsity).
-    Positive samples get family_id 1, negatives 0.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    signal = {}
-    for ordinal, p0, p1 in class_signal:
-        if not 0 <= ordinal < d:
-            raise ValueError(f"signal ordinal {ordinal} out of range [0, {d})")
-        if not (0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0):
-            raise ValueError("class-conditional probabilities must be in [0,1]")
-        signal[ordinal] = (p0, p1)
-
-    rng = np.random.default_rng(seed)
-    labels = (rng.random(n) < positive_rate).astype(np.int64)
-    cells = rng.random((n, d))
-
-    thresholds = np.full((n, d), sparsity)
-    for ordinal, (p0, p1) in signal.items():
-        thresholds[:, ordinal] = np.where(labels == 1, p1, p0)
-    dense = cells < thresholds
-
-    matrix = DataMatrix.from_rows(
-        d, [np.flatnonzero(row) for row in dense], labels, [f"synth{i:05d}" for i in range(n)]
-    )
-    return matrix, binary_labels(matrix)
-
-
-def generic_dictionary(d: int, category: str = "STR") -> FeatureDictionary:
-    """Placeholder dictionary for synthetic matrices."""
-    return FeatureDictionary(tuple(f"{category}:f{j:05d}" for j in range(d)))

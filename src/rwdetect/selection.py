@@ -12,52 +12,9 @@ deterministic across runs and platforms.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import DataMatrix, FeatureDictionary
-
-
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Joint counts of (feature value, label): n_xy = #{feature=x, label=y}."""
-
-    n00: int
-    n01: int
-    n10: int
-    n11: int
-
-    def __post_init__(self):
-        if min(self.n00, self.n01, self.n10, self.n11) < 0:
-            raise ValueError("contingency counts must be non-negative")
-
-    @property
-    def n(self) -> int:
-        return self.n00 + self.n01 + self.n10 + self.n11
-
-
-def mi_score(t: ContingencyTable) -> float:
-    """Exact plug-in mutual information of a 2x2 table, in nats."""
-    n = t.n
-    if n == 0:
-        raise ValueError("empty contingency table")
-    nx1 = t.n10 + t.n11
-    nx0 = t.n00 + t.n01
-    ny1 = t.n01 + t.n11
-    ny0 = t.n00 + t.n10
-    total = 0.0
-    for nxy, nx, ny in (
-        (t.n00, nx0, ny0),
-        (t.n01, nx0, ny1),
-        (t.n10, nx1, ny0),
-        (t.n11, nx1, ny1),
-    ):
-        if nxy > 0:
-            total += (nxy / n) * math.log(nxy * n / (nx * ny))
-    # Plug-in MI is non-negative; clamp float noise on independent tables.
-    return max(total, 0.0)
 
 
 def score_all(matrix: DataMatrix, y: np.ndarray) -> np.ndarray:

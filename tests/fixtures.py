@@ -1,0 +1,139 @@
+"""Test fixtures and reference oracles, kept apart from ``rwdetect``.
+
+No command runs these: they synthesize and write the datasets the tests
+load, and they are the plain-Python references that ``score_all`` (MI)
+and ``fit_linear_svm`` (objective) are checked against.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from rwdetect.dataset import ARRAY_FIELDS, DataMatrix, FeatureDictionary, binary_labels
+
+
+def row_ordinals(matrix: DataMatrix) -> list[np.ndarray]:
+    """Active ordinals of every row, as views into ``indices``."""
+    bounds = matrix.indptr.tolist()
+    return [matrix.indices[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def matrices_equal(a: DataMatrix, b: DataMatrix) -> bool:
+    """Same width and the same rows, labels and sample ids."""
+    return a.n_features == b.n_features and all(
+        np.array_equal(getattr(a, f), getattr(b, f)) for f in ARRAY_FIELDS)
+
+
+def write_dense_csv(path, matrix: DataMatrix, dictionary: FeatureDictionary) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["sample_id", "family_id", *dictionary.names])
+        for sid, family, row in zip(matrix.sample_ids, matrix.family_ids, matrix.to_dense()):
+            writer.writerow([sid, str(family), *map(str, row.tolist())])
+
+
+def write_sparse(path, matrix: DataMatrix, dictionary: FeatureDictionary) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"#FEATURES {matrix.n_features}\n")
+        fh.writelines(name + "\n" for name in dictionary.names)
+        fh.write(f"#SAMPLES {matrix.n_samples}\n")
+        for sid, family, active in zip(
+            matrix.sample_ids, matrix.family_ids.tolist(), row_ordinals(matrix)
+        ):
+            feats = " ".join(dictionary.names[j] for j in active.tolist())
+            fh.write(f"{sid}\t{family}\t{feats}\n")
+
+
+def synthesize_dataset(
+    n: int,
+    d: int,
+    sparsity: float,
+    class_signal: list[tuple[int, float, float]],
+    seed: int,
+    positive_rate: float = 0.5,
+) -> tuple[DataMatrix, np.ndarray]:
+    """Generate a reproducible synthetic binary dataset and its labels.
+
+    ``class_signal`` entries are (ordinal, P(x=1 | y=0), P(x=1 | y=1));
+    every other feature is class-independent Bernoulli(sparsity).
+    Positive samples get family_id 1, negatives 0.
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    signal = {}
+    for ordinal, p0, p1 in class_signal:
+        if not 0 <= ordinal < d:
+            raise ValueError(f"signal ordinal {ordinal} out of range [0, {d})")
+        if not (0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0):
+            raise ValueError("class-conditional probabilities must be in [0,1]")
+        signal[ordinal] = (p0, p1)
+
+    rng = np.random.default_rng(seed)
+    labels = (rng.random(n) < positive_rate).astype(np.int64)
+    cells = rng.random((n, d))
+
+    thresholds = np.full((n, d), sparsity)
+    for ordinal, (p0, p1) in signal.items():
+        thresholds[:, ordinal] = np.where(labels == 1, p1, p0)
+    dense = cells < thresholds
+
+    matrix = DataMatrix.from_rows(
+        d, [np.flatnonzero(row) for row in dense], labels, [f"synth{i:05d}" for i in range(n)]
+    )
+    return matrix, binary_labels(matrix)
+
+
+def generic_dictionary(d: int, category: str = "STR") -> FeatureDictionary:
+    """Placeholder dictionary for synthetic matrices."""
+    return FeatureDictionary(tuple(f"{category}:f{j:05d}" for j in range(d)))
+
+
+@dataclass(frozen=True)
+class ContingencyTable:
+    """Joint counts of (feature value, label): n_xy = #{feature=x, label=y}."""
+
+    n00: int
+    n01: int
+    n10: int
+    n11: int
+
+    def __post_init__(self):
+        if min(self.n00, self.n01, self.n10, self.n11) < 0:
+            raise ValueError("contingency counts must be non-negative")
+
+    @property
+    def n(self) -> int:
+        return self.n00 + self.n01 + self.n10 + self.n11
+
+
+def mi_score(t: ContingencyTable) -> float:
+    """Exact plug-in mutual information of a 2x2 table, in nats."""
+    n = t.n
+    if n == 0:
+        raise ValueError("empty contingency table")
+    nx1 = t.n10 + t.n11
+    nx0 = t.n00 + t.n01
+    ny1 = t.n01 + t.n11
+    ny0 = t.n00 + t.n10
+    total = 0.0
+    for nxy, nx, ny in (
+        (t.n00, nx0, ny0),
+        (t.n01, nx0, ny1),
+        (t.n10, nx1, ny0),
+        (t.n11, nx1, ny1),
+    ):
+        if nxy > 0:
+            total += (nxy / n) * math.log(nxy * n / (nx * ny))
+    # Plug-in MI is non-negative; clamp float noise on independent tables.
+    return max(total, 0.0)
+
+
+def svm_objective(w, b, X, y_pm, lam: float) -> float:
+    """lam/2 ||w||^2 + mean hinge loss, the objective ``fit_linear_svm`` descends."""
+    margins = y_pm * (X @ w + b)
+    hinge = np.maximum(0.0, 1.0 - margins)
+    return 0.5 * lam * float(w @ w) + float(hinge.mean())

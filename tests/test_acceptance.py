@@ -26,9 +26,10 @@ from rwdetect.classifiers import (
     fit_logistic_regression,
     serialize_model,
 )
-from rwdetect.selection import ContingencyTable, mi_score, score_all
+from rwdetect.selection import score_all
 
 from conftest import matrix_from_dense, random_dense
+from fixtures import ContingencyTable, mi_score, synthesize_dataset
 from test_boosting import gain_oracle
 from test_knn import knn_oracle
 from test_selection import dense_mi_oracle
@@ -223,7 +224,7 @@ def test_criterion_8_pipeline_soundness():
         n, noise_d, signal_d = 1500, 5000, 10
         d = noise_d + signal_d
         signal = [(j, 0.05, 0.9) for j in range(signal_d)]
-        matrix, y = dataset.synthesize_dataset(n, d, 0.02, signal, seed=88)
+        matrix, y = synthesize_dataset(n, d, 0.02, signal, seed=88)
 
         train_idx, test_idx = dataset.stratified_split(matrix, y, 1, 1 / 3)
         train_m = dataset.take_rows(matrix, train_idx)

@@ -14,16 +14,10 @@ from hypothesis import given, settings, strategies as st
 from rwdetect import cli, dataset, reports
 from rwdetect.classifiers import MODEL_KINDS, deserialize_model
 from rwdetect.classifiers.knn import KnnModel
-from rwdetect.dataset import (
-    FeatureDictionary,
-    generic_dictionary,
-    load_sparse,
-    synthesize_dataset,
-    write_dense_csv,
-    write_sparse,
-)
+from rwdetect.dataset import FeatureDictionary, load_sparse
 
 from conftest import mutated_lines
+from fixtures import generic_dictionary, synthesize_dataset, write_dense_csv, write_sparse
 from report_oracle import reference_report
 
 
@@ -100,6 +94,21 @@ class TestTrain:
                     "--top-k", 5]) == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "more sample lines than '#SAMPLES 78'" in err
+
+    @pytest.mark.parametrize("kind, hps", [
+        ("gbt", ["l2_leaf_penalty=0", "learning_rate=1"]),  # a leaf of 0 hessians: 0/0
+        ("logreg", ["learning_rate=1e308", "epochs=3"]),  # the weights overflow
+    ])
+    def test_non_finite_fit_is_one_line_data_error(self, tmp_path, capsys, kind, hps):
+        data = make_dataset(tmp_path)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        code = run(["train", "--data", data, "--out", out, "--model", kind, "--top-k", 5,
+                    *(f"--hp={hp}" for hp in hps)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert err.count("\n") == 1 and "non-finite" in err
+        assert not (out / f"model_{kind}.json").exists()
 
     def test_unknown_model_kind(self, tmp_path):
         data = make_dataset(tmp_path)
@@ -621,6 +630,7 @@ HP_BOUNDS = [
     ("logreg", "learning_rate", "0.0", "5e-324"),
     ("logreg", "epochs", "0", "1"),
     ("logreg", "tolerance", "-5e-324", "0.0"),
+    ("logreg", "l2_penalty", "-5e-324", "0.0"),
 ]
 
 

@@ -13,19 +13,23 @@ from rwdetect.dataset import (
     DataMatrix,
     FeatureDictionary,
     file_format,
-    generic_dictionary,
     load_dense_csv,
     load_dictionary,
     load_sparse,
     stratified_split,
-    synthesize_dataset,
     take_rows,
-    write_dense_csv,
-    write_sparse,
 )
 from rwdetect.errors import DataFormatError, SplitError
 
 from conftest import matrix_from_dense, mutated_lines
+from fixtures import (
+    generic_dictionary,
+    matrices_equal,
+    row_ordinals,
+    synthesize_dataset,
+    write_dense_csv,
+    write_sparse,
+)
 
 
 def write_lines(path, *lines):
@@ -38,8 +42,8 @@ NAMES4 = "API:a,DROP:b,REG:c,STR:d"
 class TestFeatureDictionary:
     def test_lookup_bijective(self):
         d = FeatureDictionary(("API:x", "STR:y"))
-        assert d.ordinal("API:x") == 0
-        assert d.ordinal("STR:y") == 1
+        assert d.names.index("API:x") == 0
+        assert d.names.index("STR:y") == 1
         assert len(d) == 2
 
     def test_duplicate_name_rejected(self):
@@ -148,7 +152,7 @@ class TestDenseLoader:
         m, _, y = load_dense_csv(p)
         assert m.sample_ids.tolist() == ["s1"]
         assert m.family_ids.tolist() == [0]
-        assert m.row_ordinals()[0].tolist() == [0, 2]
+        assert row_ordinals(m)[0].tolist() == [0, 2]
         assert y.tolist() == [0]
 
     def test_non_binary_cell_reports_location(self, tmp_path):
@@ -175,9 +179,9 @@ class TestDenseLoader:
         m, d, y = load_dense_csv(p)
         assert file_format(p) == "dense"
         assert d.names == tuple(NAMES4.split(","))
-        assert [r.tolist() for r in m.row_ordinals()] == [[0, 2], [1]]
+        assert [r.tolist() for r in row_ordinals(m)] == [[0, 2], [1]]
         assert y.tolist() == [0, 1]
-        assert load_dictionary(p, "dense").names == d.names
+        assert load_dictionary(p).names == d.names
 
     @pytest.mark.parametrize("bad_line, message", [
         ("s2,0,1,2,0,0", "line 6: cell for feature 'DROP:b'"),
@@ -206,14 +210,14 @@ class TestSparseLoader:
             "s1\t2\tAPI:x STR:y",
         )
         m, _, y = load_sparse(p)
-        assert m.row_ordinals()[0].tolist() == [0, 1]
+        assert row_ordinals(m)[0].tolist() == [0, 1]
         assert y.tolist() == [1]
 
     def test_empty_feature_list(self, tmp_path):
         p = tmp_path / "d.sparse"
         write_lines(p, "#FEATURES 1", "API:x", "#SAMPLES 1", "s1\t0\t")
         m, _, _ = load_sparse(p)
-        assert m.row_ordinals()[0].tolist() == []
+        assert row_ordinals(m)[0].tolist() == []
 
     def test_unknown_feature_name(self, tmp_path):
         p = tmp_path / "d.sparse"
@@ -259,7 +263,7 @@ class TestSparseLoader:
             p, "#FEATURES 2", "API:x", "STR:y", "#SAMPLES 1", "s1\t0\tSTR:y API:x STR:y"
         )
         m, _, _ = load_sparse(p)
-        assert m.row_ordinals()[0].tolist() == [0, 1]
+        assert row_ordinals(m)[0].tolist() == [0, 1]
 
     def test_invalid_utf8(self, tmp_path):
         p = tmp_path / "d.sparse"
@@ -293,7 +297,7 @@ class TestSparseLoader:
         write_lines(p, "#FEATURES 40", *d.names, "#SAMPLES 2",
                     "s1\t0\t" + " ".join(tokens), "s2\t1\t" + " ".join(tokens[:3]))
         m, _, _ = load_sparse(p)
-        assert [r.tolist() for r in m.row_ordinals()] == [[0, 2, 5, 17, 30, 39], [2, 17, 30]]
+        assert [r.tolist() for r in row_ordinals(m)] == [[0, 2, 5, 17, 30, 39], [2, 17, 30]]
 
 
 VALID_SPARSE = (
@@ -366,7 +370,7 @@ class TestCrossFormat:
 
         m1, d1, y1 = load_dense_csv(dense_path)
         m2, d2, y2 = load_sparse(sparse_path)
-        assert m1 == m2
+        assert matrices_equal(m1, m2)
         assert d1 == d2
         assert np.array_equal(y1, y2)
 
@@ -384,7 +388,7 @@ class TestCrossFormat:
         loaded, d1, _ = load(p1)
         write(p2, loaded, d1)
         again, d2, _ = load(p2)
-        assert loaded == again == m
+        assert matrices_equal(loaded, again) and matrices_equal(again, m)
         assert d1 == d2 == d
 
 
@@ -443,7 +447,7 @@ class TestSynthesize:
     def test_same_seed_identical(self):
         a = synthesize_dataset(50, 8, 0.3, [(0, 0.1, 0.9)], seed=9)
         b = synthesize_dataset(50, 8, 0.3, [(0, 0.1, 0.9)], seed=9)
-        assert a[0] == b[0] and np.array_equal(a[1], b[1])
+        assert matrices_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_label_rule_total(self):
         m, y = synthesize_dataset(40, 3, 0.5, [], seed=2)
@@ -468,7 +472,7 @@ class TestLoadDictionary:
             p = tmp_path / f"m.{fmt}"
             write(p, m, d)
             _, full, _ = self.LOADERS[fmt](p)
-            only = load_dictionary(p, fmt)
+            only = load_dictionary(p)
             assert only.names == full.names == d.names
             assert only.sha256() == full.sha256()
 
@@ -482,7 +486,7 @@ class TestLoadDictionary:
         ("sparse", b"#FEATURES 2\nAPI:a\nAPI:a\n#SAMPLES 0\n", "duplicate feature name"),
         ("sparse", b"#FEATURES 1\nAPI:\xff\n#SAMPLES 0\n", "UTF-8"),
         ("sparse", b"#FEATURES 0\n#SAMPLES 0\n", "empty"),
-        ("dense", b"id,family,API:a\ns1,0,1\n", "header must start"),
+        ("dense", b"sample_id,family_idx,API:a\ns1,0,1\n", "header must start"),
         ("dense", b"sample_id,family_id,API:a,NOPE:b\n", "category prefix"),
         ("dense", b"sample_id,family_id,API:a,API:a\n", "duplicate feature name"),
         ("dense", b"sample_id,family_id,API:\xff\n", "UTF-8"),
@@ -495,7 +499,7 @@ class TestLoadDictionary:
         with pytest.raises(DataFormatError, match=message):
             self.LOADERS[fmt](p)
         with pytest.raises(DataFormatError, match=message):
-            load_dictionary(p, fmt)
+            load_dictionary(p)
 
     @pytest.mark.parametrize("content, names", [
         (b"\n\n#FEATURES 3\n\nAPI:a\n\n\nSTR:b\n\nREG:c\n\n#SAMPLES 0\n",
@@ -507,13 +511,13 @@ class TestLoadDictionary:
         monkeypatch.setattr(dataset, "BLOCK_LINES", block)
         p = tmp_path / "d.sparse"
         p.write_bytes(content)
-        assert load_dictionary(p, "sparse").names == names
+        assert load_dictionary(p).names == names
         assert load_sparse(p)[1].names == names
 
     def test_last_name_without_newline(self, tmp_path):
         p = tmp_path / "d.sparse"
         p.write_bytes(b"#FEATURES 2\nAPI:a\n\nSTR:b")
-        assert load_dictionary(p, "sparse").names == ("API:a", "STR:b")
+        assert load_dictionary(p).names == ("API:a", "STR:b")
         with pytest.raises(DataFormatError, match="'#SAMPLES <count>' header"):
             load_sparse(p)
 
@@ -522,11 +526,11 @@ class TestLoadDictionary:
         m = DataMatrix.from_rows(len(d), [[0, 8191, 8192, len(d) - 1], []])
         p = tmp_path / "d.sparse"
         write_sparse(p, m, d)
-        only = load_dictionary(p, "sparse")
+        only = load_dictionary(p)
         full, loaded, _ = load_sparse(p)
         assert only.names == loaded.names == d.names
         assert only.sha256() == reference_sha256(d.names)
-        assert full == m
+        assert matrices_equal(full, m)
 
     def test_blank_lines_at_block_borders(self, tmp_path, monkeypatch):
         monkeypatch.setattr(dataset, "BLOCK_LINES", 3)
@@ -535,16 +539,16 @@ class TestLoadDictionary:
                  "#SAMPLES 1", "s1\t0\tSTR:n9 STR:n3"]
         p = tmp_path / "d.sparse"
         write_lines(p, *lines)
-        assert load_dictionary(p, "sparse").names == tuple(names)
+        assert load_dictionary(p).names == tuple(names)
         m, d, _ = load_sparse(p)
-        assert d.names == tuple(names) and m.row_ordinals()[0].tolist() == [3, 9]
+        assert d.names == tuple(names) and row_ordinals(m)[0].tolist() == [3, 9]
 
     def test_undecodable_samples_after_a_multi_block_section(self, tmp_path, monkeypatch):
         monkeypatch.setattr(dataset, "BLOCK_LINES", 2)
         p = tmp_path / "d.sparse"
         p.write_bytes(b"#FEATURES 5\nAPI:a\nAPI:b\nAPI:c\n\nAPI:d\nAPI:e\n"
                       b"#SAMPLES 1\ns1\t0\tAPI:\xff\n")
-        assert load_dictionary(p, "sparse").names == ("API:a", "API:b", "API:c", "API:d", "API:e")
+        assert load_dictionary(p).names == ("API:a", "API:b", "API:c", "API:d", "API:e")
         with pytest.raises(DataFormatError, match="UTF-8"):
             load_sparse(p)
 
@@ -557,7 +561,7 @@ class TestLoadDictionary:
         p.write_bytes(content)
         with pytest.raises(DataFormatError):
             self.LOADERS[fmt](p)
-        assert load_dictionary(p, fmt).names == ("API:a",)
+        assert load_dictionary(p).names == ("API:a",)
 
 
 class TestFileFormat:
@@ -593,4 +597,4 @@ class TestFileFormat:
         p = tmp_path / "d.data"
         p.write_bytes(b"id,family,API:a\ns1,0,1\n")
         with pytest.raises(DataFormatError, match="'#FEATURES <count>' header"):
-            load_dictionary(p, file_format(p))
+            load_dictionary(p)

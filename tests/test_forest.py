@@ -8,10 +8,10 @@ from rwdetect.classifiers import (
     fit_random_forest,
     serialize_model,
 )
-from rwdetect.dataset import synthesize_dataset
 from rwdetect.errors import FitError
 
 from conftest import random_dense, xy
+from fixtures import synthesize_dataset
 
 
 def test_degenerate_forest_equals_single_tree():

@@ -21,14 +21,10 @@ import pytest
 
 from rwdetect import cli
 from rwdetect.classifiers import MODEL_KINDS
-from rwdetect.dataset import (
-    CATEGORY_CODES,
-    FeatureDictionary,
-    synthesize_dataset,
-    write_dense_csv,
-    write_sparse,
-)
+from rwdetect.dataset import CATEGORY_CODES, FeatureDictionary
 from rwdetect.reports import CATEGORY_FIELDS
+
+from fixtures import row_ordinals, synthesize_dataset, write_dense_csv, write_sparse
 
 N, D = 240, 60
 SIGNAL = [(0, 0.1, 0.7), (5, 0.6, 0.2), (11, 0.3, 0.5), (23, 0.2, 0.35)]
@@ -45,7 +41,7 @@ def write_inputs(root: Path) -> None:
     write_dense_csv(root / DATA_FILE["dense"], matrix, dictionary)
     field_of = {prefix: name for name, prefix in CATEGORY_FIELDS.items()}
     lines = []
-    for row in matrix.row_ordinals()[::6]:
+    for row in row_ordinals(matrix)[::6]:
         doc = {}
         for j in row.tolist():
             prefix, token = names[j].split(":", 1)

@@ -7,11 +7,11 @@ from rwdetect.classifiers import (
     fit_linear_svm,
     fit_logistic_regression,
     logistic_loss_and_gradient,
-    svm_objective,
 )
 from rwdetect.errors import FitError
 
 from conftest import random_dense, xy
+from fixtures import svm_objective
 
 
 class TestLinearSvm:

@@ -22,6 +22,7 @@ from rwdetect.reports import (
 )
 from rwdetect.selection import project
 
+from fixtures import row_ordinals
 from report_oracle import FIELDS, BadReport, RecordingModel, reference_report
 
 NAMES = (
@@ -224,7 +225,7 @@ class TestScoreReport:
         fingerprint = Fingerprint(5, dictionary.sha256(), selected)
         y = binary_labels(full)
         model = FITTERS[kind](project(full, selected), y, fingerprint=fingerprint)
-        texts = [report_of([NAMES[j] for j in row]) for row in full.row_ordinals()]
+        texts = [report_of([NAMES[j] for j in row]) for row in row_ordinals(full)]
         X, _ = batch_array(texts, dictionary, selected)
         assert np.array_equal(X, full.to_dense()[:, list(selected)])
         assert X.tolist() == [reference_report(t, NAMES, selected)[3] for t in texts]

@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rwdetect.dataset import generic_dictionary, synthesize_dataset
-from rwdetect.selection import (
-    ContingencyTable,
-    mi_score,
-    project,
-    score_all,
-    select_k_best,
-    write_scores_csv,
-)
+from rwdetect.selection import project, score_all, select_k_best, write_scores_csv
 
 from conftest import matrix_from_dense, random_dense
+from fixtures import ContingencyTable, generic_dictionary, mi_score, synthesize_dataset
 
 
 def dense_mi_oracle(x, y):

@@ -17,10 +17,10 @@ from rwdetect.classifiers import (
     serialize_model,
 )
 from rwdetect.classifiers.base import sigmoid
-from rwdetect.dataset import synthesize_dataset
 from rwdetect.errors import FingerprintMismatch, ModelFormatError
 
 from conftest import random_dense, xy
+from fixtures import synthesize_dataset
 
 
 def fitted_models():
