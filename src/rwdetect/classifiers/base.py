@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,21 +59,28 @@ def check_finite(values) -> None:
                        "a smaller learning_rate or a larger penalty avoids it")
 
 
+# The values each annotation of a hyperparameter accepts; a float may be an int.
+VALUE_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float), "None": (type(None),)}
 # Counts that must be at least 1 when set, values that must be at least 0,
 # and rates that must be above 0.
 AT_LEAST_ONE = ("n_trees", "k_neighbors", "epochs", "features_per_split", "n_rounds",
                 "min_samples_leaf")
-NON_NEGATIVE = ("max_depth", "l2_leaf_penalty", "min_child_weight", "tolerance", "l2_penalty")
+NON_NEGATIVE = ("max_depth", "seed", "l2_leaf_penalty", "min_child_weight", "tolerance",
+                "l2_penalty")
 POSITIVE = ("learning_rate", "regularization")
 
 
 class Params:
-    """Checks its hyperparameters' ranges when made, so ``--hp``, config files
-    and model files all apply one rule; every float must also be finite."""
+    """Checks its hyperparameters when made, so ``--hp``, config files and
+    model files all apply one rule: each value has the type of its field's
+    annotation (``VALUE_TYPES``), a float is finite, and each lies in its range."""
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if isinstance(value, float) and not np.isfinite(value):
+        for f in fields(self):
+            name, value = f.name, getattr(self, f.name)
+            if not any(type(value) in VALUE_TYPES[t] for t in f.type.split(" | ")):
+                raise FitError(f"{name}={value!r} is not {f.type}")
+            if f.type == "float" and not math.isfinite(value):  # OverflowError on a huge int
                 raise FitError(f"{name}={value!r} is not finite")
             if name in AT_LEAST_ONE and value is not None and value < 1:
                 raise FitError(f"{name}={value!r} must be >= 1")
@@ -89,13 +97,11 @@ class TreeParams(Params):
 
 
 @dataclass(frozen=True)
-class ForestParams(Params):
+class ForestParams(TreeParams):
     n_trees: int = 100
     features_per_split: int | None = None  # None -> ceil(sqrt(d))
     bootstrap: bool = True
     seed: int = 0
-    max_depth: int = 32
-    min_samples_leaf: int = 1
 
 
 @dataclass(frozen=True)

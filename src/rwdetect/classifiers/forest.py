@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FitError
-from .base import Fingerprint, ForestParams, Prediction, TreeParams, check_xy, scores_to_predictions
+from .base import Fingerprint, ForestParams, Prediction, check_xy, scores_to_predictions
 from .tree import FlatTree, grow_tree, leaf_values
 
 
@@ -43,7 +43,6 @@ def fit_random_forest(
         raise FitError(f"features_per_split {fps} > n_features {d}")
 
     XT = np.ascontiguousarray(X.T)
-    tree_params = TreeParams(params.max_depth, params.min_samples_leaf)
     rng = np.random.default_rng(params.seed)
     trees = []
     for _ in range(params.n_trees):
@@ -58,7 +57,7 @@ def fit_random_forest(
             def picker():
                 return np.sort(rng.choice(d, size=fps, replace=False))
 
-        trees.append(grow_tree(XT, y, idx, tree_params, candidate_picker=picker))
+        trees.append(grow_tree(XT, y, idx, params, candidate_picker=picker))
     return RandomForestModel(
         trees=tuple(trees),
         params=params,

@@ -28,9 +28,6 @@ from .tree import DecisionTreeModel, FlatTree, build_tree
 
 FORMAT_VERSION = 1
 
-# JSON value types accepted for each hyperparameter annotation.
-_VALUE_TYPES = {"bool": {bool}, "int": {int}, "float": {int, float}, "None": {type(None)}}
-
 
 def _encode_tree(tree: FlatTree, leaf_key: str, node: int = 0):
     """Nested JSON of ``tree`` from ``node`` down: {"f", "l", "r"} at a split,
@@ -117,19 +114,11 @@ def serialize_model(model) -> bytes:
 
 
 def _decode_params(kind: str, hp):
+    """``kind``'s hyperparameters; ``Params`` checks each value's type and range."""
     _require(isinstance(hp, dict), "hyperparameters must be a JSON object")
-    annotations = {f.name: f.type for f in fields(DEFAULT_PARAMS[kind])}
-    hp = dict(hp)
-    for name, value in hp.items():
-        _require(name in annotations, f"unknown {kind} hyperparameter {name!r}")
-        if name == "features_per_split" and isinstance(value, float) \
-                and value.is_integer():
-            value = hp[name] = int(value)
-        allowed = set().union(*(_VALUE_TYPES[t] for t in annotations[name].split(" | ")))
-        _require(type(value) in allowed,
-                 f"hyperparameter {name}={value!r} is not {annotations[name]}")
-        if annotations[name] == "float":
-            _number(value, f"hyperparameter {name}")
+    names = {f.name for f in fields(DEFAULT_PARAMS[kind])}
+    for name in hp:
+        _require(name in names, f"unknown {kind} hyperparameter {name!r}")
     return DEFAULT_PARAMS[kind](**hp)
 
 
@@ -166,7 +155,7 @@ def _decode_knn(payload, params, fingerprint: Fingerprint) -> KnnModel:
 def deserialize_model(data: bytes):
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"malformed model payload: {exc}") from exc
     _require(isinstance(doc, dict), "model document must be a JSON object")
     version = doc.get("format_version")
@@ -194,7 +183,8 @@ def deserialize_model(data: bytes):
         weights = _list(payload["weights"], "weights", d)
         return linear(weights=tuple(_number(w, "weight") for w in weights),
                       bias=_number(payload["bias"], "bias"), **bound)
-    except FitError as exc:  # a hyperparameter out of its range
+    except FitError as exc:  # a hyperparameter of another type or out of its range
         raise ModelFormatError(f"hyperparameter {exc}") from None
-    except (KeyError, TypeError, OverflowError, DataFormatError) as exc:
+    # RecursionError: a tree nested deeper than the decoder recurses.
+    except (KeyError, TypeError, OverflowError, RecursionError, DataFormatError) as exc:
         raise ModelFormatError(f"truncated or malformed payload: {exc}") from exc

@@ -6,8 +6,9 @@ dictionary included), 3 baseline-tolerance failure (reproduce --strict).
 
 Every setting is a ``RunConfig`` field, which is its flag, its config-file
 key and its line in the echo; each command takes only the settings it
-reads. Flag > config file > default; the effective configuration is
-echoed next to every output so any run can be repeated bit-identically.
+reads. Flag > config file > default; ``main`` echoes the effective
+configuration next to the outputs once the command has written them, so
+any run can be repeated bit-identically and a failed run leaves no echo.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ class UsageError(RwdetectError):
 
 
 def read_config_file(path) -> dict:
-    """Plain key=value config, '#' comments allowed."""
+    """Plain key=value config, '#' comments allowed; a leading byte-order mark is skipped."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
     values = {}
@@ -88,14 +89,11 @@ def seed_list(text: str) -> str:
 
 
 def cast_of(field: dataclasses.Field):
-    """The parser of a dataclass field's text value, from its name and annotation."""
+    """The parser of a dataclass field's text value: its ``cast`` metadata, else
+    the one its annotation names."""
     kind = str(field.type)
-    if field.name == "seed":
-        return seed
-    if field.name == "seeds":
-        return seed_list
-    return boolean if "bool" in kind else int if "int" in kind \
-        else float if "float" in kind else str
+    return field.metadata.get("cast") or (boolean if "bool" in kind else int if "int" in kind
+                                          else float if "float" in kind else str)
 
 
 def parse_value(cast, text: str, what: str):
@@ -113,9 +111,9 @@ class RunConfig:
 
     data: str | None = dataclasses.field(
         default=None, metadata={"help": f"dataset path (fallback: ${DATA_ENV_VAR})"})
-    seed: int = 0
+    seed: int = dataclasses.field(default=0, metadata={"cast": seed})
     seeds: str | None = dataclasses.field(
-        default=None, metadata={"help": "comma-separated seed sweep"})
+        default=None, metadata={"help": "comma-separated seed sweep", "cast": seed_list})
     # The test fraction that gives 503 test samples of the 1524 in the reference dataset.
     test_fraction: float = 503 / 1524
     top_k: int = 400
@@ -212,12 +210,6 @@ def write_output(path: Path, data) -> None:
         raise UsageError(f"cannot write {str(path)!r}: {exc}") from None
 
 
-def ensure_out(cfg: RunConfig, command: str) -> Path:
-    out_dir = Path(cfg.out)
-    write_output(out_dir / f"{command}.config", cfg.echo(COMMANDS[command][2]).encode("utf-8"))
-    return out_dir
-
-
 def predict_and_evaluate(model, X, y):
     """``model``'s metrics on the rows of ``X``, under its kind's display name."""
     labels = [p.label for p in model.predict(X)]
@@ -237,12 +229,10 @@ def split_and_select(matrix, dictionary, y, cfg: RunConfig):
     return X[train_idx], train_y, X[test_idx], y[test_idx], fingerprint
 
 
-def cmd_mi_scores(args) -> int:
-    cfg = build_config(args)
+def cmd_mi_scores(cfg: RunConfig, args) -> int:
     matrix, dictionary, y = dataset.load(data_path(cfg))
-    out_dir = ensure_out(cfg, "mi-scores")
     scores = selection.score_all(matrix, y)
-    out_path = out_dir / "mi_scores.csv"
+    out_path = Path(cfg.out) / "mi_scores.csv"
     write_output(out_path, lambda path: selection.write_scores_csv(path, dictionary, scores))
     print(f"wrote {len(scores)} feature scores to {out_path}")
     print("top 20 features by MI (nats):")
@@ -251,16 +241,14 @@ def cmd_mi_scores(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = build_config(args)
+def cmd_train(cfg: RunConfig, args) -> int:
     matrix, dictionary, y = dataset.load(data_path(cfg))
     train_p, train_y, _, _, fingerprint = split_and_select(matrix, dictionary, y, cfg)
-    out_dir = ensure_out(cfg, "train")
     params = make_params(cfg.model, cfg.hp)
     model = classifiers.FITTERS[cfg.model](train_p, train_y, params, fingerprint)
 
     blob = classifiers.serialize_model(model)
-    model_path = Path(cfg.model_file or out_dir / f"model_{cfg.model}.json")
+    model_path = Path(cfg.model_file or Path(cfg.out) / f"model_{cfg.model}.json")
     write_output(model_path, blob)
 
     report = predict_and_evaluate(model, train_p, train_y)
@@ -269,8 +257,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    cfg = build_config(args)
+def cmd_evaluate(cfg: RunConfig, args) -> int:
     model = load_model(cfg)
     matrix, dictionary, y = dataset.load(data_path(cfg))
     reports.check_fingerprint(model.fingerprint, dictionary)
@@ -281,35 +268,32 @@ def cmd_evaluate(args) -> int:
         raise FingerprintMismatch(
             f"the model was not trained on the split of seed {cfg.seed} and test_fraction "
             f"{cfg.test_fraction}: its selected features differ")
-    out_dir = ensure_out(cfg, "evaluate")
     report = predict_and_evaluate(model, test_p, test_y)
     print(evaluation.compare_models_text([report]))
-    write_output(out_dir / "evaluation.csv",
+    write_output(Path(cfg.out) / "evaluation.csv",
                  evaluation.compare_models_csv([report]).encode("utf-8"))
     return EXIT_TOLERANCE if cfg.strict and report.has_undefined() else EXIT_OK
 
 
-def _reproduce_once(split, hp: dict):
-    train_p, train_y, test_p, test_y, fingerprint = split
+def _reproduce_once(matrix, dictionary, y, cfg: RunConfig):
+    """Each kind's test metrics on the split and selection of ``cfg.seed``."""
+    train_p, train_y, test_p, test_y, fingerprint = split_and_select(matrix, dictionary, y, cfg)
     results = {}
     for kind in classifiers.MODEL_KINDS:
-        model = classifiers.FITTERS[kind](train_p, train_y, make_params(kind, hp), fingerprint)
+        model = classifiers.FITTERS[kind](train_p, train_y, make_params(kind, cfg.hp),
+                                          fingerprint)
         results[kind] = predict_and_evaluate(model, test_p, test_y)
     return results
 
 
-def cmd_reproduce(args) -> int:
-    cfg = build_config(args)
+def cmd_reproduce(cfg: RunConfig, args) -> int:
     if not cfg.data or not Path(cfg.data).exists():
         raise RwdetectError(f"reproduce needs the 1524-sample behavioral dataset: pass --data "
                             f"or set {DATA_ENV_VAR} (README gives the file layouts)")
     seeds = [int(s) for s in cfg.seeds.split(",")] if cfg.seeds else [cfg.seed]
     matrix, dictionary, y = dataset.load(data_path(cfg))
-    splits = [split_and_select(matrix, dictionary, y, dataclasses.replace(cfg, seed=s))
-              for s in seeds]
-    out_dir = ensure_out(cfg, "reproduce")
-
-    per_seed = [_reproduce_once(split, cfg.hp) for split in splits]
+    per_seed = [_reproduce_once(matrix, dictionary, y, dataclasses.replace(cfg, seed=s))
+                for s in seeds]
 
     header = ["model", "acc%", "ref_acc%", "d_acc", "prec", "ref_prec", "d_prec",
               "rec", "ref_rec", "d_rec", "tp", "tn", "fp", "fn"]
@@ -335,7 +319,7 @@ def cmd_reproduce(args) -> int:
         rows.append(row)
 
     print(evaluation.aligned(rows))
-    write_output(out_dir / "reproduce.csv",
+    write_output(Path(cfg.out) / "reproduce.csv",
                  ("\n".join(",".join(r) for r in rows) + "\n").encode("utf-8"))
     if cfg.strict and not within_tolerance:
         print("one or more models fell outside the baseline tolerance", file=sys.stderr)
@@ -364,15 +348,13 @@ def _iter_report_files(path: Path):
                     yield f"{path.name}:{i + 1}", line
 
 
-def cmd_score(args) -> int:
-    cfg = build_config(args)
+def cmd_score(cfg: RunConfig, args) -> int:
     reports_path = Path(args.reports)
     if not reports_path.exists():
         raise UsageError(f"reports path not found: {args.reports}")
     model = load_model(cfg)
     # Token lookup needs the training dictionary only, not its samples.
     dictionary = dataset.load_dictionary(data_path(cfg))
-    out_dir = ensure_out(cfg, "score")
 
     verdicts, failures = reports.score_documents(
         _iter_report_files(reports_path), model, dictionary
@@ -384,7 +366,7 @@ def cmd_score(args) -> int:
         f"{report_id},{pred.label},{pred.score:.6f},{outcome.matched},{outcome.unmatched}"
         for report_id, pred, outcome in verdicts
     ]
-    write_output(out_dir / "verdicts.csv", ("\n".join(lines) + "\n").encode("utf-8"))
+    write_output(Path(cfg.out) / "verdicts.csv", ("\n".join(lines) + "\n").encode("utf-8"))
     ransomware = sum(pred.label for _, pred, _ in verdicts)
     print("\n".join(lines))
     print(
@@ -452,7 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        cfg = build_config(args)
+        code = args.func(cfg, args)
+        # The echo is written last, so a run that fails at any step leaves none.
+        write_output(Path(cfg.out) / f"{args.command}.config",
+                     cfg.echo(COMMANDS[args.command][2]).encode("utf-8"))
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

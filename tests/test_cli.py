@@ -109,6 +109,7 @@ class TestTrain:
         assert code == cli.EXIT_DATA
         assert err.count("\n") == 1 and "non-finite" in err
         assert not (out / f"model_{kind}.json").exists()
+        assert not out.exists()  # nor its echo
 
     def test_unknown_model_kind(self, tmp_path):
         data = make_dataset(tmp_path)
@@ -216,6 +217,18 @@ class TestReproduce:
         assert code == 0
         header = (out / "reproduce.csv").read_text().splitlines()[0]
         assert "acc%_mean" in header and "acc%_std" in header
+
+    def test_non_finite_fit_leaves_no_echo(self, tmp_path, capsys):
+        data = make_dataset(tmp_path)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        code = run(["reproduce", "--data", data, "--out", out, "--top-k", 5,
+                    "--hp", "l2_leaf_penalty=0", "--hp", "learning_rate=1",
+                    "--hp", "n_trees=3", "--hp", "epochs=3"])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert err.count("\n") == 1 and "non-finite" in err
+        assert not (out / "reproduce.config").exists()
 
 
 class TestScore:
@@ -432,11 +445,22 @@ def no_features(doc):
     doc["payload"]["weights"] = []
 
 
-# Defects of a model file, each an edit of the decoded document of one kind.
+def nested_3000_deep(doc):
+    """The document's text with its dt root a chain of 3000 splits, written
+    as text because json.dumps cannot nest that deep either."""
+    doc["payload"]["root"] = "@ROOT@"
+    chain = '{"f":0,"l":' * 3000 + '{"s":0.0}' + ',"r":{"s":1.0}}' * 3000
+    return json.dumps(doc).replace('"@ROOT@"', chain)
+
+
+# Defects of a model file, each an edit of the decoded document of one kind
+# that changes it in place or returns the file's text.
 MODEL_FILE_DEFECTS = {
     "rf n_trees=0": ("rf", lambda doc: doc["hyperparameters"].update(n_trees=0)),
     "rf features_per_split=-1":
         ("rf", lambda doc: doc["hyperparameters"].update(features_per_split=-1)),
+    "rf features_per_split=2.0":
+        ("rf", lambda doc: doc["hyperparameters"].update(features_per_split=2.0)),
     "svm epochs=0": ("svm", lambda doc: doc["hyperparameters"].update(epochs=0)),
     "svm regularization=0": ("svm", lambda doc: doc["hyperparameters"].update(regularization=0.0)),
     "gbt learning_rate<0": ("gbt", lambda doc: doc["hyperparameters"].update(learning_rate=-0.1)),
@@ -454,6 +478,7 @@ MODEL_FILE_DEFECTS = {
     "rf no trees": ("rf", lambda doc: doc["payload"].update(trees=[])),
     "gbt 1 of 3 trees": ("gbt", lambda doc: doc["payload"].update(
         trees=doc["payload"]["trees"][:1])),
+    "dt nested 3000 deep": ("dt", nested_3000_deep),
 }
 
 
@@ -463,9 +488,9 @@ def test_model_file_out_of_range_or_non_finite_is_one_line_data_error(trained, t
                                                                      command, defect):
     kind, edit = MODEL_FILE_DEFECTS.get(defect, ("dt", lambda doc: None))
     doc = json.loads((trained / f"model_{kind}.json").read_bytes())
-    edit(doc)
+    text = edit(doc)
     model_file = tmp_path / "model.json"
-    model_file.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+    model_file.write_text(text or json.dumps(doc))  # NaN and Infinity as Python's json writes them
     args = ["--seed", 3] if command == "evaluate" else [trained / "batch.ndjson"]
     capsys.readouterr()
     code = run([command, "--data", trained / "data.sparse", "--out", tmp_path / "o",
@@ -606,8 +631,17 @@ class TestConfig:
         data = make_dataset(tmp_path)
         out = tmp_path / "out"
         assert run(["mi-scores", "--data", data, "--out", out]) == 0
-        keys = [line.split("=", 1)[0] for line in (out / "mi-scores.config").open()]
+        keys = [line.split("=", 1)[0]
+                for line in (out / "mi-scores.config").read_text().splitlines()]
         assert "threads" not in keys
+
+    def test_byte_order_mark_keeps_the_first_setting(self, tmp_path, capsys):
+        data = make_dataset(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"\ufeffseed=5\ndata={data}\nmodel=dt\ntop_k=5\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["train", "--config", cfg, "--out", out]) == 0
+        assert "seed=5" in (out / "train.config").read_text().splitlines()
 
 
 # Every bounded hyperparameter of each kind, a value just outside its range
@@ -619,9 +653,11 @@ HP_BOUNDS = [
     ("rf", "features_per_split", "0", "1"),
     ("rf", "max_depth", "-1", "0"),
     ("rf", "min_samples_leaf", "0", "1"),
+    ("rf", "seed", "-1", "0"),
     ("knn", "k_neighbors", "0", "1"),
     ("svm", "regularization", "0.0", "1e-06"),
     ("svm", "epochs", "0", "1"),
+    ("svm", "seed", "-1", "0"),
     ("gbt", "n_rounds", "0", "1"),
     ("gbt", "learning_rate", "0.0", "5e-324"),
     ("gbt", "max_depth", "-1", "0"),
@@ -890,6 +926,7 @@ def test_unwritable_output_is_one_line_usage_error(tmp_path, monkeypatch, capsys
     assert run(command_line(command)) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and output in err
+    assert not Path("out", f"{command}.config").exists()
 
 
 CONFIG_TEMPLATE = b"\n".join([
