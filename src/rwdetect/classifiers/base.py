@@ -44,12 +44,18 @@ def scores_to_predictions(scores) -> list[Prediction]:
     ]
 
 
-def check_xy(X: np.ndarray, y: np.ndarray) -> None:
-    """Reject what no fitter trains on: a 0/1 array with no rows, or not one label per row."""
+def check_xy(X: np.ndarray, y: np.ndarray, fingerprint: Fingerprint | None) -> Fingerprint:
+    """``fingerprint``, or one of ``X``'s width when None. Rejects what no fitter trains on:
+    a 0/1 array with no rows, not one label per row, or a fingerprint of another width."""
     if len(X) == 0:
         raise FitError("empty training matrix")
     if len(y) != len(X):
         raise FitError(f"labels length {len(y)} != n_samples {len(X)}")
+    fingerprint = fingerprint or Fingerprint(X.shape[1])
+    if fingerprint.n_features != X.shape[1]:
+        raise FitError(f"fingerprint expects {fingerprint.n_features} features, "
+                       f"matrix has {X.shape[1]}")
+    return fingerprint
 
 
 def check_finite(values) -> None:

@@ -99,7 +99,7 @@ def fit_gradient_boosting(
     params: GbtParams = GbtParams(),
     fingerprint: Fingerprint | None = None,
 ) -> GbtModel:
-    check_xy(X, y)
+    fingerprint = check_xy(X, y, fingerprint)
     yf = y.astype(np.float64)
 
     mean = float(np.clip(yf.mean(), 1e-12, 1 - 1e-12))
@@ -122,5 +122,5 @@ def fit_gradient_boosting(
         trees=tuple(trees),
         base_score=base_score,
         params=params,
-        fingerprint=fingerprint or Fingerprint(X.shape[1]),
+        fingerprint=fingerprint,
     )

@@ -32,7 +32,7 @@ def fit_random_forest(
     params: ForestParams = ForestParams(),
     fingerprint: Fingerprint | None = None,
 ) -> RandomForestModel:
-    check_xy(X, y)
+    fingerprint = check_xy(X, y, fingerprint)
     n, d = X.shape
     if n < 2:
         raise FitError("random forest needs at least 2 samples")
@@ -61,5 +61,5 @@ def fit_random_forest(
     return RandomForestModel(
         trees=tuple(trees),
         params=params,
-        fingerprint=fingerprint or Fingerprint(d),
+        fingerprint=fingerprint,
     )

@@ -56,12 +56,12 @@ def fit_knn(
     params: KnnParams = KnnParams(),
     fingerprint: Fingerprint | None = None,
 ) -> KnnModel:
-    check_xy(X, y)
+    fingerprint = check_xy(X, y, fingerprint)
     if params.k_neighbors > len(X):
         raise FitError(f"k_neighbors {params.k_neighbors} > n_samples {len(X)}")
     return KnnModel(
         train=X,
         train_labels=tuple(y.tolist()),
         params=params,
-        fingerprint=fingerprint or Fingerprint(X.shape[1]),
+        fingerprint=fingerprint,
     )

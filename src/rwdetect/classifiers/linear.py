@@ -48,7 +48,7 @@ def fit_linear_svm(
     iterate-averaged weights. The unit offset in the step keeps early
     iterates bounded when lam is small; the bias rides along as a
     constant-1 feature so the projection keeps it bounded too."""
-    check_xy(X, y)
+    fingerprint = check_xy(X, y, fingerprint)
     if y.min() == y.max():
         raise FitError("SVM requires both classes in the training set")
     Xf = np.hstack([X.astype(np.float64), np.ones((X.shape[0], 1))])
@@ -78,7 +78,7 @@ def fit_linear_svm(
         weights=tuple(float(v) for v in w_avg[:-1]),
         bias=float(w_avg[-1]),
         params=params,
-        fingerprint=fingerprint or Fingerprint(X.shape[1]),
+        fingerprint=fingerprint,
     )
 
 
@@ -116,7 +116,7 @@ def fit_logistic_regression(
     fingerprint: Fingerprint | None = None,
 ) -> LogRegModel:
     """Full-batch gradient descent from zero initialization."""
-    check_xy(X, y)
+    fingerprint = check_xy(X, y, fingerprint)
     Xf = X.astype(np.float64)
     yf = y.astype(np.float64)
     d = Xf.shape[1]
@@ -138,6 +138,6 @@ def fit_logistic_regression(
         weights=tuple(float(v) for v in w),
         bias=float(b),
         params=params,
-        fingerprint=fingerprint or Fingerprint(d),
+        fingerprint=fingerprint,
         loss_history=tuple(history),
     )

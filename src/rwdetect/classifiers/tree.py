@@ -68,8 +68,6 @@ def leaf_values(trees, X) -> np.ndarray:
     moves down one depth level per step. Leaves point at themselves, so a
     pair that has reached one stays there, whatever column it reads.
     """
-    if not trees:
-        return np.zeros((len(X), 0))
     roots = np.cumsum([0] + [len(t.feature) for t in trees[:-1]], dtype=np.int32)
     feature = np.concatenate([t.feature for t in trees])
     left = np.concatenate([t.left + root for t, root in zip(trees, roots)])
@@ -158,10 +156,10 @@ def fit_decision_tree(
     params: TreeParams = TreeParams(),
     fingerprint: Fingerprint | None = None,
 ) -> DecisionTreeModel:
-    check_xy(X, y)
+    fingerprint = check_xy(X, y, fingerprint)
     tree = grow_tree(np.ascontiguousarray(X.T), y, np.arange(len(y)), params)
     return DecisionTreeModel(
         tree=tree,
         params=params,
-        fingerprint=fingerprint or Fingerprint(X.shape[1]),
+        fingerprint=fingerprint,
     )

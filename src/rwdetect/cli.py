@@ -218,7 +218,7 @@ def predict_and_evaluate(model, X, y):
 
 def split_and_select(matrix, dictionary, y, cfg: RunConfig):
     """Projected train and test partitions, their labels and the models' fingerprint."""
-    train_idx, test_idx = dataset.stratified_split(matrix, y, cfg.seed, cfg.test_fraction)
+    train_idx, test_idx = dataset.stratified_split(y, cfg.seed, cfg.test_fraction)
     train_y = y[train_idx]
     # Selection is fit on the training partition only.
     scores = selection.score_all(dataset.take_rows(matrix, train_idx), train_y)

@@ -44,8 +44,6 @@ MAX_FAMILY_ID = 11
 # Column ordinals are stored as int32.
 INT32_LIMIT = 2**31
 
-ARRAY_FIELDS = ("indptr", "indices", "family_ids", "sample_ids")
-
 # Dictionary names are read from a file and hashed this many at a time,
 # which bounds the memory a block of them holds.
 BLOCK_LINES = 8192
@@ -99,37 +97,24 @@ class DataMatrix:
     """n x d sparse binary matrix in compressed sparse row form, stored read-only.
 
     Row i's active column ordinals are ``indices[indptr[i]:indptr[i+1]]``,
-    strictly increasing. Without ``family_ids`` every row is goodware and
-    without ``sample_ids`` rows are named by their numbers.
+    strictly increasing.
     """
 
     n_features: int
     indptr: np.ndarray
     indices: np.ndarray
-    family_ids: np.ndarray | None = None
-    sample_ids: np.ndarray | None = None
 
     def __post_init__(self):
         n = len(self.indptr) - 1
         d = self.n_features
         indptr = np.asarray(self.indptr, dtype=np.int64)
         indices = np.asarray(self.indices, dtype=np.int64)
-        family_ids = np.zeros(n, dtype=np.int64) if self.family_ids is None \
-            else np.asarray(self.family_ids)
-        sample_ids = np.asarray(
-            [str(i) for i in range(n)] if self.sample_ids is None else self.sample_ids,
-            dtype=object,
-        )
-        if not (d <= INT32_LIMIT and len(family_ids) == n == len(sample_ids)
-                and indptr[-1] == len(indices)):
+        if not (d <= INT32_LIMIT and indptr[-1] == len(indices)):
             raise DataFormatError(f"inconsistent {n}-row matrix with {d} features")
 
         def reject(row, problem):
-            raise DataFormatError(f"sample {sample_ids[row]!r}: {problem}")
+            raise DataFormatError(f"row {row}: {problem}")
 
-        bad = np.flatnonzero((family_ids < 0) | (family_ids > MAX_FAMILY_ID))
-        if len(bad):
-            reject(bad[0], f"family_id {family_ids[bad[0]]} outside [0, {MAX_FAMILY_ID}]")
         entry_rows = np.repeat(np.arange(n), np.diff(indptr))
         bad = np.flatnonzero((np.diff(indices) <= 0) & (np.diff(entry_rows) == 0))
         if len(bad):
@@ -137,22 +122,17 @@ class DataMatrix:
         bad = np.flatnonzero((indices < 0) | (indices >= d))
         if len(bad):
             reject(entry_rows[bad[0]], f"ordinal {indices[bad[0]]} outside [0, {d})")
-        ids, counts = np.unique(sample_ids, return_counts=True)
-        if np.any(counts > 1):
-            raise DataFormatError(f"duplicate sample id {ids[counts > 1][0]!r}")
-
-        arrays = (indptr, indices.astype(np.int32), family_ids.astype(np.int64), sample_ids)
-        for name, array in zip(ARRAY_FIELDS, arrays):
+        for name, array in (("indptr", indptr), ("indices", indices.astype(np.int32))):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
     @classmethod
-    def from_rows(cls, n_features, rows, family_ids=None, sample_ids=None):
+    def from_rows(cls, n_features, rows):
         """Build from one sorted ordinal sequence per row."""
         indptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
         indices = np.concatenate([np.asarray(r, dtype=np.int64) for r in rows]
                                  or [np.zeros(0, dtype=np.int64)])
-        return cls(n_features, indptr, indices, family_ids, sample_ids)
+        return cls(n_features, indptr, indices)
 
     @property
     def n_samples(self) -> int:
@@ -169,20 +149,13 @@ class DataMatrix:
         return out
 
 
-def binary_labels(matrix: DataMatrix) -> np.ndarray:
-    """Read-only int64 labels of the rows: 1 ransomware (family_id != 0), 0 goodware."""
-    labels = (matrix.family_ids != 0).astype(np.int64)
-    labels.setflags(write=False)
-    return labels
-
-
 def load_dense_csv(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
     """Load the dense CSV format.
 
     Header row must be ``sample_id,family_id,<feature names...>``; body
     cells are strictly "0"/"1". Blank lines are skipped, also before the header.
     """
-    rows, family_ids, sample_ids = [], [], []
+    rows, labels, seen = [], [], set()
     try:
         with open(path, "rb") as fh:
             reader = csv.reader(_decoded_lines(fh))
@@ -194,7 +167,7 @@ def load_dense_csv(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
                     raise DataFormatError(
                         f"{path}: line {line_no}: expected {d + 2} cells, got {len(cells)}"
                     )
-                family_ids.append(_parse_family(cells[1], f"{path}: line {line_no}"))
+                labels.append(_sample_label(cells[0], cells[1], seen, f"{path}: line {line_no}"))
                 values = cells[2:]
                 rows.append([j for j, cell in enumerate(values) if cell == "1"])
                 if len(rows[-1]) + values.count("0") != d:
@@ -203,18 +176,31 @@ def load_dense_csv(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
                         f"line {line_no}: cell for feature {dictionary.names[j]!r} "
                         f"is {values[j]!r}, expected 0 or 1"
                     )
-                sample_ids.append(cells[0])
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataFormatError(f"{path}: not readable as UTF-8 CSV: {exc}") from None
-    matrix = DataMatrix.from_rows(d, rows, family_ids, sample_ids)
-    return matrix, dictionary, binary_labels(matrix)
+    return DataMatrix.from_rows(d, rows), dictionary, _read_only_labels(labels)
 
 
-def _parse_family(text: str, where: str) -> int:
+def _sample_label(sample_id: str, family: str, seen: set, where: str) -> int:
+    """The binary label of a sample line: 1 ransomware (family_id 1..11), 0
+    goodware (family_id 0). A sample ID already in ``seen`` is rejected, and
+    the new one is added to it."""
     try:
-        return int(text)
+        family_id = int(family)
     except ValueError:
-        raise DataFormatError(f"{where}: family_id {text!r} is not an integer") from None
+        raise DataFormatError(f"{where}: family_id {family!r} is not an integer") from None
+    if not 0 <= family_id <= MAX_FAMILY_ID:
+        raise DataFormatError(f"{where}: family_id {family_id} outside [0, {MAX_FAMILY_ID}]")
+    if sample_id in seen:
+        raise DataFormatError(f"{where}: duplicate sample id {sample_id!r}")
+    seen.add(sample_id)
+    return int(family_id != 0)
+
+
+def _read_only_labels(labels: list) -> np.ndarray:
+    array = np.array(labels, dtype=np.int64)
+    array.setflags(write=False)
+    return array
 
 
 def _section_count(head, tag: str, path) -> int:
@@ -310,7 +296,7 @@ def load_sparse(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
     Blank lines are skipped; a token repeated within a line counts once.
     A non-blank line after the last of the ``#SAMPLES`` lines is an error.
     """
-    rows, family_ids, sample_ids = [], [], []
+    rows, labels, seen = [], [], set()
     try:
         with open(path, "rb") as fh:
             dictionary = _sparse_dictionary(fh, path)
@@ -338,30 +324,24 @@ def load_sparse(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
                 if (ordinals[1:] == ordinals[:-1]).any():
                     ordinals = np.unique(ordinals)
                 rows.append(ordinals)
-                family_ids.append(_parse_family(family, f"{path}: sample {sample_id!r}"))
-                sample_ids.append(sample_id)
+                labels.append(_sample_label(sample_id, family, seen,
+                                            f"{path}: sample {sample_id!r}"))
             if next(lines, None) is not None:
                 raise DataFormatError(f"{path}: more sample lines than '#SAMPLES {n}' gives")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not readable as UTF-8 text: {exc}") from None
-    matrix = DataMatrix.from_rows(len(dictionary), rows, family_ids, sample_ids)
-    return matrix, dictionary, binary_labels(matrix)
+    return DataMatrix.from_rows(len(dictionary), rows), dictionary, _read_only_labels(labels)
 
 
 def stratified_split(
-    matrix: DataMatrix, y: np.ndarray, seed: int, test_fraction: float
+    y: np.ndarray, seed: int, test_fraction: float
 ) -> tuple[list[int], list[int]]:
-    """Partition row indices into (train, test), deterministic per seed.
+    """Partition the indices of ``y`` into (train, test), deterministic per seed.
 
     Each class contributes round(class_count * test_fraction) test samples.
     """
     if not 0.0 < test_fraction < 1.0:
         raise SplitError(f"test_fraction {test_fraction} not in (0,1)")
-    n = matrix.n_samples
-    if n < 2:
-        raise SplitError("need at least 2 samples to split")
-    if len(y) != n:
-        raise SplitError(f"labels length {len(y)} != n_samples {n}")
     rng = np.random.default_rng(seed)
 
     classes = np.unique(y)
@@ -380,7 +360,7 @@ def stratified_split(
         test_idx.extend(int(i) for i in perm[:k])
 
     test_set = set(test_idx)
-    train_idx = [i for i in range(n) if i not in test_set]
+    train_idx = [i for i in range(len(y)) if i not in test_set]
     return train_idx, sorted(test_idx)
 
 
@@ -392,8 +372,5 @@ def take_rows(matrix: DataMatrix, indices) -> DataMatrix:
     indptr = np.concatenate(([0], np.cumsum(lengths)))
     # Position in ``matrix.indices`` of every kept entry, row after row.
     positions = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
-    return DataMatrix(
-        matrix.n_features, indptr, matrix.indices[positions],
-        matrix.family_ids[rows], matrix.sample_ids[rows],
-    )
+    return DataMatrix(matrix.n_features, indptr, matrix.indices[positions])
 

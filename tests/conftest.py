@@ -8,16 +8,12 @@ from rwdetect.dataset import (
 )
 
 
-def matrix_from_dense(dense, labels=None, family_ids=None):
-    """Build a DataMatrix straight from a 0/1 array (test convenience)."""
+def matrix_from_dense(dense, labels=None):
+    """Build a DataMatrix straight from a 0/1 array (test convenience), paired
+    with ``labels`` as an int64 array when they are given."""
     dense = np.asarray(dense)
-    n = len(dense)
-    if family_ids is None:
-        family_ids = labels if labels is not None else [0] * n
-    rows = [np.flatnonzero(row) for row in dense]
-    m = DataMatrix.from_rows(dense.shape[1], rows, family_ids, [f"s{i}" for i in range(n)])
-    y = np.asarray(labels, dtype=np.int64) if labels is not None else None
-    return (m, y) if labels is not None else m
+    m = DataMatrix.from_rows(dense.shape[1], [np.flatnonzero(row) for row in dense])
+    return m if labels is None else (m, np.asarray(labels, dtype=np.int64))
 
 
 def xy(dense, labels):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rwdetect.dataset import ARRAY_FIELDS, DataMatrix, FeatureDictionary, binary_labels
+from rwdetect.dataset import DataMatrix, FeatureDictionary
 
 
 def row_ordinals(matrix: DataMatrix) -> list[np.ndarray]:
@@ -23,29 +23,30 @@ def row_ordinals(matrix: DataMatrix) -> list[np.ndarray]:
 
 
 def matrices_equal(a: DataMatrix, b: DataMatrix) -> bool:
-    """Same width and the same rows, labels and sample ids."""
-    return a.n_features == b.n_features and all(
-        np.array_equal(getattr(a, f), getattr(b, f)) for f in ARRAY_FIELDS)
+    """Same width and the same rows."""
+    return a.n_features == b.n_features and np.array_equal(a.indptr, b.indptr) \
+        and np.array_equal(a.indices, b.indices)
 
 
-def write_dense_csv(path, matrix: DataMatrix, dictionary: FeatureDictionary) -> None:
+# The writers name row i sample "s<i>" and give it family ID ``families[i]``;
+# 0/1 labels are family IDs too (0 goodware, 1 a ransomware family).
+
+def write_dense_csv(path, matrix: DataMatrix, dictionary: FeatureDictionary, families) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sample_id", "family_id", *dictionary.names])
-        for sid, family, row in zip(matrix.sample_ids, matrix.family_ids, matrix.to_dense()):
-            writer.writerow([sid, str(family), *map(str, row.tolist())])
+        for i, (family, row) in enumerate(zip(families, matrix.to_dense())):
+            writer.writerow([f"s{i}", str(family), *map(str, row.tolist())])
 
 
-def write_sparse(path, matrix: DataMatrix, dictionary: FeatureDictionary) -> None:
+def write_sparse(path, matrix: DataMatrix, dictionary: FeatureDictionary, families) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"#FEATURES {matrix.n_features}\n")
         fh.writelines(name + "\n" for name in dictionary.names)
         fh.write(f"#SAMPLES {matrix.n_samples}\n")
-        for sid, family, active in zip(
-            matrix.sample_ids, matrix.family_ids.tolist(), row_ordinals(matrix)
-        ):
+        for i, (family, active) in enumerate(zip(families, row_ordinals(matrix))):
             feats = " ".join(dictionary.names[j] for j in active.tolist())
-            fh.write(f"{sid}\t{family}\t{feats}\n")
+            fh.write(f"s{i}\t{family}\t{feats}\n")
 
 
 def synthesize_dataset(
@@ -60,7 +61,7 @@ def synthesize_dataset(
 
     ``class_signal`` entries are (ordinal, P(x=1 | y=0), P(x=1 | y=1));
     every other feature is class-independent Bernoulli(sparsity).
-    Positive samples get family_id 1, negatives 0.
+    The labels are read-only int64, 1 for a positive sample.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -81,10 +82,8 @@ def synthesize_dataset(
         thresholds[:, ordinal] = np.where(labels == 1, p1, p0)
     dense = cells < thresholds
 
-    matrix = DataMatrix.from_rows(
-        d, [np.flatnonzero(row) for row in dense], labels, [f"synth{i:05d}" for i in range(n)]
-    )
-    return matrix, binary_labels(matrix)
+    labels.setflags(write=False)
+    return DataMatrix.from_rows(d, [np.flatnonzero(row) for row in dense]), labels
 
 
 def generic_dictionary(d: int, category: str = "STR") -> FeatureDictionary:

@@ -60,8 +60,7 @@ def test_criterion_1_table_reproduction():
         pytest.skip("real dataset not available; set RWDETECT_DATA to run")
     with criterion(1, "published-table reproduction on the real dataset"):
         matrix, _, y = dataset.load_sparse(data_path)
-        train_idx, test_idx = dataset.stratified_split(
-            matrix, y, 0, cli.RunConfig().test_fraction)
+        train_idx, test_idx = dataset.stratified_split(y, 0, cli.RunConfig().test_fraction)
         train_m = dataset.take_rows(matrix, train_idx)
         train_y = y[train_idx]
         test_m = dataset.take_rows(matrix, test_idx)
@@ -226,7 +225,7 @@ def test_criterion_8_pipeline_soundness():
         signal = [(j, 0.05, 0.9) for j in range(signal_d)]
         matrix, y = synthesize_dataset(n, d, 0.02, signal, seed=88)
 
-        train_idx, test_idx = dataset.stratified_split(matrix, y, 1, 1 / 3)
+        train_idx, test_idx = dataset.stratified_split(y, 1, 1 / 3)
         train_m = dataset.take_rows(matrix, train_idx)
         train_y = y[train_idx]
         test_m = dataset.take_rows(matrix, test_idx)

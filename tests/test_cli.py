@@ -23,10 +23,10 @@ from report_oracle import reference_report
 
 def make_dataset(tmp_path, fmt="sparse", n=80, d=12, seed=1, category="API"):
     signal = [(0, 0.05, 0.95), (1, 0.9, 0.1)]
-    matrix, _ = synthesize_dataset(n, d, 0.3, signal, seed=seed)
+    matrix, y = synthesize_dataset(n, d, 0.3, signal, seed=seed)
     dictionary = generic_dictionary(d, category=category)
     path = tmp_path / ("data.sparse" if fmt == "sparse" else "data.csv")
-    (write_sparse if fmt == "sparse" else write_dense_csv)(path, matrix, dictionary)
+    (write_sparse if fmt == "sparse" else write_dense_csv)(path, matrix, dictionary, y)
     return path
 
 
@@ -95,6 +95,17 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "more sample lines than '#SAMPLES 78'" in err
 
+    def test_truncated_sample_section_is_a_data_error(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, n=80)
+        lines = data.read_text(encoding="utf-8").splitlines(keepends=True)
+        # The header still gives 80 samples; only the first one's line is kept.
+        data.write_text("".join(lines[:lines.index("#SAMPLES 80\n") + 2]), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["train", "--data", data, "--out", tmp_path / "o", "--model", "dt",
+                    "--top-k", 5]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: {data}: sample section truncated at row 1\n"
+
     @pytest.mark.parametrize("kind, hps", [
         ("gbt", ["l2_leaf_penalty=0", "learning_rate=1"]),  # a leaf of 0 hessians: 0/0
         ("logreg", ["learning_rate=1e308", "epochs=3"]),  # the weights overflow
@@ -132,6 +143,20 @@ class TestEvaluate:
         printed = capsys.readouterr().out
         assert "Logistic Regression" in printed
         assert (out / "evaluation.csv").exists()
+
+    def test_strict_fails_an_undefined_metric(self, tmp_path, capsys):
+        # A depth-0 tree predicts goodware for every row: its precision is undefined.
+        data = make_dataset(tmp_path, n=120)
+        out = tmp_path / "out"
+        run(["train", "--data", data, "--out", out, "--model", "dt", "--top-k", 5,
+             "--hp", "max_depth=0"])
+        evaluate = ["evaluate", "--data", data, "--model-file", out / "model_dt.json"]
+        capsys.readouterr()
+        assert run([*evaluate, "--out", tmp_path / "lax"]) == cli.EXIT_OK
+        assert "n/a" in capsys.readouterr().out
+        assert run([*evaluate, "--out", tmp_path / "strict", "--strict"]) == cli.EXIT_TOLERANCE
+        assert "n/a" in capsys.readouterr().out
+        assert "strict=True" in (tmp_path / "strict" / "evaluate.config").read_text()
 
     def test_missing_model_file(self, tmp_path):
         data = make_dataset(tmp_path)
@@ -479,6 +504,8 @@ MODEL_FILE_DEFECTS = {
     "gbt 1 of 3 trees": ("gbt", lambda doc: doc["payload"].update(
         trees=doc["payload"]["trees"][:1])),
     "dt nested 3000 deep": ("dt", nested_3000_deep),
+    "dt selected[0]=10**6":
+        ("dt", lambda doc: doc["fingerprint"]["selected"].__setitem__(0, 10**6)),
 }
 
 
@@ -607,6 +634,7 @@ class TestConfig:
         (b"data=@DATA@\nout=@DATA@\n", []),  # output directory is a file
         (b"data=@DATA@\nout=o\x00\n", []),
         (b"data=@DATA@\nmodel_file=@TMP@\n", []),  # model file is a directory
+        (b"data=@DATA@\ntest_fraction=0\n", []),
     ])
     def test_unusable_config_is_one_line_usage_error(self, tmp_path, capsys, config, flags):
         data = make_dataset(tmp_path)
@@ -764,6 +792,7 @@ class TestHyperparameters:
         (["--top-k", "x"], "--top-k"),
         (["--test-fraction", "y"], "--test-fraction"),
         (["--model", "bogus"], "--model"),
+        (["--test-fraction", "1.5"], "error: test_fraction 1.5 not in (0,1)"),
     ])
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, flags, name):
         data = make_dataset(tmp_path)

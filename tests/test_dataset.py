@@ -150,8 +150,7 @@ class TestDenseLoader:
         p = tmp_path / "d.csv"
         write_lines(p, "sample_id,family_id," + NAMES4, "s1,0,1,0,1,0")
         m, _, y = load_dense_csv(p)
-        assert m.sample_ids.tolist() == ["s1"]
-        assert m.family_ids.tolist() == [0]
+        assert m.indptr.tolist() == [0, 2]
         assert row_ordinals(m)[0].tolist() == [0, 2]
         assert y.tolist() == [0]
 
@@ -331,28 +330,62 @@ def test_mutated_sparse_file_raises_only_data_format_error(data):
 
 
 class TestDataMatrix:
-    @pytest.mark.parametrize("rows, families, ids, message", [
-        ([(1, 0)], [0], ["a"], "'a': active ordinals not strictly sorted"),
-        ([(0,), (2, 2)], [0, 0], ["a", "b"], "'b': active ordinals not strictly sorted"),
-        ([(), (0, 3)], [0, 0], ["a", "b"], "'b': ordinal 3 outside"),
-        ([(-1,)], [0], ["a"], "ordinal -1 outside"),
-        ([()], [12], ["a"], "family_id 12 outside"),
-        ([(), ()], [0, 0], ["a", "a"], "duplicate sample id 'a'"),
+    @pytest.mark.parametrize("rows, message", [
+        ([(1, 0)], "row 0: active ordinals not strictly sorted"),
+        ([(0,), (2, 2)], "row 1: active ordinals not strictly sorted"),
+        ([(), (0, 3)], "row 1: ordinal 3 outside"),
+        ([(-1,)], "row 0: ordinal -1 outside"),
     ])
-    def test_invariants_rejected(self, rows, families, ids, message):
+    def test_invariants_rejected(self, rows, message):
         with pytest.raises(DataFormatError, match=message):
-            DataMatrix.from_rows(3, rows, families, ids)
+            DataMatrix.from_rows(3, rows)
 
     def test_take_rows_matches_dense_gather(self):
         rng = np.random.default_rng(8)
         dense = (rng.random((9, 7)) < 0.4).astype(np.uint8)
-        m = matrix_from_dense(dense, family_ids=rng.integers(0, 12, size=9))
+        m = matrix_from_dense(dense)
         order = [4, 0, 8, 3]
         sub = take_rows(m, order)
         assert np.array_equal(sub.to_dense(), dense[order])
-        assert sub.family_ids.tolist() == m.family_ids[order].tolist()
-        assert sub.sample_ids.tolist() == [f"s{i}" for i in order]
         assert take_rows(m, []).n_samples == 0
+
+
+# Samples (id, family ID) of which one breaks a sample rule, and the
+# message's sample (sparse), line (dense) and problem. Of several repeated
+# IDs the first repeat in file order is named.
+SAMPLE_RULE_DEFECTS = {
+    "family 12": ([("s1", 0), ("s2", 12)], "sample 's2'", "line 3",
+                  "family_id 12 outside [0, 11]"),
+    "family -1": ([("s1", -1)], "sample 's1'", "line 2", "family_id -1 outside [0, 11]"),
+    "repeated id": ([("s1", 0), ("s2", 1), ("s1", 3)], "sample 's1'", "line 4",
+                    "duplicate sample id 's1'"),
+    "first repeat": ([("s2", 0), ("s1", 1), ("s2", 0), ("s1", 0)], "sample 's2'", "line 4",
+                     "duplicate sample id 's2'"),
+}
+
+
+class TestSampleRules:
+    """The loaders check the family ID and sample ID rules as each sample is read."""
+
+    @pytest.mark.parametrize("fmt", ["sparse", "dense"])
+    @pytest.mark.parametrize("defect", SAMPLE_RULE_DEFECTS)
+    def test_broken_rule_names_the_file(self, tmp_path, capsys, defect, fmt):
+        samples, sample, line, problem = SAMPLE_RULE_DEFECTS[defect]
+        p = tmp_path / f"d.{fmt}"
+        if fmt == "sparse":
+            write_lines(p, "#FEATURES 1", "API:a", f"#SAMPLES {len(samples)}",
+                        *(f"{sid}\t{family}\tAPI:a" for sid, family in samples))
+        else:
+            write_lines(p, "sample_id,family_id,API:a",
+                        *(f"{sid},{family},1" for sid, family in samples))
+        where = sample if fmt == "sparse" else line
+        with pytest.raises(DataFormatError) as raised:
+            dataset.load(p)
+        assert str(raised.value) == f"{p}: {where}: {problem}"
+        capsys.readouterr()
+        assert cli.main(["mi-scores", "--data", str(p), "--out", str(tmp_path / "o")]) \
+            == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {p}: {where}: {problem}\n"
 
 
 class TestCrossFormat:
@@ -360,19 +393,19 @@ class TestCrossFormat:
         rng = np.random.default_rng(7)
         dense = (rng.random((10, 20)) < 0.3).astype(np.uint8)
         fam = rng.integers(0, 12, size=10)
-        m = matrix_from_dense(dense, family_ids=fam)
+        m = matrix_from_dense(dense)
         d = generic_dictionary(20)
 
         dense_path = tmp_path / "m.csv"
         sparse_path = tmp_path / "m.sparse"
-        write_dense_csv(dense_path, m, d)
-        write_sparse(sparse_path, m, d)
+        write_dense_csv(dense_path, m, d, fam)
+        write_sparse(sparse_path, m, d, fam)
 
         m1, d1, y1 = load_dense_csv(dense_path)
         m2, d2, y2 = load_sparse(sparse_path)
         assert matrices_equal(m1, m2)
         assert d1 == d2
-        assert np.array_equal(y1, y2)
+        assert np.array_equal(y1, y2) and np.array_equal(y1, fam != 0)
 
     @pytest.mark.parametrize("fmt", ["dense", "sparse"])
     def test_round_trip_identity(self, tmp_path, fmt):
@@ -382,13 +415,15 @@ class TestCrossFormat:
         write = write_dense_csv if fmt == "dense" else write_sparse
         load = load_dense_csv if fmt == "dense" else load_sparse
 
+        labels = rng.integers(0, 2, size=6)
         p1 = tmp_path / "a"
         p2 = tmp_path / "b"
-        write(p1, m, d)
-        loaded, d1, _ = load(p1)
-        write(p2, loaded, d1)
-        again, d2, _ = load(p2)
+        write(p1, m, d, labels)
+        loaded, d1, y1 = load(p1)
+        write(p2, loaded, d1, y1)
+        again, d2, y2 = load(p2)
         assert matrices_equal(loaded, again) and matrices_equal(again, m)
+        assert y1.tolist() == y2.tolist() == labels.tolist()
         assert d1 == d2 == d
 
 
@@ -396,46 +431,42 @@ class TestStratifiedSplit:
     def test_reference_shape_gives_503_test(self):
         # 942 negatives + 582 positives, like the real dataset.
         labels = [0] * 942 + [1] * 582
-        m = matrix_from_dense(np.zeros((1524, 1), dtype=np.uint8))
-        train, test = stratified_split(m, np.array(labels), 11, cli.RunConfig().test_fraction)
+        train, test = stratified_split(np.array(labels), 11, cli.RunConfig().test_fraction)
         assert len(test) == 503 and len(train) == 1021
         test_pos = sum(labels[i] for i in test)
         # class ratio preserved within one sample
         assert abs(test_pos - 582 * 503 / 1524) <= 1
 
     def test_tiny_symmetric_split(self):
-        m, y = matrix_from_dense(np.zeros((4, 1), dtype=np.uint8), labels=[0, 0, 1, 1])
-        train, test = stratified_split(m, y, 0, 0.5)
+        y = np.array([0, 0, 1, 1])
+        train, test = stratified_split(y, 0, 0.5)
         assert sum(y[i] for i in test) == 1
         assert sum(y[i] for i in train) == 1
 
     def test_deterministic_per_seed(self):
-        labels = [0] * 30 + [1] * 20
-        m = matrix_from_dense(np.zeros((50, 1), dtype=np.uint8))
-        y = np.array(labels)
-        a = stratified_split(m, y, 5, 0.3)
-        b = stratified_split(m, y, 5, 0.3)
+        y = np.array([0] * 30 + [1] * 20)
+        a = stratified_split(y, 5, 0.3)
+        b = stratified_split(y, 5, 0.3)
         assert a == b
-        c = stratified_split(m, y, 6, 0.3)
+        c = stratified_split(y, 6, 0.3)
         assert a != c
 
     @pytest.mark.parametrize("seed", range(10))
     def test_partition_disjoint_exhaustive(self, seed):
         labels = [0] * 13 + [1] * 9
-        m = matrix_from_dense(np.zeros((22, 1), dtype=np.uint8))
-        train, test = stratified_split(m, np.array(labels), seed, 0.3)
+        train, test = stratified_split(np.array(labels), seed, 0.3)
         assert sorted(train + test) == list(range(22))
 
     def test_single_class_stratified_fails(self):
-        m, y = matrix_from_dense(np.zeros((4, 1), dtype=np.uint8), labels=[1, 1, 1, 1])
-        with pytest.raises(SplitError, match="both classes"):
-            stratified_split(m, y, 0, 0.5)
+        for y in ([1, 1, 1, 1], [0], []):  # fewer than 2 samples never hold both
+            with pytest.raises(SplitError, match="both classes"):
+                stratified_split(np.array(y, dtype=np.int64), 0, 0.5)
 
     def test_degenerate_fraction_fails(self):
-        m, y = matrix_from_dense(np.zeros((4, 1), dtype=np.uint8), labels=[0, 0, 1, 1])
+        y = np.array([0, 0, 1, 1])
         for fraction in (0.01, 0.0, 1.0):
             with pytest.raises(SplitError):
-                stratified_split(m, y, 0, fraction)
+                stratified_split(y, 0, fraction)
 
 
 class TestSynthesize:
@@ -449,10 +480,13 @@ class TestSynthesize:
         b = synthesize_dataset(50, 8, 0.3, [(0, 0.1, 0.9)], seed=9)
         assert matrices_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
-    def test_label_rule_total(self):
+    def test_label_rule_total(self, tmp_path):
+        # Written with any ransomware family in 1..11, each sample loads with its label.
         m, y = synthesize_dataset(40, 3, 0.5, [], seed=2)
-        for family_id, label in zip(m.family_ids, y):
-            assert label == (family_id != 0)
+        families = y * np.random.default_rng(2).integers(1, 12, size=40)
+        p = tmp_path / "d.sparse"
+        write_sparse(p, m, generic_dictionary(3), families)
+        assert np.array_equal(load_sparse(p)[2], y)
 
     def test_out_of_range_signal_ordinal(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -470,7 +504,7 @@ class TestLoadDictionary:
         d = generic_dictionary(9, category="REG")
         for fmt, write in (("sparse", write_sparse), ("dense", write_dense_csv)):
             p = tmp_path / f"m.{fmt}"
-            write(p, m, d)
+            write(p, m, d, [0] * 6)
             _, full, _ = self.LOADERS[fmt](p)
             only = load_dictionary(p)
             assert only.names == full.names == d.names
@@ -525,7 +559,7 @@ class TestLoadDictionary:
         d = generic_dictionary(2 * dataset.BLOCK_LINES + 5)
         m = DataMatrix.from_rows(len(d), [[0, 8191, 8192, len(d) - 1], []])
         p = tmp_path / "d.sparse"
-        write_sparse(p, m, d)
+        write_sparse(p, m, d, [0, 0])
         only = load_dictionary(p)
         full, loaded, _ = load_sparse(p)
         assert only.names == loaded.names == d.names
@@ -573,7 +607,7 @@ class TestFileFormat:
         d = generic_dictionary(2)
         for fmt, write in (("sparse", write_sparse), ("dense", write_dense_csv)):
             p = tmp_path / f"m.{fmt}"
-            write(p, m, d)
+            write(p, m, d, [0, 1])
             assert file_format(p) == fmt
 
     @pytest.mark.parametrize("content, fmt", [

@@ -34,11 +34,11 @@ INPUTS = set(DATA_FILE.values()) | {"batch.ndjson"}
 
 def write_inputs(root: Path) -> None:
     """Both dataset files and ``batch.ndjson`` (every sixth row as a report)."""
-    matrix, _ = synthesize_dataset(N, D, 0.25, SIGNAL, seed=77)
+    matrix, y = synthesize_dataset(N, D, 0.25, SIGNAL, seed=77)
     names = tuple(f"{CATEGORY_CODES[j % 7]}:g{j:03d}" for j in range(D))
     dictionary = FeatureDictionary(names)
-    write_sparse(root / DATA_FILE["sparse"], matrix, dictionary)
-    write_dense_csv(root / DATA_FILE["dense"], matrix, dictionary)
+    write_sparse(root / DATA_FILE["sparse"], matrix, dictionary, y)
+    write_dense_csv(root / DATA_FILE["dense"], matrix, dictionary, y)
     field_of = {prefix: name for name, prefix in CATEGORY_FIELDS.items()}
     lines = []
     for row in row_ordinals(matrix)[::6]:

@@ -10,7 +10,6 @@ from rwdetect.classifiers import FITTERS, Fingerprint, KnnParams
 from rwdetect.dataset import (
     DataMatrix,
     FeatureDictionary,
-    binary_labels,
 )
 from rwdetect.errors import DataFormatError, FingerprintMismatch
 from rwdetect.reports import (
@@ -140,14 +139,9 @@ class TestVectorize:
 
 def train_knn_fixture(dictionary):
     # training matrix whose first row is a ransomware sample
-    matrix = DataMatrix.from_rows(
-        10,
-        [(0, 2, 7), (1, 4), (5, 6), (0, 3, 8)],
-        family_ids=[2, 0, 0, 5],
-        sample_ids=["r1", "g1", "g2", "r2"],
-    )
+    matrix = DataMatrix.from_rows(10, [(0, 2, 7), (1, 4), (5, 6), (0, 3, 8)])
     fingerprint = Fingerprint(10, dictionary.sha256(), tuple(range(10)))
-    return FITTERS["knn"](project(matrix, fingerprint.selected), binary_labels(matrix),
+    return FITTERS["knn"](project(matrix, fingerprint.selected), np.array([1, 0, 0, 1]),
                           KnnParams(k_neighbors=1), fingerprint)
 
 
@@ -219,11 +213,10 @@ class TestScoreReport:
         # selected columns is the projected full-width batch, and predicts as it does
         rng = np.random.default_rng(72)
         full = DataMatrix.from_rows(
-            10, [np.flatnonzero(rng.random(10) < 0.5) for _ in range(30)],
-            family_ids=rng.integers(0, 2, 30) * 3)
+            10, [np.flatnonzero(rng.random(10) < 0.5) for _ in range(30)])
+        y = rng.integers(0, 2, 30)
         selected = (7, 2, 9, 0, 4)
         fingerprint = Fingerprint(5, dictionary.sha256(), selected)
-        y = binary_labels(full)
         model = FITTERS[kind](project(full, selected), y, fingerprint=fingerprint)
         texts = [report_of([NAMES[j] for j in row]) for row in row_ordinals(full)]
         X, _ = batch_array(texts, dictionary, selected)

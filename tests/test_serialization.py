@@ -12,12 +12,13 @@ from rwdetect.classifiers import (
     Fingerprint,
     ForestParams,
     GbtParams,
+    SvmParams,
     TreeParams,
     deserialize_model,
     serialize_model,
 )
 from rwdetect.classifiers.base import sigmoid
-from rwdetect.errors import FingerprintMismatch, ModelFormatError
+from rwdetect.errors import FingerprintMismatch, FitError, ModelFormatError
 
 from conftest import random_dense, xy
 from fixtures import synthesize_dataset
@@ -70,6 +71,16 @@ def test_fingerprint_dimension_mismatch():
     narrow = random_dense(rng, 3, 3)
     with pytest.raises(FingerprintMismatch, match="expects 4 features"):
         model.predict(narrow)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_fingerprint_of_another_width_is_not_fit(kind):
+    # Its model would fail every predict on X, and no loader would take its file.
+    rng = np.random.default_rng(58)
+    X = random_dense(rng, 30, 5)
+    y = np.r_[np.zeros(15, dtype=int), np.ones(15, dtype=int)]
+    with pytest.raises(FitError, match="fingerprint expects 4 features, matrix has 5"):
+        FITTERS[kind](X, y, fingerprint=Fingerprint(4))
 
 
 def test_fingerprint_survives_round_trip():
@@ -230,7 +241,12 @@ PINNED_SHA256 = {
     "svm": "0299240d7ae711a1f708798db26b9608680d76cb5f1fe22cd4c3a853a62ddd4c",
     "gbt": "9e6b08634c7aced243405dd8366673edf91a80e1334083f6ceb9a740d69e7cd4",
     "logreg": "2f587c85b852a44f258c2892ba1f5aee4035217bcff67293e7f8ba769f31ba99",
+    "svm regularization=1": "c1932c4791c82d71c8748c7fb2a02709f8bf3ff2f08351afff2cc59051c908b8",
 }
+# Each kind at its defaults, and the SVM at regularization=1: the ball's
+# radius is then 1, so its projection onto the ball runs (at 1e-4 it never does).
+PINNED_CASES = {**{kind: (kind, DEFAULT_PARAMS[kind]()) for kind in MODEL_KINDS},
+                "svm regularization=1": ("svm", SvmParams(regularization=1.0))}
 
 
 @pytest.fixture(scope="module")
@@ -240,10 +256,11 @@ def pinned_dataset():
     return matrix.to_dense(), y
 
 
-@pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_model_bytes_are_pinned(pinned_dataset, kind):
-    blob = serialize_model(FITTERS[kind](*pinned_dataset))
-    assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256[kind]
+@pytest.mark.parametrize("case", PINNED_SHA256)
+def test_model_bytes_are_pinned(pinned_dataset, case):
+    kind, params = PINNED_CASES[case]
+    blob = serialize_model(FITTERS[kind](*pinned_dataset, params))
+    assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256[case]
 
 
 def walk(node, x, leaf_key):
