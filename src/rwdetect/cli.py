@@ -6,14 +6,15 @@ dictionary included), 3 baseline-tolerance failure (reproduce --strict).
 
 Every setting is a ``RunConfig`` field, which is its flag, its config-file
 key and its line in the echo; each command takes only the settings it
-reads. Flag > config file > default; ``main`` echoes the effective
-configuration next to the outputs once the command has written them, so
-any run can be repeated bit-identically and a failed run leaves no echo.
+reads. Flag > config file > default. ``main`` writes the outputs a command
+returns, then the echo of the effective configuration, each whole or not at
+all, so any run can be repeated bit-identically and a failed run leaves no echo.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import os
@@ -43,18 +44,31 @@ BASELINE = {
 }
 # How far accuracy (in points), precision and recall may each miss it.
 TOLERANCE = (2.5, 0.04, 0.04)
+# Why a --strict run exits 3, printed once its outputs are written.
+STRICT_FAILURE = {
+    "evaluate": "precision or recall is undefined",
+    "reproduce": "one or more models fell outside the baseline tolerance",
+}
 
 
 class UsageError(RwdetectError):
     pass
 
 
+@contextlib.contextmanager
+def usage_error(action: str, path):
+    """An input or output ``path`` that cannot be read or written is a usage error."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte, or text not UTF-8
+        reason = getattr(exc, "strerror", None) or exc  # names no temporary file
+        raise UsageError(f"cannot {action} {str(path)!r}: {reason}") from None
+
+
 def read_config_file(path) -> dict:
     """Plain key=value config, '#' comments allowed; a leading byte-order mark is skipped."""
-    try:
+    with usage_error("read", path):
         text = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from None
     values = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -173,12 +187,14 @@ def build_config(args) -> RunConfig:
     return cfg
 
 
-def data_path(cfg: RunConfig) -> str:
+def load_data(cfg: RunConfig, load=dataset.load):
+    """``load`` of the dataset file; no such file is a usage error."""
     if not cfg.data:
         raise UsageError(f"no dataset given: pass --data or set {DATA_ENV_VAR}")
     if not Path(cfg.data).is_file():
         raise UsageError(f"dataset file not found: {cfg.data!r}")
-    return cfg.data
+    with usage_error("read", cfg.data):
+        return load(cfg.data)
 
 
 def make_params(kind: str, overrides: dict):
@@ -197,17 +213,25 @@ def load_model(cfg: RunConfig):
     """The model in ``cfg.model_file``; no such file is a usage error."""
     if not cfg.model_file or not Path(cfg.model_file).is_file():
         raise UsageError("--model-file must point to an existing model")
-    return classifiers.deserialize_model(Path(cfg.model_file).read_bytes())
+    with usage_error("read", cfg.model_file):
+        blob = Path(cfg.model_file).read_bytes()
+    return classifiers.deserialize_model(blob)
 
 
-def write_output(path: Path, data) -> None:
-    """Write ``data`` to ``path``, or call ``data(path)`` when it is a function
-    that writes the file itself; a path that cannot be written is a usage error."""
-    try:
+def write_whole(path: Path, write) -> None:
+    """``write(fh)`` into a temporary ``.<name>.<pid>`` file next to ``path`` that
+    then replaces it, so ``path`` holds the whole output or what it held before."""
+    tmp = path.parent / f".{path.name}.{os.getpid()}"
+    with usage_error("write", path):
         path.parent.mkdir(parents=True, exist_ok=True)
-        data(path) if callable(data) else path.write_bytes(data)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise UsageError(f"cannot write {str(path)!r}: {exc}") from None
+        try:
+            with open(tmp, "wb") as fh:
+                write(fh)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)  # already gone once it has replaced ``path``
 
 
 def predict_and_evaluate(model, X, y):
@@ -229,37 +253,35 @@ def split_and_select(matrix, dictionary, y, cfg: RunConfig):
     return X[train_idx], train_y, X[test_idx], y[test_idx], fingerprint
 
 
-def cmd_mi_scores(cfg: RunConfig, args) -> int:
-    matrix, dictionary, y = dataset.load(data_path(cfg))
+def cmd_mi_scores(cfg: RunConfig, args) -> tuple[int, dict]:
+    matrix, dictionary, y = load_data(cfg)
     scores = selection.score_all(matrix, y)
     out_path = Path(cfg.out) / "mi_scores.csv"
-    write_output(out_path, lambda path: selection.write_scores_csv(path, dictionary, scores))
     print(f"wrote {len(scores)} feature scores to {out_path}")
     print("top 20 features by MI (nats):")
     for j in selection.rank_features(scores)[:20].tolist():
         print(f"  {dictionary.names[j]}  {scores[j]:.6f}")
-    return EXIT_OK
+    return EXIT_OK, {out_path: lambda fh: selection.write_scores_csv(fh, dictionary, scores)}
 
 
-def cmd_train(cfg: RunConfig, args) -> int:
-    matrix, dictionary, y = dataset.load(data_path(cfg))
+def cmd_train(cfg: RunConfig, args) -> tuple[int, dict]:
+    matrix, dictionary, y = load_data(cfg)
     train_p, train_y, _, _, fingerprint = split_and_select(matrix, dictionary, y, cfg)
     params = make_params(cfg.model, cfg.hp)
     model = classifiers.FITTERS[cfg.model](train_p, train_y, params, fingerprint)
 
     blob = classifiers.serialize_model(model)
     model_path = Path(cfg.model_file or Path(cfg.out) / f"model_{cfg.model}.json")
-    write_output(model_path, blob)
 
     report = predict_and_evaluate(model, train_p, train_y)
     print(f"model written to {model_path} ({len(blob)} bytes)")
     print(f"train accuracy: {float(report.accuracy):.4f}")
-    return EXIT_OK
+    return EXIT_OK, {model_path: lambda fh: fh.write(blob)}
 
 
-def cmd_evaluate(cfg: RunConfig, args) -> int:
+def cmd_evaluate(cfg: RunConfig, args) -> tuple[int, dict]:
     model = load_model(cfg)
-    matrix, dictionary, y = dataset.load(data_path(cfg))
+    matrix, dictionary, y = load_data(cfg)
     reports.check_fingerprint(model.fingerprint, dictionary)
     # The test partition is the model's only when this split selects its features.
     _, _, test_p, test_y, fingerprint = split_and_select(
@@ -270,9 +292,9 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
             f"{cfg.test_fraction}: its selected features differ")
     report = predict_and_evaluate(model, test_p, test_y)
     print(evaluation.compare_models_text([report]))
-    write_output(Path(cfg.out) / "evaluation.csv",
-                 evaluation.compare_models_csv([report]).encode("utf-8"))
-    return EXIT_TOLERANCE if cfg.strict and report.has_undefined() else EXIT_OK
+    table = evaluation.compare_models_csv([report]).encode("utf-8")
+    code = EXIT_TOLERANCE if cfg.strict and report.has_undefined() else EXIT_OK
+    return code, {Path(cfg.out) / "evaluation.csv": lambda fh: fh.write(table)}
 
 
 def _reproduce_once(matrix, dictionary, y, cfg: RunConfig):
@@ -286,12 +308,12 @@ def _reproduce_once(matrix, dictionary, y, cfg: RunConfig):
     return results
 
 
-def cmd_reproduce(cfg: RunConfig, args) -> int:
+def cmd_reproduce(cfg: RunConfig, args) -> tuple[int, dict]:
     if not cfg.data or not Path(cfg.data).exists():
         raise RwdetectError(f"reproduce needs the 1524-sample behavioral dataset: pass --data "
                             f"or set {DATA_ENV_VAR} (README gives the file layouts)")
     seeds = [int(s) for s in cfg.seeds.split(",")] if cfg.seeds else [cfg.seed]
-    matrix, dictionary, y = dataset.load(data_path(cfg))
+    matrix, dictionary, y = load_data(cfg)
     per_seed = [_reproduce_once(matrix, dictionary, y, dataclasses.replace(cfg, seed=s))
                 for s in seeds]
 
@@ -319,12 +341,9 @@ def cmd_reproduce(cfg: RunConfig, args) -> int:
         rows.append(row)
 
     print(evaluation.aligned(rows))
-    write_output(Path(cfg.out) / "reproduce.csv",
-                 ("\n".join(",".join(r) for r in rows) + "\n").encode("utf-8"))
-    if cfg.strict and not within_tolerance:
-        print("one or more models fell outside the baseline tolerance", file=sys.stderr)
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    table = ("\n".join(",".join(r) for r in rows) + "\n").encode("utf-8")
+    code = EXIT_TOLERANCE if cfg.strict and not within_tolerance else EXIT_OK
+    return code, {Path(cfg.out) / "reproduce.csv": lambda fh: fh.write(table)}
 
 
 def _iter_report_files(path: Path):
@@ -342,19 +361,19 @@ def _iter_report_files(path: Path):
                 yield p.name, DataFormatError(f"cannot read report: {exc.strerror or exc}")
     else:
         # newline-delimited batch stream; a line of ASCII whitespace is blank
-        with path.open("rb") as fh:
+        with usage_error("read", path), path.open("rb") as fh:
             for i, line in enumerate(fh):
                 if line.strip():
                     yield f"{path.name}:{i + 1}", line
 
 
-def cmd_score(cfg: RunConfig, args) -> int:
+def cmd_score(cfg: RunConfig, args) -> tuple[int, dict]:
     reports_path = Path(args.reports)
     if not reports_path.exists():
         raise UsageError(f"reports path not found: {args.reports}")
     model = load_model(cfg)
     # Token lookup needs the training dictionary only, not its samples.
-    dictionary = dataset.load_dictionary(data_path(cfg))
+    dictionary = load_data(cfg, dataset.load_dictionary)
 
     verdicts, failures = reports.score_documents(
         _iter_report_files(reports_path), model, dictionary
@@ -366,14 +385,14 @@ def cmd_score(cfg: RunConfig, args) -> int:
         f"{report_id},{pred.label},{pred.score:.6f},{outcome.matched},{outcome.unmatched}"
         for report_id, pred, outcome in verdicts
     ]
-    write_output(Path(cfg.out) / "verdicts.csv", ("\n".join(lines) + "\n").encode("utf-8"))
+    table = ("\n".join(lines) + "\n").encode("utf-8")
     ransomware = sum(pred.label for _, pred, _ in verdicts)
     print("\n".join(lines))
     print(
         f"scored {len(verdicts)} reports: {ransomware} ransomware, "
         f"{len(verdicts) - ransomware} goodware, {len(failures)} malformed"
     )
-    return EXIT_OK
+    return EXIT_OK, {Path(cfg.out) / "verdicts.csv": lambda fh: fh.write(table)}
 
 
 class ArgumentParser(argparse.ArgumentParser):
@@ -435,10 +454,14 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = build_config(args)
-        code = args.func(cfg, args)
+        code, outputs = args.func(cfg, args)
         # The echo is written last, so a run that fails at any step leaves none.
-        write_output(Path(cfg.out) / f"{args.command}.config",
-                     cfg.echo(COMMANDS[args.command][2]).encode("utf-8"))
+        echo = cfg.echo(COMMANDS[args.command][2]).encode("utf-8")
+        outputs[Path(cfg.out) / f"{args.command}.config"] = lambda fh: fh.write(echo)
+        for path, write in outputs.items():
+            write_whole(path, write)
+        if code == EXIT_TOLERANCE:
+            print(STRICT_FAILURE[args.command], file=sys.stderr)
         return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,6 +25,7 @@ label is simply ``family_id != 0``.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -44,8 +45,8 @@ MAX_FAMILY_ID = 11
 # Column ordinals are stored as int32.
 INT32_LIMIT = 2**31
 
-# Dictionary names are read from a file and hashed this many at a time,
-# which bounds the memory a block of them holds.
+# Dictionary names are read from a file, hashed and written with their MI
+# scores this many at a time, which bounds the memory a block of them holds.
 BLOCK_LINES = 8192
 
 
@@ -156,28 +157,23 @@ def load_dense_csv(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
     cells are strictly "0"/"1". Blank lines are skipped, also before the header.
     """
     rows, labels, seen = [], [], set()
-    try:
-        with open(path, "rb") as fh:
-            reader = csv.reader(_decoded_lines(fh))
-            dictionary = _dense_dictionary(reader, path)
-            d = len(dictionary)
-            for cells in filter(None, reader):
-                line_no = reader.line_num
-                if len(cells) != d + 2:
-                    raise DataFormatError(
-                        f"{path}: line {line_no}: expected {d + 2} cells, got {len(cells)}"
-                    )
-                labels.append(_sample_label(cells[0], cells[1], seen, f"{path}: line {line_no}"))
-                values = cells[2:]
-                rows.append([j for j, cell in enumerate(values) if cell == "1"])
-                if len(rows[-1]) + values.count("0") != d:
-                    j = next(j for j, cell in enumerate(values) if cell not in ("0", "1"))
-                    raise DataFormatError(
-                        f"line {line_no}: cell for feature {dictionary.names[j]!r} "
-                        f"is {values[j]!r}, expected 0 or 1"
-                    )
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataFormatError(f"{path}: not readable as UTF-8 CSV: {exc}") from None
+    with _reading(path, "CSV"), open(path, "rb") as fh:
+        reader = csv.reader(_decoded_lines(fh))
+        dictionary = _dense_dictionary(reader)
+        d = len(dictionary)
+        for cells in filter(None, reader):
+            line_no = reader.line_num
+            if len(cells) != d + 2:
+                raise DataFormatError(f"line {line_no}: expected {d + 2} cells, got {len(cells)}")
+            labels.append(_sample_label(cells[0], cells[1], seen, f"line {line_no}"))
+            values = cells[2:]
+            rows.append([j for j, cell in enumerate(values) if cell == "1"])
+            if len(rows[-1]) + values.count("0") != d:
+                j = next(j for j, cell in enumerate(values) if cell not in ("0", "1"))
+                raise DataFormatError(
+                    f"line {line_no}: cell for feature {dictionary.names[j]!r} "
+                    f"is {values[j]!r}, expected 0 or 1"
+                )
     return DataMatrix.from_rows(d, rows), dictionary, _read_only_labels(labels)
 
 
@@ -203,7 +199,19 @@ def _read_only_labels(labels: list) -> np.ndarray:
     return array
 
 
-def _section_count(head, tag: str, path) -> int:
+@contextlib.contextmanager
+def _reading(path, kind: str):
+    """Names ``path`` at the start of every ``DataFormatError`` raised while
+    it is read; a file that is not UTF-8 ``kind`` raises one."""
+    try:
+        yield
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: not readable as UTF-8 {kind}: {exc}") from None
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
+def _section_count(head, tag: str) -> int:
     """The count of a ``<tag> <count>`` section header line, which has no other word."""
     words = head.split() if head and head.startswith(tag + " ") else ()
     try:
@@ -211,7 +219,7 @@ def _section_count(head, tag: str, path) -> int:
     except ValueError:
         count = -1
     if not 0 <= count <= INT32_LIMIT:
-        raise DataFormatError(f"{path}: expected a '{tag} <count>' header, got {head!r}")
+        raise DataFormatError(f"expected a '{tag} <count>' header, got {head!r}")
     return count
 
 
@@ -226,31 +234,29 @@ def _nonblank(fh):
     return (raw.decode("utf-8").rstrip("\n") for raw in fh if raw != b"\n")
 
 
-def _sparse_dictionary(fh, path) -> FeatureDictionary:
+def _sparse_dictionary(fh) -> FeatureDictionary:
     """The ``#FEATURES`` section of a sparse file open in binary mode.
 
     The names are read in blocks of at most ``BLOCK_LINES`` lines, and each
     block is decoded and split once, blank lines dropped. No line after
     the last name is read.
     """
-    d = _section_count(next(_nonblank(fh), None), "#FEATURES", path)
+    d = _section_count(next(_nonblank(fh), None), "#FEATURES")
     names = []
     while len(names) < d:
         block = list(itertools.islice(fh, min(d - len(names), BLOCK_LINES)))
         if not block:
-            raise DataFormatError(f"{path}: dictionary section truncated")
+            raise DataFormatError("dictionary section truncated")
         # Blank lines, and the newline that ends the block, split off as "".
         names += filter(None, b"".join(block).decode("utf-8").split("\n"))
     return FeatureDictionary(tuple(names))
 
 
-def _dense_dictionary(reader, path) -> FeatureDictionary:
+def _dense_dictionary(reader) -> FeatureDictionary:
     """The feature names of a dense CSV's header row, its first non-blank row."""
     header = next(filter(None, reader), [])
     if header[:2] != ["sample_id", "family_id"]:
-        raise DataFormatError(
-            f"{path}: header must start with 'sample_id,family_id', got {header[:2]}"
-        )
+        raise DataFormatError(f"header must start with 'sample_id,family_id', got {header[:2]}")
     return FeatureDictionary(tuple(header[2:]))
 
 
@@ -273,14 +279,10 @@ def load_dictionary(path) -> FeatureDictionary:
     parsed, and no byte after the dictionary is decoded.
     """
     dense = file_format(path) == "dense"
-    try:
-        with open(path, "rb") as fh:
-            if dense:
-                return _dense_dictionary(csv.reader(_decoded_lines(fh)), path)
-            return _sparse_dictionary(fh, path)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        kind = "CSV" if dense else "text"
-        raise DataFormatError(f"{path}: not readable as UTF-8 {kind}: {exc}") from None
+    with _reading(path, "CSV" if dense else "text"), open(path, "rb") as fh:
+        if dense:
+            return _dense_dictionary(csv.reader(_decoded_lines(fh)))
+        return _sparse_dictionary(fh)
 
 
 def load(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
@@ -297,39 +299,31 @@ def load_sparse(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
     A non-blank line after the last of the ``#SAMPLES`` lines is an error.
     """
     rows, labels, seen = [], [], set()
-    try:
-        with open(path, "rb") as fh:
-            dictionary = _sparse_dictionary(fh, path)
-            ordinal = dictionary._index.__getitem__
-            lines = _nonblank(fh)
-            n = _section_count(next(lines, None), "#SAMPLES", path)
-            for i in range(n):
-                line = next(lines, None)
-                if line is None:
-                    raise DataFormatError(f"{path}: sample section truncated at row {i}")
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise DataFormatError(
-                        f"{path}: sample line {i}: expected 3 tab-separated fields"
-                    )
-                sample_id, family, tokens = parts[0], parts[1], parts[2].split()
-                try:
-                    ordinals = np.fromiter(map(ordinal, tokens), dtype=np.int64,
-                                           count=len(tokens))
-                except KeyError as exc:
-                    raise DataFormatError(
-                        f"{path}: sample {sample_id!r}: unknown feature {exc.args[0]!r}"
-                    ) from None
-                ordinals.sort()
-                if (ordinals[1:] == ordinals[:-1]).any():
-                    ordinals = np.unique(ordinals)
-                rows.append(ordinals)
-                labels.append(_sample_label(sample_id, family, seen,
-                                            f"{path}: sample {sample_id!r}"))
-            if next(lines, None) is not None:
-                raise DataFormatError(f"{path}: more sample lines than '#SAMPLES {n}' gives")
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not readable as UTF-8 text: {exc}") from None
+    with _reading(path, "text"), open(path, "rb") as fh:
+        dictionary = _sparse_dictionary(fh)
+        ordinal = dictionary._index.__getitem__
+        lines = _nonblank(fh)
+        n = _section_count(next(lines, None), "#SAMPLES")
+        for i in range(n):
+            line = next(lines, None)
+            if line is None:
+                raise DataFormatError(f"sample section truncated at row {i}")
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise DataFormatError(f"sample line {i}: expected 3 tab-separated fields")
+            sample_id, family, tokens = parts[0], parts[1], parts[2].split()
+            try:
+                ordinals = np.fromiter(map(ordinal, tokens), dtype=np.int64, count=len(tokens))
+            except KeyError as exc:
+                raise DataFormatError(
+                    f"sample {sample_id!r}: unknown feature {exc.args[0]!r}") from None
+            ordinals.sort()
+            if (ordinals[1:] == ordinals[:-1]).any():
+                ordinals = np.unique(ordinals)
+            rows.append(ordinals)
+            labels.append(_sample_label(sample_id, family, seen, f"sample {sample_id!r}"))
+        if next(lines, None) is not None:
+            raise DataFormatError(f"more sample lines than '#SAMPLES {n}' gives")
     return DataMatrix.from_rows(len(dictionary), rows), dictionary, _read_only_labels(labels)
 
 
@@ -340,8 +334,6 @@ def stratified_split(
 
     Each class contributes round(class_count * test_fraction) test samples.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise SplitError(f"test_fraction {test_fraction} not in (0,1)")
     rng = np.random.default_rng(seed)
 
     classes = np.unique(y)
@@ -351,7 +343,7 @@ def stratified_split(
     for c in classes:
         members = np.flatnonzero(y == c)
         k = round(len(members) * test_fraction)
-        if k == 0 or k == len(members):
+        if not 0 < k < len(members):
             raise SplitError(
                 f"test_fraction {test_fraction} empties a partition "
                 f"for class {c}"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import DataMatrix, FeatureDictionary
+from .dataset import BLOCK_LINES, DataMatrix, FeatureDictionary
 
 
 def score_all(matrix: DataMatrix, y: np.ndarray) -> np.ndarray:
@@ -85,8 +85,8 @@ def project(matrix: DataMatrix, selected) -> np.ndarray:
     return out
 
 
-def write_scores_csv(path, dictionary: FeatureDictionary, scores) -> None:
-    """Dump ``feature_name,mi_score`` rows sorted by score descending."""
+def write_scores_csv(fh, dictionary: FeatureDictionary, scores) -> None:
+    """Write ``feature_name,mi_score`` rows, by score descending, into the binary ``fh``."""
     order = rank_features(scores)
     ranked = np.asarray(scores, dtype=np.float64)[order]
     # Equal scores are adjacent and repeat a lot: each run of one bit
@@ -96,8 +96,9 @@ def write_scores_csv(path, dictionary: FeatureDictionary, scores) -> None:
     change[1:] = bits[1:] != bits[:-1]
     starts = np.flatnonzero(change).tolist()
     names = dictionary.names
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("feature_name,mi_score\n")
-        for a, b in zip(starts, starts[1:] + [len(bits)]):
-            tail = f",{ranked[a]:.12g}\n"
-            fh.writelines(names[j] + tail for j in order[a:b].tolist())
+    fh.write(b"feature_name,mi_score\n")
+    for a, b in zip(starts, starts[1:] + [len(bits)]):
+        tail = f",{ranked[a]:.12g}\n"
+        rows = order[a:b].tolist()
+        for c in range(0, len(rows), BLOCK_LINES):
+            fh.write("".join([names[j] + tail for j in rows[c:c + BLOCK_LINES]]).encode("utf-8"))

@@ -1,3 +1,9 @@
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -56,3 +62,31 @@ def small_dictionary():
     return FeatureDictionary(
         ("API:CreateFileW", "REG:SetValue", "FILES:write", "STR:bitcoin")
     )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_limited(argv, fsize):
+    """Run ``python -m rwdetect.cli argv`` in a child process that may write
+    no file past ``fsize`` bytes: a write beyond that fails with EFBIG.
+
+    Returns the exit code, the child's stderr and the name and bytes of
+    every file in its ``--out`` directory afterwards. Skipped where the
+    ``resource`` module is missing."""
+    resource = pytest.importorskip("resource")
+
+    def limit():  # runs in the child only, before it starts Python
+        resource.setrlimit(resource.RLIMIT_FSIZE, (fsize, fsize))
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    argv = [str(a) for a in argv]
+    child = subprocess.run([sys.executable, "-m", "rwdetect.cli", *argv], env=env,
+                           preexec_fn=limit, capture_output=True, text=True, timeout=300)
+    out = Path(argv[argv.index("--out") + 1])
+    files = {}
+    if out.is_dir():
+        files = {p.name: p.read_bytes() if p.is_file() else None for p in out.iterdir()}
+    return child.returncode, child.stderr, files

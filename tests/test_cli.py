@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -155,7 +156,8 @@ class TestEvaluate:
         assert run([*evaluate, "--out", tmp_path / "lax"]) == cli.EXIT_OK
         assert "n/a" in capsys.readouterr().out
         assert run([*evaluate, "--out", tmp_path / "strict", "--strict"]) == cli.EXIT_TOLERANCE
-        assert "n/a" in capsys.readouterr().out
+        printed = capsys.readouterr()
+        assert "n/a" in printed.out and printed.err == "precision or recall is undefined\n"
         assert "strict=True" in (tmp_path / "strict" / "evaluate.config").read_text()
 
     def test_missing_model_file(self, tmp_path):
@@ -956,6 +958,24 @@ def test_unwritable_output_is_one_line_usage_error(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and output in err
     assert not Path("out", f"{command}.config").exists()
+    assert os.listdir("out") == [output]  # no temporary file is left
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/mem")
+@pytest.mark.parametrize("command, flag", [
+    ("mi-scores", "--data"), ("score", "--model-file"), ("score", "reports"),
+])
+def test_unreadable_input_is_one_line_usage_error(tmp_path, monkeypatch, capsys, command,
+                                                  flag):
+    # /proc/self/mem is a file that opens, and reading its first byte fails.
+    prepare_commands(tmp_path, monkeypatch)
+    argv = command_line(command)
+    argv[argv.index(flag) + 1 if flag in argv else -1] = "/proc/self/mem"
+    capsys.readouterr()
+    assert run(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: cannot read '/proc/self/mem': Input/output error\n"
+    assert not Path("out").exists()
 
 
 CONFIG_TEMPLATE = b"\n".join([

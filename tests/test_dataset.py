@@ -322,11 +322,37 @@ def test_mutated_sparse_file_raises_only_data_format_error(data):
         p.write_bytes(data)
         try:
             m, d, y = load_sparse(p)
-        except DataFormatError:
+        except DataFormatError as exc:
+            assert str(exc).startswith(f"{p}: ")
             return
     assert m.n_features == len(d) and len(y) == m.n_samples
     # Every non-blank line is a header, a name or a sample: none was dropped.
     assert sum(1 for line in data.split(b"\n") if line) == 2 + len(d) + m.n_samples
+
+
+VALID_DENSE = b"sample_id,family_id,API:a,DROP:b,REG:c,STR:d\ns1,0,1,0,1,0\ns2,3,0,0,0,0\n" \
+              b"s3,11,1,1,0,1\n"
+
+DENSE_FRAGMENTS = st.sampled_from([
+    b"sample_id,family_id,API:a", b"sample_id,family_id", b"s1,0,1,0,1,0", b"s4,0,0,0,0,1",
+    b"s9,12,0,0,0,0", b"s9,-1,0,0,0,1", b"s9,x,0,0,0,0", b"s4,0,1,2,0,0", b"s4,0,1,0",
+    b"s4,0,0,0,0,1,1", b"NOPE:x", b"API:a", b",", b",,", b'"', b'"s5",0,0,0,0,0', b"\t", b" ",
+    b"\r", b"\xff", b"\xed\xa0\x80", b"",
+])
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_lines(VALID_DENSE, DENSE_FRAGMENTS))
+def test_mutated_dense_file_raises_only_data_format_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "d.csv"
+        p.write_bytes(data)
+        try:
+            m, d, y = load_dense_csv(p)
+        except DataFormatError as exc:
+            assert str(exc).startswith(f"{p}: ")
+            return
+    assert m.n_features == len(d) and len(y) == m.n_samples
 
 
 class TestDataMatrix:
@@ -464,7 +490,7 @@ class TestStratifiedSplit:
 
     def test_degenerate_fraction_fails(self):
         y = np.array([0, 0, 1, 1])
-        for fraction in (0.01, 0.0, 1.0):
+        for fraction in (0.01, 0.0, 1.0, -0.5, 1.5):
             with pytest.raises(SplitError):
                 stratified_split(y, 0, fraction)
 

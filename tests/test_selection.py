@@ -1,9 +1,11 @@
+import io
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rwdetect.dataset import BLOCK_LINES
 from rwdetect.selection import project, score_all, select_k_best, write_scores_csv
 
 from conftest import matrix_from_dense, random_dense
@@ -181,11 +183,14 @@ class TestProject:
             project(m, [2])
 
 
-def test_scores_csv_sorted_descending(tmp_path):
-    d = generic_dictionary(3)
-    p = tmp_path / "scores.csv"
-    write_scores_csv(p, d, [0.1, 0.9, 0.5])
-    lines = p.read_text().splitlines()
+def scores_csv_lines(dictionary, scores):
+    fh = io.BytesIO()
+    write_scores_csv(fh, dictionary, scores)
+    return fh.getvalue().decode("utf-8").splitlines()
+
+
+def test_scores_csv_sorted_descending():
+    lines = scores_csv_lines(generic_dictionary(3), [0.1, 0.9, 0.5])
     assert lines[0] == "feature_name,mi_score"
     assert [line.split(",")[0] for line in lines[1:]] == [
         "STR:f00001", "STR:f00002", "STR:f00000",
@@ -194,11 +199,18 @@ def test_scores_csv_sorted_descending(tmp_path):
 
 @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 1 / 3, 1e-300, 2.0, math.nan, math.inf]),
                 min_size=1, max_size=40))
-def test_scores_csv_matches_per_row_formatting(tmp_path_factory, values):
+def test_scores_csv_matches_per_row_formatting(values):
     # each run of equal scores is formatted once; the text is that of every row
     d = generic_dictionary(len(values))
-    p = tmp_path_factory.mktemp("scores") / "scores.csv"
-    write_scores_csv(p, d, np.array(values))
     order = np.lexsort((np.arange(len(values)), -np.array(values)))
     expected = ["feature_name,mi_score"] + [f"{d.names[j]},{values[j]:.12g}" for j in order]
-    assert p.read_text().splitlines() == expected
+    assert scores_csv_lines(d, np.array(values)) == expected
+
+
+def test_scores_csv_run_longer_than_a_block():
+    # the rows of one run are written a block at a time
+    d = generic_dictionary(2 * BLOCK_LINES + 5)
+    scores = np.zeros(len(d))
+    scores[7] = 0.5
+    rest = [f"{name},0" for j, name in enumerate(d.names) if j != 7]
+    assert scores_csv_lines(d, scores) == ["feature_name,mi_score", f"{d.names[7]},0.5", *rest]
