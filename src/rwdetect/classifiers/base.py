@@ -58,6 +58,15 @@ def check_xy(X: np.ndarray, y: np.ndarray, fingerprint: Fingerprint | None) -> F
     return fingerprint
 
 
+def to_grid(values: np.ndarray, bound: int) -> np.ndarray:
+    """``values`` rounded in place to the grid 2^-(52 - ceil(log2 bound)), on which values whose
+    magnitudes add up to at most ``bound`` sum exactly in float64, in every order."""
+    scale = 2.0 ** (52 - (bound - 1).bit_length())
+    np.rint(np.multiply(values, scale, out=values), out=values)
+    values /= scale
+    return values
+
+
 def check_finite(values) -> None:
     """Reject a fit that overflowed: a model file holds only finite numbers."""
     if not np.isfinite(values).all():

@@ -7,7 +7,11 @@ Trees are grown greedily on the split gain
 and each leaf outputs -G/(H+lam). The ensemble score is
 sigmoid(base_score + lr * sum of tree outputs) with
 base_score = logit(mean y).
-"""
+
+g and h are rounded to ``to_grid``'s grid for n rows (fixed-point gradients,
+Shi et al., NeurIPS 2022), so every sum is exact in any order and the model
+bytes do not depend on the BLAS kernel. A split gathers only its smaller
+child; the larger one's sums are the parent's minus it (Ke et al., NeurIPS 2017)."""
 
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ from .base import (
     check_xy,
     scores_to_predictions,
     sigmoid,
+    to_grid,
 )
 from .tree import FlatTree, build_tree, leaf_values
 
@@ -35,45 +40,38 @@ def split_gain(gl, hl, gr, hr, lam) -> float:
     )
 
 
-def find_gain_split(X, g, h, idx, params: GbtParams):
-    """Best-gain binary split, ties broken by lowest feature ordinal.
-
-    The node's rows are gathered once, as float64; G and H of the right
-    side are one matrix-vector product each, and the per-column counts a
-    third, exact because every partial sum is a small integer.
-    """
-    cols = X[idx].astype(np.float64)
-    g_sub = g[idx]
-    h_sub = h[idx]
-    gr = g_sub @ cols
-    hr = h_sub @ cols
-    gl = g_sub.sum() - gr
-    hl = h_sub.sum() - hr
-    n1 = np.ones(len(idx)) @ cols
-    n0 = len(idx) - n1
-
+def find_gain_split(sums, params: GbtParams):
+    """Best-gain feature of a node (lowest ordinal on ties), or None. ``sums`` is the
+    node's (3, k + 1) array [G; H; n1] over its rows where each feature is 1; the last,
+    constant-1 column holds the node's totals."""
+    gr, hr, n1 = sums[:, :-1]
+    gl, hl, n0 = sums[:, -1:] - sums[:, :-1]
     gains = split_gain(gl, hl, gr, hr, params.l2_leaf_penalty)  # 0/0 at lam = 0 is masked below
     valid = (n0 > 0) & (n1 > 0) & (np.minimum(hl, hr) >= params.min_child_weight)
     gains = np.where(valid, gains, -np.inf)
     best = int(np.argmax(gains))
-    if gains[best] <= 0.0:
-        return None
-    mask = cols[:, best] != 0
-    return best, idx[~mask], idx[mask]
+    return None if gains[best] <= 0.0 else best
 
 
-def grow_gbt_tree(X, g, h, params: GbtParams, out) -> FlatTree:
-    """One round's tree; each leaf also writes its weight to ``out`` at its rows."""
+def grow_gbt_tree(Xf, ghn, params: GbtParams, out) -> FlatTree:
+    """One round's tree; each leaf also writes its weight to ``out`` at its rows.
+    The sums of rows ``idx`` are ``ghn[:, idx] @ Xf[idx]``; a node at max_depth gets none."""
 
-    def expand(idx, depth):
-        split = find_gain_split(X, g, h, idx, params) if depth < params.max_depth else None
-        if split is not None:
-            return split
-        weight = float(-g[idx].sum() / (h[idx].sum() + params.l2_leaf_penalty))
-        out[idx] = weight
-        return weight
+    def expand(node, depth):
+        idx, sums = node
+        best = None if sums is None else find_gain_split(sums, params)
+        if best is None:
+            out[idx] = -ghn[0, idx].sum() / (ghn[1, idx].sum() + params.l2_leaf_penalty)
+            return float(out[idx[0]])
+        mask = Xf[idx, best] != 0
+        sides, side_sums = (idx[~mask], idx[mask]), [None, None]
+        if depth + 1 < params.max_depth:
+            small = int(2 * len(sides[1]) < len(idx))
+            side_sums[small] = ghn[:, sides[small]] @ Xf[sides[small]]
+            side_sums[1 - small] = sums - side_sums[small]
+        return best, *zip(sides, side_sums)
 
-    return build_tree(expand, np.arange(len(g)))
+    return build_tree(expand, (np.arange(ghn.shape[1]), ghn @ Xf if params.max_depth else None))
 
 
 @dataclass(frozen=True)
@@ -101,6 +99,9 @@ def fit_gradient_boosting(
 ) -> GbtModel:
     fingerprint = check_xy(X, y, fingerprint)
     yf = y.astype(np.float64)
+    # X cast straight to float64, with a constant-1 last column whose sums are a node's totals.
+    Xf = np.concatenate([X, np.ones((len(X), 1), X.dtype)], axis=1, dtype=np.float64)
+    ghn = np.ones((3, len(yf)))  # g, h and 1 per row
 
     mean = float(np.clip(yf.mean(), 1e-12, 1 - 1e-12))
     base_score = float(np.log(mean / (1.0 - mean)))
@@ -112,10 +113,10 @@ def fit_gradient_boosting(
     with np.errstate(all="ignore"):
         for _ in range(params.n_rounds):
             p = sigmoid(margin)
-            g = p - yf
-            h = p * (1.0 - p)
+            ghn[:2] = p - yf, p * (1.0 - p)
+            to_grid(ghn[:2], len(yf))
             outputs = np.empty(len(yf))
-            trees.append(grow_gbt_tree(X, g, h, params, outputs))
+            trees.append(grow_gbt_tree(Xf, ghn, params, outputs))
             margin = margin + params.learning_rate * outputs
     check_finite(np.concatenate([t.value for t in trees]))
     return GbtModel(

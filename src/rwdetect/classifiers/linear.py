@@ -1,4 +1,10 @@
-"""Linear models: Pegasos-style hinge-loss SVM and logistic regression."""
+"""Linear models: Pegasos-style hinge-loss SVM and logistic regression.
+
+Logistic regression rounds each residual to ``to_grid``'s grid for n rows
+and its weights and bias to the 2^-32 grid for |w|_1 + |b| < 2^20, so
+``X @ w + b`` and ``X.T @ residual`` are exact and its bytes do not depend
+on the BLAS kernel; a fit whose |w|_1 + |b| reaches 2^20 is a FitError.
+"""
 
 from __future__ import annotations
 
@@ -12,10 +18,10 @@ from .base import (
     LogRegParams,
     Prediction,
     SvmParams,
-    check_finite,
     check_xy,
     scores_to_predictions,
     sigmoid,
+    to_grid,
 )
 
 
@@ -103,7 +109,7 @@ def logistic_loss_and_gradient(w, b, X, y, l2: float):
     z = X @ w + b
     # log(1 + e^z) - y z, elementwise
     loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * l2 * float(w @ w)
-    residual = sigmoid(z) - y
+    residual = to_grid(sigmoid(z) - y, len(y))
     grad_w = X.T @ residual / len(y) + l2 * w
     grad_b = float(residual.mean())
     return loss, grad_w, grad_b
@@ -119,24 +125,25 @@ def fit_logistic_regression(
     fingerprint = check_xy(X, y, fingerprint)
     Xf = X.astype(np.float64)
     yf = y.astype(np.float64)
-    d = Xf.shape[1]
 
-    w = np.zeros(d)
-    b = 0.0
+    wb = np.zeros(Xf.shape[1] + 1)  # the weights, then the bias
+    w = wb[:-1]
     history = []
-    with np.errstate(all="ignore"):  # a step that overflows ends in check_finite
+    with np.errstate(all="ignore"):  # a step that overflows fails the bound
         for _ in range(params.epochs):
-            loss, grad_w, grad_b = logistic_loss_and_gradient(w, b, Xf, yf, params.l2_penalty)
+            loss, grad_w, grad_b = logistic_loss_and_gradient(w, wb[-1], Xf, yf, params.l2_penalty)
             history.append(loss)
-            grad_norm = float(np.sqrt(grad_w @ grad_w + grad_b * grad_b))
+            grad_norm = float(np.sqrt(np.sum(grad_w * grad_w) + grad_b * grad_b))
             if grad_norm < params.tolerance:
                 break
-            w = w - params.learning_rate * grad_w
-            b = b - params.learning_rate * grad_b
-    check_finite(np.append(w, b))
+            w -= params.learning_rate * grad_w
+            wb[-1] -= params.learning_rate * grad_b
+            if not np.abs(to_grid(wb, 2**20)).sum() < 2**20:
+                raise FitError("the fit produced a non-finite number or |w|_1 + |b| >= 2^20; "
+                               "a smaller learning_rate or a larger penalty avoids it")
     return LogRegModel(
         weights=tuple(float(v) for v in w),
-        bias=float(b),
+        bias=float(wb[-1]),
         params=params,
         fingerprint=fingerprint,
         loss_history=tuple(history),

@@ -190,9 +190,10 @@ def build_config(args) -> RunConfig:
 def load_data(cfg: RunConfig, load=dataset.load):
     """``load`` of the dataset file; no such file is a usage error."""
     if not cfg.data:
-        raise UsageError(f"no dataset given: pass --data or set {DATA_ENV_VAR}")
+        raise UsageError(f"no dataset given: pass --data or set {DATA_ENV_VAR} "
+                         "(README gives the file layouts)")
     if not Path(cfg.data).is_file():
-        raise UsageError(f"dataset file not found: {cfg.data!r}")
+        raise UsageError(f"dataset file not found: {cfg.data!r} (README gives the file layouts)")
     with usage_error("read", cfg.data):
         return load(cfg.data)
 
@@ -309,9 +310,6 @@ def _reproduce_once(matrix, dictionary, y, cfg: RunConfig):
 
 
 def cmd_reproduce(cfg: RunConfig, args) -> tuple[int, dict]:
-    if not cfg.data or not Path(cfg.data).exists():
-        raise RwdetectError(f"reproduce needs the 1524-sample behavioral dataset: pass --data "
-                            f"or set {DATA_ENV_VAR} (README gives the file layouts)")
     seeds = [int(s) for s in cfg.seeds.split(",")] if cfg.seeds else [cfg.seed]
     matrix, dictionary, y = load_data(cfg)
     per_seed = [_reproduce_once(matrix, dictionary, y, dataclasses.replace(cfg, seed=s))

@@ -1,8 +1,9 @@
 """Test fixtures and reference oracles, kept apart from ``rwdetect``.
 
 No command runs these: they synthesize and write the datasets the tests
-load, and they are the plain-Python references that ``score_all`` (MI)
-and ``fit_linear_svm`` (objective) are checked against.
+load, and they are the plain-Python references that ``score_all`` (MI),
+``fit_linear_svm`` (objective) and ``fit_gradient_boosting`` (trees grown
+by gathering every node) are checked against.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from rwdetect.classifiers.base import GbtParams, sigmoid, to_grid
+from rwdetect.classifiers.boosting import split_gain
+from rwdetect.classifiers.tree import FlatTree, build_tree
 from rwdetect.dataset import DataMatrix, FeatureDictionary
 
 
@@ -136,3 +140,36 @@ def svm_objective(w, b, X, y_pm, lam: float) -> float:
     margins = y_pm * (X @ w + b)
     hinge = np.maximum(0.0, 1.0 - margins)
     return 0.5 * lam * float(w @ w) + float(hinge.mean())
+
+
+def gathered_gbt_trees(X, y, params: GbtParams) -> list[FlatTree]:
+    """The trees ``fit_gradient_boosting`` grows, grown instead by gathering
+    every node's rows afresh and summing g, h and the counts column by column,
+    with no BLAS product and no subtraction of a sibling. The split is the
+    lowest-ordinal feature of greatest gain."""
+    yf = y.astype(np.float64)
+    mean = float(np.clip(yf.mean(), 1e-12, 1 - 1e-12))
+    margin = np.full(len(yf), float(np.log(mean / (1.0 - mean))))
+    lam = params.l2_leaf_penalty
+    trees = []
+    for _ in range(params.n_rounds):
+        p = sigmoid(margin)
+        g, h = to_grid(p - yf, len(yf)), to_grid(p * (1.0 - p), len(yf))
+        outputs = np.empty(len(yf))
+
+        def expand(idx, depth):
+            cols = X[idx] != 0
+            gr, hr = (np.where(cols, v[idx, None], 0.0).sum(axis=0) for v in (g, h))
+            n1 = cols.sum(axis=0)
+            gl, hl, n0 = g[idx].sum() - gr, h[idx].sum() - hr, len(idx) - n1
+            valid = (n0 > 0) & (n1 > 0) & (np.minimum(hl, hr) >= params.min_child_weight)
+            gains = np.where(valid, split_gain(gl, hl, gr, hr, lam), -np.inf)
+            if depth < params.max_depth and gains.max() > 0.0:
+                best = int(np.flatnonzero(gains == gains.max())[0])
+                return best, idx[~cols[:, best]], idx[cols[:, best]]
+            outputs[idx] = float(-g[idx].sum() / (h[idx].sum() + lam))
+            return outputs[idx[0]]
+
+        trees.append(build_tree(expand, np.arange(len(yf))))
+        margin = margin + params.learning_rate * outputs
+    return trees

@@ -7,6 +7,7 @@ from rwdetect.classifiers import GbtParams, fit_gradient_boosting
 from rwdetect.errors import FitError
 
 from conftest import random_dense, xy
+from fixtures import gathered_gbt_trees
 
 
 def sigmoid(z):
@@ -108,3 +109,19 @@ class TestGradientBoosting:
         X, y = xy([[0]] * 3 + [[1]], [0, 0, 0, 1])
         model = fit_gradient_boosting(X, y, GbtParams(n_rounds=1))
         assert sigmoid(model.base_score) == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 1025])  # the grid steps at 257 and 1025
+def test_subtraction_grows_the_trees_of_gathering_every_node(n):
+    rng = np.random.default_rng(n)
+    base = random_dense(rng, n, 7, p=0.3)
+    X = np.hstack([base, base[:, ::-1]])  # column j + 7 repeats 6 - j: every split ties
+    y = (rng.random(n) < 0.2 + 0.5 * base[:, 2]).astype(np.int64)
+    params = GbtParams(n_rounds=8, max_depth=4)
+    model = fit_gradient_boosting(X, y, params)
+    expected = gathered_gbt_trees(X, y, params)
+    for tree, reference in zip(model.trees, expected, strict=True):
+        for name in ("feature", "left", "right", "value"):
+            assert getattr(tree, name).tobytes() == getattr(reference, name).tobytes()
+    # Of two equal columns, the lower ordinal wins.
+    assert max(int(t.feature.max()) for t in model.trees) < 7

@@ -214,11 +214,17 @@ class TestEvaluate:
 
 
 class TestReproduce:
-    def test_dataset_absent_gives_data_error(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("data", [None, "missing.sparse", "."],
+                             ids=["no-data", "missing-path", "directory"])
+    def test_dataset_absent_is_one_line_usage_error(self, tmp_path, monkeypatch, capsys, data):
+        # load_data owns the rule for every command: exit 1, as for mi-scores and train.
         monkeypatch.delenv(cli.DATA_ENV_VAR, raising=False)
-        assert run(["reproduce", "--out", tmp_path / "o"]) == cli.EXIT_DATA
+        monkeypatch.chdir(tmp_path)
+        argv = ["reproduce", "--out", "o"] + ([] if data is None else ["--data", data])
+        assert run(argv) == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "dataset" in err
+        assert err.count("\n") == 1 and "dataset" in err and "README" in err
+        assert not (tmp_path / "o").exists()
 
     def test_table_shape_on_synthetic_data(self, tmp_path, capsys):
         data = make_dataset(tmp_path, n=100)

@@ -7,8 +7,9 @@ go through ``cli.main``: ``mi-scores``, ``train`` for all six kinds,
 Each format runs in a working directory of its own and every command
 writes to its own ``--out``, so the echoes hold relative paths only and
 none overwrites another. The sparse run is pinned; the dense run must
-write the same bytes, save the ``data=`` line of the echoes. Like ``PINNED_SHA256`` in test_serialization.py, the float-valued
-outputs were recorded with numpy's OpenBLAS on x86-64.
+write the same bytes, save the ``data=`` line of the echoes. Like ``PINNED_SHA256`` in test_serialization.py, the svm outputs
+were recorded with numpy's OpenBLAS on x86-64; the gbt and logreg outputs
+sum only on an exact grid and hold on every BLAS kernel.
 """
 
 import contextlib
@@ -109,16 +110,16 @@ GOLDEN_SHA256 = {
     "mi-scores/mi_scores.csv": "13c5db73471188ee66af22e0da0056b9010462bd04831d1e5af43db9bfe44543",
     "mi-scores/stdout": "57f107791b72d72c2b81ccd554d889f819a9a5b8184543b882e21699e3c2e91f",
     "reproduce/reproduce.config": "c35b557f5f3e8628eb9d6914a5451a5289b6e2dac6d5c8d2739fd43dfd9815fd",
-    "reproduce/reproduce.csv": "b671cb8b0b69dfa6f4634932ded3b5965e5f15aa9a67697ab74f90dcc2f57eb3",
-    "reproduce/stdout": "9dc243ddc55eeb1fd5184ea1cfa8508bdd6ab22383b8e51fb3d05bcba14b4256",
+    "reproduce/reproduce.csv": "674d0390aecec7dbef2750d051b452b457ab570d4a1ac6ef939f49975bb5b021",
+    "reproduce/stdout": "d8b85c864eb90988c6dd57723cebdc95fd44632e554bc203839bacfdaa8cf2d0",
     "score-dt/score.config": "615672a7beda9e58e602b8d175aca26766da586a7802770f7f3d47b69e1d63ad",
     "score-dt/stderr": "03335e68ff7b505d9297e0a0401ba74b65bf593e7466f4b3c9d7ada8d49b17f9",
     "score-dt/stdout": "af8882c16bf971a3267d8c2c7bdfc5c03a75c5c987c7ed0d0b161e500b584e48",
     "score-dt/verdicts.csv": "c190f5cea4012a0892a32e89180a1a1cb14b274594132fce4f8b117177ebedf0",
     "score-gbt/score.config": "f43c852164b2676fdfb1d638a6f6b9bb95a917d5892bb98007ba254b2f5f21e7",
     "score-gbt/stderr": "03335e68ff7b505d9297e0a0401ba74b65bf593e7466f4b3c9d7ada8d49b17f9",
-    "score-gbt/stdout": "7b8ed863878bb76c912ff5e3c8ccf79656941552f5f8b6aec3e1493000ea2f6c",
-    "score-gbt/verdicts.csv": "3df7830c55120444a86875d1a9ccc13ea1c31148b546dae07dbbfec288204df3",
+    "score-gbt/stdout": "f8b7541c632bb4fad2f3c767625c7bfcbf8b1e231bd6a326ca7111ee32c93e56",
+    "score-gbt/verdicts.csv": "e769065efaf49406dfbc97e52710c4a3c4adbe4f79eda31036afbefa52486104",
     "score-knn/score.config": "00a3023c2fde523f3f5886e81d186a459d8670598f1f8159a27e7852d4206adb",
     "score-knn/stderr": "03335e68ff7b505d9297e0a0401ba74b65bf593e7466f4b3c9d7ada8d49b17f9",
     "score-knn/stdout": "e9e2a5e8ef20889c0d21a897e840ac2977821ce10172ee39d51952bad05c8cd1",
@@ -138,14 +139,14 @@ GOLDEN_SHA256 = {
     "train-dt/model_dt.json": "107ed9719146a3e186cf4285b00eb24b246cf2bcaff1f10c923df1ab9020a407",
     "train-dt/stdout": "11746272c20bbdac192bdb73c81c30e54641b86b4f051c987215015b05f3d30a",
     "train-dt/train.config": "d48ae7fc1239964ce4f8bc1374e7f523087b989bcce9ada90845e9406829eef9",
-    "train-gbt/model_gbt.json": "708da3fb53ce06276e5c14205648df2a08b045e4d90940f58caafda92e541462",
-    "train-gbt/stdout": "ddf848630cd0b1d1eacf078b6ad06263d321451b2d4cfd147e622129de7edbc8",
+    "train-gbt/model_gbt.json": "76ad8dc4ce58c39166c008ef3846f9d138d551ed2de22e07bbc5ce63c4720c45",
+    "train-gbt/stdout": "134d6dc75d312ee15d8e0d43237fb3eafe54b89a9606b98c26844075b4589460",
     "train-gbt/train.config": "fa78db75e73507a355da1f922ddde85464700e41ad829894e266ef34a06eae84",
     "train-knn/model_knn.json": "e3ec0f5b53dc0cf4f2a745b3300bd356b565f45daf61838033d83c1f47bddf14",
     "train-knn/stdout": "5b0895f63c0acfadb148e59944aefafd526403454615adb690d16b47eaf150fa",
     "train-knn/train.config": "1bb592eb6942b07966bc76cb3a02b9efaa749551cbd5ba8c23e00e5cf63b45e4",
-    "train-logreg/model_logreg.json": "430db9428d3045c194655a75a5933961cb94c069ac8da0cf3649e913e3dc18f5",
-    "train-logreg/stdout": "8ebed50c44a2c10356f28e1149ea6c7fe3cf661b84dcd5ffefb5390212f9a43d",
+    "train-logreg/model_logreg.json": "5be77af9ef9cf8d0fafdb38f6c99c2d3c69220b69e2e285c7b76a14c4f331f98",
+    "train-logreg/stdout": "5fba314c845f3300567d558cf43d0219e7c480ab004aee89acd981d42d87d631",
     "train-logreg/train.config": "945ac2fa68b595638c0844eacc3264b62d61522c749158b9cd006b98a72df842",
     "train-rf/model_rf.json": "de167c0eebd9d9764e0e0ac49420ddd10a92d120ba642e9c4e3092fd98aaf1c8",
     "train-rf/stdout": "a3445acb1dcbd47fac79f71c7346576574bf56bb7606e270b5c357b9f1694b76",

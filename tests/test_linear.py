@@ -121,3 +121,16 @@ class TestLogisticRegression:
         X, y = xy([[0], [1]], [0, 1])
         with pytest.raises(FitError, match="learning_rate"):
             fit_logistic_regression(X, y, LogRegParams(learning_rate=-1.0))
+
+    def test_weights_past_the_exact_bound_are_a_fit_error(self):
+        # One step of 1e8 takes |w| to 2.5e7, past the 2^20 within which X @ w + b is exact.
+        X, y = xy([[0]] * 4 + [[1]] * 4, [0] * 4 + [1] * 4)
+        with pytest.raises(FitError, match=r"2\^20"):
+            fit_logistic_regression(X, y, LogRegParams(learning_rate=1e8, epochs=2))
+
+    def test_weights_and_bias_lie_on_the_grid(self):
+        rng = np.random.default_rng(34)
+        X = random_dense(rng, 40, 6)
+        y = rng.integers(0, 2, size=40)
+        model = fit_logistic_regression(X, y, LogRegParams(epochs=50))
+        assert all((v * 2.0**32).is_integer() for v in (*model.weights, model.bias))

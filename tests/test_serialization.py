@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,17 +235,18 @@ def test_mutated_model_raises_only_model_format_error(blob):
 
 
 # sha256 of each kind's model file, fitted with default hyperparameters on
-# the synthetic set of ``pinned_dataset``. Any change to a fit, to the tree
+# the synthetic set of ``pinned_data``. Any change to a fit, to the tree
 # layout or to the codec that moves one byte of a model file fails here.
-# The float-valued models (svm, gbt, logreg) were recorded with numpy's
-# OpenBLAS on x86-64; another BLAS may order its sums differently.
+# gbt and logreg sum only values on an exact grid, so their bytes hold on
+# every BLAS kernel (see the kernel test below); the svm was recorded with
+# numpy's OpenBLAS on x86-64, and another BLAS may order its sums differently.
 PINNED_SHA256 = {
     "dt": "33d30bccb90961450b0de0645d9d679538a7b52e37ef7194c3a6bee79724be20",
     "rf": "925ae49715f722d304594538379f21331dfe0d858660789c21b8389d8d4edfea",
     "knn": "17db3964777c20be0d17748c2f8ba41c322663bb7b5a5489eb0b77095396cd31",
     "svm": "0299240d7ae711a1f708798db26b9608680d76cb5f1fe22cd4c3a853a62ddd4c",
-    "gbt": "9e6b08634c7aced243405dd8366673edf91a80e1334083f6ceb9a740d69e7cd4",
-    "logreg": "2f587c85b852a44f258c2892ba1f5aee4035217bcff67293e7f8ba769f31ba99",
+    "gbt": "5c01eb30c15ff992c1f42b1df633b03198e46bc474658e6237947c72d134dbb4",
+    "logreg": "3707af858c45780a9a29c1dc2cb569382fcf5f9e5503e5df727598f245a8381d",
     "svm regularization=1": "c1932c4791c82d71c8748c7fb2a02709f8bf3ff2f08351afff2cc59051c908b8",
 }
 # Each kind at its defaults, and the SVM at regularization=1: the ball's
@@ -249,18 +255,50 @@ PINNED_CASES = {**{kind: (kind, DEFAULT_PARAMS[kind]()) for kind in MODEL_KINDS}
                 "svm regularization=1": ("svm", SvmParams(regularization=1.0))}
 
 
-@pytest.fixture(scope="module")
-def pinned_dataset():
+def pinned_data():
     signal = [(0, 0.1, 0.6), (3, 0.5, 0.2), (7, 0.3, 0.45), (12, 0.2, 0.3)]
     matrix, y = synthesize_dataset(240, 40, 0.2, signal, seed=2024)
     return matrix.to_dense(), y
 
 
+def pinned_sha256(case, data) -> str:
+    kind, params = PINNED_CASES[case]
+    return hashlib.sha256(serialize_model(FITTERS[kind](*data, params))).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pinned_dataset():
+    return pinned_data()
+
+
 @pytest.mark.parametrize("case", PINNED_SHA256)
 def test_model_bytes_are_pinned(pinned_dataset, case):
-    kind, params = PINNED_CASES[case]
-    blob = serialize_model(FITTERS[kind](*pinned_dataset, params))
-    assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256[case]
+    assert pinned_sha256(case, pinned_dataset) == PINNED_SHA256[case]
+
+
+def blas_name() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # a numpy without ``mode``, or no BLAS entry
+        return ""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
+                    or "openblas" not in blas_name().lower(),
+                    reason="OPENBLAS_CORETYPE selects kernels of an x86-64 OpenBLAS")
+@pytest.mark.parametrize("coretype", ["Prescott", "Haswell"])
+def test_exact_sum_models_are_pinned_on_every_blas_kernel(coretype):
+    # Each kernel sums in its own order; on the exact grid every order gives the same bits.
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    script = ("import test_serialization as t\n"
+              "data = t.pinned_data()\n"
+              "print(t.pinned_sha256('gbt', data), t.pinned_sha256('logreg', data))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [PINNED_SHA256["gbt"], PINNED_SHA256["logreg"]]
 
 
 def walk(node, x, leaf_key):
