@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import FingerprintMismatch, FitError
+from ..errors import FitError
 
 DECISION_THRESHOLD = 0.5
 
@@ -19,13 +19,6 @@ class Fingerprint:
     n_features: int
     dictionary_sha256: str = ""
     selected: tuple[int, ...] = ()
-
-    def check_matrix(self, X: np.ndarray) -> None:
-        if X.shape[1] != self.n_features:
-            raise FingerprintMismatch(
-                f"model expects {self.n_features} features, "
-                f"matrix has {X.shape[1]}"
-            )
 
 
 @dataclass(frozen=True)
@@ -42,20 +35,6 @@ def scores_to_predictions(scores) -> list[Prediction]:
     return [
         Prediction(int(s >= DECISION_THRESHOLD), float(s)) for s in scores
     ]
-
-
-def check_xy(X: np.ndarray, y: np.ndarray, fingerprint: Fingerprint | None) -> Fingerprint:
-    """``fingerprint``, or one of ``X``'s width when None. Rejects what no fitter trains on:
-    a 0/1 array with no rows, not one label per row, or a fingerprint of another width."""
-    if len(X) == 0:
-        raise FitError("empty training matrix")
-    if len(y) != len(X):
-        raise FitError(f"labels length {len(y)} != n_samples {len(X)}")
-    fingerprint = fingerprint or Fingerprint(X.shape[1])
-    if fingerprint.n_features != X.shape[1]:
-        raise FitError(f"fingerprint expects {fingerprint.n_features} features, "
-                       f"matrix has {X.shape[1]}")
-    return fingerprint
 
 
 def to_grid(values: np.ndarray, bound: int) -> np.ndarray:

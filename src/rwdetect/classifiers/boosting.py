@@ -24,7 +24,6 @@ from .base import (
     GbtParams,
     Prediction,
     check_finite,
-    check_xy,
     scores_to_predictions,
     sigmoid,
     to_grid,
@@ -83,7 +82,6 @@ class GbtModel:
     fingerprint: Fingerprint
 
     def predict(self, X: np.ndarray) -> list[Prediction]:
-        self.fingerprint.check_matrix(X)
         margin = np.full(len(X), self.base_score, dtype=np.float64)
         # One tree at a time, in round order, as the fit added them.
         for outputs in leaf_values(self.trees, X).T:
@@ -92,12 +90,8 @@ class GbtModel:
 
 
 def fit_gradient_boosting(
-    X: np.ndarray,
-    y: np.ndarray,
-    params: GbtParams = GbtParams(),
-    fingerprint: Fingerprint | None = None,
+    X: np.ndarray, y: np.ndarray, params: GbtParams, fingerprint: Fingerprint
 ) -> GbtModel:
-    fingerprint = check_xy(X, y, fingerprint)
     yf = y.astype(np.float64)
     # X cast straight to float64, with a constant-1 last column whose sums are a node's totals.
     Xf = np.concatenate([X, np.ones((len(X), 1), X.dtype)], axis=1, dtype=np.float64)

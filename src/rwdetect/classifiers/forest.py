@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FitError
-from .base import Fingerprint, ForestParams, Prediction, check_xy, scores_to_predictions
+from .base import DECISION_THRESHOLD, Fingerprint, ForestParams, Prediction, scores_to_predictions
 from .tree import FlatTree, grow_tree, leaf_values
 
 
@@ -20,22 +20,15 @@ class RandomForestModel:
     fingerprint: Fingerprint
 
     def predict(self, X: np.ndarray) -> list[Prediction]:
-        """The score is the fraction of trees whose leaf score is at least 0.5."""
-        self.fingerprint.check_matrix(X)
-        votes = np.count_nonzero(leaf_values(self.trees, X) >= 0.5, axis=1)
+        """The score is the fraction of trees whose leaf score reaches ``DECISION_THRESHOLD``."""
+        votes = np.count_nonzero(leaf_values(self.trees, X) >= DECISION_THRESHOLD, axis=1)
         return scores_to_predictions(votes / len(self.trees))
 
 
 def fit_random_forest(
-    X: np.ndarray,
-    y: np.ndarray,
-    params: ForestParams = ForestParams(),
-    fingerprint: Fingerprint | None = None,
+    X: np.ndarray, y: np.ndarray, params: ForestParams, fingerprint: Fingerprint
 ) -> RandomForestModel:
-    fingerprint = check_xy(X, y, fingerprint)
     n, d = X.shape
-    if n < 2:
-        raise FitError("random forest needs at least 2 samples")
     fps = params.features_per_split
     if fps is None:
         fps = max(1, math.isqrt(d) + (math.isqrt(d) ** 2 < d))

@@ -17,8 +17,9 @@ import json
 import math
 from dataclasses import asdict, fields
 
-from ..dataset import DataMatrix
-from ..errors import DataFormatError, FitError, ModelFormatError
+import numpy as np
+
+from ..errors import FitError, ModelFormatError
 from .base import DEFAULT_PARAMS, Fingerprint
 from .boosting import GbtModel
 from .forest import RandomForestModel
@@ -90,12 +91,10 @@ def _payload(model):
         }
     if kind in ("svm", "logreg"):
         return {"weights": list(model.weights), "bias": model.bias}
-    if kind == "gbt":
-        return {
-            "trees": [_encode_tree(t, "w") for t in model.trees],
-            "base_score": model.base_score,
-        }
-    raise ModelFormatError(f"unknown model kind {kind!r}")
+    return {  # gbt
+        "trees": [_encode_tree(t, "w") for t in model.trees],
+        "base_score": model.base_score,
+    }
 
 
 def serialize_model(model) -> bytes:
@@ -146,10 +145,16 @@ def _decode_knn(payload, params, fingerprint: Fingerprint) -> KnnModel:
              "knn labels must be 0 or 1")
     _require(1 <= params.k_neighbors <= len(rows),
              f"k_neighbors {params.k_neighbors} outside [1, {len(rows)}] stored rows")
-    _require(all(type(j) is int for row in rows for j in _list(row, "knn row")),
-             "knn row ordinals must be integers")
-    return KnnModel(DataMatrix.from_rows(n_features, rows).to_dense(), tuple(labels), params,
-                    fingerprint)
+    train = np.zeros((len(rows), n_features), dtype=np.uint8)
+    for i, row in enumerate(rows):
+        _require(all(type(j) is int for j in _list(row, "knn row")),
+                 "knn row ordinals must be integers")
+        _require(all(a < b for a, b in zip(row, row[1:])),
+                 f"knn row {i}: ordinals not strictly increasing")
+        for j in row[:1] + row[-1:]:
+            _require(0 <= j < n_features, f"knn row {i}: ordinal {j} outside [0, {n_features})")
+        train[i, row] = 1
+    return KnnModel(train, tuple(labels), params, fingerprint)
 
 
 def deserialize_model(data: bytes):
@@ -186,5 +191,5 @@ def deserialize_model(data: bytes):
     except FitError as exc:  # a hyperparameter of another type or out of its range
         raise ModelFormatError(f"hyperparameter {exc}") from None
     # RecursionError: a tree nested deeper than the decoder recurses.
-    except (KeyError, TypeError, OverflowError, RecursionError, DataFormatError) as exc:
+    except (KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise ModelFormatError(f"truncated or malformed payload: {exc}") from exc

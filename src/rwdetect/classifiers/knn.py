@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FitError
-from .base import Fingerprint, KnnParams, Prediction, check_xy
+from .base import Fingerprint, KnnParams, Prediction
 
 QUERY_BLOCK = 1024
 
@@ -26,7 +26,6 @@ class KnnModel:
     fingerprint: Fingerprint
 
     def predict(self, X: np.ndarray) -> list[Prediction]:
-        self.fingerprint.check_matrix(X)
         T = self.train.astype(np.float64)
         t_ones = T.sum(axis=1)
         labels = np.asarray(self.train_labels)
@@ -50,13 +49,7 @@ class KnnModel:
         return [Prediction(int(2 * ones > k), ones / k) for ones in votes]
 
 
-def fit_knn(
-    X: np.ndarray,
-    y: np.ndarray,
-    params: KnnParams = KnnParams(),
-    fingerprint: Fingerprint | None = None,
-) -> KnnModel:
-    fingerprint = check_xy(X, y, fingerprint)
+def fit_knn(X: np.ndarray, y: np.ndarray, params: KnnParams, fingerprint: Fingerprint) -> KnnModel:
     if params.k_neighbors > len(X):
         raise FitError(f"k_neighbors {params.k_neighbors} > n_samples {len(X)}")
     return KnnModel(

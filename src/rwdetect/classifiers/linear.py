@@ -18,7 +18,6 @@ from .base import (
     LogRegParams,
     Prediction,
     SvmParams,
-    check_xy,
     scores_to_predictions,
     sigmoid,
     to_grid,
@@ -36,7 +35,6 @@ class LinearSvmModel:
     def predict(self, X: np.ndarray) -> list[Prediction]:
         """Label is the margin sign; the score maps the margin through a
         fixed logistic link so thresholding at 0.5 agrees with the sign."""
-        self.fingerprint.check_matrix(X)
         margins = X.astype(np.float64) @ np.asarray(self.weights) + self.bias
         return [
             Prediction(int(m >= 0.0), float(sigmoid(m))) for m in margins
@@ -44,20 +42,14 @@ class LinearSvmModel:
 
 
 def fit_linear_svm(
-    X: np.ndarray,
-    y: np.ndarray,
-    params: SvmParams = SvmParams(),
-    fingerprint: Fingerprint | None = None,
+    X: np.ndarray, y: np.ndarray, params: SvmParams, fingerprint: Fingerprint
 ) -> LinearSvmModel:
     """Seeded stochastic subgradient descent with step 1/(lam*t + 1) and
     projection onto the ball of radius 1/sqrt(lam), returning
     iterate-averaged weights. The unit offset in the step keeps early
     iterates bounded when lam is small; the bias rides along as a
     constant-1 feature so the projection keeps it bounded too."""
-    fingerprint = check_xy(X, y, fingerprint)
-    if y.min() == y.max():
-        raise FitError("SVM requires both classes in the training set")
-    Xf = np.hstack([X.astype(np.float64), np.ones((X.shape[0], 1))])
+    Xf = np.concatenate([X, np.ones((len(X), 1), X.dtype)], axis=1, dtype=np.float64)
     y_pm = np.where(y == 1, 1.0, -1.0)
     n, d = Xf.shape
     lam = params.regularization
@@ -98,7 +90,6 @@ class LogRegModel:
     loss_history: tuple[float, ...] = field(default=(), compare=False)
 
     def predict(self, X: np.ndarray) -> list[Prediction]:
-        self.fingerprint.check_matrix(X)
         margins = X.astype(np.float64) @ np.asarray(self.weights) + self.bias
         return scores_to_predictions(sigmoid(margins))
 
@@ -116,13 +107,9 @@ def logistic_loss_and_gradient(w, b, X, y, l2: float):
 
 
 def fit_logistic_regression(
-    X: np.ndarray,
-    y: np.ndarray,
-    params: LogRegParams = LogRegParams(),
-    fingerprint: Fingerprint | None = None,
+    X: np.ndarray, y: np.ndarray, params: LogRegParams, fingerprint: Fingerprint
 ) -> LogRegModel:
     """Full-batch gradient descent from zero initialization."""
-    fingerprint = check_xy(X, y, fingerprint)
     Xf = X.astype(np.float64)
     yf = y.astype(np.float64)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import Fingerprint, Prediction, TreeParams, check_xy, scores_to_predictions
+from .base import Fingerprint, Prediction, TreeParams, scores_to_predictions
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,17 +146,12 @@ class DecisionTreeModel:
     fingerprint: Fingerprint
 
     def predict(self, X: np.ndarray) -> list[Prediction]:
-        self.fingerprint.check_matrix(X)
         return scores_to_predictions(leaf_values((self.tree,), X)[:, 0])
 
 
 def fit_decision_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    params: TreeParams = TreeParams(),
-    fingerprint: Fingerprint | None = None,
+    X: np.ndarray, y: np.ndarray, params: TreeParams, fingerprint: Fingerprint
 ) -> DecisionTreeModel:
-    fingerprint = check_xy(X, y, fingerprint)
     tree = grow_tree(np.ascontiguousarray(X.T), y, np.arange(len(y)), params)
     return DecisionTreeModel(
         tree=tree,

@@ -257,12 +257,13 @@ def split_and_select(matrix, dictionary, y, cfg: RunConfig):
 def cmd_mi_scores(cfg: RunConfig, args) -> tuple[int, dict]:
     matrix, dictionary, y = load_data(cfg)
     scores = selection.score_all(matrix, y)
-    out_path = Path(cfg.out) / "mi_scores.csv"
-    print(f"wrote {len(scores)} feature scores to {out_path}")
+    order = selection.rank_features(scores)
+    path = Path(cfg.out) / "mi_scores.csv"
+    print(f"wrote {len(scores)} feature scores to {path}")
     print("top 20 features by MI (nats):")
-    for j in selection.rank_features(scores)[:20].tolist():
+    for j in order[:20].tolist():
         print(f"  {dictionary.names[j]}  {scores[j]:.6f}")
-    return EXIT_OK, {out_path: lambda fh: selection.write_scores_csv(fh, dictionary, scores)}
+    return EXIT_OK, {path: lambda fh: selection.write_scores_csv(fh, dictionary, scores, order)}
 
 
 def cmd_train(cfg: RunConfig, args) -> tuple[int, dict]:

@@ -98,7 +98,8 @@ class DataMatrix:
     """n x d sparse binary matrix in compressed sparse row form, stored read-only.
 
     Row i's active column ordinals are ``indices[indptr[i]:indptr[i+1]]``,
-    strictly increasing.
+    strictly increasing and below ``n_features``. The loaders check their rows
+    before they build one; the matrix itself checks nothing.
     """
 
     n_features: int
@@ -106,24 +107,8 @@ class DataMatrix:
     indices: np.ndarray
 
     def __post_init__(self):
-        n = len(self.indptr) - 1
-        d = self.n_features
-        indptr = np.asarray(self.indptr, dtype=np.int64)
-        indices = np.asarray(self.indices, dtype=np.int64)
-        if not (d <= INT32_LIMIT and indptr[-1] == len(indices)):
-            raise DataFormatError(f"inconsistent {n}-row matrix with {d} features")
-
-        def reject(row, problem):
-            raise DataFormatError(f"row {row}: {problem}")
-
-        entry_rows = np.repeat(np.arange(n), np.diff(indptr))
-        bad = np.flatnonzero((np.diff(indices) <= 0) & (np.diff(entry_rows) == 0))
-        if len(bad):
-            reject(entry_rows[bad[0]], "active ordinals not strictly sorted")
-        bad = np.flatnonzero((indices < 0) | (indices >= d))
-        if len(bad):
-            reject(entry_rows[bad[0]], f"ordinal {indices[bad[0]]} outside [0, {d})")
-        for name, array in (("indptr", indptr), ("indices", indices.astype(np.int32))):
+        for name, dtype in (("indptr", np.int64), ("indices", np.int32)):
+            array = np.asarray(getattr(self, name), dtype=dtype)
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
@@ -142,12 +127,6 @@ class DataMatrix:
     def entry_rows(self) -> np.ndarray:
         """Row number of every entry of ``indices``."""
         return np.repeat(np.arange(self.n_samples), np.diff(self.indptr))
-
-    def to_dense(self) -> np.ndarray:
-        """Materialize as a (n_samples, n_features) uint8 array."""
-        out = np.zeros((self.n_samples, self.n_features), dtype=np.uint8)
-        out[self.entry_rows(), self.indices] = 1
-        return out
 
 
 def load_dense_csv(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:

@@ -20,32 +20,18 @@ class ConfusionMatrix:
     fp: int
     fn: int
 
-    def __post_init__(self):
-        if min(self.tp, self.tn, self.fp, self.fn) < 0:
-            raise ValueError("confusion counts must be non-negative")
-
     @property
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
 
 
 def confusion(y_true, y_pred) -> ConfusionMatrix:
-    true_labels = np.asarray(y_true)
-    predicted = np.asarray(y_pred)
-    if len(true_labels) != len(predicted):
-        raise ValueError(
-            f"length mismatch: {len(true_labels)} labels vs {len(predicted)} predictions"
-        )
-    if not (np.isin(true_labels, (0, 1)).all() and np.isin(predicted, (0, 1)).all()):
-        raise ValueError("labels and predictions must be 0 or 1")
-    cells = 2 * true_labels.astype(np.int64) + predicted.astype(np.int64)
+    cells = 2 * np.asarray(y_true, dtype=np.int64) + np.asarray(y_pred, dtype=np.int64)
     tn, fp, fn, tp = np.bincount(cells, minlength=4).tolist()
     return ConfusionMatrix(tp, tn, fp, fn)
 
 
 def accuracy(cm: ConfusionMatrix) -> Fraction:
-    if cm.total == 0:
-        raise ValueError("accuracy undefined on zero samples")
     return Fraction(cm.tp + cm.tn, cm.total)
 
 
@@ -111,14 +97,10 @@ def aligned(rows) -> str:
 
 def compare_models_text(reports: list[EvalReport]) -> str:
     """Aligned text table, models in input order."""
-    if not reports:
-        raise ValueError("no reports to compare")
     return aligned([COLUMNS] + [report_cells(r) for r in reports])
 
 
 def compare_models_csv(reports: list[EvalReport]) -> str:
-    if not reports:
-        raise ValueError("no reports to compare")
     lines = ["model,accuracy_pct,precision,recall,tp,tn,fp,fn"]
     lines += [",".join(report_cells(r)) for r in reports]
     return "\n".join(lines) + "\n"

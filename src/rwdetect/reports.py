@@ -113,8 +113,6 @@ def score_reports(
     """
     selected = model.fingerprint.selected
     check_fingerprint(model.fingerprint, dictionary)
-    if len(set(selected)) != len(selected) or min(selected, default=0) < 0:
-        raise ValueError("selection must be distinct ordinals >= 0")
     column = {dictionary.names[j]: c for c, j in enumerate(selected)}
     names = frozenset(column)  # a set intersection walks the smaller side
     rows, columns, counts = array("i"), array("i"), []

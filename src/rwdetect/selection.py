@@ -19,10 +19,6 @@ from .dataset import BLOCK_LINES, DataMatrix, FeatureDictionary
 
 def score_all(matrix: DataMatrix, y: np.ndarray) -> np.ndarray:
     """MI score of every column against the label, vectorized over columns."""
-    if len(y) != matrix.n_samples:
-        raise ValueError(
-            f"labels length {len(y)} != n_samples {matrix.n_samples}"
-        )
     n = matrix.n_samples
     d = matrix.n_features
     n_pos = int(y.sum())
@@ -57,25 +53,13 @@ def rank_features(scores) -> np.ndarray:
 
 def select_k_best(scores, k: int) -> tuple[int, ...]:
     """Top-k ordinals by score descending, ties by ascending ordinal."""
-    scores = np.asarray(scores, dtype=np.float64)
-    d = len(scores)
-    if not 1 <= k <= d:
-        raise ValueError(f"k={k} out of range [1, {d}]")
     return tuple(rank_features(scores)[:k].tolist())
 
 
 def project(matrix: DataMatrix, selected) -> np.ndarray:
     """The ``selected`` columns of ``matrix``, in that order, as a dense 0/1 uint8 array."""
-    selected = np.asarray(list(selected), dtype=np.int64)
-    if len(np.unique(selected)) != len(selected):
-        raise ValueError("duplicate ordinal in selection")
-    outside = selected[(selected < 0) | (selected >= matrix.n_features)]
-    if len(outside):
-        raise ValueError(
-            f"ordinal {outside[0]} out of range [0, {matrix.n_features})"
-        )
     new_ordinal = np.full(matrix.n_features, -1, dtype=np.int64)
-    new_ordinal[selected] = np.arange(len(selected))
+    new_ordinal[list(selected)] = np.arange(len(selected))
     remapped = new_ordinal[matrix.indices]
     kept = np.flatnonzero(remapped >= 0)
     # The row of each kept entry is looked up in ``indptr``: a row number for
@@ -85,9 +69,9 @@ def project(matrix: DataMatrix, selected) -> np.ndarray:
     return out
 
 
-def write_scores_csv(fh, dictionary: FeatureDictionary, scores) -> None:
-    """Write ``feature_name,mi_score`` rows, by score descending, into the binary ``fh``."""
-    order = rank_features(scores)
+def write_scores_csv(fh, dictionary: FeatureDictionary, scores, order) -> None:
+    """Write ``feature_name,mi_score`` rows in ``order``, ``rank_features(scores)``, into
+    the binary ``fh``."""
     ranked = np.asarray(scores, dtype=np.float64)[order]
     # Equal scores are adjacent and repeat a lot: each run of one bit
     # pattern is formatted once.

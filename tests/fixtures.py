@@ -26,6 +26,13 @@ def row_ordinals(matrix: DataMatrix) -> list[np.ndarray]:
     return [matrix.indices[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+def to_dense(matrix: DataMatrix) -> np.ndarray:
+    """``matrix`` as a (n_samples, n_features) 0/1 uint8 array."""
+    out = np.zeros((matrix.n_samples, matrix.n_features), dtype=np.uint8)
+    out[matrix.entry_rows(), matrix.indices] = 1
+    return out
+
+
 def matrices_equal(a: DataMatrix, b: DataMatrix) -> bool:
     """Same width and the same rows."""
     return a.n_features == b.n_features and np.array_equal(a.indptr, b.indptr) \
@@ -39,7 +46,7 @@ def write_dense_csv(path, matrix: DataMatrix, dictionary: FeatureDictionary, fam
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sample_id", "family_id", *dictionary.names])
-        for i, (family, row) in enumerate(zip(families, matrix.to_dense())):
+        for i, (family, row) in enumerate(zip(families, to_dense(matrix))):
             writer.writerow([f"s{i}", str(family), *map(str, row.tolist())])
 
 

@@ -15,10 +15,13 @@ import pytest
 
 from rwdetect import classifiers, cli, dataset, evaluation, selection
 from rwdetect.classifiers import (
+    DEFAULT_PARAMS,
     FITTERS,
     MODEL_KINDS,
+    Fingerprint,
     GbtParams,
     KnnParams,
+    TreeParams,
     deserialize_model,
     fit_decision_tree,
     fit_gradient_boosting,
@@ -71,7 +74,8 @@ def test_criterion_1_table_reproduction():
         test_p = selection.project(test_m, selected)
 
         for kind in MODEL_KINDS:
-            model = FITTERS[kind](train_p, train_y)
+            model = FITTERS[kind](train_p, train_y, DEFAULT_PARAMS[kind](),
+                                  Fingerprint(train_p.shape[1]))
             preds = model.predict(test_p)
             report = evaluation.evaluate_predictions(
                 kind, test_y, [p.label for p in preds]
@@ -163,7 +167,8 @@ def test_criterion_5_knn_oracle():
             for k in (1, 3, 5):
                 if k > n:
                     continue
-                model = fit_knn(train_X, train_y, KnnParams(k_neighbors=k))
+                model = fit_knn(train_X, train_y, KnnParams(k_neighbors=k),
+                                Fingerprint(train_X.shape[1]))
                 preds = model.predict(query_X)
                 for q, p in zip(query_X, preds):
                     label, score = knn_oracle(train_X, train_y, q, k)
@@ -178,7 +183,7 @@ def test_criterion_6_tree_split_oracles():
             for pattern in range(256):  # every label assignment
                 y = np.array([(pattern >> i) & 1 for i in range(8)], dtype=np.int64)
 
-                tree = fit_decision_tree(X, y).tree
+                tree = fit_decision_tree(X, y, TreeParams(), Fingerprint(X.shape[1])).tree
                 expected = gini_oracle_root(X, y)
                 actual = None if tree.is_leaf(0) else tree.feature[0]
                 assert actual == expected, (pattern, actual, expected)
@@ -186,7 +191,7 @@ def test_criterion_6_tree_split_oracles():
                 if y.min() == y.max():
                     continue
                 gbt = fit_gradient_boosting(
-                    X, y, GbtParams(n_rounds=1, max_depth=1)
+                    X, y, GbtParams(n_rounds=1, max_depth=1), Fingerprint(X.shape[1])
                 )
                 best_gain, optimal, results = gain_oracle(X, y, lam=1.0)
                 tree = gbt.trees[0]
@@ -211,9 +216,10 @@ def test_criterion_7_determinism_and_persistence():
         test_X = random_dense(rng, 1000, 10)
 
         for kind in MODEL_KINDS:
-            model = FITTERS[kind](train_X, train_y)
+            args = (train_X, train_y, DEFAULT_PARAMS[kind](), Fingerprint(train_X.shape[1]))
+            model = FITTERS[kind](*args)
             blob = serialize_model(model)
-            assert serialize_model(FITTERS[kind](train_X, train_y)) == blob
+            assert serialize_model(FITTERS[kind](*args)) == blob
             restored = deserialize_model(blob)
             assert restored.predict(test_X) == model.predict(test_X)
 
@@ -238,7 +244,8 @@ def test_criterion_8_pipeline_soundness():
         train_p = selection.project(train_m, selected)
         test_p = selection.project(test_m, selected)
         for kind in MODEL_KINDS:
-            model = FITTERS[kind](train_p, train_y)
+            model = FITTERS[kind](train_p, train_y, DEFAULT_PARAMS[kind](),
+                                  Fingerprint(train_p.shape[1]))
             preds = model.predict(test_p)
             acc = float(
                 evaluation.evaluate_predictions(

@@ -514,6 +514,7 @@ MODEL_FILE_DEFECTS = {
     "dt nested 3000 deep": ("dt", nested_3000_deep),
     "dt selected[0]=10**6":
         ("dt", lambda doc: doc["fingerprint"]["selected"].__setitem__(0, 10**6)),
+    "knn row [1, 0]": ("knn", lambda doc: doc["payload"]["rows"].__setitem__(0, [1, 0])),
 }
 
 

@@ -27,6 +27,7 @@ from fixtures import (
     matrices_equal,
     row_ordinals,
     synthesize_dataset,
+    to_dense,
     write_dense_csv,
     write_sparse,
 )
@@ -356,23 +357,13 @@ def test_mutated_dense_file_raises_only_data_format_error(data):
 
 
 class TestDataMatrix:
-    @pytest.mark.parametrize("rows, message", [
-        ([(1, 0)], "row 0: active ordinals not strictly sorted"),
-        ([(0,), (2, 2)], "row 1: active ordinals not strictly sorted"),
-        ([(), (0, 3)], "row 1: ordinal 3 outside"),
-        ([(-1,)], "row 0: ordinal -1 outside"),
-    ])
-    def test_invariants_rejected(self, rows, message):
-        with pytest.raises(DataFormatError, match=message):
-            DataMatrix.from_rows(3, rows)
-
     def test_take_rows_matches_dense_gather(self):
         rng = np.random.default_rng(8)
         dense = (rng.random((9, 7)) < 0.4).astype(np.uint8)
         m = matrix_from_dense(dense)
         order = [4, 0, 8, 3]
         sub = take_rows(m, order)
-        assert np.array_equal(sub.to_dense(), dense[order])
+        assert np.array_equal(to_dense(sub), dense[order])
         assert take_rows(m, []).n_samples == 0
 
 
@@ -498,7 +489,7 @@ class TestStratifiedSplit:
 class TestSynthesize:
     def test_perfect_signal_separates(self):
         m, y = synthesize_dataset(100, 5, 0.2, [(2, 0.0, 1.0)], seed=4)
-        dense = m.to_dense()
+        dense = to_dense(m)
         assert np.array_equal(dense[:, 2], y)
 
     def test_same_seed_identical(self):

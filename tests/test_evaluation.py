@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 from rwdetect.evaluation import (
@@ -41,16 +40,6 @@ class TestConfusion:
         fn = sum(1 for t, p in zip(y_true, y_pred) if t == 1 and p == 0)
         assert cm == ConfusionMatrix(tp, tn, fp, fn)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            confusion([0, 1], [0])
-
-    @pytest.mark.parametrize("y_true, y_pred", [([0, 2], [0, 1]), ([0, 1], [0, -1]),
-                                                 ([1, 0], [0.5, 1])])
-    def test_label_outside_zero_one(self, y_true, y_pred):
-        with pytest.raises(ValueError, match="0 or 1"):
-            confusion(y_true, y_pred)
-
 
 class TestMetrics:
     def test_reference_xgb_row(self):
@@ -77,10 +66,6 @@ class TestMetrics:
 
     def test_undefined_recall_is_none(self):
         assert recall(ConfusionMatrix(0, 5, 2, 0)) is None
-
-    def test_zero_total_accuracy_raises(self):
-        with pytest.raises(ValueError):
-            accuracy(ConfusionMatrix(0, 0, 0, 0))
 
     @given(tp=counts, tn=counts, fp=st.integers(1, 1000), fn=st.integers(1, 1000))
     def test_precision_recall_monotone_in_tp(self, tp, tn, fp, fn):
@@ -119,10 +104,6 @@ class TestCompare:
     def test_undefined_cells_render_na(self):
         csv_out = compare_models_csv([EvalReport("m", ConfusionMatrix(0, 5, 0, 0))])
         assert ",n/a,n/a," in csv_out.splitlines()[1]
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            compare_models_text([])
 
 
 def test_evaluate_predictions_end_to_end():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rwdetect.classifiers import (
+    Fingerprint,
     ForestParams,
     TreeParams,
     fit_decision_tree,
@@ -11,7 +12,7 @@ from rwdetect.classifiers import (
 from rwdetect.errors import FitError
 
 from conftest import random_dense, xy
-from fixtures import synthesize_dataset
+from fixtures import synthesize_dataset, to_dense
 
 
 def test_degenerate_forest_equals_single_tree():
@@ -19,9 +20,10 @@ def test_degenerate_forest_equals_single_tree():
     X = random_dense(rng, 30, 6)
     y = rng.integers(0, 2, size=30)
     forest = fit_random_forest(
-        X, y, ForestParams(n_trees=1, features_per_split=6, bootstrap=False)
+        X, y, ForestParams(n_trees=1, features_per_split=6, bootstrap=False),
+        Fingerprint(X.shape[1]),
     )
-    tree = fit_decision_tree(X, y, TreeParams())
+    tree = fit_decision_tree(X, y, TreeParams(), Fingerprint(X.shape[1]))
     assert [p.label for p in forest.predict(X)] == [p.label for p in tree.predict(X)]
 
 
@@ -30,8 +32,8 @@ def test_same_seed_byte_identical():
     X = random_dense(rng, 25, 8)
     y = rng.integers(0, 2, size=25)
     params = ForestParams(n_trees=20, seed=123)
-    a = serialize_model(fit_random_forest(X, y, params))
-    b = serialize_model(fit_random_forest(X, y, params))
+    a = serialize_model(fit_random_forest(X, y, params, Fingerprint(X.shape[1])))
+    b = serialize_model(fit_random_forest(X, y, params, Fingerprint(X.shape[1])))
     assert a == b
 
 
@@ -39,8 +41,9 @@ def test_different_seed_differs():
     rng = np.random.default_rng(10)
     X = random_dense(rng, 25, 8)
     y = rng.integers(0, 2, size=25)
-    a = serialize_model(fit_random_forest(X, y, ForestParams(n_trees=20, seed=1)))
-    b = serialize_model(fit_random_forest(X, y, ForestParams(n_trees=20, seed=2)))
+    fingerprint = Fingerprint(X.shape[1])
+    a = serialize_model(fit_random_forest(X, y, ForestParams(n_trees=20, seed=1), fingerprint))
+    b = serialize_model(fit_random_forest(X, y, ForestParams(n_trees=20, seed=2), fingerprint))
     assert a != b
 
 
@@ -49,13 +52,14 @@ def test_forest_beats_single_tree_on_noisy_data():
     signal = [(j, 0.25, 0.75) for j in range(5)]
     train_m, train_y = synthesize_dataset(50, 40, 0.5, signal, seed=21)
     test_m, test_y = synthesize_dataset(400, 40, 0.5, signal, seed=22)
-    train_X = train_m.to_dense()
+    train_X = to_dense(train_m)
 
-    tree = fit_decision_tree(train_X, train_y)
-    forest = fit_random_forest(train_X, train_y, ForestParams(n_trees=100, seed=3))
+    tree = fit_decision_tree(train_X, train_y, TreeParams(), Fingerprint(train_X.shape[1]))
+    forest = fit_random_forest(train_X, train_y, ForestParams(n_trees=100, seed=3),
+                               Fingerprint(train_X.shape[1]))
 
     def acc(model):
-        preds = model.predict(test_m.to_dense())
+        preds = model.predict(to_dense(test_m))
         return np.mean([p.label == t for p, t in zip(preds, test_y)])
 
     assert acc(forest) > acc(tree)
@@ -65,7 +69,7 @@ def test_vote_fraction_score():
     rng = np.random.default_rng(11)
     X = random_dense(rng, 40, 10)
     y = rng.integers(0, 2, size=40)
-    forest = fit_random_forest(X, y, ForestParams(n_trees=10, seed=7))
+    forest = fit_random_forest(X, y, ForestParams(n_trees=10, seed=7), Fingerprint(X.shape[1]))
     for p in forest.predict(X):
         # score is a vote fraction over 10 trees
         assert round(p.score * 10) == pytest.approx(p.score * 10)
@@ -75,4 +79,4 @@ def test_vote_fraction_score():
 def test_features_per_split_too_large():
     X, labels = xy([[0, 1], [1, 0]], [0, 1])
     with pytest.raises(FitError, match="features_per_split"):
-        fit_random_forest(X, labels, ForestParams(features_per_split=3))
+        fit_random_forest(X, labels, ForestParams(features_per_split=3), Fingerprint(X.shape[1]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rwdetect.classifiers import KnnParams, fit_knn, knn
+from rwdetect.classifiers import Fingerprint, KnnParams, fit_knn, knn
 from rwdetect.errors import FitError
 
 from conftest import random_dense, xy
@@ -18,7 +18,7 @@ def knn_oracle(train_X, train_y, query, k):
 
 def test_zero_distance_neighbor_wins():
     X, y = xy([[1, 0, 1], [0, 1, 0]], [1, 0])
-    model = fit_knn(X, y, KnnParams(k_neighbors=1))
+    model = fit_knn(X, y, KnnParams(k_neighbors=1), Fingerprint(X.shape[1]))
     query = np.array([[1, 0, 1]], dtype=np.uint8)
     assert model.predict(query)[0].label == 1
 
@@ -26,7 +26,7 @@ def test_zero_distance_neighbor_wins():
 def test_k_larger_than_n_rejected():
     X, y = xy([[0], [1]], [0, 1])
     with pytest.raises(FitError, match="k_neighbors"):
-        fit_knn(X, y, KnnParams(k_neighbors=3))
+        fit_knn(X, y, KnnParams(k_neighbors=3), Fingerprint(X.shape[1]))
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
@@ -36,7 +36,7 @@ def test_matches_brute_force_on_random_data(k):
     train_y = rng.integers(0, 2, size=20)
     query_X = random_dense(rng, 15, 10)
 
-    model = fit_knn(train_X, train_y, KnnParams(k_neighbors=k))
+    model = fit_knn(train_X, train_y, KnnParams(k_neighbors=k), Fingerprint(train_X.shape[1]))
     preds = model.predict(query_X)
 
     for q, p in zip(query_X, preds):
@@ -53,7 +53,8 @@ def test_query_blocks_match_brute_force(monkeypatch):
     train_y = rng.integers(0, 2, size=20)
     query_X = random_dense(rng, 15, 10)
 
-    preds = fit_knn(train_X, train_y, KnnParams(k_neighbors=3)).predict(query_X)
+    model = fit_knn(train_X, train_y, KnnParams(k_neighbors=3), Fingerprint(train_X.shape[1]))
+    preds = model.predict(query_X)
     assert [(p.label, p.score) for p in preds] == \
         [knn_oracle(train_X, train_y, q, 3) for q in query_X]
 
@@ -61,7 +62,7 @@ def test_query_blocks_match_brute_force(monkeypatch):
 def test_distance_tie_broken_by_training_index():
     # Two training rows equidistant from the query; index 0 must win.
     X, y = xy([[1, 0], [0, 1]], [1, 0])
-    model = fit_knn(X, y, KnnParams(k_neighbors=1))
+    model = fit_knn(X, y, KnnParams(k_neighbors=1), Fingerprint(X.shape[1]))
     query = np.array([[0, 0]], dtype=np.uint8)
     assert model.predict(query)[0].label == 1
 
@@ -69,7 +70,7 @@ def test_distance_tie_broken_by_training_index():
 def test_even_k_vote_tie_goes_negative():
     # k=2, one neighbor of each class: ones == k/2, not strictly greater.
     X, y = xy([[1, 0], [0, 1]], [1, 0])
-    model = fit_knn(X, y, KnnParams(k_neighbors=2))
+    model = fit_knn(X, y, KnnParams(k_neighbors=2), Fingerprint(X.shape[1]))
     query = np.array([[0, 0]], dtype=np.uint8)
     p = model.predict(query)[0]
     assert p.score == 0.5

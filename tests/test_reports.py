@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rwdetect.classifiers import FITTERS, Fingerprint, KnnParams
+from rwdetect.classifiers import DEFAULT_PARAMS, FITTERS, Fingerprint, KnnParams
 from rwdetect.dataset import (
     DataMatrix,
     FeatureDictionary,
@@ -21,7 +21,7 @@ from rwdetect.reports import (
 )
 from rwdetect.selection import project
 
-from fixtures import row_ordinals
+from fixtures import row_ordinals, to_dense
 from report_oracle import FIELDS, BadReport, RecordingModel, reference_report
 
 NAMES = (
@@ -168,7 +168,7 @@ class TestScoreReport:
         X = np.zeros((2, 10), dtype=np.uint8)
         y = np.array([0, 1])
         fingerprint = Fingerprint(10, dictionary.sha256(), tuple(range(10)))
-        model = FITTERS["logreg"](X, y, fingerprint=fingerprint)
+        model = FITTERS["logreg"](X, y, DEFAULT_PARAMS["logreg"](), fingerprint)
         pred, _ = score_report(set(), model, dictionary)
         assert pred.score == pytest.approx(0.5, abs=1e-9)
 
@@ -217,21 +217,14 @@ class TestScoreReport:
         y = rng.integers(0, 2, 30)
         selected = (7, 2, 9, 0, 4)
         fingerprint = Fingerprint(5, dictionary.sha256(), selected)
-        model = FITTERS[kind](project(full, selected), y, fingerprint=fingerprint)
+        model = FITTERS[kind](project(full, selected), y, DEFAULT_PARAMS[kind](), fingerprint)
         texts = [report_of([NAMES[j] for j in row]) for row in row_ordinals(full)]
         X, _ = batch_array(texts, dictionary, selected)
-        assert np.array_equal(X, full.to_dense()[:, list(selected)])
+        assert np.array_equal(X, to_dense(full)[:, list(selected)])
         assert X.tolist() == [reference_report(t, NAMES, selected)[3] for t in texts]
         expected = model.predict(project(full, selected))
         assert [pred for pred, _ in score_reports(map(parse_report, texts), model,
                                                   dictionary)] == list(expected)
-
-    def test_duplicate_or_negative_selection_rejected(self, dictionary):
-        model = train_knn_fixture(dictionary)
-        for selected in ((1, 1, 2), (0, -1, 2)):
-            fingerprint = Fingerprint(3, dictionary.sha256(), selected)
-            with pytest.raises(ValueError, match="distinct"):
-                score_reports([], dataclasses.replace(model, fingerprint=fingerprint), dictionary)
 
     def test_empty_batch(self, dictionary):
         model = train_knn_fixture(dictionary)

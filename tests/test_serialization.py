@@ -23,17 +23,19 @@ from rwdetect.classifiers import (
     serialize_model,
 )
 from rwdetect.classifiers.base import sigmoid
-from rwdetect.errors import FingerprintMismatch, FitError, ModelFormatError
+from rwdetect.errors import ModelFormatError
 
 from conftest import random_dense, xy
-from fixtures import synthesize_dataset
+from fixtures import synthesize_dataset, to_dense
 
 
 def fitted_models():
     rng = np.random.default_rng(55)
     X = random_dense(rng, 30, 7)
     y = np.r_[np.zeros(15, dtype=int), np.ones(15, dtype=int)]
-    return X, {kind: FITTERS[kind](X, y) for kind in MODEL_KINDS}
+    fingerprint = Fingerprint(X.shape[1])
+    return X, {kind: FITTERS[kind](X, y, DEFAULT_PARAMS[kind](), fingerprint)
+               for kind in MODEL_KINDS}
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -68,32 +70,12 @@ def test_truncated_payload_rejected():
         deserialize_model(blob[: len(blob) // 2])
 
 
-def test_fingerprint_dimension_mismatch():
-    rng = np.random.default_rng(56)
-    X = random_dense(rng, 10, 4)
-    y = np.r_[np.zeros(5, dtype=int), np.ones(5, dtype=int)]
-    model = FITTERS["logreg"](X, y, fingerprint=Fingerprint(4))
-    narrow = random_dense(rng, 3, 3)
-    with pytest.raises(FingerprintMismatch, match="expects 4 features"):
-        model.predict(narrow)
-
-
-@pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_fingerprint_of_another_width_is_not_fit(kind):
-    # Its model would fail every predict on X, and no loader would take its file.
-    rng = np.random.default_rng(58)
-    X = random_dense(rng, 30, 5)
-    y = np.r_[np.zeros(15, dtype=int), np.ones(15, dtype=int)]
-    with pytest.raises(FitError, match="fingerprint expects 4 features, matrix has 5"):
-        FITTERS[kind](X, y, fingerprint=Fingerprint(4))
-
-
 def test_fingerprint_survives_round_trip():
     rng = np.random.default_rng(57)
     X = random_dense(rng, 10, 4)
     y = np.r_[np.zeros(5, dtype=int), np.ones(5, dtype=int)]
     fp = Fingerprint(4, "ab" * 32, (3, 1, 9, 2))
-    model = FITTERS["svm"](X, y, fingerprint=fp)
+    model = FITTERS["svm"](X, y, DEFAULT_PARAMS["svm"](), fp)
     assert deserialize_model(serialize_model(model)).fingerprint == fp
 
 
@@ -135,6 +117,26 @@ def test_knn_row_ordinal_beyond_n_features_rejected(models):
     blob = edited(models["knn"], lambda doc: doc["payload"]["rows"][0].append(7))
     with pytest.raises(ModelFormatError, match="ordinal 7 outside"):
         deserialize_model(blob)
+
+
+# Edits of the first stored knn row of at least two ordinals, and the message each gives.
+KNN_ROW_DEFECTS = {
+    "negative": (lambda row: row.insert(0, -1), "ordinal -1 outside"),
+    "repeated": (lambda row: row.append(row[-1]), "not strictly increasing"),
+    "out-of-order": (lambda row: row.reverse(), "not strictly increasing"),
+    "true": (lambda row: row.append(True), "ordinals must be integers"),
+}
+
+
+@pytest.mark.parametrize("defect", KNN_ROW_DEFECTS)
+def test_knn_row_ordinals_not_increasing_in_range_rejected(models, defect):
+    change, message = KNN_ROW_DEFECTS[defect]
+
+    def edit(doc):
+        change(next(row for row in doc["payload"]["rows"] if len(row) > 1))
+
+    with pytest.raises(ModelFormatError, match=message):
+        deserialize_model(edited(models["knn"], edit))
 
 
 @pytest.mark.parametrize("kind", ["svm", "logreg"])
@@ -258,12 +260,14 @@ PINNED_CASES = {**{kind: (kind, DEFAULT_PARAMS[kind]()) for kind in MODEL_KINDS}
 def pinned_data():
     signal = [(0, 0.1, 0.6), (3, 0.5, 0.2), (7, 0.3, 0.45), (12, 0.2, 0.3)]
     matrix, y = synthesize_dataset(240, 40, 0.2, signal, seed=2024)
-    return matrix.to_dense(), y
+    return to_dense(matrix), y
 
 
 def pinned_sha256(case, data) -> str:
     kind, params = PINNED_CASES[case]
-    return hashlib.sha256(serialize_model(FITTERS[kind](*data, params))).hexdigest()
+    X, y = data
+    model = FITTERS[kind](X, y, params, Fingerprint(X.shape[1]))
+    return hashlib.sha256(serialize_model(model)).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -338,7 +342,7 @@ def test_flat_tree_predictions_match_nested_walk(kind, params, seed):
     y = rng.integers(0, 2, size=70)
     y[:2] = (0, 1)
     queries = random_dense(rng, 40, d)
-    model = FITTERS[kind](X, y, params)
+    model = FITTERS[kind](X, y, params, Fingerprint(X.shape[1]))
     blob = serialize_model(model)
     expected = nested_scores(json.loads(blob), queries)
     for candidate in (model, deserialize_model(blob)):

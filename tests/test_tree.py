@@ -3,8 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rwdetect.classifiers import TreeParams, fit_decision_tree
-from rwdetect.errors import FitError
+from rwdetect.classifiers import Fingerprint, TreeParams, fit_decision_tree
 
 from conftest import random_dense, xy
 
@@ -42,7 +41,7 @@ def gini_oracle_root(X, y, min_leaf=1):
 class TestDecisionTree:
     def test_single_separating_feature(self):
         X, y = xy([[0, 1], [1, 0], [0, 0], [1, 1]], [0, 1, 0, 1])
-        model = fit_decision_tree(X, y)
+        model = fit_decision_tree(X, y, TreeParams(), Fingerprint(X.shape[1]))
         tree = model.tree
         assert tree.feature[0] == 0
         assert tree.is_leaf(tree.left[0]) and tree.is_leaf(tree.right[0])
@@ -51,20 +50,16 @@ class TestDecisionTree:
 
     def test_pure_input_single_leaf(self):
         X, y = xy([[0, 1], [1, 0]], [1, 1])
-        tree = fit_decision_tree(X, y).tree
+        tree = fit_decision_tree(X, y, TreeParams(), Fingerprint(X.shape[1])).tree
         assert tree.is_leaf(0)
         assert tree.value[0] == 1.0
-
-    def test_empty_matrix_rejected(self):
-        with pytest.raises(FitError, match="empty"):
-            fit_decision_tree(np.zeros((0, 2), dtype=np.uint8), np.zeros(0, dtype=np.int64))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_root_matches_exhaustive_oracle(self, seed):
         rng = np.random.default_rng(seed)
         X = random_dense(rng, 8, 3)
         y = rng.integers(0, 2, size=8)
-        model = fit_decision_tree(X, y)
+        model = fit_decision_tree(X, y, TreeParams(), Fingerprint(X.shape[1]))
         expected = gini_oracle_root(X, y.astype(np.int64))
         actual = None if model.tree.is_leaf(0) else model.tree.feature[0]
         assert actual == expected
@@ -75,7 +70,7 @@ class TestDecisionTree:
         # deduplicate feature vectors so no two rows conflict
         X = np.unique(X, axis=0)
         y = rng.integers(0, 2, size=len(X))
-        model = fit_decision_tree(X, y, TreeParams(max_depth=64))
+        model = fit_decision_tree(X, y, TreeParams(max_depth=64), Fingerprint(X.shape[1]))
         preds = model.predict(X)
         assert [p.label for p in preds] == y.tolist()
 
@@ -83,7 +78,7 @@ class TestDecisionTree:
         rng = np.random.default_rng(5)
         X = random_dense(rng, 60, 10)
         y = rng.integers(0, 2, size=60)
-        model = fit_decision_tree(X, y, TreeParams(max_depth=2))
+        model = fit_decision_tree(X, y, TreeParams(max_depth=2), Fingerprint(X.shape[1]))
 
         tree = model.tree
 
@@ -98,7 +93,7 @@ class TestDecisionTree:
         rng = np.random.default_rng(6)
         X = random_dense(rng, 30, 6)
         y = rng.integers(0, 2, size=30)
-        model = fit_decision_tree(X, y, TreeParams(min_samples_leaf=5))
+        model = fit_decision_tree(X, y, TreeParams(min_samples_leaf=5), Fingerprint(X.shape[1]))
 
         tree = model.tree
 
