@@ -150,7 +150,7 @@ def _decode_knn(payload, params, fingerprint: Fingerprint) -> KnnModel:
         _require(all(type(j) is int for j in _list(row, "knn row")),
                  "knn row ordinals must be integers")
         _require(all(a < b for a, b in zip(row, row[1:])),
-                 f"knn row {i}: ordinals not strictly increasing")
+                 f"knn row {i}: active ordinals not strictly sorted")
         for j in row[:1] + row[-1:]:
             _require(0 <= j < n_features, f"knn row {i}: ordinal {j} outside [0, {n_features})")
         train[i, row] = 1

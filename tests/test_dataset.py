@@ -1,4 +1,5 @@
 import hashlib
+import json
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -8,6 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rwdetect import cli, dataset
+from rwdetect.classifiers import (
+    Fingerprint,
+    KnnParams,
+    deserialize_model,
+    fit_knn,
+    serialize_model,
+)
 from rwdetect.dataset import (
     CATEGORY_CODES,
     DataMatrix,
@@ -19,7 +27,7 @@ from rwdetect.dataset import (
     stratified_split,
     take_rows,
 )
-from rwdetect.errors import DataFormatError, SplitError
+from rwdetect.errors import DataFormatError, ModelFormatError, SplitError
 
 from conftest import matrix_from_dense, mutated_lines
 from fixtures import (
@@ -357,6 +365,22 @@ def test_mutated_dense_file_raises_only_data_format_error(data):
 
 
 class TestDataMatrix:
+    @pytest.mark.parametrize("rows, message", [
+        ([(1, 0)], "row 0: active ordinals not strictly sorted"),
+        ([(0,), (2, 2)], "row 1: active ordinals not strictly sorted"),
+        ([(), (0, 3)], "row 1: ordinal 3 outside"),
+        ([(-1,)], "row 0: ordinal -1 outside"),
+    ])
+    def test_invariants_rejected(self, rows, message):
+        # The loaders build every matrix row sorted and in range; the only
+        # rows read as they are stored are a knn model file's, checked there.
+        model = fit_knn(np.zeros((1, 3), dtype=np.uint8), np.zeros(1, dtype=np.int64),
+                        KnnParams(k_neighbors=1), Fingerprint(3))
+        doc = json.loads(serialize_model(model))
+        doc["payload"].update(rows=[list(row) for row in rows], labels=[0] * len(rows))
+        with pytest.raises(ModelFormatError, match=message):
+            deserialize_model(json.dumps(doc).encode())
+
     def test_take_rows_matches_dense_gather(self):
         rng = np.random.default_rng(8)
         dense = (rng.random((9, 7)) < 0.4).astype(np.uint8)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, strategies as st
 
+from rwdetect import cli
 from rwdetect.evaluation import (
     ConfusionMatrix,
     EvalReport,
@@ -73,6 +74,19 @@ class TestMetrics:
         b = ConfusionMatrix(tp + 1, tn, fp, fn)
         assert precision(b) >= (precision(a) or 0)
         assert recall(b) >= (recall(a) or 0)
+
+    def test_zero_total_accuracy_raises(self, tmp_path, capsys):
+        # Accuracy is taken over a test partition, and a split that would
+        # leave one empty raises first.
+        data = tmp_path / "four.sparse"
+        data.write_text("#FEATURES 1\nAPI:a\n#SAMPLES 4\n"
+                        "s0\t0\t\ns1\t0\tAPI:a\ns2\t1\t\ns3\t2\tAPI:a\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["reproduce", "--data", str(data), "--out", str(out),
+                         "--test-fraction", "0.1"]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == \
+            "data error: test_fraction 0.1 empties a partition for class 0\n"
+        assert not out.exists()
 
 
 class TestCompare:

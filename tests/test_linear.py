@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rwdetect import cli
 from rwdetect.classifiers import (
     Fingerprint,
     LogRegParams,
@@ -44,6 +45,18 @@ class TestLinearSvm:
         a = fit_linear_svm(X, y, SvmParams(), Fingerprint(X.shape[1])).predict(X)
         b = fit_linear_svm(doubled, y2, SvmParams(), Fingerprint(doubled.shape[1])).predict(X)
         assert [p.label for p in a] == [p.label for p in b]
+
+    def test_single_class_rejected(self, tmp_path, capsys):
+        # The svm is fit on a split's train partition, and the split needs both classes.
+        data = tmp_path / "one_class.sparse"
+        data.write_text("#FEATURES 1\nAPI:a\n#SAMPLES 2\ns0\t1\t\ns1\t3\tAPI:a\n",
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["train", "--data", str(data), "--out", str(out),
+                         "--model", "svm"]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == \
+            "data error: stratified split requires both classes present\n"
+        assert not out.exists()
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(20)

@@ -6,12 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rwdetect.classifiers import DEFAULT_PARAMS, FITTERS, Fingerprint, KnnParams
+from rwdetect.classifiers import (
+    DEFAULT_PARAMS,
+    FITTERS,
+    Fingerprint,
+    KnnParams,
+    deserialize_model,
+    serialize_model,
+)
 from rwdetect.dataset import (
     DataMatrix,
     FeatureDictionary,
 )
-from rwdetect.errors import DataFormatError, FingerprintMismatch
+from rwdetect.errors import DataFormatError, FingerprintMismatch, ModelFormatError
 from rwdetect.reports import (
     CATEGORY_FIELDS,
     parse_report,
@@ -225,6 +232,15 @@ class TestScoreReport:
         expected = model.predict(project(full, selected))
         assert [pred for pred, _ in score_reports(map(parse_report, texts), model,
                                                   dictionary)] == list(expected)
+
+    def test_duplicate_or_negative_selection_rejected(self, dictionary):
+        # score_reports takes its model from a file, whose decoder owns the rule.
+        model = train_knn_fixture(dictionary)
+        for selected in ((1, 1, 2), (0, -1, 2)):
+            fingerprint = Fingerprint(3, dictionary.sha256(), selected)
+            blob = serialize_model(dataclasses.replace(model, fingerprint=fingerprint))
+            with pytest.raises(ModelFormatError, match="distinct"):
+                deserialize_model(blob)
 
     def test_empty_batch(self, dictionary):
         model = train_knn_fixture(dictionary)

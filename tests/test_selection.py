@@ -5,16 +5,27 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rwdetect.dataset import BLOCK_LINES
+from rwdetect import cli
+from rwdetect.classifiers import (
+    FITTERS,
+    Fingerprint,
+    LogRegParams,
+    deserialize_model,
+    serialize_model,
+)
+from rwdetect.dataset import BLOCK_LINES, load_sparse
+from rwdetect.errors import DataFormatError, FingerprintMismatch, ModelFormatError
+from rwdetect.reports import check_fingerprint
 from rwdetect.selection import project, rank_features, score_all, select_k_best, write_scores_csv
 
-from conftest import matrix_from_dense, random_dense
+from conftest import matrix_from_dense, random_dense, xy
 from fixtures import (
     ContingencyTable,
     generic_dictionary,
     mi_score,
     synthesize_dataset,
     to_dense,
+    write_sparse,
 )
 
 
@@ -120,6 +131,19 @@ class TestScoreAll:
                 dense_mi_oracle(dense[:, j], labels), abs=1e-12
             )
 
+    def test_length_mismatch(self, tmp_path):
+        # The rows and labels score_all gets come from one load, and a file
+        # whose sample lines are not the count its header gives does not load.
+        m, y = synthesize_dataset(6, 3, 0.5, [], seed=4)
+        path = tmp_path / "data.sparse"
+        write_sparse(path, m, generic_dictionary(3), y)
+        text = path.read_text(encoding="utf-8")
+        for count, message in ((5, "more sample lines"), (7, "truncated at row 6")):
+            path.write_text(text.replace("#SAMPLES 6\n", f"#SAMPLES {count}\n"),
+                            encoding="utf-8")
+            with pytest.raises(DataFormatError, match=message):
+                load_sparse(path)
+
 
 class TestSelectKBest:
     def test_tie_broken_by_ordinal(self):
@@ -136,6 +160,20 @@ class TestSelectKBest:
     def test_stable_across_runs(self):
         scores = [0.3, 0.3, 0.7, 0.3]
         assert select_k_best(scores, 3) == select_k_best(scores, 3)
+
+    def test_k_out_of_range(self, tmp_path, capsys):
+        # The commands ask for min(top_k, d) features, and top_k < 1 is a usage error.
+        m, y = synthesize_dataset(40, 6, 0.3, [(0, 0.1, 0.9)], seed=6)
+        data = tmp_path / "data.sparse"
+        write_sparse(data, m, generic_dictionary(6), y)
+        train = ["train", "--data", str(data), "--model", "dt"]
+        assert cli.main([*train, "--out", str(tmp_path / "none"), "--top-k", "0"]) \
+            == cli.EXIT_USAGE
+        assert "top_k must be >= 1, got 0" in capsys.readouterr().err
+        out = tmp_path / "all"
+        assert cli.main([*train, "--out", str(out), "--top-k", "7"]) == cli.EXIT_OK
+        model = deserialize_model((out / "model_dt.json").read_bytes())
+        assert sorted(model.fingerprint.selected) == list(range(6))
 
 
 class TestProject:
@@ -166,6 +204,20 @@ class TestProject:
         dense[[1, 4]] = [[1, 0, 1, 1, 0], [0, 1, 1, 0, 1]]
         m = matrix_from_dense(dense)
         assert np.array_equal(project(m, [4, 2, 0]), to_dense(m)[:, [4, 2, 0]])
+
+    # project's selection is select_k_best's or a model file's; a file's
+    # selection is checked where it is read.
+
+    def test_duplicate_ordinal_rejected(self):
+        X, y = xy([[0, 1], [1, 0]], [0, 1])
+        model = FITTERS["logreg"](X, y, LogRegParams(), Fingerprint(2, "ab" * 32, (1, 1)))
+        with pytest.raises(ModelFormatError, match="distinct"):
+            deserialize_model(serialize_model(model))
+
+    def test_out_of_range_rejected(self):
+        dictionary = generic_dictionary(2)
+        with pytest.raises(FingerprintMismatch, match="exceed the feature dictionary"):
+            check_fingerprint(Fingerprint(1, dictionary.sha256(), (2,)), dictionary)
 
 
 def scores_csv_lines(dictionary, scores):

@@ -23,10 +23,11 @@ from rwdetect.classifiers import (
     serialize_model,
 )
 from rwdetect.classifiers.base import sigmoid
-from rwdetect.errors import ModelFormatError
+from rwdetect.errors import FingerprintMismatch, ModelFormatError
+from rwdetect.reports import check_fingerprint
 
 from conftest import random_dense, xy
-from fixtures import synthesize_dataset, to_dense
+from fixtures import generic_dictionary, synthesize_dataset, to_dense
 
 
 def fitted_models():
@@ -68,6 +69,39 @@ def test_truncated_payload_rejected():
     blob = serialize_model(models["logreg"])
     with pytest.raises(ModelFormatError):
         deserialize_model(blob[: len(blob) // 2])
+
+
+def test_fingerprint_dimension_mismatch():
+    # A model fit with no selection has no columns of a dictionary to predict
+    # on: score and evaluate reject it when they start.
+    rng = np.random.default_rng(56)
+    X = random_dense(rng, 10, 4)
+    y = np.r_[np.zeros(5, dtype=int), np.ones(5, dtype=int)]
+    model = FITTERS["logreg"](X, y, DEFAULT_PARAMS["logreg"](), Fingerprint(4))
+    fingerprint = deserialize_model(serialize_model(model)).fingerprint
+    with pytest.raises(FingerprintMismatch, match="expects 4 selected features, selection has 0"):
+        check_fingerprint(fingerprint, generic_dictionary(4))
+
+
+# What the decoder says of a payload that is one feature wider than its fingerprint.
+WIDER_PAYLOAD = {
+    **dict.fromkeys(("dt", "rf", "gbt"), "split feature 4 outside"),
+    "knn": "knn n_features 5 differs",
+    **dict.fromkeys(("svm", "logreg"), "weights has 5 entries, expected 4"),
+}
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_fingerprint_of_another_width_is_not_fit(kind):
+    # A fit gets the fingerprint of the selection that made X, so only a
+    # model file can claim another width, and no loader takes it. Column 4
+    # is the label, so every tree kind splits on it.
+    rng = np.random.default_rng(58)
+    y = np.r_[np.zeros(15, dtype=int), np.ones(15, dtype=int)]
+    X = np.c_[random_dense(rng, 30, 4), y].astype(np.uint8)
+    model = FITTERS[kind](X, y, DEFAULT_PARAMS[kind](), Fingerprint(5))
+    with pytest.raises(ModelFormatError, match=WIDER_PAYLOAD[kind]):
+        deserialize_model(edited(model, lambda doc: doc["fingerprint"].update(n_features=4)))
 
 
 def test_fingerprint_survives_round_trip():
@@ -122,8 +156,8 @@ def test_knn_row_ordinal_beyond_n_features_rejected(models):
 # Edits of the first stored knn row of at least two ordinals, and the message each gives.
 KNN_ROW_DEFECTS = {
     "negative": (lambda row: row.insert(0, -1), "ordinal -1 outside"),
-    "repeated": (lambda row: row.append(row[-1]), "not strictly increasing"),
-    "out-of-order": (lambda row: row.reverse(), "not strictly increasing"),
+    "repeated": (lambda row: row.append(row[-1]), "not strictly sorted"),
+    "out-of-order": (lambda row: row.reverse(), "not strictly sorted"),
     "true": (lambda row: row.append(True), "ordinals must be integers"),
 }
 

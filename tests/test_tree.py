@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rwdetect import cli
 from rwdetect.classifiers import Fingerprint, TreeParams, fit_decision_tree
 
 from conftest import random_dense, xy
@@ -53,6 +54,18 @@ class TestDecisionTree:
         tree = fit_decision_tree(X, y, TreeParams(), Fingerprint(X.shape[1])).tree
         assert tree.is_leaf(0)
         assert tree.value[0] == 1.0
+
+    def test_empty_matrix_rejected(self, tmp_path, capsys):
+        # The tree is fit on a split's train partition, and a file of no
+        # samples has no classes to split.
+        data = tmp_path / "empty.sparse"
+        data.write_text("#FEATURES 2\nAPI:a\nAPI:b\n#SAMPLES 0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["train", "--data", str(data), "--out", str(out),
+                         "--model", "dt"]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == \
+            "data error: stratified split requires both classes present\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", range(30))
     def test_root_matches_exhaustive_oracle(self, seed):
