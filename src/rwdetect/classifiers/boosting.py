@@ -11,7 +11,8 @@ base_score = logit(mean y).
 g and h are rounded to ``to_grid``'s grid for n rows (fixed-point gradients,
 Shi et al., NeurIPS 2022), so every sum is exact in any order and the model
 bytes do not depend on the BLAS kernel. A split gathers only its smaller
-child; the larger one's sums are the parent's minus it (Ke et al., NeurIPS 2017)."""
+child; the larger one's sums are the parent's minus it (Ke et al., NeurIPS 2017).
+Each node carries its totals G and H, so a leaf gathers no rows."""
 
 from __future__ import annotations
 
@@ -31,22 +32,18 @@ from .base import (
 from .tree import FlatTree, build_tree, leaf_values
 
 
-def split_gain(gl, hl, gr, hr, lam) -> float:
-    return 0.5 * (
-        gl * gl / (hl + lam)
-        + gr * gr / (hr + lam)
-        - (gl + gr) ** 2 / (hl + hr + lam)
-    )
-
-
-def find_gain_split(sums, params: GbtParams):
-    """Best-gain feature of a node (lowest ordinal on ties), or None. ``sums`` is the
-    node's (3, k + 1) array [G; H; n1] over its rows where each feature is 1; the last,
-    constant-1 column holds the node's totals."""
-    gr, hr, n1 = sums[:, :-1]
-    gl, hl, n0 = sums[:, -1:] - sums[:, :-1]
-    gains = split_gain(gl, hl, gr, hr, params.l2_leaf_penalty)  # 0/0 at lam = 0 is masked below
-    valid = (n0 > 0) & (n1 > 0) & (np.minimum(hl, hr) >= params.min_child_weight)
+def find_gain_split(n, totals, sums, params: GbtParams):
+    """Best-gain feature of a node of ``n`` rows (lowest ordinal on ties), or None.
+    ``totals`` is the node's [G, H] and ``sums`` its (3, k) array [G; H; n1] over
+    its rows where each feature is 1. The parent term is one scalar, as the
+    children's sums add up to the totals exactly."""
+    G, H = totals
+    gr, hr, n1 = sums
+    gl, hl = totals[:, None] - sums[:2]
+    lam = params.l2_leaf_penalty
+    # 0/0 at lam = 0 is masked below.
+    gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - G * G / (H + lam))
+    valid = (n1 > 0) & (n1 < n) & (np.minimum(hl, hr) >= params.min_child_weight)
     gains = np.where(valid, gains, -np.inf)
     best = int(np.argmax(gains))
     return None if gains[best] <= 0.0 else best
@@ -54,13 +51,14 @@ def find_gain_split(sums, params: GbtParams):
 
 def grow_gbt_tree(Xf, ghn, params: GbtParams, out) -> FlatTree:
     """One round's tree; each leaf also writes its weight to ``out`` at its rows.
-    The sums of rows ``idx`` are ``ghn[:, idx] @ Xf[idx]``; a node at max_depth gets none."""
+    A node is its rows ``idx``, its totals and its sums (see ``find_gain_split``),
+    which are ``ghn[:, idx] @ Xf[idx]``; a node at max_depth gets no sums."""
 
     def expand(node, depth):
-        idx, sums = node
-        best = None if sums is None else find_gain_split(sums, params)
+        idx, totals, sums = node
+        best = None if sums is None else find_gain_split(len(idx), totals, sums, params)
         if best is None:
-            out[idx] = -ghn[0, idx].sum() / (ghn[1, idx].sum() + params.l2_leaf_penalty)
+            out[idx] = -totals[0] / (totals[1] + params.l2_leaf_penalty)
             return float(out[idx[0]])
         mask = Xf[idx, best] != 0
         sides, side_sums = (idx[~mask], idx[mask]), [None, None]
@@ -68,9 +66,11 @@ def grow_gbt_tree(Xf, ghn, params: GbtParams, out) -> FlatTree:
             small = int(2 * len(sides[1]) < len(idx))
             side_sums[small] = ghn[:, sides[small]] @ Xf[sides[small]]
             side_sums[1 - small] = sums - side_sums[small]
-        return best, *zip(sides, side_sums)
+        right = sums[:2, best]
+        return best, *zip(sides, (totals - right, right), side_sums)
 
-    return build_tree(expand, (np.arange(ghn.shape[1]), ghn @ Xf if params.max_depth else None))
+    root = np.arange(ghn.shape[1]), ghn[:2].sum(axis=1), ghn @ Xf if params.max_depth else None
+    return build_tree(expand, root)
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,7 @@ def fit_gradient_boosting(
     X: np.ndarray, y: np.ndarray, params: GbtParams, fingerprint: Fingerprint
 ) -> GbtModel:
     yf = y.astype(np.float64)
-    # X cast straight to float64, with a constant-1 last column whose sums are a node's totals.
-    Xf = np.concatenate([X, np.ones((len(X), 1), X.dtype)], axis=1, dtype=np.float64)
+    Xf = X.astype(np.float64)
     ghn = np.ones((3, len(yf)))  # g, h and 1 per row
 
     mean = float(np.clip(yf.mean(), 1e-12, 1 - 1e-12))

@@ -14,7 +14,7 @@ import numpy as np
 from ..errors import FitError
 from .base import Fingerprint, KnnParams, Prediction
 
-QUERY_BLOCK = 1024
+QUERY_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,11 @@ class KnnModel:
     fingerprint: Fingerprint
 
     def predict(self, X: np.ndarray) -> list[Prediction]:
-        T = self.train.astype(np.float64)
+        # Hamming distance |q| + |t| - 2 q.t, built in place, exactly: every value
+        # is an integer of magnitude <= n_features, or an even one <= 2 n_features,
+        # and float32 holds each of them below 2^24 features.
+        dtype = np.float32 if X.shape[1] < 2**24 else np.float64
+        T = self.train.astype(dtype)
         t_ones = T.sum(axis=1)
         labels = np.asarray(self.train_labels)
         k = self.params.k_neighbors
@@ -35,14 +39,12 @@ class KnnModel:
         # QUERY_BLOCK x n_train however many rows are scored at once.
         votes = []
         for start in range(0, len(X), QUERY_BLOCK):
-            q = X[start:start + QUERY_BLOCK]
-            # Hamming distance |q| + |t| - 2 q.t, built in place in float64,
-            # exactly: every partial sum is an integer <= n_features. Cast to
-            # the narrowest type holding that, as numpy radix-sorts 8/16-bit keys.
-            dists = q.astype(np.float64) @ T.T
+            q = X[start:start + QUERY_BLOCK].astype(dtype)
+            dists = q @ T.T
             dists *= -2
             dists += q.sum(axis=1)[:, None]
             dists += t_ones
+            # Cast to the narrowest type holding n_features, as numpy radix-sorts 8/16-bit keys.
             dists = dists.astype(np.min_scalar_type(X.shape[1]))
             nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
             votes += labels[nearest].sum(axis=1).tolist()

@@ -2,12 +2,14 @@
 
 Logistic regression rounds each residual to ``to_grid``'s grid for n rows
 and its weights and bias to the 2^-32 grid for |w|_1 + |b| < 2^20, so
-``X @ w + b`` and ``X.T @ residual`` are exact and its bytes do not depend
-on the BLAS kernel; a fit whose |w|_1 + |b| reaches 2^20 is a FitError.
+``X @ w + b`` and ``X.T @ residual`` are exact in any order, and the fit sums
+them over the 1-entries of X alone; a fit whose |w|_1 + |b| reaches 2^20 is a
+FitError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,24 +52,26 @@ def fit_linear_svm(
     iterates bounded when lam is small; the bias rides along as a
     constant-1 feature so the projection keeps it bounded too."""
     Xf = np.concatenate([X, np.ones((len(X), 1), X.dtype)], axis=1, dtype=np.float64)
-    y_pm = np.where(y == 1, 1.0, -1.0)
+    rows = list(Xf)  # row views, and the labels as Python floats: the loop reads scalars
+    y_pm = np.where(y == 1, 1.0, -1.0).tolist()
     n, d = Xf.shape
     lam = params.regularization
-    radius = 1.0 / np.sqrt(lam)
+    radius = 1.0 / math.sqrt(lam)
 
     rng = np.random.default_rng(params.seed)
     w = np.zeros(d)
     w_sum = np.zeros(d)
     t = 0
     for _ in range(params.epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             t += 1
             eta = 1.0 / (lam * t + 1.0)
-            margin = y_pm[i] * (Xf[i] @ w)
+            x, y_i = rows[i], y_pm[i]
+            margin = y_i * x.dot(w)
             w *= 1.0 - eta * lam
             if margin < 1.0:
-                w += eta * y_pm[i] * Xf[i]
-            norm = float(np.sqrt(w @ w))
+                w += eta * y_i * x
+            norm = math.sqrt(w.dot(w))
             if norm > radius:
                 w *= radius / norm
             w_sum += w
@@ -94,6 +98,26 @@ class LogRegModel:
         return scores_to_predictions(sigmoid(margins))
 
 
+class OneEntries:
+    """A 0/1 matrix as segments of its 1-entries: segment i holds the column of each
+    1 in row i and begins at ``starts[i]``; ``T`` holds the transpose the same way.
+    ``@ v`` sums ``v`` over each segment, exactly on the grids above, so it equals
+    the dense product bit for bit."""
+
+    def __init__(self, X: np.ndarray, transpose: OneEntries | None = None):
+        rows, self.cols = np.nonzero(X)
+        self.starts = np.searchsorted(rows, np.arange(len(X)))
+        self.empty = np.diff(self.starts, append=len(rows)) == 0
+        self.T = OneEntries(X.T, self) if transpose is None else transpose
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        # reduceat reads the appended 0 for a start past the last entry, and gives an
+        # empty segment the next one's first entry. A zero sum is +0.0, as a dense one is.
+        sums = np.add.reduceat(np.append(v[self.cols], 0.0), self.starts)
+        sums[self.empty] = 0.0
+        return sums + 0.0
+
+
 def logistic_loss_and_gradient(w, b, X, y, l2: float):
     """Mean cross-entropy + (l2/2)||w||^2 (bias unpenalized), with its
     analytic gradient. Uses the softplus form for numerical stability."""
@@ -110,15 +134,15 @@ def fit_logistic_regression(
     X: np.ndarray, y: np.ndarray, params: LogRegParams, fingerprint: Fingerprint
 ) -> LogRegModel:
     """Full-batch gradient descent from zero initialization."""
-    Xf = X.astype(np.float64)
+    X1 = OneEntries(X)
     yf = y.astype(np.float64)
 
-    wb = np.zeros(Xf.shape[1] + 1)  # the weights, then the bias
+    wb = np.zeros(X.shape[1] + 1)  # the weights, then the bias
     w = wb[:-1]
     history = []
     with np.errstate(all="ignore"):  # a step that overflows fails the bound
         for _ in range(params.epochs):
-            loss, grad_w, grad_b = logistic_loss_and_gradient(w, wb[-1], Xf, yf, params.l2_penalty)
+            loss, grad_w, grad_b = logistic_loss_and_gradient(w, wb[-1], X1, yf, params.l2_penalty)
             history.append(loss)
             grad_norm = float(np.sqrt(np.sum(grad_w * grad_w) + grad_b * grad_b))
             if grad_norm < params.tolerance:

@@ -116,8 +116,8 @@ class DataMatrix:
     def from_rows(cls, n_features, rows):
         """Build from one sorted ordinal sequence per row."""
         indptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
-        indices = np.concatenate([np.asarray(r, dtype=np.int64) for r in rows]
-                                 or [np.zeros(0, dtype=np.int64)])
+        indices = np.concatenate([np.asarray(r, dtype=np.int32) for r in rows]
+                                 or [np.zeros(0, dtype=np.int32)])
         return cls(n_features, indptr, indices)
 
     @property
@@ -292,7 +292,7 @@ def load_sparse(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
                 raise DataFormatError(f"sample line {i}: expected 3 tab-separated fields")
             sample_id, family, tokens = parts[0], parts[1], parts[2].split()
             try:
-                ordinals = np.fromiter(map(ordinal, tokens), dtype=np.int64, count=len(tokens))
+                ordinals = np.fromiter(map(ordinal, tokens), dtype=np.int32, count=len(tokens))
             except KeyError as exc:
                 raise DataFormatError(
                     f"sample {sample_id!r}: unknown feature {exc.args[0]!r}") from None

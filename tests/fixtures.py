@@ -2,8 +2,9 @@
 
 No command runs these: they synthesize and write the datasets the tests
 load, and they are the plain-Python references that ``score_all`` (MI),
-``fit_linear_svm`` (objective) and ``fit_gradient_boosting`` (trees grown
-by gathering every node) are checked against.
+``fit_linear_svm`` (objective), ``fit_logistic_regression`` (dense
+products) and ``fit_gradient_boosting`` (trees grown by gathering every
+node) are checked against.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rwdetect.classifiers.base import GbtParams, sigmoid, to_grid
-from rwdetect.classifiers.boosting import split_gain
+from rwdetect.classifiers.base import GbtParams, LogRegParams, sigmoid, to_grid
+from rwdetect.classifiers.linear import logistic_loss_and_gradient
 from rwdetect.classifiers.tree import FlatTree, build_tree
 from rwdetect.dataset import DataMatrix, FeatureDictionary
 
@@ -147,6 +148,34 @@ def svm_objective(w, b, X, y_pm, lam: float) -> float:
     margins = y_pm * (X @ w + b)
     hinge = np.maximum(0.0, 1.0 - margins)
     return 0.5 * lam * float(w @ w) + float(hinge.mean())
+
+
+def dense_logreg_fit(X, y, params: LogRegParams):
+    """The weights, bias and loss history of ``fit_logistic_regression``'s descent,
+    taken with dense float64 products ``X @ w`` and ``X.T @ residual``."""
+    Xf = X.astype(np.float64)
+    yf = y.astype(np.float64)
+    wb = np.zeros(Xf.shape[1] + 1)  # the weights, then the bias
+    w = wb[:-1]
+    history = []
+    for _ in range(params.epochs):
+        loss, grad_w, grad_b = logistic_loss_and_gradient(w, wb[-1], Xf, yf, params.l2_penalty)
+        history.append(loss)
+        grad_norm = float(np.sqrt(np.sum(grad_w * grad_w) + grad_b * grad_b))
+        if grad_norm < params.tolerance:
+            break
+        w -= params.learning_rate * grad_w
+        wb[-1] -= params.learning_rate * grad_b
+        assert np.abs(to_grid(wb, 2**20)).sum() < 2**20
+    return w, float(wb[-1]), history
+
+
+def split_gain(gl, hl, gr, hr, lam) -> float:
+    return 0.5 * (
+        gl * gl / (hl + lam)
+        + gr * gr / (hr + lam)
+        - (gl + gr) ** 2 / (hl + hr + lam)
+    )
 
 
 def gathered_gbt_trees(X, y, params: GbtParams) -> list[FlatTree]:

@@ -273,6 +273,19 @@ class TestSparseLoader:
         m, _, _ = load_sparse(p)
         assert row_ordinals(m)[0].tolist() == [0, 1]
 
+    def test_ordinals_load_as_int32(self, tmp_path):
+        # A repeated token and the last ordinal, d - 1: the same rows as ever, held as int32.
+        p = tmp_path / "d.sparse"
+        write_lines(p, "#FEATURES 3", "API:x", "STR:y", "REG:z", "#SAMPLES 2",
+                    "s1\t0\tREG:z API:x REG:z", "s2\t1\tSTR:y")
+        m, d, _ = load_sparse(p)
+        assert m.indices.dtype == np.int32
+        assert m.indptr.tolist() == [0, 2, 3] and m.indices.tolist() == [0, 2, 1]
+        q = tmp_path / "d.csv"
+        write_dense_csv(q, m, d, [0, 1])
+        dense = load_dense_csv(q)[0]
+        assert dense.indices.dtype == np.int32 and matrices_equal(dense, m)
+
     def test_invalid_utf8(self, tmp_path):
         p = tmp_path / "d.sparse"
         p.write_bytes(b"#FEATURES 1\nAPI:\xff\n#SAMPLES 0\n")

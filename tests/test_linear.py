@@ -10,10 +10,20 @@ from rwdetect.classifiers import (
     fit_logistic_regression,
     logistic_loss_and_gradient,
 )
+from rwdetect.classifiers.base import to_grid
+from rwdetect.classifiers.linear import OneEntries
 from rwdetect.errors import FitError
 
 from conftest import random_dense, xy
-from fixtures import svm_objective
+from fixtures import dense_logreg_fit, svm_objective
+
+
+def zero_edges(rng):
+    """A 0/1 matrix whose first and last rows and columns are all zero."""
+    X = random_dense(rng, 12, 6)
+    X[[0, -1]] = 0
+    X[:, [0, -1]] = 0
+    return X
 
 
 class TestLinearSvm:
@@ -145,3 +155,34 @@ class TestLogisticRegression:
         y = rng.integers(0, 2, size=40)
         model = fit_logistic_regression(X, y, LogRegParams(epochs=50), Fingerprint(X.shape[1]))
         assert all((v * 2.0**32).is_integer() for v in (*model.weights, model.bias))
+
+    @pytest.mark.parametrize("case", ["random", "random-sparse", "all-zero", "single-row",
+                                      "zero-edges"])
+    def test_one_entry_fit_equals_the_dense_fit_bit_for_bit(self, case):
+        rng = np.random.default_rng(35)
+        X = {"random": lambda: random_dense(rng, 40, 7),
+             "random-sparse": lambda: random_dense(rng, 60, 9, p=0.1),
+             "all-zero": lambda: np.zeros((6, 4), np.uint8),
+             "single-row": lambda: np.array([[1, 0, 1]], np.uint8),
+             "zero-edges": lambda: zero_edges(rng)}[case]()
+        y = rng.integers(0, 2, size=len(X))
+        y[0] = 1
+        params = LogRegParams(learning_rate=0.5, epochs=300)
+        model = fit_logistic_regression(X, y, params, Fingerprint(X.shape[1]))
+        w, b, history = dense_logreg_fit(X, y, params)
+        assert np.array(model.weights).tobytes() == w.tobytes()
+        assert model.bias.hex() == b.hex()
+        assert [v.hex() for v in model.loss_history] == [v.hex() for v in history]
+
+    def test_one_entry_products_equal_dense_products_bit_for_bit(self):
+        rng = np.random.default_rng(36)
+        X = zero_edges(rng)
+        X[1] = 0
+        X[1, 2] = 1  # row 1's one entry, and column 3's, hold -0.0 below
+        w = to_grid(rng.normal(size=6), 2**20)
+        r = to_grid(rng.normal(size=12) / 4, 12)
+        w[2] = -0.0
+        r[X[:, 3] == 1] = -0.0
+        ones, dense = OneEntries(X), X.astype(np.float64)
+        assert (ones @ w).tobytes() == (dense @ w).tobytes()
+        assert (ones.T @ r).tobytes() == (dense.T @ r).tobytes()
