@@ -13,6 +13,7 @@ can be used to predict.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, fields
@@ -127,7 +128,7 @@ def _decode_fingerprint(fp) -> Fingerprint:
              f"fingerprint n_features {n_features!r} is invalid")
     _require(isinstance(sha, str), "fingerprint dictionary_sha256 must be a string")
     selected = _list(fp["selected"], "fingerprint selected")
-    _require(not selected or len(selected) == n_features,
+    _require(len(selected) == n_features,
              f"fingerprint selects {len(selected)} ordinals for {n_features} features")
     _require(all(type(j) is int and j >= 0 for j in selected)
              and len(set(selected)) == len(selected),
@@ -145,15 +146,26 @@ def _decode_knn(payload, params, fingerprint: Fingerprint) -> KnnModel:
              "knn labels must be 0 or 1")
     _require(1 <= params.k_neighbors <= len(rows),
              f"k_neighbors {params.k_neighbors} outside [1, {len(rows)}] stored rows")
+    # Allocated before the flat pass: after it, score-batch peak RSS read 0.5 MB higher.
     train = np.zeros((len(rows), n_features), dtype=np.uint8)
-    for i, row in enumerate(rows):
-        _require(all(type(j) is int for j in _list(row, "knn row")),
-                 "knn row ordinals must be integers")
+    row_of = np.repeat(np.arange(len(rows)), [len(_list(row, "knn row")) for row in rows])
+    flat = list(itertools.chain.from_iterable(rows))
+    _require(set(map(type, flat)) <= {int}, "knn row ordinals must be integers")
+    try:
+        ordinals = np.array(flat, dtype=np.int64)
+    except OverflowError:  # beyond int64, so outside [0, n_features) too
+        ordinals = np.array([min(max(j, -1), n_features) for j in flat], dtype=np.int64)
+    # One flat pass: an entry is bad when out of range or not above the one before in its row.
+    bad = (ordinals < 0) | (ordinals >= n_features)
+    bad[1:] |= (ordinals[1:] <= ordinals[:-1]) & (row_of[1:] == row_of[:-1])
+    if bad.any():
+        i = int(row_of[bad.argmax()])
+        row = rows[i]
         _require(all(a < b for a, b in zip(row, row[1:])),
                  f"knn row {i}: active ordinals not strictly sorted")
-        for j in row[:1] + row[-1:]:
-            _require(0 <= j < n_features, f"knn row {i}: ordinal {j} outside [0, {n_features})")
-        train[i, row] = 1
+        j = row[-1] if 0 <= row[0] < n_features else row[0]
+        raise ModelFormatError(f"knn row {i}: ordinal {j} outside [0, {n_features})")
+    train[row_of, ordinals] = 1
     return KnnModel(train, tuple(labels), params, fingerprint)
 
 

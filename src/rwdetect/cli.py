@@ -65,6 +65,15 @@ def usage_error(action: str, path):
         raise UsageError(f"cannot {action} {str(path)!r}: {reason}") from None
 
 
+@contextlib.contextmanager
+def out_of_memory(path):
+    """Running out of memory while the input ``path`` is read or decoded is a data error."""
+    try:
+        yield
+    except MemoryError:
+        raise DataFormatError(f"{path}: out of memory while reading it") from None
+
+
 def read_config_file(path) -> dict:
     """Plain key=value config, '#' comments allowed; a leading byte-order mark is skipped."""
     with usage_error("read", path):
@@ -194,7 +203,7 @@ def load_data(cfg: RunConfig, load=dataset.load):
                          "(README gives the file layouts)")
     if not Path(cfg.data).is_file():
         raise UsageError(f"dataset file not found: {cfg.data!r} (README gives the file layouts)")
-    with usage_error("read", cfg.data):
+    with usage_error("read", cfg.data), out_of_memory(cfg.data):
         return load(cfg.data)
 
 
@@ -214,9 +223,10 @@ def load_model(cfg: RunConfig):
     """The model in ``cfg.model_file``; no such file is a usage error."""
     if not cfg.model_file or not Path(cfg.model_file).is_file():
         raise UsageError("--model-file must point to an existing model")
-    with usage_error("read", cfg.model_file):
-        blob = Path(cfg.model_file).read_bytes()
-    return classifiers.deserialize_model(blob)
+    with out_of_memory(cfg.model_file):
+        with usage_error("read", cfg.model_file):
+            blob = Path(cfg.model_file).read_bytes()
+        return classifiers.deserialize_model(blob)
 
 
 def write_whole(path: Path, write) -> None:

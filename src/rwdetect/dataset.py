@@ -52,35 +52,19 @@ BLOCK_LINES = 8192
 
 @dataclass(frozen=True)
 class FeatureDictionary:
-    """Ordered feature names with name -> column ordinal lookup."""
+    """Ordered feature names, checked by the loader that read them. Only
+    ``load_dictionary``'s holds ``members``, the names as a set ``unknown`` reads."""
 
     names: tuple[str, ...]
-    _index: dict = field(init=False, repr=False, compare=False)
+    members: frozenset | None = field(default=None, repr=False, compare=False)
     _sha256: str | None = field(init=False, default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        names = self.names
-        if not names:
-            raise DataFormatError("feature dictionary is empty")
-        index = dict(zip(names, range(len(names))))
-        if len(index) < len(names) or not all(
-                map(str.startswith, names, itertools.repeat(NAME_PREFIXES))):
-            seen = set()  # name the first offender in order
-            for name in names:
-                if not name.startswith(NAME_PREFIXES):
-                    raise DataFormatError(
-                        f"feature name {name!r} lacks a valid category prefix")
-                if name in seen:
-                    raise DataFormatError(f"duplicate feature name {name!r}")
-                seen.add(name)
-        object.__setattr__(self, "_index", index)
 
     def __len__(self):
         return len(self.names)
 
     def unknown(self, names: set[str]) -> set[str]:
         """The ``names`` the dictionary does not hold."""
-        return names.difference(self._index)
+        return names.difference(self.members)
 
     def sha256(self) -> str:
         """Content hash used in model fingerprints, computed on first call."""
@@ -91,6 +75,25 @@ class FeatureDictionary:
                 h.update(("\n".join(block) + "\n").encode("utf-8"))
             object.__setattr__(self, "_sha256", h.hexdigest())
         return self._sha256
+
+
+def name_table(names: tuple[str, ...], ordinals: bool = False):
+    """``names`` as a frozenset, or a name -> ordinal dict with ``ordinals``, once checked: one
+    name or more, each category-prefixed, none repeated. The first offender is named."""
+    if not names:
+        raise DataFormatError("feature dictionary is empty")
+    # A set built from a dict is sized once, half the table it grows to from a tuple.
+    table = dict(zip(names, range(len(names)))) if ordinals else frozenset(dict.fromkeys(names))
+    if len(table) < len(names) or not all(
+            map(str.startswith, names, itertools.repeat(NAME_PREFIXES))):
+        seen = set()
+        for name in names:
+            if not name.startswith(NAME_PREFIXES):
+                raise DataFormatError(f"feature name {name!r} lacks a valid category prefix")
+            if name in seen:
+                raise DataFormatError(f"duplicate feature name {name!r}")
+            seen.add(name)
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,10 +127,6 @@ class DataMatrix:
     def n_samples(self) -> int:
         return len(self.indptr) - 1
 
-    def entry_rows(self) -> np.ndarray:
-        """Row number of every entry of ``indices``."""
-        return np.repeat(np.arange(self.n_samples), np.diff(self.indptr))
-
 
 def load_dense_csv(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
     """Load the dense CSV format.
@@ -138,8 +137,9 @@ def load_dense_csv(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
     rows, labels, seen = [], [], set()
     with _reading(path, "CSV"), open(path, "rb") as fh:
         reader = csv.reader(_decoded_lines(fh))
-        dictionary = _dense_dictionary(reader)
-        d = len(dictionary)
+        names = _dense_names(reader)
+        name_table(names)  # the cells are read by position
+        d = len(names)
         for cells in filter(None, reader):
             line_no = reader.line_num
             if len(cells) != d + 2:
@@ -150,10 +150,10 @@ def load_dense_csv(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
             if len(rows[-1]) + values.count("0") != d:
                 j = next(j for j, cell in enumerate(values) if cell not in ("0", "1"))
                 raise DataFormatError(
-                    f"line {line_no}: cell for feature {dictionary.names[j]!r} "
+                    f"line {line_no}: cell for feature {names[j]!r} "
                     f"is {values[j]!r}, expected 0 or 1"
                 )
-    return DataMatrix.from_rows(d, rows), dictionary, _read_only_labels(labels)
+    return DataMatrix.from_rows(d, rows), FeatureDictionary(names), _read_only_labels(labels)
 
 
 def _sample_label(sample_id: str, family: str, seen: set, where: str) -> int:
@@ -213,8 +213,8 @@ def _nonblank(fh):
     return (raw.decode("utf-8").rstrip("\n") for raw in fh if raw != b"\n")
 
 
-def _sparse_dictionary(fh) -> FeatureDictionary:
-    """The ``#FEATURES`` section of a sparse file open in binary mode.
+def _sparse_names(fh) -> tuple[str, ...]:
+    """The names of the ``#FEATURES`` section of a sparse file open in binary mode.
 
     The names are read in blocks of at most ``BLOCK_LINES`` lines, and each
     block is decoded and split once, blank lines dropped. No line after
@@ -228,15 +228,15 @@ def _sparse_dictionary(fh) -> FeatureDictionary:
             raise DataFormatError("dictionary section truncated")
         # Blank lines, and the newline that ends the block, split off as "".
         names += filter(None, b"".join(block).decode("utf-8").split("\n"))
-    return FeatureDictionary(tuple(names))
+    return tuple(names)
 
 
-def _dense_dictionary(reader) -> FeatureDictionary:
+def _dense_names(reader) -> tuple[str, ...]:
     """The feature names of a dense CSV's header row, its first non-blank row."""
     header = next(filter(None, reader), [])
     if header[:2] != ["sample_id", "family_id"]:
         raise DataFormatError(f"header must start with 'sample_id,family_id', got {header[:2]}")
-    return FeatureDictionary(tuple(header[2:]))
+    return tuple(header[2:])
 
 
 def file_format(path) -> str:
@@ -254,14 +254,13 @@ def file_format(path) -> str:
 def load_dictionary(path) -> FeatureDictionary:
     """Only the feature dictionary of a dataset file, in either format.
 
-    It is checked exactly as ``load`` checks it; the sample section is not
-    parsed, and no byte after the dictionary is decoded.
+    It is checked exactly as ``load`` checks it and holds ``members``; the
+    sample section is not parsed, and no byte after the dictionary is decoded.
     """
     dense = file_format(path) == "dense"
     with _reading(path, "CSV" if dense else "text"), open(path, "rb") as fh:
-        if dense:
-            return _dense_dictionary(csv.reader(_decoded_lines(fh)))
-        return _sparse_dictionary(fh)
+        names = _dense_names(csv.reader(_decoded_lines(fh))) if dense else _sparse_names(fh)
+        return FeatureDictionary(names, name_table(names))
 
 
 def load(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
@@ -279,8 +278,8 @@ def load_sparse(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
     """
     rows, labels, seen = [], [], set()
     with _reading(path, "text"), open(path, "rb") as fh:
-        dictionary = _sparse_dictionary(fh)
-        ordinal = dictionary._index.__getitem__
+        names = _sparse_names(fh)
+        ordinal = name_table(names, ordinals=True).__getitem__
         lines = _nonblank(fh)
         n = _section_count(next(lines, None), "#SAMPLES")
         for i in range(n):
@@ -303,7 +302,8 @@ def load_sparse(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
             labels.append(_sample_label(sample_id, family, seen, f"sample {sample_id!r}"))
         if next(lines, None) is not None:
             raise DataFormatError(f"more sample lines than '#SAMPLES {n}' gives")
-    return DataMatrix.from_rows(len(dictionary), rows), dictionary, _read_only_labels(labels)
+    return DataMatrix.from_rows(len(names), rows), FeatureDictionary(names), \
+        _read_only_labels(labels)
 
 
 def stratified_split(

@@ -86,16 +86,11 @@ def vectorize(tokens: set[str], dictionary: FeatureDictionary) -> VectorizeOutco
 
 def check_fingerprint(fingerprint, dictionary: FeatureDictionary) -> None:
     """Raise ``FingerprintMismatch`` unless the fingerprint's selected
-    ordinals of ``dictionary`` are the feature space the model was trained on."""
-    selected = fingerprint.selected
-    if fingerprint.n_features != len(selected):
-        raise FingerprintMismatch(
-            f"model expects {fingerprint.n_features} selected features, "
-            f"selection has {len(selected)}"
-        )
+    ordinals of ``dictionary`` are the feature space the model was trained on.
+    The model decoder has checked that it selects ``n_features`` ordinals."""
     if fingerprint.dictionary_sha256 != dictionary.sha256():
         raise FingerprintMismatch("feature dictionary differs from the model's")
-    if selected and max(selected) >= len(dictionary):
+    if max(fingerprint.selected) >= len(dictionary):
         raise FingerprintMismatch("selected ordinals exceed the feature dictionary")
 
 

@@ -18,29 +18,27 @@ from .dataset import BLOCK_LINES, DataMatrix, FeatureDictionary
 
 
 def score_all(matrix: DataMatrix, y: np.ndarray) -> np.ndarray:
-    """MI score of every column against the label, vectorized over columns."""
+    """MI score of every column against the label, vectorized over a block
+    of ``BLOCK_LINES`` columns at a time, so no temporary is d long."""
     n = matrix.n_samples
     d = matrix.n_features
     n_pos = int(y.sum())
     n_neg = n - n_pos
 
     # Per-column active counts split by class.
-    positive = (y == 1)[matrix.entry_rows()]
-    n11 = np.bincount(matrix.indices[positive], minlength=d)
-    n10 = np.bincount(matrix.indices[~positive], minlength=d)
-    n01 = n_pos - n11
-    n00 = n_neg - n10
-
-    nx1 = n10 + n11
-    nx0 = n00 + n01
+    positive = np.repeat(y == 1, np.diff(matrix.indptr))
+    n11_all = np.bincount(matrix.indices[positive], minlength=d)
+    n10_all = np.bincount(matrix.indices[~positive], minlength=d)
     scores = np.zeros(d, dtype=np.float64)
-    for nxy, nx, ny in ((n00, nx0, n_neg), (n01, nx0, n_pos),
-                        (n10, nx1, n_neg), (n11, nx1, n_pos)):
-        mask = nxy > 0
-        if np.any(mask):
-            scores[mask] += (nxy[mask] / n) * np.log(
-                nxy[mask] * n / (nx[mask] * ny)
-            )
+    for start in range(0, d, BLOCK_LINES):
+        n11, n10, out = (a[start:start + BLOCK_LINES] for a in (n11_all, n10_all, scores))
+        n01, n00 = n_pos - n11, n_neg - n10
+        nx1, nx0 = n10 + n11, n00 + n01
+        for nxy, nx, ny in ((n00, nx0, n_neg), (n01, nx0, n_pos),
+                            (n10, nx1, n_neg), (n11, nx1, n_pos)):
+            mask = nxy > 0
+            if np.any(mask):
+                out[mask] += (nxy[mask] / n) * np.log(nxy[mask] * n / (nx[mask] * ny))
     np.maximum(scores, 0.0, out=scores)
     return scores
 

@@ -67,9 +67,11 @@ def small_dictionary():
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_limited(argv, fsize):
+def run_limited(argv, fsize=None, address_space=None):
     """Run ``python -m rwdetect.cli argv`` in a child process that may write
-    no file past ``fsize`` bytes: a write beyond that fails with EFBIG.
+    no file past ``fsize`` bytes (a write beyond that fails with EFBIG) and,
+    given ``address_space``, may map no more than that many bytes (an
+    allocation beyond that fails), with one BLAS thread.
 
     Returns the exit code, the child's stderr and the name and bytes of
     every file in its ``--out`` directory afterwards. Skipped where the
@@ -77,10 +79,13 @@ def run_limited(argv, fsize):
     resource = pytest.importorskip("resource")
 
     def limit():  # runs in the child only, before it starts Python
-        resource.setrlimit(resource.RLIMIT_FSIZE, (fsize, fsize))
-        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        if fsize is not None:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (fsize, fsize))
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        if address_space is not None:
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     argv = [str(a) for a in argv]
     child = subprocess.run([sys.executable, "-m", "rwdetect.cli", *argv], env=env,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rwdetect.classifiers.base import GbtParams, LogRegParams, sigmoid, to_grid
+from rwdetect.classifiers.base import Fingerprint, GbtParams, LogRegParams, sigmoid, to_grid
 from rwdetect.classifiers.linear import logistic_loss_and_gradient
 from rwdetect.classifiers.tree import FlatTree, build_tree
 from rwdetect.dataset import DataMatrix, FeatureDictionary
@@ -27,11 +27,22 @@ def row_ordinals(matrix: DataMatrix) -> list[np.ndarray]:
     return [matrix.indices[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+def entry_rows(matrix: DataMatrix) -> np.ndarray:
+    """Row number of every entry of ``matrix.indices``."""
+    return np.repeat(np.arange(matrix.n_samples), np.diff(matrix.indptr))
+
+
 def to_dense(matrix: DataMatrix) -> np.ndarray:
     """``matrix`` as a (n_samples, n_features) 0/1 uint8 array."""
     out = np.zeros((matrix.n_samples, matrix.n_features), dtype=np.uint8)
-    out[matrix.entry_rows(), matrix.indices] = 1
+    out[entry_rows(matrix), matrix.indices] = 1
     return out
+
+
+def every_column(d: int) -> Fingerprint:
+    """The fingerprint of a model fit on all ``d`` columns, whose file
+    selects each of them."""
+    return Fingerprint(d, "", tuple(range(d)))
 
 
 def matrices_equal(a: DataMatrix, b: DataMatrix) -> bool:
@@ -96,6 +107,12 @@ def synthesize_dataset(
 
     labels.setflags(write=False)
     return DataMatrix.from_rows(d, [np.flatnonzero(row) for row in dense]), labels
+
+
+def scoring_dictionary(names) -> FeatureDictionary:
+    """``names`` as ``load_dictionary`` returns them, with their membership set."""
+    names = tuple(names)
+    return FeatureDictionary(names, frozenset(names))
 
 
 def generic_dictionary(d: int, category: str = "STR") -> FeatureDictionary:

@@ -32,7 +32,7 @@ from rwdetect.classifiers import (
 from rwdetect.selection import score_all
 
 from conftest import matrix_from_dense, random_dense
-from fixtures import ContingencyTable, mi_score, synthesize_dataset
+from fixtures import ContingencyTable, every_column, mi_score, synthesize_dataset
 from test_boosting import gain_oracle
 from test_knn import knn_oracle
 from test_selection import dense_mi_oracle
@@ -216,7 +216,7 @@ def test_criterion_7_determinism_and_persistence():
         test_X = random_dense(rng, 1000, 10)
 
         for kind in MODEL_KINDS:
-            args = (train_X, train_y, DEFAULT_PARAMS[kind](), Fingerprint(train_X.shape[1]))
+            args = (train_X, train_y, DEFAULT_PARAMS[kind](), every_column(train_X.shape[1]))
             model = FITTERS[kind](*args)
             blob = serialize_model(model)
             assert serialize_model(FITTERS[kind](*args)) == blob

@@ -17,7 +17,7 @@ from rwdetect.classifiers import MODEL_KINDS, deserialize_model
 from rwdetect.classifiers.knn import KnnModel
 from rwdetect.dataset import FeatureDictionary, load_sparse
 
-from conftest import mutated_lines
+from conftest import mutated_lines, run_limited
 from fixtures import generic_dictionary, synthesize_dataset, write_dense_csv, write_sparse
 from report_oracle import reference_report
 
@@ -478,6 +478,15 @@ def no_features(doc):
     doc["payload"]["weights"] = []
 
 
+def knn_claiming_10_12_features(doc):
+    """A 5-row knn file with no selection that claims 10**12 features: its
+    training array would take 4.55 TiB."""
+    doc["fingerprint"].update(n_features=10**12, selected=[])
+    doc["hyperparameters"].update(k_neighbors=1)
+    payload = doc["payload"]
+    payload.update(n_features=10**12, rows=payload["rows"][:5], labels=payload["labels"][:5])
+
+
 def nested_3000_deep(doc):
     """The document's text with its dt root a chain of 3000 splits, written
     as text because json.dumps cannot nest that deep either."""
@@ -515,6 +524,7 @@ MODEL_FILE_DEFECTS = {
     "dt selected[0]=10**6":
         ("dt", lambda doc: doc["fingerprint"]["selected"].__setitem__(0, 10**6)),
     "knn row [1, 0]": ("knn", lambda doc: doc["payload"]["rows"].__setitem__(0, [1, 0])),
+    "knn 10**12 features, none selected": ("knn", knn_claiming_10_12_features),
 }
 
 
@@ -538,6 +548,25 @@ def test_model_file_out_of_range_or_non_finite_is_one_line_data_error(trained, t
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("data error: ")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "score"])
+def test_model_file_too_large_for_memory_is_one_line_data_error(trained, tmp_path, command):
+    # A consistent knn file, every column selected and 100 000 empty rows,
+    # whose 300 MB training array the child may not map.
+    doc = json.loads((trained / "model_knn.json").read_bytes())
+    d = 3000
+    doc["fingerprint"].update(n_features=d, selected=list(range(d)))
+    doc["payload"].update(n_features=d, rows=[[]] * 100_000, labels=[0, 1] * 50_000)
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps(doc))
+    args = ["--seed", 3] if command == "evaluate" else [trained / "batch.ndjson"]
+    code, err, files = run_limited([command, "--data", trained / "data.sparse",
+                                    "--out", tmp_path / "o", "--model-file", model_file, *args],
+                                   address_space=256 << 20)
+    assert (code, err) == (cli.EXIT_DATA,
+                           f"data error: {model_file}: out of memory while reading it\n")
+    assert files == {}
 
 
 class ScoringSetup:

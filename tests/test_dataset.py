@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from rwdetect import cli, dataset
 from rwdetect.classifiers import (
-    Fingerprint,
     KnnParams,
     deserialize_model,
     fit_knn,
@@ -31,6 +30,7 @@ from rwdetect.errors import DataFormatError, ModelFormatError, SplitError
 
 from conftest import matrix_from_dense, mutated_lines
 from fixtures import (
+    every_column,
     generic_dictionary,
     matrices_equal,
     row_ordinals,
@@ -48,6 +48,17 @@ def write_lines(path, *lines):
 NAMES4 = "API:a,DROP:b,REG:c,STR:d"
 
 
+LOADERS = {"sparse": load_sparse, "dense": load_dense_csv}
+
+
+def write_dictionary(path, fmt, names):
+    """A dataset file of ``fmt`` holding ``names`` and no sample."""
+    if fmt == "sparse":
+        write_lines(path, f"#FEATURES {len(names)}", *names, "#SAMPLES 0")
+    else:
+        write_lines(path, ",".join(("sample_id", "family_id", *names)))
+
+
 class TestFeatureDictionary:
     def test_lookup_bijective(self):
         d = FeatureDictionary(("API:x", "STR:y"))
@@ -55,31 +66,55 @@ class TestFeatureDictionary:
         assert d.names.index("STR:y") == 1
         assert len(d) == 2
 
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(DataFormatError, match="duplicate"):
-            FeatureDictionary(("API:x", "API:x"))
+    # The dictionary rules are checked by the loaders, where names are read;
+    # of several defects the first in file order is named.
+    @pytest.mark.parametrize("fmt", LOADERS)
+    @pytest.mark.parametrize("names, message", [
+        (("API:x", "API:x"), "duplicate feature name 'API:x'"),
+        (("NOPE:x",), "feature name 'NOPE:x' lacks a valid category prefix"),
+        (("API",), "feature name 'API' lacks a valid category prefix"),
+        (("STR:y", "API:x", "STR:y", "NOPE:z"), "duplicate feature name 'STR:y'"),
+        (("STR:y", "NOPE:z", "STR:y"), "feature name 'NOPE:z' lacks a valid category prefix"),
+        ((), "feature dictionary is empty"),
+    ])
+    def test_rules_checked_by_every_loader(self, tmp_path, fmt, names, message):
+        p = tmp_path / "d.data"
+        write_dictionary(p, fmt, names)
+        for reader in (LOADERS[fmt], dataset.load, load_dictionary):
+            with pytest.raises(DataFormatError) as raised:
+                reader(p)
+            assert str(raised.value) == f"{p}: {message}"
 
-    def test_bad_prefix_rejected(self):
-        with pytest.raises(DataFormatError, match="category prefix"):
-            FeatureDictionary(("NOPE:x",))
-
-    def test_missing_colon_rejected(self):
-        with pytest.raises(DataFormatError):
-            FeatureDictionary(("API",))
-
-    def test_empty_rejected(self):
-        with pytest.raises(DataFormatError, match="empty"):
-            FeatureDictionary(())
-
-    def test_unknown_names_are_those_not_held(self):
-        d = FeatureDictionary(("API:x", "STR:y", "DIR:z"))
+    def test_unknown_names_are_those_not_held(self, tmp_path):
+        p = tmp_path / "d.sparse"
+        write_dictionary(p, "sparse", ("API:x", "STR:y", "DIR:z"))
+        d = load_dictionary(p)
         assert d.unknown({"DIR:z", "API:nope", "API:x", "STR:zz", "x"}) == \
             {"API:nope", "STR:zz", "x"}
         assert d.unknown(set()) == set()
 
+    @pytest.mark.parametrize("fmt", LOADERS)
+    @pytest.mark.parametrize("loader", ["load", "format", "load_dictionary"])
+    def test_loaded_dictionary_holds_its_names_only(self, tmp_path, fmt, loader):
+        # No name -> ordinal dict outlives a load; only score's dictionary,
+        # from load_dictionary, holds its names as a set too.
+        p = tmp_path / "d.data"
+        names = tuple(f"{code}:n{j}" for j, code in enumerate(CATEGORY_CODES))
+        write_dictionary(p, fmt, names)
+        d = {"load": lambda: dataset.load(p)[1], "format": lambda: LOADERS[fmt](p)[1],
+             "load_dictionary": lambda: load_dictionary(p)}[loader]()
+        held = vars(d)
+        assert set(held) <= {"names", "members", "_sha256"}
+        assert not any(isinstance(value, dict) for value in held.values())
+        assert d.names == names
+        if loader == "load_dictionary":
+            assert type(d.members) is frozenset and d.members == set(names)
+        else:
+            assert d.members is None
+
 
 def reference_index(names):
-    """The per-name dictionary check that ``FeatureDictionary`` replaces."""
+    """The per-name dictionary check that ``name_table`` replaces."""
     if not names:
         raise DataFormatError("feature dictionary is empty")
     index = {}
@@ -125,18 +160,19 @@ def name_lists(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(name_lists(), st.integers(1, 4))
-def test_feature_dictionary_matches_per_name_reference(names, block):
+def test_name_table_matches_per_name_reference(names, block):
     try:
         expected = reference_index(names)
     except DataFormatError as exc:
-        with pytest.raises(DataFormatError) as raised:
-            FeatureDictionary(names)
-        assert str(raised.value) == str(exc)
+        for ordinals in (False, True):
+            with pytest.raises(DataFormatError) as raised:
+                dataset.name_table(names, ordinals)
+            assert str(raised.value) == str(exc)
         return
+    assert dataset.name_table(names, ordinals=True) == expected
+    assert dataset.name_table(names) == frozenset(expected)
     with mock.patch.object(dataset, "BLOCK_LINES", block):
-        d = FeatureDictionary(names)
-        assert d.sha256() == reference_sha256(names)
-    assert d._index == expected
+        assert FeatureDictionary(names).sha256() == reference_sha256(names)
     assert FeatureDictionary(names).sha256() == reference_sha256(names)
 
 
@@ -388,7 +424,7 @@ class TestDataMatrix:
         # The loaders build every matrix row sorted and in range; the only
         # rows read as they are stored are a knn model file's, checked there.
         model = fit_knn(np.zeros((1, 3), dtype=np.uint8), np.zeros(1, dtype=np.int64),
-                        KnnParams(k_neighbors=1), Fingerprint(3))
+                        KnnParams(k_neighbors=1), every_column(3))
         doc = json.loads(serialize_model(model))
         doc["payload"].update(rows=[list(row) for row in rows], labels=[0] * len(rows))
         with pytest.raises(ModelFormatError, match=message):
@@ -550,8 +586,6 @@ class TestSynthesize:
 class TestLoadDictionary:
     """The dictionary-only reader agrees with the full loaders."""
 
-    LOADERS = {"sparse": load_sparse, "dense": load_dense_csv}
-
     def test_names_and_hash_match_full_loader(self, tmp_path):
         rng = np.random.default_rng(11)
         m = matrix_from_dense((rng.random((6, 9)) < 0.4).astype(np.uint8))
@@ -559,7 +593,7 @@ class TestLoadDictionary:
         for fmt, write in (("sparse", write_sparse), ("dense", write_dense_csv)):
             p = tmp_path / f"m.{fmt}"
             write(p, m, d, [0] * 6)
-            _, full, _ = self.LOADERS[fmt](p)
+            _, full, _ = LOADERS[fmt](p)
             only = load_dictionary(p)
             assert only.names == full.names == d.names
             assert only.sha256() == full.sha256()
@@ -585,7 +619,7 @@ class TestLoadDictionary:
         p = tmp_path / "d.data"
         p.write_bytes(content)
         with pytest.raises(DataFormatError, match=message):
-            self.LOADERS[fmt](p)
+            LOADERS[fmt](p)
         with pytest.raises(DataFormatError, match=message):
             load_dictionary(p)
 
@@ -648,7 +682,7 @@ class TestLoadDictionary:
         p = tmp_path / "d.data"
         p.write_bytes(content)
         with pytest.raises(DataFormatError):
-            self.LOADERS[fmt](p)
+            LOADERS[fmt](p)
         assert load_dictionary(p).names == ("API:a",)
 
 

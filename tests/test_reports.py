@@ -14,10 +14,7 @@ from rwdetect.classifiers import (
     deserialize_model,
     serialize_model,
 )
-from rwdetect.dataset import (
-    DataMatrix,
-    FeatureDictionary,
-)
+from rwdetect.dataset import DataMatrix
 from rwdetect.errors import DataFormatError, FingerprintMismatch, ModelFormatError
 from rwdetect.reports import (
     CATEGORY_FIELDS,
@@ -28,7 +25,7 @@ from rwdetect.reports import (
 )
 from rwdetect.selection import project
 
-from fixtures import row_ordinals, to_dense
+from fixtures import row_ordinals, scoring_dictionary, to_dense
 from report_oracle import FIELDS, BadReport, RecordingModel, reference_report
 
 NAMES = (
@@ -40,7 +37,7 @@ NAMES = (
 
 @pytest.fixture
 def dictionary():
-    return FeatureDictionary(NAMES)
+    return scoring_dictionary(NAMES)
 
 
 def report(**fields):
@@ -179,15 +176,16 @@ class TestScoreReport:
         pred, _ = score_report(set(), model, dictionary)
         assert pred.score == pytest.approx(0.5, abs=1e-9)
 
-    def test_fingerprint_mismatch_on_wrong_selection(self, dictionary):
-        model = train_knn_fixture(dictionary)
-        wrong = dataclasses.replace(model.fingerprint, selected=(0, 1, 2))
-        with pytest.raises(FingerprintMismatch):
-            score_report(set(), dataclasses.replace(model, fingerprint=wrong), dictionary)
+    def test_wrong_selection_length_rejected_when_decoded(self, dictionary):
+        # A model's selection is its file's: the decoder checks its length.
+        doc = json.loads(serialize_model(train_knn_fixture(dictionary)))
+        doc["fingerprint"]["selected"] = [0, 1, 2]
+        with pytest.raises(ModelFormatError, match="selects 3 ordinals for 10 features"):
+            deserialize_model(json.dumps(doc).encode())
 
     def test_fingerprint_mismatch_on_wrong_dictionary(self, dictionary):
         model = train_knn_fixture(dictionary)
-        other = FeatureDictionary(tuple(f"API:x{i}" for i in range(10)))
+        other = scoring_dictionary(f"API:x{i}" for i in range(10))
         with pytest.raises(FingerprintMismatch, match="dictionary"):
             score_report(set(), model, other)
 
@@ -255,7 +253,7 @@ def test_report_json_round_trip(dictionary):
 
 # A dictionary where "enum" and "exe" are each known under two categories.
 TWIN_NAMES = NAMES[:6] + ("DIR:enum", "API:enum", "STR:exe", "STR:bitcoin")
-TWIN_DICTIONARY = FeatureDictionary(TWIN_NAMES)
+TWIN_DICTIONARY = scoring_dictionary(TWIN_NAMES)
 TOKENS = st.sampled_from([
     "CreateFileW", "RegOpenKeyExA", "exe", "HKCU\\Run", "write", "docx", "enum",
     "bitcoin", "nope", "", "API:CreateFileW", "café", "a\"b",

@@ -1,11 +1,12 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rwdetect import cli
+from rwdetect import cli, selection
 from rwdetect.classifiers import (
     FITTERS,
     Fingerprint,
@@ -13,7 +14,7 @@ from rwdetect.classifiers import (
     deserialize_model,
     serialize_model,
 )
-from rwdetect.dataset import BLOCK_LINES, load_sparse
+from rwdetect.dataset import BLOCK_LINES, DataMatrix, load_sparse
 from rwdetect.errors import DataFormatError, FingerprintMismatch, ModelFormatError
 from rwdetect.reports import check_fingerprint
 from rwdetect.selection import project, rank_features, score_all, select_k_best, write_scores_csv
@@ -130,6 +131,42 @@ class TestScoreAll:
             assert scores[j] == pytest.approx(
                 dense_mi_oracle(dense[:, j], labels), abs=1e-12
             )
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_blocks_change_no_bit(self, monkeypatch, block):
+        # The 2x2 tables are scored a block of columns at a time; each column's
+        # score is the same elementwise sum, so its bits do not depend on the block.
+        rng = np.random.default_rng(43)
+        dense = random_dense(rng, 40, 11, p=0.3)
+        dense[:, 3] = 0  # a column with empty cells
+        labels = rng.integers(0, 2, size=40)
+        m, y = matrix_from_dense(dense, labels=labels)
+        whole = score_all(m, y)
+        monkeypatch.setattr(selection, "BLOCK_LINES", block)
+        blocked = score_all(m, y)
+        assert blocked.tobytes() == whole.tobytes()
+        for j in range(11):
+            x = dense[:, j]
+            table = ContingencyTable(*(int(np.sum((x == a) & (labels == b)))
+                                       for a in (0, 1) for b in (0, 1)))
+            assert blocked[j] == pytest.approx(mi_score(table), abs=1e-15)
+
+    def test_memory_is_blocks_not_columns(self):
+        # Above its inputs, score_all holds its two per-class counts, the
+        # scores and block-sized temporaries: at most 6 arrays of 8 bytes per column.
+        d = 150_000
+        rng = np.random.default_rng(45)
+        m = DataMatrix.from_rows(d, [np.sort(rng.choice(d, 40, replace=False))
+                                     for _ in range(200)])
+        y = rng.integers(0, 2, size=200)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            score_all(m, y)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * d
 
     def test_length_mismatch(self, tmp_path):
         # The rows and labels score_all gets come from one load, and a file

@@ -23,18 +23,17 @@ from rwdetect.classifiers import (
     serialize_model,
 )
 from rwdetect.classifiers.base import sigmoid
-from rwdetect.errors import FingerprintMismatch, ModelFormatError
-from rwdetect.reports import check_fingerprint
+from rwdetect.errors import ModelFormatError
 
 from conftest import random_dense, xy
-from fixtures import generic_dictionary, synthesize_dataset, to_dense
+from fixtures import every_column, synthesize_dataset, to_dense
 
 
 def fitted_models():
     rng = np.random.default_rng(55)
     X = random_dense(rng, 30, 7)
     y = np.r_[np.zeros(15, dtype=int), np.ones(15, dtype=int)]
-    fingerprint = Fingerprint(X.shape[1])
+    fingerprint = every_column(X.shape[1])
     return X, {kind: FITTERS[kind](X, y, DEFAULT_PARAMS[kind](), fingerprint)
                for kind in MODEL_KINDS}
 
@@ -73,14 +72,13 @@ def test_truncated_payload_rejected():
 
 def test_fingerprint_dimension_mismatch():
     # A model fit with no selection has no columns of a dictionary to predict
-    # on: score and evaluate reject it when they start.
+    # on: its file is rejected when it is read, before any array is built.
     rng = np.random.default_rng(56)
     X = random_dense(rng, 10, 4)
     y = np.r_[np.zeros(5, dtype=int), np.ones(5, dtype=int)]
     model = FITTERS["logreg"](X, y, DEFAULT_PARAMS["logreg"](), Fingerprint(4))
-    fingerprint = deserialize_model(serialize_model(model)).fingerprint
-    with pytest.raises(FingerprintMismatch, match="expects 4 selected features, selection has 0"):
-        check_fingerprint(fingerprint, generic_dictionary(4))
+    with pytest.raises(ModelFormatError, match="fingerprint selects 0 ordinals for 4 features"):
+        deserialize_model(serialize_model(model))
 
 
 # What the decoder says of a payload that is one feature wider than its fingerprint.
@@ -99,9 +97,10 @@ def test_fingerprint_of_another_width_is_not_fit(kind):
     rng = np.random.default_rng(58)
     y = np.r_[np.zeros(15, dtype=int), np.ones(15, dtype=int)]
     X = np.c_[random_dense(rng, 30, 4), y].astype(np.uint8)
-    model = FITTERS[kind](X, y, DEFAULT_PARAMS[kind](), Fingerprint(5))
+    model = FITTERS[kind](X, y, DEFAULT_PARAMS[kind](), every_column(5))
     with pytest.raises(ModelFormatError, match=WIDER_PAYLOAD[kind]):
-        deserialize_model(edited(model, lambda doc: doc["fingerprint"].update(n_features=4)))
+        deserialize_model(edited(model, lambda doc: doc["fingerprint"].update(
+            n_features=4, selected=[0, 1, 2, 3])))
 
 
 def test_fingerprint_survives_round_trip():
@@ -134,7 +133,7 @@ def edited(model, edit):
 def test_split_feature_outside_fingerprint_rejected(models, kind, tree, feature):
     def edit(doc):
         doc["fingerprint"]["n_features"] = 2
-        doc["fingerprint"]["selected"] = []
+        doc["fingerprint"]["selected"] = [0, 1]
         tree(doc["payload"])["f"] = feature
 
     with pytest.raises(ModelFormatError, match="split feature"):
@@ -171,6 +170,41 @@ def test_knn_row_ordinals_not_increasing_in_range_rejected(models, defect):
 
     with pytest.raises(ModelFormatError, match=message):
         deserialize_model(edited(models["knn"], edit))
+
+
+def reference_knn_rows(rows, n_features):
+    """The per-row check of knn rows that the decoder's flat pass replaces:
+    the message of the first row that breaks a rule, or None."""
+    for i, row in enumerate(rows):
+        if not all(a < b for a, b in zip(row, row[1:])):
+            return f"knn row {i}: active ordinals not strictly sorted"
+        for j in row[:1] + row[-1:]:
+            if not 0 <= j < n_features:
+                return f"knn row {i}: ordinal {j} outside [0, {n_features})"
+    return None
+
+
+KNN_ORDINALS = st.integers(0, 7) | st.sampled_from([-1, -2**64, 2**63, 10**30])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(KNN_ORDINALS, max_size=5), min_size=1, max_size=6))
+def test_knn_rows_match_per_row_reference(models, rows):
+    def edit(doc):
+        doc["hyperparameters"].update(k_neighbors=1)
+        doc["payload"].update(rows=rows, labels=[0] * len(rows))
+
+    blob = edited(models["knn"], edit)
+    message = reference_knn_rows(rows, 7)
+    if message is None:
+        expected = np.zeros((len(rows), 7), dtype=np.uint8)
+        for i, row in enumerate(rows):
+            expected[i, row] = 1
+        assert np.array_equal(deserialize_model(blob).train, expected)
+    else:
+        with pytest.raises(ModelFormatError) as raised:
+            deserialize_model(blob)
+        assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("kind", ["svm", "logreg"])
@@ -376,7 +410,7 @@ def test_flat_tree_predictions_match_nested_walk(kind, params, seed):
     y = rng.integers(0, 2, size=70)
     y[:2] = (0, 1)
     queries = random_dense(rng, 40, d)
-    model = FITTERS[kind](X, y, params, Fingerprint(X.shape[1]))
+    model = FITTERS[kind](X, y, params, every_column(X.shape[1]))
     blob = serialize_model(model)
     expected = nested_scores(json.loads(blob), queries)
     for candidate in (model, deserialize_model(blob)):
