@@ -146,7 +146,7 @@ def _decode_knn(payload, params, fingerprint: Fingerprint) -> KnnModel:
              "knn labels must be 0 or 1")
     _require(1 <= params.k_neighbors <= len(rows),
              f"k_neighbors {params.k_neighbors} outside [1, {len(rows)}] stored rows")
-    # Allocated before the flat pass: after it, score-batch peak RSS read 0.5 MB higher.
+    # Allocated before the flat pass: after it, score-batch peak RSS read 0.3-0.5 MB higher.
     train = np.zeros((len(rows), n_features), dtype=np.uint8)
     row_of = np.repeat(np.arange(len(rows)), [len(_list(row, "knn row")) for row in rows])
     flat = list(itertools.chain.from_iterable(rows))

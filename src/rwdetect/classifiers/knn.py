@@ -1,8 +1,8 @@
 """K-nearest-neighbour classifier over binary vectors, Hamming metric.
 
 Fitting just stores the training array. Neighbour ties on distance are
-broken by training-row index (stable sort); the vote goes to the positive
-class only when its neighbour count strictly exceeds k/2.
+broken by training-row index; the vote goes to the positive class only
+when its neighbour count strictly exceeds k/2.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from ..errors import FitError
 from .base import Fingerprint, KnnParams, Prediction
 
 QUERY_BLOCK = 128
+TRAIN_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -29,25 +30,31 @@ class KnnModel:
         # Hamming distance |q| + |t| - 2 q.t, built in place, exactly: every value
         # is an integer of magnitude <= n_features, or an even one <= 2 n_features,
         # and float32 holds each of them below 2^24 features.
-        dtype = np.float32 if X.shape[1] < 2**24 else np.float64
-        T = self.train.astype(dtype)
-        t_ones = T.sum(axis=1)
+        n_train, d = self.train.shape
+        dtype = np.float32 if d < 2**24 else np.float64
+        # Key distance * n_train + row: distinct, and ordered as (distance, row) is, so
+        # the k smallest keys are the k nearest rows with ties broken by row index.
+        key_dtype = np.int32 if (d + 1) * n_train < 2**31 else np.int64
+        t_ones = self.train.sum(axis=1, dtype=dtype)
         labels = np.asarray(self.train_labels)
         k = self.params.k_neighbors
 
-        # Query rows go in blocks, so the distance matrix stays
-        # QUERY_BLOCK x n_train however many rows are scored at once.
+        # Query rows go in blocks and training rows in tiles, so no copy larger
+        # than QUERY_BLOCK x n_train keys is made however many rows are scored.
         votes = []
         for start in range(0, len(X), QUERY_BLOCK):
             q = X[start:start + QUERY_BLOCK].astype(dtype)
-            dists = q @ T.T
-            dists *= -2
-            dists += q.sum(axis=1)[:, None]
-            dists += t_ones
-            # Cast to the narrowest type holding n_features, as numpy radix-sorts 8/16-bit keys.
-            dists = dists.astype(np.min_scalar_type(X.shape[1]))
-            nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
-            votes += labels[nearest].sum(axis=1).tolist()
+            keys = np.empty((len(q), n_train), dtype=key_dtype)
+            for t in range(0, n_train, TRAIN_TILE):
+                dists = q @ self.train[t:t + TRAIN_TILE].astype(dtype).T
+                dists *= -2
+                dists += q.sum(axis=1)[:, None]
+                dists += t_ones[t:t + TRAIN_TILE]
+                keys[:, t:t + TRAIN_TILE] = dists
+            keys *= n_train
+            keys += np.arange(n_train, dtype=key_dtype)
+            keys.partition(k - 1, axis=1)
+            votes += labels[keys[:, :k] % n_train].sum(axis=1).tolist()
         return [Prediction(int(2 * ones > k), ones / k) for ones in votes]
 
 

@@ -2,9 +2,10 @@
 
 Logistic regression rounds each residual to ``to_grid``'s grid for n rows
 and its weights and bias to the 2^-32 grid for |w|_1 + |b| < 2^20, so
-``X @ w + b`` and ``X.T @ residual`` are exact in any order, and the fit sums
-them over the 1-entries of X alone; a fit whose |w|_1 + |b| reaches 2^20 is a
-FitError.
+``X @ w + b`` and ``X.T @ residual`` are exact in any order, and fit and predict
+sum them over the 1-entries of X alone; a fit whose |w|_1 + |b| reaches 2^20
+is a FitError. The svm predict keeps the dense product: its
+weights are on no grid, so another summation order could move its bits.
 """
 
 from __future__ import annotations
@@ -94,21 +95,21 @@ class LogRegModel:
     loss_history: tuple[float, ...] = field(default=(), compare=False)
 
     def predict(self, X: np.ndarray) -> list[Prediction]:
-        margins = X.astype(np.float64) @ np.asarray(self.weights) + self.bias
+        margins = OneEntries(X, transpose=False) @ np.asarray(self.weights) + self.bias
         return scores_to_predictions(sigmoid(margins))
 
 
 class OneEntries:
     """A 0/1 matrix as segments of its 1-entries: segment i holds the column of each
-    1 in row i and begins at ``starts[i]``; ``T`` holds the transpose the same way.
-    ``@ v`` sums ``v`` over each segment, exactly on the grids above, so it equals
-    the dense product bit for bit."""
+    1 in row i and begins at ``starts[i]``; ``T`` holds the transpose the same way,
+    unless ``transpose`` is false. ``@ v`` sums ``v`` over each segment, exactly on
+    the grids above, so it equals the dense product bit for bit."""
 
-    def __init__(self, X: np.ndarray, transpose: OneEntries | None = None):
+    def __init__(self, X: np.ndarray, transpose: bool = True):
         rows, self.cols = np.nonzero(X)
         self.starts = np.searchsorted(rows, np.arange(len(X)))
         self.empty = np.diff(self.starts, append=len(rows)) == 0
-        self.T = OneEntries(X.T, self) if transpose is None else transpose
+        self.T = OneEntries(X.T, transpose=False) if transpose else None
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         # reduceat reads the appended 0 for a start past the last entry, and gives an

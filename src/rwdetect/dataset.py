@@ -25,6 +25,7 @@ label is simply ``family_id != 0``.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import csv
 import hashlib
@@ -271,12 +272,12 @@ def load(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
 def load_sparse(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
     """Load the sparse tab-separated format (see module docstring).
 
-    The file is read line by line and each sample's tokens are mapped to
-    ordinals as its line is read, so no whole-file token list is held.
-    Blank lines are skipped; a token repeated within a line counts once.
-    A non-blank line after the last of the ``#SAMPLES`` lines is an error.
+    Each sample's tokens are mapped to ordinals as its line is read and go onto
+    one int32 buffer, which becomes ``indices`` uncopied: no token list or row
+    array outlives its line. Blank lines are skipped; a token repeated within
+    a line counts once. A non-blank line after the last ``#SAMPLES`` line is an error.
     """
-    rows, labels, seen = [], [], set()
+    indices, indptr, labels, seen = array.array("i"), [0], [], set()
     with _reading(path, "text"), open(path, "rb") as fh:
         names = _sparse_names(fh)
         ordinal = name_table(names, ordinals=True).__getitem__
@@ -298,12 +299,13 @@ def load_sparse(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
             ordinals.sort()
             if (ordinals[1:] == ordinals[:-1]).any():
                 ordinals = np.unique(ordinals)
-            rows.append(ordinals)
+            indices.frombytes(ordinals.tobytes())
+            indptr.append(len(indices))
             labels.append(_sample_label(sample_id, family, seen, f"sample {sample_id!r}"))
         if next(lines, None) is not None:
             raise DataFormatError(f"more sample lines than '#SAMPLES {n}' gives")
-    return DataMatrix.from_rows(len(names), rows), FeatureDictionary(names), \
-        _read_only_labels(labels)
+    matrix = DataMatrix(len(names), indptr, np.frombuffer(indices, dtype=np.int32))
+    return matrix, FeatureDictionary(names), _read_only_labels(labels)
 
 
 def stratified_split(

@@ -569,6 +569,21 @@ def test_model_file_too_large_for_memory_is_one_line_data_error(trained, tmp_pat
     assert files == {}
 
 
+@pytest.mark.parametrize("header, message", [
+    (["#FEATURES 2147483648", "API:a"], "dictionary section truncated"),
+    (["#FEATURES 1", "API:a", "#SAMPLES 2147483648", "s1\t0\tAPI:a"],
+     "sample section truncated at row 1"),
+])
+def test_header_counts_past_memory_are_one_line_data_error(tmp_path, header, message):
+    # A loader that sized a buffer from the count would ask for gigabytes.
+    data = tmp_path / "data.sparse"
+    data.write_text("\n".join(header) + "\n", encoding="utf-8")
+    code, err, files = run_limited(["mi-scores", "--data", data, "--out", tmp_path / "o"],
+                                   address_space=256 << 20)
+    assert (code, err) == (cli.EXIT_DATA, f"data error: {data}: {message}\n")
+    assert files == {}
+
+
 class ScoringSetup:
     """A dataset and three trained models, shared by the property test."""
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -256,6 +257,25 @@ class TestSparseLoader:
         m, _, y = load_sparse(p)
         assert row_ordinals(m)[0].tolist() == [0, 1]
         assert y.tolist() == [1]
+
+    def test_indices_fill_one_buffer_and_are_not_copied(self, tmp_path):
+        # 1000 samples of 200 tokens drawn from 300 names.
+        rng = np.random.default_rng(9)
+        names = [f"API:f{j}" for j in range(300)]
+        p = tmp_path / "d.sparse"
+        write_lines(p, "#FEATURES 300", *names, "#SAMPLES 1000",
+                    *(f"s{i}\t0\t" + " ".join(rng.choice(names, 200)) for i in range(1000)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            m, _, _ = load_sparse(p)
+            returned, peak = (v - before for v in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert m.indices.dtype == np.int32 and not isinstance(m.indices.base, np.ndarray)
+        # Per-row arrays joined at the end would be held beside their joined
+        # copy, at least the bytes of ``indices`` above what the loader returns.
+        assert peak - returned < m.indices.nbytes
 
     def test_empty_feature_list(self, tmp_path):
         p = tmp_path / "d.sparse"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,34 +31,102 @@ def test_k_larger_than_n_rejected():
         fit_knn(X, y, KnnParams(k_neighbors=3), Fingerprint(X.shape[1]))
 
 
+def small_blocks(monkeypatch, block):
+    """Query blocks and training tiles of ``block`` rows, or the defaults for None."""
+    if block is not None:
+        monkeypatch.setattr(knn, "QUERY_BLOCK", block)
+        monkeypatch.setattr(knn, "TRAIN_TILE", block)
+
+
+def assert_matches_oracle(train_X, train_y, query_X, k):
+    model = fit_knn(train_X, train_y, KnnParams(k_neighbors=k), Fingerprint(train_X.shape[1]))
+    assert [(p.label, p.score) for p in model.predict(query_X)] == \
+        [knn_oracle(train_X, train_y, q, k) for q in query_X]
+
+
+@pytest.mark.parametrize("block", [None, 1, 2, 3])
 @pytest.mark.parametrize("k", [1, 3, 5])
-def test_matches_brute_force_on_random_data(k):
+def test_matches_brute_force_on_random_data(k, block, monkeypatch):
+    small_blocks(monkeypatch, block)
     rng = np.random.default_rng(77)
     train_X = random_dense(rng, 20, 10)
     train_y = rng.integers(0, 2, size=20)
     query_X = random_dense(rng, 15, 10)
-
-    model = fit_knn(train_X, train_y, KnnParams(k_neighbors=k), Fingerprint(train_X.shape[1]))
-    preds = model.predict(query_X)
-
-    for q, p in zip(query_X, preds):
-        label, score = knn_oracle(train_X, train_y, q, k)
-        assert p.label == label
-        assert p.score == pytest.approx(score, abs=1e-15)
+    assert_matches_oracle(train_X, train_y, query_X, k)
 
 
-def test_query_blocks_match_brute_force(monkeypatch):
-    # 15 query rows in blocks of 4: the last block is short.
+@pytest.mark.parametrize("tile", [None, 1, 2, 3])
+def test_query_blocks_match_brute_force(tile, monkeypatch):
+    # 15 query rows in blocks of 4: the last block is short. 20 training
+    # rows in tiles of 1, 2 or 3: the last tile is short for 3.
+    small_blocks(monkeypatch, tile)
     monkeypatch.setattr(knn, "QUERY_BLOCK", 4)
     rng = np.random.default_rng(78)
     train_X = random_dense(rng, 20, 10)
     train_y = rng.integers(0, 2, size=20)
     query_X = random_dense(rng, 15, 10)
+    assert_matches_oracle(train_X, train_y, query_X, 3)
 
-    model = fit_knn(train_X, train_y, KnnParams(k_neighbors=3), Fingerprint(train_X.shape[1]))
-    preds = model.predict(query_X)
-    assert [(p.label, p.score) for p in preds] == \
-        [knn_oracle(train_X, train_y, q, 3) for q in query_X]
+
+@pytest.mark.parametrize("block", [None, 1, 2, 3])
+@pytest.mark.parametrize("k", [2, 4, 7, 30])
+def test_many_equal_distances_match_brute_force(k, block, monkeypatch):
+    # 5 distinct training rows, each 6 times over, on 4 features: most
+    # distances tie, and the tie rule picks among copies by row index.
+    # k=30 is every training row; the even k can tie the vote.
+    small_blocks(monkeypatch, block)
+    rng = np.random.default_rng(79)
+    train_X = np.tile(random_dense(rng, 5, 4), (6, 1))
+    train_y = rng.integers(0, 2, size=30)
+    query_X = random_dense(rng, 16, 4)
+    assert_matches_oracle(train_X, train_y, query_X, k)
+
+
+class SplitRows:
+    """``n`` training rows of ``d`` features, all ones before row ``split`` and
+    all zeros from it on, made a tile at a time as ``predict`` reads them: a
+    training set of 2^31 entries without the memory to hold one."""
+
+    def __init__(self, n, d, split):
+        self.shape, self.split = (n, d), split
+        self.ones = np.ones((knn.TRAIN_TILE, d), np.uint8)
+
+    def sum(self, axis, dtype):
+        return np.where(np.arange(self.shape[0]) < self.split, self.shape[1], 0).astype(dtype)
+
+    def __getitem__(self, rows):
+        ones = np.arange(*rows.indices(self.shape[0])) < self.split
+        if ones.all():
+            return self.ones[:len(ones)]
+        return np.broadcast_to(ones[:, None], (len(ones), self.shape[1])).astype(np.uint8)
+
+
+def test_keys_past_int32_take_the_int64_path(monkeypatch):
+    # (d + 1) * n_train = 2^31 + 2^15. The all-ones rows are d from an
+    # all-zeros query, so their keys d * n_train + row pass 2^31 and would
+    # wrap to the smallest int32 keys; the 3 all-zeros rows are the nearest.
+    monkeypatch.setattr(knn, "TRAIN_TILE", 64)
+    d, n, k = 2**16, 2**15, 3
+    model = knn.KnnModel(SplitRows(n, d, n - k), (0,) * (n - k) + (1,) * k,
+                         KnnParams(k_neighbors=k), Fingerprint(d))
+    assert [(p.label, p.score) for p in model.predict(np.zeros((1, d), np.uint8))] == [(1, 1.0)]
+
+
+def test_predict_holds_no_copy_of_the_training_array():
+    # The float32 copy of the whole 2000 x 400 training array alone is 3.2 MB.
+    rng = np.random.default_rng(80)
+    train_X = random_dense(rng, 2000, 400)
+    model = fit_knn(train_X, rng.integers(0, 2, size=2000), KnnParams(k_neighbors=5),
+                    Fingerprint(400))
+    query_X = random_dense(rng, 512, 400)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model.predict(query_X)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 400 * 4
 
 
 def test_distance_tie_broken_by_training_index():

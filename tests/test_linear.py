@@ -10,8 +10,8 @@ from rwdetect.classifiers import (
     fit_logistic_regression,
     logistic_loss_and_gradient,
 )
-from rwdetect.classifiers.base import to_grid
-from rwdetect.classifiers.linear import OneEntries
+from rwdetect.classifiers.base import sigmoid, to_grid
+from rwdetect.classifiers.linear import LogRegModel, OneEntries
 from rwdetect.errors import FitError
 
 from conftest import random_dense, xy
@@ -186,3 +186,17 @@ class TestLogisticRegression:
         ones, dense = OneEntries(X), X.astype(np.float64)
         assert (ones @ w).tobytes() == (dense @ w).tobytes()
         assert (ones.T @ r).tobytes() == (dense.T @ r).tobytes()
+
+    @pytest.mark.parametrize("seed", [37, 38, 39])
+    def test_predict_scores_equal_the_dense_product_bit_for_bit(self, seed):
+        # Weights and bias on the fit's 2^-32 grid with |w|_1 + |b| < 2^20;
+        # the first and last rows and columns of the queries are all zero.
+        rng = np.random.default_rng(seed)
+        X = zero_edges(rng)
+        wb = to_grid(rng.normal(size=X.shape[1] + 1), 2**20)
+        model = LogRegModel(weights=tuple(wb[:-1].tolist()), bias=float(wb[-1]),
+                            params=LogRegParams(), fingerprint=Fingerprint(X.shape[1]))
+        dense = sigmoid(X.astype(np.float64) @ wb[:-1] + wb[-1])
+        preds = model.predict(X)
+        assert np.array([p.score for p in preds]).tobytes() == dense.tobytes()
+        assert [p.label for p in preds] == (dense >= 0.5).astype(int).tolist()
