@@ -1,16 +1,15 @@
 """Six classifiers behind one fit/predict contract, plus serialization."""
 
 from .base import (
-    DECISION_THRESHOLD,
     DEFAULT_PARAMS,
     Fingerprint,
     ForestParams,
     GbtParams,
     KnnParams,
     LogRegParams,
-    Prediction,
     SvmParams,
     TreeParams,
+    labels_of,
 )
 from .boosting import GbtModel, fit_gradient_boosting
 from .forest import RandomForestModel, fit_random_forest

@@ -1,4 +1,4 @@
-"""Shared classifier plumbing: fingerprints, predictions, hyperparameters."""
+"""Shared classifier plumbing: fingerprints, the label rule, hyperparameters."""
 
 from __future__ import annotations
 
@@ -21,20 +21,14 @@ class Fingerprint:
     selected: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class Prediction:
-    label: int
-    score: float
-
-
 def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
-def scores_to_predictions(scores) -> list[Prediction]:
-    return [
-        Prediction(int(s >= DECISION_THRESHOLD), float(s)) for s in scores
-    ]
+def labels_of(scores: np.ndarray) -> np.ndarray:
+    """The label of each score a model's ``predict`` returns: 1 (ransomware)
+    where it reaches ``DECISION_THRESHOLD``, else 0. No other code labels a row."""
+    return (scores >= DECISION_THRESHOLD).astype(np.uint8)
 
 
 def to_grid(values: np.ndarray, bound: int) -> np.ndarray:

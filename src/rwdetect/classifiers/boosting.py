@@ -23,9 +23,7 @@ import numpy as np
 from .base import (
     Fingerprint,
     GbtParams,
-    Prediction,
     check_finite,
-    scores_to_predictions,
     sigmoid,
     to_grid,
 )
@@ -81,12 +79,12 @@ class GbtModel:
     params: GbtParams
     fingerprint: Fingerprint
 
-    def predict(self, X: np.ndarray) -> list[Prediction]:
+    def predict(self, X: np.ndarray) -> np.ndarray:
         margin = np.full(len(X), self.base_score, dtype=np.float64)
         # One tree at a time, in round order, as the fit added them.
         for outputs in leaf_values(self.trees, X).T:
             margin += self.params.learning_rate * outputs
-        return scores_to_predictions(sigmoid(margin))
+        return sigmoid(margin)
 
 
 def fit_gradient_boosting(

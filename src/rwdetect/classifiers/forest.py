@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FitError
-from .base import DECISION_THRESHOLD, Fingerprint, ForestParams, Prediction, scores_to_predictions
+from .base import Fingerprint, ForestParams, labels_of
 from .tree import FlatTree, grow_tree, leaf_values
 
 
@@ -19,10 +19,9 @@ class RandomForestModel:
     params: ForestParams
     fingerprint: Fingerprint
 
-    def predict(self, X: np.ndarray) -> list[Prediction]:
-        """The score is the fraction of trees whose leaf score reaches ``DECISION_THRESHOLD``."""
-        votes = np.count_nonzero(leaf_values(self.trees, X) >= DECISION_THRESHOLD, axis=1)
-        return scores_to_predictions(votes / len(self.trees))
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """The fraction of trees whose leaf score ``labels_of`` labels positive."""
+        return labels_of(leaf_values(self.trees, X)).sum(axis=1) / len(self.trees)
 
 
 def fit_random_forest(

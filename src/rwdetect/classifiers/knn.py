@@ -1,8 +1,9 @@
 """K-nearest-neighbour classifier over binary vectors, Hamming metric.
 
 Fitting just stores the training array. Neighbour ties on distance are
-broken by training-row index; the vote goes to the positive class only
-when its neighbour count strictly exceeds k/2.
+broken by training-row index. The score is the positive fraction of the k
+nearest rows, so ``labels_of`` gives a vote tie (an even k split in half,
+score 0.5) the positive label, as it does a tied forest vote.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FitError
-from .base import Fingerprint, KnnParams, Prediction
+from .base import Fingerprint, KnnParams
 
 QUERY_BLOCK = 128
 TRAIN_TILE = 256
@@ -26,7 +27,7 @@ class KnnModel:
     params: KnnParams
     fingerprint: Fingerprint
 
-    def predict(self, X: np.ndarray) -> list[Prediction]:
+    def predict(self, X: np.ndarray) -> np.ndarray:
         # Hamming distance |q| + |t| - 2 q.t, built in place, exactly: every value
         # is an integer of magnitude <= n_features, or an even one <= 2 n_features,
         # and float32 holds each of them below 2^24 features.
@@ -41,7 +42,7 @@ class KnnModel:
 
         # Query rows go in blocks and training rows in tiles, so no copy larger
         # than QUERY_BLOCK x n_train keys is made however many rows are scored.
-        votes = []
+        votes = np.empty(len(X))
         for start in range(0, len(X), QUERY_BLOCK):
             q = X[start:start + QUERY_BLOCK].astype(dtype)
             keys = np.empty((len(q), n_train), dtype=key_dtype)
@@ -54,8 +55,9 @@ class KnnModel:
             keys *= n_train
             keys += np.arange(n_train, dtype=key_dtype)
             keys.partition(k - 1, axis=1)
-            votes += labels[keys[:, :k] % n_train].sum(axis=1).tolist()
-        return [Prediction(int(2 * ones > k), ones / k) for ones in votes]
+            votes[start:start + QUERY_BLOCK] = labels[keys[:, :k] % n_train].sum(axis=1)
+        votes /= k
+        return votes
 
 
 def fit_knn(X: np.ndarray, y: np.ndarray, params: KnnParams, fingerprint: Fingerprint) -> KnnModel:

@@ -16,15 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import FitError
-from .base import (
-    Fingerprint,
-    LogRegParams,
-    Prediction,
-    SvmParams,
-    scores_to_predictions,
-    sigmoid,
-    to_grid,
-)
+from .base import Fingerprint, LogRegParams, SvmParams, sigmoid, to_grid
 
 
 @dataclass(frozen=True)
@@ -35,13 +27,11 @@ class LinearSvmModel:
     params: SvmParams
     fingerprint: Fingerprint
 
-    def predict(self, X: np.ndarray) -> list[Prediction]:
-        """Label is the margin sign; the score maps the margin through a
-        fixed logistic link so thresholding at 0.5 agrees with the sign."""
-        margins = X.astype(np.float64) @ np.asarray(self.weights) + self.bias
-        return [
-            Prediction(int(m >= 0.0), float(sigmoid(m))) for m in margins
-        ]
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """The sigmoid of each row's margin ``x.w + b``, so a score reaches 0.5 where
+        the margin is >= 0, and also where it lies in the band [-3.33e-16, 0) in
+        which the sigmoid rounds to 0.5."""
+        return sigmoid(X.astype(np.float64) @ np.asarray(self.weights) + self.bias)
 
 
 def fit_linear_svm(
@@ -94,9 +84,8 @@ class LogRegModel:
     fingerprint: Fingerprint
     loss_history: tuple[float, ...] = field(default=(), compare=False)
 
-    def predict(self, X: np.ndarray) -> list[Prediction]:
-        margins = OneEntries(X, transpose=False) @ np.asarray(self.weights) + self.bias
-        return scores_to_predictions(sigmoid(margins))
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return sigmoid(OneEntries(X, transpose=False) @ np.asarray(self.weights) + self.bias)
 
 
 class OneEntries:

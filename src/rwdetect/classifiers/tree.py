@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import Fingerprint, Prediction, TreeParams, scores_to_predictions
+from .base import Fingerprint, TreeParams
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,8 +145,9 @@ class DecisionTreeModel:
     params: TreeParams
     fingerprint: Fingerprint
 
-    def predict(self, X: np.ndarray) -> list[Prediction]:
-        return scores_to_predictions(leaf_values((self.tree,), X)[:, 0])
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """The positive fraction of the training rows in the leaf each row reaches."""
+        return leaf_values((self.tree,), X)[:, 0]
 
 
 def fit_decision_tree(

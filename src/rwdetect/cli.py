@@ -247,7 +247,7 @@ def write_whole(path: Path, write) -> None:
 
 def predict_and_evaluate(model, X, y):
     """``model``'s metrics on the rows of ``X``, under its kind's display name."""
-    labels = [p.label for p in model.predict(X)]
+    labels = classifiers.labels_of(model.predict(X))
     return evaluation.evaluate_predictions(BASELINE[model.kind][0], y, labels)
 
 
@@ -384,22 +384,24 @@ def cmd_score(cfg: RunConfig, args) -> tuple[int, dict]:
     # Token lookup needs the training dictionary only, not its samples.
     dictionary = load_data(cfg, dataset.load_dictionary)
 
-    verdicts, failures = reports.score_documents(
+    report_ids, scores, counts, failures = reports.score_documents(
         _iter_report_files(reports_path), model, dictionary
     )
     for report_id, exc in failures:
         print(f"{report_id}: {exc}", file=sys.stderr)
+    labels = classifiers.labels_of(scores).tolist()
     lines = ["report_id,label,score,matched,unmatched"]
     lines += [
-        f"{report_id},{pred.label},{pred.score:.6f},{outcome.matched},{outcome.unmatched}"
-        for report_id, pred, outcome in verdicts
+        f"{report_id},{label},{score:.6f},{matched},{unmatched}"
+        for report_id, label, score, (matched, unmatched)
+        in zip(report_ids, labels, scores.tolist(), counts)
     ]
     table = ("\n".join(lines) + "\n").encode("utf-8")
-    ransomware = sum(pred.label for _, pred, _ in verdicts)
+    ransomware = sum(labels)
     print("\n".join(lines))
     print(
-        f"scored {len(verdicts)} reports: {ransomware} ransomware, "
-        f"{len(verdicts) - ransomware} goodware, {len(failures)} malformed"
+        f"scored {len(labels)} reports: {ransomware} ransomware, "
+        f"{len(labels) - ransomware} goodware, {len(failures)} malformed"
     )
     return EXIT_OK, {Path(cfg.out) / "verdicts.csv": lambda fh: fh.write(table)}
 

@@ -24,7 +24,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classifiers import Prediction
 from .dataset import FeatureDictionary
 from .errors import DataFormatError, FingerprintMismatch
 
@@ -96,15 +95,16 @@ def check_fingerprint(fingerprint, dictionary: FeatureDictionary) -> None:
 
 def score_reports(
     reports, model, dictionary: FeatureDictionary
-) -> list[tuple[Prediction, VectorizeOutcome]]:
+) -> tuple[np.ndarray, list[VectorizeOutcome]]:
     """vectorize -> project through the model's selection -> predict, for a whole batch.
 
     ``reports`` is any iterable of ``parse_report`` token sets. The
     fingerprint is checked once, before any report is read, and the model
-    predicts every report's row in one call; results follow the order of
-    ``reports``. A report's selected columns are the tokens it shares with
-    the selected names; only its (row, column) entries and its outcome are
-    kept until the batch's array is filled.
+    predicts every report's row in one call. Returns ``(scores, counts)``:
+    the model's score and the ``vectorize`` outcome of each report, in the
+    order of ``reports``. A report's selected columns are the tokens it
+    shares with the selected names; only its (row, column) entries and its
+    outcome are kept until the batch's array is filled.
     """
     selected = model.fingerprint.selected
     check_fingerprint(model.fingerprint, dictionary)
@@ -118,25 +118,26 @@ def score_reports(
         columns.extend(map(column.__getitem__, hits))
     X = np.zeros((len(counts), len(selected)), dtype=np.uint8)
     X[np.asarray(rows), np.asarray(columns)] = 1
-    return list(zip(model.predict(X), counts))
+    return model.predict(X), counts
 
 
 def score_report(
     tokens: set[str], model, dictionary: FeatureDictionary
-) -> tuple[Prediction, VectorizeOutcome]:
-    """``score_reports`` of a one-report batch."""
-    return score_reports([tokens], model, dictionary)[0]
+) -> tuple[float, VectorizeOutcome]:
+    """``score_reports`` of a one-report batch: its score and its outcome."""
+    scores, counts = score_reports([tokens], model, dictionary)
+    return scores[0], counts[0]
 
 
 def score_documents(documents, model, dictionary: FeatureDictionary):
     """Parse and score ``(report_id, text)`` documents as one batch.
 
     A document that could not be read is passed as its ``DataFormatError``
-    in place of the text. Returns ``(verdicts, failures)``:
-    ``(report_id, prediction, outcome)`` for every document that parses, in
-    input order, and ``(report_id, DataFormatError)`` for every one that
-    does not. Each document is parsed as ``score_reports`` reaches it, so
-    only its vectorized row outlives it.
+    in place of the text. Returns ``(report_ids, scores, counts, failures)``:
+    the id of every document that parses, in input order, with the
+    ``score_reports`` results of those documents, and ``(report_id,
+    DataFormatError)`` for every one that does not. Each document is parsed
+    as ``score_reports`` reaches it, so only its vectorized row outlives it.
     """
     report_ids, failures = [], []
 
@@ -152,5 +153,5 @@ def score_documents(documents, model, dictionary: FeatureDictionary):
             report_ids.append(report_id)
             yield tokens
 
-    scored = score_reports(parsed(), model, dictionary)
-    return [(report_id, *result) for report_id, result in zip(report_ids, scored)], failures
+    scores, counts = score_reports(parsed(), model, dictionary)
+    return report_ids, scores, counts, failures

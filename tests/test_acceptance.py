@@ -27,6 +27,7 @@ from rwdetect.classifiers import (
     fit_gradient_boosting,
     fit_knn,
     fit_logistic_regression,
+    labels_of,
     serialize_model,
 )
 from rwdetect.selection import score_all
@@ -76,9 +77,8 @@ def test_criterion_1_table_reproduction():
         for kind in MODEL_KINDS:
             model = FITTERS[kind](train_p, train_y, DEFAULT_PARAMS[kind](),
                                   Fingerprint(train_p.shape[1]))
-            preds = model.predict(test_p)
             report = evaluation.evaluate_predictions(
-                kind, test_y, [p.label for p in preds]
+                kind, test_y, labels_of(model.predict(test_p))
             )
             acc = float(report.accuracy) * 100
             assert abs(acc - REFERENCE_ACCURACY[kind]) <= 2.5, (kind, acc)
@@ -169,10 +169,8 @@ def test_criterion_5_knn_oracle():
                     continue
                 model = fit_knn(train_X, train_y, KnnParams(k_neighbors=k),
                                 Fingerprint(train_X.shape[1]))
-                preds = model.predict(query_X)
-                for q, p in zip(query_X, preds):
-                    label, score = knn_oracle(train_X, train_y, q, k)
-                    assert p.label == label and p.score == score
+                assert model.predict(query_X).tolist() == \
+                    [knn_oracle(train_X, train_y, q, k) for q in query_X]
 
 
 def test_criterion_6_tree_split_oracles():
@@ -221,7 +219,7 @@ def test_criterion_7_determinism_and_persistence():
             blob = serialize_model(model)
             assert serialize_model(FITTERS[kind](*args)) == blob
             restored = deserialize_model(blob)
-            assert restored.predict(test_X) == model.predict(test_X)
+            assert restored.predict(test_X).tobytes() == model.predict(test_X).tobytes()
 
 
 def test_criterion_8_pipeline_soundness():
@@ -246,10 +244,9 @@ def test_criterion_8_pipeline_soundness():
         for kind in MODEL_KINDS:
             model = FITTERS[kind](train_p, train_y, DEFAULT_PARAMS[kind](),
                                   Fingerprint(train_p.shape[1]))
-            preds = model.predict(test_p)
             acc = float(
                 evaluation.evaluate_predictions(
-                    kind, test_y, [p.label for p in preds]
+                    kind, test_y, labels_of(model.predict(test_p))
                 ).accuracy
             )
             assert acc >= 0.95, (kind, acc)

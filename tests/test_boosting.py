@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rwdetect.classifiers import Fingerprint, GbtParams, fit_gradient_boosting
+from rwdetect.classifiers import Fingerprint, GbtParams, fit_gradient_boosting, labels_of
 from rwdetect.errors import FitError
 
 from conftest import random_dense, xy
@@ -51,13 +51,13 @@ class TestGradientBoosting:
         X, y = xy([[0], [1], [0], [1]], [0, 1, 1, 1])
         model = fit_gradient_boosting(X, y, GbtParams(n_rounds=1, learning_rate=5e-324),
                                       Fingerprint(X.shape[1]))
-        for p in model.predict(X):
-            assert p.score == pytest.approx(0.75, abs=1e-12)
+        for score in model.predict(X):
+            assert score == pytest.approx(0.75, abs=1e-12)
 
     def test_separating_feature_reaches_perfect_accuracy(self):
         X, y = xy([[0, 1], [1, 0], [0, 0], [1, 1], [0, 1], [1, 0]], [0, 1, 0, 1, 0, 1])
         model = fit_gradient_boosting(X, y, GbtParams(n_rounds=10), Fingerprint(X.shape[1]))
-        assert [p.label for p in model.predict(X)] == y.tolist()
+        assert labels_of(model.predict(X)).tolist() == y.tolist()
 
     @pytest.mark.parametrize("seed", range(30))
     def test_first_tree_matches_exhaustive_gain(self, seed):

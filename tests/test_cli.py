@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rwdetect import cli, dataset, reports
-from rwdetect.classifiers import MODEL_KINDS, deserialize_model
+from rwdetect.classifiers import MODEL_KINDS, deserialize_model, labels_of
 from rwdetect.classifiers.knn import KnnModel
 from rwdetect.dataset import FeatureDictionary, load_sparse
 
@@ -452,6 +452,31 @@ class TestScore:
         assert code == 0
         assert "scored 1 reports" in capsys.readouterr().out
 
+    def test_even_k_vote_tie_labels_positive_in_evaluate_and_score(self, tmp_path, capsys):
+        # Every sample holds the one feature, so every row is at distance 0
+        # from all training rows and its 4 nearest are the first 4 training
+        # rows. Labels alternate 1, 0 and the seed-0 split keeps rows 0-3 for
+        # training, so each vote ties 2 to 2: score 0.5, label 1.
+        data = tmp_path / "tie.sparse"
+        data.write_text("#FEATURES 1\nAPI:a\n#SAMPLES 12\n" + "".join(
+            f"s{i}\t{(i + 1) % 2}\tAPI:a\n" for i in range(12)), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["train", "--data", data, "--out", out, "--model", "knn",
+                    "--hp", "k_neighbors=4"]) == 0
+        model_file = out / "model_knn.json"
+        assert run(["evaluate", "--data", data, "--out", out, "--model-file", model_file]) == 0
+        header, row = (out / "evaluation.csv").read_text().splitlines()
+        counts = dict(zip(header.split(",")[4:], row.split(",")[4:]))
+        assert counts == {"tp": "2", "tn": "0", "fp": "2", "fn": "0"}
+        batch = tmp_path / "batch.ndjson"
+        batch.write_text('{"api_calls": ["a"]}\n')
+        assert run(["score", "--data", data, "--out", out, "--model-file", model_file,
+                    batch]) == 0
+        verdicts = (out / "verdicts.csv").read_text().splitlines()
+        assert verdicts[1:] == ["batch.ndjson:1,1,0.500000,1,0"]
+        assert capsys.readouterr().out.endswith("scored 1 reports: 1 ransomware, "
+                                                "0 goodware, 0 malformed\n")
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
@@ -548,6 +573,21 @@ def test_model_file_out_of_range_or_non_finite_is_one_line_data_error(trained, t
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("data error: ")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_batch_of_only_malformed_reports_writes_the_header_alone(trained, tmp_path, capsys,
+                                                                 kind):
+    # The model predicts a 0-row array, and its empty score array labels nothing.
+    batch = tmp_path / "bad.ndjson"
+    batch.write_bytes(b"{oops\n[1]\n\xff\n")
+    capsys.readouterr()
+    assert run(["score", "--data", trained / "data.sparse", "--out", tmp_path / "o",
+                "--model-file", trained / f"model_{kind}.json", batch]) == cli.EXIT_OK
+    assert (tmp_path / "o" / "verdicts.csv").read_text() == \
+        "report_id,label,score,matched,unmatched\n"
+    assert capsys.readouterr().out.endswith("scored 0 reports: 0 ransomware, "
+                                            "0 goodware, 3 malformed\n")
 
 
 @pytest.mark.parametrize("command", ["evaluate", "score"])
@@ -647,8 +687,8 @@ def test_mutated_report_batch_scores_like_one_report_at_a_time(scoring_setup, ba
         # The one-report composition, from the reference reading of the line.
         _, matched, unmatched, one_row = reference_report(
             line, dictionary.names, model.fingerprint.selected)
-        pred = model.predict(np.array([one_row], dtype=np.uint8))[0]
-        assert row == f"{report_id},{pred.label},{pred.score:.6f},{matched},{unmatched}"
+        score = model.predict(np.array([one_row], dtype=np.uint8))[0]
+        assert row == f"{report_id},{labels_of(score)},{score:.6f},{matched},{unmatched}"
 
 
 class TestConfig:

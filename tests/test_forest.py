@@ -7,6 +7,7 @@ from rwdetect.classifiers import (
     TreeParams,
     fit_decision_tree,
     fit_random_forest,
+    labels_of,
     serialize_model,
 )
 from rwdetect.errors import FitError
@@ -24,7 +25,7 @@ def test_degenerate_forest_equals_single_tree():
         Fingerprint(X.shape[1]),
     )
     tree = fit_decision_tree(X, y, TreeParams(), Fingerprint(X.shape[1]))
-    assert [p.label for p in forest.predict(X)] == [p.label for p in tree.predict(X)]
+    assert labels_of(forest.predict(X)).tolist() == labels_of(tree.predict(X)).tolist()
 
 
 def test_same_seed_byte_identical():
@@ -59,8 +60,7 @@ def test_forest_beats_single_tree_on_noisy_data():
                                Fingerprint(train_X.shape[1]))
 
     def acc(model):
-        preds = model.predict(to_dense(test_m))
-        return np.mean([p.label == t for p, t in zip(preds, test_y)])
+        return np.mean(labels_of(model.predict(to_dense(test_m))) == test_y)
 
     assert acc(forest) > acc(tree)
 
@@ -70,10 +70,10 @@ def test_vote_fraction_score():
     X = random_dense(rng, 40, 10)
     y = rng.integers(0, 2, size=40)
     forest = fit_random_forest(X, y, ForestParams(n_trees=10, seed=7), Fingerprint(X.shape[1]))
-    for p in forest.predict(X):
-        # score is a vote fraction over 10 trees
-        assert round(p.score * 10) == pytest.approx(p.score * 10)
-        assert p.label == (p.score >= 0.5)
+    scores = forest.predict(X)
+    # score is a vote fraction over 10 trees
+    assert (scores * 10).tolist() == pytest.approx(np.round(scores * 10).tolist())
+    assert labels_of(scores).tolist() == (scores >= 0.5).tolist()
 
 
 def test_features_per_split_too_large():

@@ -3,26 +3,27 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rwdetect.classifiers import Fingerprint, KnnParams, fit_knn, knn
+from rwdetect.classifiers import Fingerprint, KnnParams, fit_knn, knn, labels_of
 from rwdetect.errors import FitError
 
 from conftest import random_dense, xy
 
 
 def knn_oracle(train_X, train_y, query, k):
-    """Brute-force all-pairs Hamming scan; ties on distance by row index."""
+    """Score of ``query``: the positive fraction of its k nearest training rows,
+    by brute-force all-pairs Hamming scan; ties on distance by row index."""
     ranked = sorted(
         (int(np.sum(train_X[i] != query)), i) for i in range(len(train_X))
     )
     ones = sum(int(train_y[i]) for _, i in ranked[:k])
-    return int(2 * ones > k), ones / k
+    return ones / k
 
 
 def test_zero_distance_neighbor_wins():
     X, y = xy([[1, 0, 1], [0, 1, 0]], [1, 0])
     model = fit_knn(X, y, KnnParams(k_neighbors=1), Fingerprint(X.shape[1]))
     query = np.array([[1, 0, 1]], dtype=np.uint8)
-    assert model.predict(query)[0].label == 1
+    assert labels_of(model.predict(query)).tolist() == [1]
 
 
 def test_k_larger_than_n_rejected():
@@ -40,8 +41,7 @@ def small_blocks(monkeypatch, block):
 
 def assert_matches_oracle(train_X, train_y, query_X, k):
     model = fit_knn(train_X, train_y, KnnParams(k_neighbors=k), Fingerprint(train_X.shape[1]))
-    assert [(p.label, p.score) for p in model.predict(query_X)] == \
-        [knn_oracle(train_X, train_y, q, k) for q in query_X]
+    assert model.predict(query_X).tolist() == [knn_oracle(train_X, train_y, q, k) for q in query_X]
 
 
 @pytest.mark.parametrize("block", [None, 1, 2, 3])
@@ -109,7 +109,7 @@ def test_keys_past_int32_take_the_int64_path(monkeypatch):
     d, n, k = 2**16, 2**15, 3
     model = knn.KnnModel(SplitRows(n, d, n - k), (0,) * (n - k) + (1,) * k,
                          KnnParams(k_neighbors=k), Fingerprint(d))
-    assert [(p.label, p.score) for p in model.predict(np.zeros((1, d), np.uint8))] == [(1, 1.0)]
+    assert model.predict(np.zeros((1, d), np.uint8)).tolist() == [1.0]
 
 
 def test_predict_holds_no_copy_of_the_training_array():
@@ -134,14 +134,15 @@ def test_distance_tie_broken_by_training_index():
     X, y = xy([[1, 0], [0, 1]], [1, 0])
     model = fit_knn(X, y, KnnParams(k_neighbors=1), Fingerprint(X.shape[1]))
     query = np.array([[0, 0]], dtype=np.uint8)
-    assert model.predict(query)[0].label == 1
+    assert labels_of(model.predict(query)).tolist() == [1]
 
 
-def test_even_k_vote_tie_goes_negative():
-    # k=2, one neighbor of each class: ones == k/2, not strictly greater.
+def test_even_k_vote_tie_goes_positive():
+    # k=2, one neighbor of each class: score 0.5, which labels_of labels 1,
+    # as it does a forest whose trees split their votes evenly.
     X, y = xy([[1, 0], [0, 1]], [1, 0])
     model = fit_knn(X, y, KnnParams(k_neighbors=2), Fingerprint(X.shape[1]))
     query = np.array([[0, 0]], dtype=np.uint8)
-    p = model.predict(query)[0]
-    assert p.score == 0.5
-    assert p.label == 0
+    scores = model.predict(query)
+    assert scores.tolist() == [0.5]
+    assert labels_of(scores).tolist() == [1]

@@ -8,10 +8,11 @@ from rwdetect.classifiers import (
     SvmParams,
     fit_linear_svm,
     fit_logistic_regression,
+    labels_of,
     logistic_loss_and_gradient,
 )
 from rwdetect.classifiers.base import sigmoid, to_grid
-from rwdetect.classifiers.linear import LogRegModel, OneEntries
+from rwdetect.classifiers.linear import LinearSvmModel, LogRegModel, OneEntries
 from rwdetect.errors import FitError
 
 from conftest import random_dense, xy
@@ -30,7 +31,7 @@ class TestLinearSvm:
     def test_separable_1d(self):
         X, y = xy([[0]] * 5 + [[1]] * 5, [0] * 5 + [1] * 5)
         model = fit_linear_svm(X, y, SvmParams(), Fingerprint(X.shape[1]))
-        assert [p.label for p in model.predict(X)] == y.tolist()
+        assert labels_of(model.predict(X)).tolist() == y.tolist()
 
     def test_objective_not_worse_than_zero_vector(self):
         rng = np.random.default_rng(19)
@@ -54,7 +55,7 @@ class TestLinearSvm:
         doubled, y2 = xy([[0, 1], [1, 0], [0, 0], [1, 1]] * 2, [0, 1, 0, 1] * 2)
         a = fit_linear_svm(X, y, SvmParams(), Fingerprint(X.shape[1])).predict(X)
         b = fit_linear_svm(doubled, y2, SvmParams(), Fingerprint(doubled.shape[1])).predict(X)
-        assert [p.label for p in a] == [p.label for p in b]
+        assert labels_of(a).tolist() == labels_of(b).tolist()
 
     def test_single_class_rejected(self, tmp_path, capsys):
         # The svm is fit on a split's train partition, and the split needs both classes.
@@ -84,9 +85,34 @@ class TestLinearSvm:
             y[0] = 1 - y[0]
         model = fit_linear_svm(X, y, SvmParams(), Fingerprint(X.shape[1]))
         margins = X.astype(float) @ np.asarray(model.weights) + model.bias
-        for p, margin in zip(model.predict(X), margins):
-            assert p.label == int(margin >= 0)
-            assert p.label == int(p.score >= 0.5)
+        scores = model.predict(X)
+        assert labels_of(scores).tolist() == (margins >= 0).astype(int).tolist()
+        assert labels_of(scores).tolist() == (scores >= 0.5).astype(int).tolist()
+
+    @pytest.mark.parametrize("seed", [22, 23])
+    def test_scores_equal_a_per_row_scalar_sigmoid(self, seed):
+        # predict applies the sigmoid to the whole margin array; the reference
+        # applies it to one numpy scalar margin at a time, and the bits agree.
+        rng = np.random.default_rng(seed)
+        X = random_dense(rng, 400, 30)
+        model = LinearSvmModel(weights=tuple(rng.normal(scale=10.0, size=30).tolist()),
+                               bias=float(rng.normal()), params=SvmParams(),
+                               fingerprint=Fingerprint(30))
+        margins = X.astype(np.float64) @ np.asarray(model.weights) + model.bias
+        per_row = [1.0 / (1.0 + np.exp(-np.clip(m, -500, 500))) for m in margins]
+        assert model.predict(X).tobytes() == np.array(per_row).tobytes()
+
+    @pytest.mark.parametrize("margin, score, label", [
+        (-1e-16, 0.5, 1),  # inside the band where the sigmoid rounds to 0.5
+        (-1e-15, 0.4999999999999998, 0),
+        (0.0, 0.5, 1),
+    ])
+    def test_label_of_a_margin_next_to_zero(self, margin, score, label):
+        model = LinearSvmModel(weights=(0.0,), bias=margin, params=SvmParams(),
+                               fingerprint=Fingerprint(1))
+        scores = model.predict(np.zeros((1, 1), np.uint8))
+        assert scores.tolist() == [score]
+        assert labels_of(scores).tolist() == [label]
 
 
 class TestLogisticRegression:
@@ -95,7 +121,7 @@ class TestLogisticRegression:
         model = fit_logistic_regression(X, y, LogRegParams(), Fingerprint(X.shape[1]))
         assert model.weights == (0.0,)
         assert abs(model.bias) < 1e-9
-        assert model.predict(X)[0].score == pytest.approx(0.5, abs=1e-9)
+        assert model.predict(X)[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(31)
@@ -122,9 +148,9 @@ class TestLogisticRegression:
     def test_separable_1d_monotone_and_perfect(self):
         X, y = xy([[0]] * 4 + [[1]] * 4, [0] * 4 + [1] * 4)
         model = fit_logistic_regression(X, y, LogRegParams(), Fingerprint(X.shape[1]))
-        preds = model.predict(X)
-        assert [p.label for p in preds] == y.tolist()
-        assert preds[-1].score > preds[0].score
+        scores = model.predict(X)
+        assert labels_of(scores).tolist() == y.tolist()
+        assert scores[-1] > scores[0]
 
     def test_loss_monotone_decreasing_at_small_lr(self):
         rng = np.random.default_rng(32)
@@ -197,6 +223,6 @@ class TestLogisticRegression:
         model = LogRegModel(weights=tuple(wb[:-1].tolist()), bias=float(wb[-1]),
                             params=LogRegParams(), fingerprint=Fingerprint(X.shape[1]))
         dense = sigmoid(X.astype(np.float64) @ wb[:-1] + wb[-1])
-        preds = model.predict(X)
-        assert np.array([p.score for p in preds]).tobytes() == dense.tobytes()
-        assert [p.label for p in preds] == (dense >= 0.5).astype(int).tolist()
+        scores = model.predict(X)
+        assert scores.tobytes() == dense.tobytes()
+        assert labels_of(scores).tolist() == (dense >= 0.5).astype(int).tolist()

@@ -12,6 +12,7 @@ from rwdetect.classifiers import (
     Fingerprint,
     KnnParams,
     deserialize_model,
+    labels_of,
     serialize_model,
 )
 from rwdetect.dataset import DataMatrix
@@ -49,8 +50,7 @@ def batch_array(texts, dictionary, selected=tuple(range(10))):
     """The 0/1 array ``score_reports`` builds for the reports ``texts`` on
     the ``selected`` ordinals, and each report's outcome."""
     model = RecordingModel(Fingerprint(len(selected), dictionary.sha256(), tuple(selected)))
-    outcomes = [outcome for _, outcome in
-                score_reports([parse_report(t) for t in texts], model, dictionary)]
+    _, outcomes = score_reports([parse_report(t) for t in texts], model, dictionary)
     [X] = model.arrays
     return X, outcomes
 
@@ -164,8 +164,8 @@ class TestScoreReport:
         model = train_knn_fixture(dictionary)
         tokens = parse_report(report(api_calls=["CreateFileW"], dropped_exts=["exe"],
                                      strings=["bitcoin"]))
-        pred, outcome = score_report(tokens, model, dictionary)
-        assert pred.label == 1
+        score, outcome = score_report(tokens, model, dictionary)
+        assert labels_of(score) == 1
         assert outcome.matched == 3
 
     def test_empty_report_through_zero_logreg(self, dictionary):
@@ -173,8 +173,8 @@ class TestScoreReport:
         y = np.array([0, 1])
         fingerprint = Fingerprint(10, dictionary.sha256(), tuple(range(10)))
         model = FITTERS["logreg"](X, y, DEFAULT_PARAMS["logreg"](), fingerprint)
-        pred, _ = score_report(set(), model, dictionary)
-        assert pred.score == pytest.approx(0.5, abs=1e-9)
+        score, _ = score_report(set(), model, dictionary)
+        assert score == pytest.approx(0.5, abs=1e-9)
 
     def test_wrong_selection_length_rejected_when_decoded(self, dictionary):
         # A model's selection is its file's: the decoder checks its length.
@@ -196,11 +196,11 @@ class TestScoreReport:
         for _ in range(20):
             chosen = [NAMES[j] for j in rng.choice(10, size=4, replace=False)]
             text = report_of(chosen + ["API:Unknown"])
-            pred, counts = score_report(parse_report(text), model, dictionary)
+            score, counts = score_report(parse_report(text), model, dictionary)
 
             _, matched, unmatched, row = reference_report(text, NAMES, model.fingerprint.selected)
             assert counts == (matched, unmatched)
-            assert pred == model.predict(np.array([row], dtype=np.uint8))[0]
+            assert score.tobytes() == model.predict(np.array([row], dtype=np.uint8)).tobytes()
 
     def test_batch_equals_one_report_at_a_time(self, dictionary):
         model = train_knn_fixture(dictionary)
@@ -209,8 +209,10 @@ class TestScoreReport:
         for _ in range(12):
             chosen = [NAMES[j] for j in rng.choice(10, size=rng.integers(0, 6), replace=False)]
             batch.append(parse_report(report_of(chosen + ["API:Unknown"])))
-        assert score_reports(batch, model, dictionary) == \
-            [score_report(tokens, model, dictionary) for tokens in batch]
+        scores, counts = score_reports(batch, model, dictionary)
+        one_at_a_time = [score_report(tokens, model, dictionary) for tokens in batch]
+        assert scores.tobytes() == np.array([score for score, _ in one_at_a_time]).tobytes()
+        assert counts == [outcome for _, outcome in one_at_a_time]
 
     @pytest.mark.parametrize("kind", ["knn", "logreg", "dt"])
     def test_batch_projected_while_vectorizing(self, dictionary, kind):
@@ -228,8 +230,8 @@ class TestScoreReport:
         assert np.array_equal(X, to_dense(full)[:, list(selected)])
         assert X.tolist() == [reference_report(t, NAMES, selected)[3] for t in texts]
         expected = model.predict(project(full, selected))
-        assert [pred for pred, _ in score_reports(map(parse_report, texts), model,
-                                                  dictionary)] == list(expected)
+        scores, _ = score_reports(map(parse_report, texts), model, dictionary)
+        assert scores.tobytes() == expected.tobytes()
 
     def test_duplicate_or_negative_selection_rejected(self, dictionary):
         # score_reports takes its model from a file, whose decoder owns the rule.
@@ -242,7 +244,8 @@ class TestScoreReport:
 
     def test_empty_batch(self, dictionary):
         model = train_knn_fixture(dictionary)
-        assert score_reports([], model, dictionary) == []
+        scores, counts = score_reports([], model, dictionary)
+        assert scores.dtype == np.float64 and scores.shape == (0,) and counts == []
 
 
 def test_report_json_round_trip(dictionary):

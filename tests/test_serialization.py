@@ -20,6 +20,7 @@ from rwdetect.classifiers import (
     SvmParams,
     TreeParams,
     deserialize_model,
+    labels_of,
     serialize_model,
 )
 from rwdetect.classifiers.base import sigmoid
@@ -44,7 +45,17 @@ def test_round_trip_byte_equal(kind):
     blob = serialize_model(models[kind])
     restored = deserialize_model(blob)
     assert serialize_model(restored) == blob
-    assert restored.predict(X) == models[kind].predict(X)
+    assert restored.predict(X).tobytes() == models[kind].predict(X).tobytes()
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_predict_returns_one_float64_score_per_row(kind):
+    X, models = fitted_models()
+    for rows in (0, 1, len(X)):
+        scores = models[kind].predict(X[:rows])
+        assert type(scores) is np.ndarray
+        assert (scores.dtype, scores.shape) == (np.float64, (rows,))
+        assert ((scores >= 0) & (scores <= 1)).all()
 
 
 def test_version_mismatch_rejected():
@@ -305,19 +316,19 @@ def test_mutated_model_raises_only_model_format_error(blob):
 
 
 # sha256 of each kind's model file, fitted with default hyperparameters on
-# the synthetic set of ``pinned_data``. Any change to a fit, to the tree
+# every column of the synthetic set of ``pinned_data``. Any change to a fit, to the tree
 # layout or to the codec that moves one byte of a model file fails here.
 # gbt and logreg sum only values on an exact grid, so their bytes hold on
 # every BLAS kernel (see the kernel test below); the svm was recorded with
 # numpy's OpenBLAS on x86-64, and another BLAS may order its sums differently.
 PINNED_SHA256 = {
-    "dt": "33d30bccb90961450b0de0645d9d679538a7b52e37ef7194c3a6bee79724be20",
-    "rf": "925ae49715f722d304594538379f21331dfe0d858660789c21b8389d8d4edfea",
-    "knn": "17db3964777c20be0d17748c2f8ba41c322663bb7b5a5489eb0b77095396cd31",
-    "svm": "0299240d7ae711a1f708798db26b9608680d76cb5f1fe22cd4c3a853a62ddd4c",
-    "gbt": "5c01eb30c15ff992c1f42b1df633b03198e46bc474658e6237947c72d134dbb4",
-    "logreg": "3707af858c45780a9a29c1dc2cb569382fcf5f9e5503e5df727598f245a8381d",
-    "svm regularization=1": "c1932c4791c82d71c8748c7fb2a02709f8bf3ff2f08351afff2cc59051c908b8",
+    "dt": "1351e8547ad96049d04cc35421acceae3c63061e951364f14388ade6fe2a75d3",
+    "rf": "32336eeeeee9d4a9d9416bc5b16d4809d54988cc2123a6350fead8fb174af79d",
+    "knn": "33cf9c573249495e67ddfd6ce3bd8d76dd769232678d0391c25e96aae21540bc",
+    "svm": "86d44bb0818c4a8f6d0a828546dfe5ba418fa691acf144984d990efa8fb06735",
+    "gbt": "09f39de75876185dc5b17156218dcb7da38edab8d2cb1b2c4f8769675afdbd74",
+    "logreg": "7c0d7f9f26ff6087403d0799aae4b081102b6d25672811dce111ac3f712f93f1",
+    "svm regularization=1": "78d9ff09d87b0f30629c6d52323599f8f15845c353b1ca43c1e01da6f4d50322",
 }
 # Each kind at its defaults, and the SVM at regularization=1: the ball's
 # radius is then 1, so its projection onto the ball runs (at 1e-4 it never does).
@@ -331,11 +342,14 @@ def pinned_data():
     return to_dense(matrix), y
 
 
-def pinned_sha256(case, data) -> str:
+def pinned_blob(case, data) -> bytes:
     kind, params = PINNED_CASES[case]
     X, y = data
-    model = FITTERS[kind](X, y, params, Fingerprint(X.shape[1]))
-    return hashlib.sha256(serialize_model(model)).hexdigest()
+    return serialize_model(FITTERS[kind](X, y, params, every_column(X.shape[1])))
+
+
+def pinned_sha256(case, data) -> str:
+    return hashlib.sha256(pinned_blob(case, data)).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -345,7 +359,10 @@ def pinned_dataset():
 
 @pytest.mark.parametrize("case", PINNED_SHA256)
 def test_model_bytes_are_pinned(pinned_dataset, case):
-    assert pinned_sha256(case, pinned_dataset) == PINNED_SHA256[case]
+    blob = pinned_blob(case, pinned_dataset)
+    assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256[case]
+    # A pinned file is one the decoder loads, and it re-encodes to the same bytes.
+    assert serialize_model(deserialize_model(blob)) == blob
 
 
 def blas_name() -> str:
@@ -414,6 +431,6 @@ def test_flat_tree_predictions_match_nested_walk(kind, params, seed):
     blob = serialize_model(model)
     expected = nested_scores(json.loads(blob), queries)
     for candidate in (model, deserialize_model(blob)):
-        preds = candidate.predict(queries)
-        assert [p.score for p in preds] == expected
-        assert [p.label for p in preds] == [int(s >= 0.5) for s in expected]
+        scores = candidate.predict(queries)
+        assert scores.tolist() == expected
+        assert labels_of(scores).tolist() == [int(s >= 0.5) for s in expected]

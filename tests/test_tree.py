@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rwdetect import cli
-from rwdetect.classifiers import Fingerprint, TreeParams, fit_decision_tree
+from rwdetect.classifiers import Fingerprint, TreeParams, fit_decision_tree, labels_of
 
 from conftest import random_dense, xy
 
@@ -46,8 +46,7 @@ class TestDecisionTree:
         tree = model.tree
         assert tree.feature[0] == 0
         assert tree.is_leaf(tree.left[0]) and tree.is_leaf(tree.right[0])
-        preds = model.predict(X)
-        assert [p.label for p in preds] == y.tolist()
+        assert labels_of(model.predict(X)).tolist() == y.tolist()
 
     def test_pure_input_single_leaf(self):
         X, y = xy([[0, 1], [1, 0]], [1, 1])
@@ -84,8 +83,7 @@ class TestDecisionTree:
         X = np.unique(X, axis=0)
         y = rng.integers(0, 2, size=len(X))
         model = fit_decision_tree(X, y, TreeParams(max_depth=64), Fingerprint(X.shape[1]))
-        preds = model.predict(X)
-        assert [p.label for p in preds] == y.tolist()
+        assert labels_of(model.predict(X)).tolist() == y.tolist()
 
     def test_max_depth_respected(self):
         rng = np.random.default_rng(5)
