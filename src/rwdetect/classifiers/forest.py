@@ -36,20 +36,15 @@ def fit_random_forest(
 
     XT = np.ascontiguousarray(X.T)
     rng = np.random.default_rng(params.seed)
+
+    def picker():
+        return np.sort(rng.choice(d, size=fps, replace=False))
+
     trees = []
     for _ in range(params.n_trees):
-        if params.bootstrap:
-            idx = np.sort(rng.integers(0, n, size=n))
-        else:
-            idx = np.arange(n)
-
-        if fps == d:
-            picker = None
-        else:
-            def picker():
-                return np.sort(rng.choice(d, size=fps, replace=False))
-
-        trees.append(grow_tree(XT, y, idx, params, candidate_picker=picker))
+        idx = np.sort(rng.integers(0, n, size=n)) if params.bootstrap else np.arange(n)
+        trees.append(grow_tree(XT, y, idx, params,
+                               candidate_picker=None if fps == d else picker))
     return RandomForestModel(
         trees=tuple(trees),
         params=params,

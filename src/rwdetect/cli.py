@@ -344,7 +344,7 @@ def cmd_reproduce(cfg: RunConfig, args) -> tuple[int, dict]:
             if abs(value - ref) > tolerance:
                 within_tolerance = False
             row += [f"{value:.2f}", f"{ref:.2f}", f"{value - ref:+.2f}"]
-        row += [str(first.cm.tp), str(first.cm.tn), str(first.cm.fp), str(first.cm.fn)]
+        row += [str(first.tp), str(first.tn), str(first.fp), str(first.fn)]
         if len(seeds) > 1:
             row += [f"{statistics.mean(accs):.2f}", f"{statistics.stdev(accs):.2f}"]
         rows.append(row)

@@ -339,11 +339,7 @@ def stratified_split(
 
 def take_rows(matrix: DataMatrix, indices) -> DataMatrix:
     """Row subset in the given index order."""
-    rows = np.asarray(indices, dtype=np.int64)
-    starts = matrix.indptr[rows]
-    lengths = matrix.indptr[rows + 1] - starts
-    indptr = np.concatenate(([0], np.cumsum(lengths)))
-    # Position in ``matrix.indices`` of every kept entry, row after row.
-    positions = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
-    return DataMatrix(matrix.n_features, indptr, matrix.indices[positions])
+    bounds = matrix.indptr.tolist()
+    rows = [matrix.indices[bounds[i]:bounds[i + 1]] for i in indices]
+    return DataMatrix.from_rows(matrix.n_features, rows)
 

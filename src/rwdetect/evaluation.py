@@ -1,8 +1,9 @@
-"""Confusion counts and accuracy/precision/recall, ransomware positive.
+"""The paper's metrics row, ransomware positive.
 
-Metrics are computed as exact rationals and rounded only when rendered.
-Undefined metrics (zero denominator) are reported as None and rendered
-as "n/a" instead of being silently coerced to 0.
+``EvalReport`` is one model's confusion counts; its accuracy, precision
+and recall are exact rationals computed from them and rounded only when
+rendered. Undefined metrics (zero denominator) are reported as None and
+rendered as "n/a" instead of being silently coerced to 0.
 """
 
 from __future__ import annotations
@@ -14,62 +15,33 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class ConfusionMatrix:
+class EvalReport:
+    model_name: str
     tp: int
     tn: int
     fp: int
     fn: int
 
     @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-
-def confusion(y_true, y_pred) -> ConfusionMatrix:
-    cells = 2 * np.asarray(y_true, dtype=np.int64) + np.asarray(y_pred, dtype=np.int64)
-    tn, fp, fn, tp = np.bincount(cells, minlength=4).tolist()
-    return ConfusionMatrix(tp, tn, fp, fn)
-
-
-def accuracy(cm: ConfusionMatrix) -> Fraction:
-    return Fraction(cm.tp + cm.tn, cm.total)
-
-
-def precision(cm: ConfusionMatrix) -> Fraction | None:
-    if cm.tp + cm.fp == 0:
-        return None
-    return Fraction(cm.tp, cm.tp + cm.fp)
-
-
-def recall(cm: ConfusionMatrix) -> Fraction | None:
-    if cm.tp + cm.fn == 0:
-        return None
-    return Fraction(cm.tp, cm.tp + cm.fn)
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    model_name: str
-    cm: ConfusionMatrix
-
-    @property
     def accuracy(self) -> Fraction:
-        return accuracy(self.cm)
+        return Fraction(self.tp + self.tn, self.tp + self.tn + self.fp + self.fn)
 
     @property
     def precision(self) -> Fraction | None:
-        return precision(self.cm)
+        return None if self.tp + self.fp == 0 else Fraction(self.tp, self.tp + self.fp)
 
     @property
     def recall(self) -> Fraction | None:
-        return recall(self.cm)
+        return None if self.tp + self.fn == 0 else Fraction(self.tp, self.tp + self.fn)
 
     def has_undefined(self) -> bool:
         return self.precision is None or self.recall is None
 
 
 def evaluate_predictions(model_name: str, y_true, y_pred) -> EvalReport:
-    return EvalReport(model_name, confusion(y_true, y_pred))
+    cells = 2 * np.asarray(y_true, dtype=np.int64) + np.asarray(y_pred, dtype=np.int64)
+    tn, fp, fn, tp = np.bincount(cells, minlength=4).tolist()
+    return EvalReport(model_name, tp, tn, fp, fn)
 
 
 def _fmt_pct(value) -> str:
@@ -85,7 +57,7 @@ COLUMNS = ("Model", "Accuracy(%)", "Precision", "Recall", "TP", "TN", "FP", "FN"
 
 def report_cells(r: EvalReport) -> tuple[str, ...]:
     return (r.model_name, _fmt_pct(r.accuracy), _fmt_ratio(r.precision), _fmt_ratio(r.recall),
-            *map(str, (r.cm.tp, r.cm.tn, r.cm.fp, r.cm.fn)))
+            *map(str, (r.tp, r.tn, r.fp, r.fn)))
 
 
 def aligned(rows) -> str:

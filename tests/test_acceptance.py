@@ -97,13 +97,11 @@ def test_criterion_2_metrics_exactness():
     }
     with criterion(2, "metrics recomputed from published confusion counts"):
         for kind, (tp, tn, fp, fn) in reference_counts.items():
-            cm = evaluation.ConfusionMatrix(tp, tn, fp, fn)
-            assert cm.total == 503
-            assert round(float(evaluation.accuracy(cm)) * 100, 2) \
-                == REFERENCE_ACCURACY[kind]
-            assert round(float(evaluation.precision(cm)), 2) \
-                == REFERENCE_PRECISION[kind]
-            assert round(float(evaluation.recall(cm)), 2) == REFERENCE_RECALL[kind]
+            report = evaluation.EvalReport(kind, tp, tn, fp, fn)
+            assert tp + tn + fp + fn == 503
+            assert round(float(report.accuracy) * 100, 2) == REFERENCE_ACCURACY[kind]
+            assert round(float(report.precision), 2) == REFERENCE_PRECISION[kind]
+            assert round(float(report.recall), 2) == REFERENCE_RECALL[kind]
 
 
 def test_criterion_3_mi_oracle_equivalence():

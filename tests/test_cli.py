@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -250,6 +251,24 @@ class TestReproduce:
         assert code == 0
         header = (out / "reproduce.csv").read_text().splitlines()[0]
         assert "acc%_mean" in header and "acc%_std" in header
+
+    def test_evaluate_counts_equal_the_reproduce_row_of_each_kind(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, n=120, d=40)
+        split = ["--data", data, "--seed", 3]
+        settings = [*split, "--top-k", 20, "--hp", "n_trees=25", "--hp", "n_rounds=25"]
+        assert run(["reproduce", *settings, "--out", tmp_path / "r"]) == cli.EXIT_OK
+        with open(tmp_path / "r" / "reproduce.csv", newline="") as fh:
+            reproduced = {row["model"]: row for row in csv.DictReader(fh)}
+        counts = ("tp", "tn", "fp", "fn")
+        for kind in MODEL_KINDS:
+            out = tmp_path / kind
+            assert run(["train", *settings, "--model", kind, "--out", out]) == cli.EXIT_OK
+            assert run(["evaluate", *split, "--model-file", out / f"model_{kind}.json",
+                        "--out", out]) == cli.EXIT_OK
+            with open(out / "evaluation.csv", newline="") as fh:
+                (evaluated,) = csv.DictReader(fh)
+            assert [evaluated[c] for c in counts] == \
+                [reproduced[evaluated["model"]][c] for c in counts], kind
 
     def test_non_finite_fit_leaves_no_echo(self, tmp_path, capsys):
         data = make_dataset(tmp_path)

@@ -453,10 +453,12 @@ class TestDataMatrix:
     def test_take_rows_matches_dense_gather(self):
         rng = np.random.default_rng(8)
         dense = (rng.random((9, 7)) < 0.4).astype(np.uint8)
+        dense[5] = 0
         m = matrix_from_dense(dense)
-        order = [4, 0, 8, 3]
-        sub = take_rows(m, order)
-        assert np.array_equal(to_dense(sub), dense[order])
+        # A repeated row, as a bootstrap draws, and an all-zero row.
+        for order in ([4, 0, 8, 3], [2, 7, 2, 2, 0], [5], [1, 5, 5, 6]):
+            sub = take_rows(m, order)
+            assert np.array_equal(to_dense(sub), dense[order])
         assert take_rows(m, []).n_samples == 0
 
 
