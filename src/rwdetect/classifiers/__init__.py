@@ -1,8 +1,14 @@
-"""Six classifiers behind one fit/predict contract, plus serialization."""
+"""Six classifiers behind one fit/predict contract, plus the model-file codec.
+
+``FITTERS[kind](X, y, params)`` fits a model to the columns of ``X`` and
+``model.predict(X)`` scores rows of the same columns. Which features those
+columns are is the ``Fingerprint`` of the selection, which ``serialize_model``
+writes into the model file beside the model and ``deserialize_model`` returns
+with it.
+"""
 
 from .base import (
     DEFAULT_PARAMS,
-    Fingerprint,
     ForestParams,
     GbtParams,
     KnnParams,
@@ -13,7 +19,7 @@ from .base import (
 )
 from .boosting import GbtModel, fit_gradient_boosting
 from .forest import RandomForestModel, fit_random_forest
-from .io import deserialize_model, serialize_model
+from .io import Fingerprint, deserialize_model, serialize_model
 from .knn import KnnModel, fit_knn
 from .linear import (
     LinearSvmModel,
@@ -24,8 +30,6 @@ from .linear import (
 )
 from .tree import DecisionTreeModel, fit_decision_tree
 
-MODEL_KINDS = ("dt", "rf", "knn", "svm", "gbt", "logreg")
-
 FITTERS = {
     "dt": fit_decision_tree,
     "rf": fit_random_forest,
@@ -35,3 +39,4 @@ FITTERS = {
     "logreg": fit_logistic_regression,
 }
 
+MODEL_KINDS = tuple(FITTERS)

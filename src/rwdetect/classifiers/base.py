@@ -1,4 +1,8 @@
-"""Shared classifier plumbing: fingerprints, the label rule, hyperparameters."""
+"""Shared classifier plumbing: the label rule, hyperparameters and fit checks.
+
+A classifier only fits and predicts; the fingerprint of the feature
+selection that made its columns belongs to the model file (``io``).
+"""
 
 from __future__ import annotations
 
@@ -10,15 +14,6 @@ import numpy as np
 from ..errors import FitError
 
 DECISION_THRESHOLD = 0.5
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    """Binds a model to the feature space it was trained on."""
-
-    n_features: int
-    dictionary_sha256: str = ""
-    selected: tuple[int, ...] = ()
 
 
 def sigmoid(z):

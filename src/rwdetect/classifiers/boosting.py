@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import (
-    Fingerprint,
-    GbtParams,
-    check_finite,
-    sigmoid,
-    to_grid,
-)
+from .base import GbtParams, check_finite, sigmoid, to_grid
 from .tree import FlatTree, build_tree, leaf_values
 
 
@@ -77,7 +71,6 @@ class GbtModel:
     trees: tuple[FlatTree, ...]
     base_score: float
     params: GbtParams
-    fingerprint: Fingerprint
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         margin = np.full(len(X), self.base_score, dtype=np.float64)
@@ -87,9 +80,7 @@ class GbtModel:
         return sigmoid(margin)
 
 
-def fit_gradient_boosting(
-    X: np.ndarray, y: np.ndarray, params: GbtParams, fingerprint: Fingerprint
-) -> GbtModel:
+def fit_gradient_boosting(X: np.ndarray, y: np.ndarray, params: GbtParams) -> GbtModel:
     yf = y.astype(np.float64)
     Xf = X.astype(np.float64)
     ghn = np.ones((3, len(yf)))  # g, h and 1 per row
@@ -110,9 +101,4 @@ def fit_gradient_boosting(
             trees.append(grow_gbt_tree(Xf, ghn, params, outputs))
             margin = margin + params.learning_rate * outputs
     check_finite(np.concatenate([t.value for t in trees]))
-    return GbtModel(
-        trees=tuple(trees),
-        base_score=base_score,
-        params=params,
-        fingerprint=fingerprint,
-    )
+    return GbtModel(tuple(trees), base_score, params)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FitError
-from .base import Fingerprint, ForestParams, labels_of
+from .base import ForestParams, labels_of
 from .tree import FlatTree, grow_tree, leaf_values
 
 
@@ -17,16 +17,13 @@ class RandomForestModel:
     kind = "rf"
     trees: tuple[FlatTree, ...]
     params: ForestParams
-    fingerprint: Fingerprint
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """The fraction of trees whose leaf score ``labels_of`` labels positive."""
         return labels_of(leaf_values(self.trees, X)).sum(axis=1) / len(self.trees)
 
 
-def fit_random_forest(
-    X: np.ndarray, y: np.ndarray, params: ForestParams, fingerprint: Fingerprint
-) -> RandomForestModel:
+def fit_random_forest(X: np.ndarray, y: np.ndarray, params: ForestParams) -> RandomForestModel:
     n, d = X.shape
     fps = params.features_per_split
     if fps is None:
@@ -45,8 +42,4 @@ def fit_random_forest(
         idx = np.sort(rng.integers(0, n, size=n)) if params.bootstrap else np.arange(n)
         trees.append(grow_tree(XT, y, idx, params,
                                candidate_picker=None if fps == d else picker))
-    return RandomForestModel(
-        trees=tuple(trees),
-        params=params,
-        fingerprint=fingerprint,
-    )
+    return RandomForestModel(tuple(trees), params)

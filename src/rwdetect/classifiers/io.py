@@ -1,10 +1,14 @@
-"""Versioned model serialization.
+"""Versioned model files: a fitted classifier together with its fingerprint.
 
-The container is canonical JSON (sorted keys, compact separators, UTF-8),
-so re-serializing a round-tripped model is byte-identical:
+A classifier knows only its columns; the ``Fingerprint`` says which
+features of which dictionary they are. The two travel together in the
+model file and come back together from it. The container is canonical
+JSON (sorted keys, compact separators, UTF-8), so re-serializing a
+round-tripped model is byte-identical:
 
     {"format_version": 1, "model_kind": ..., "hyperparameters": {...},
-     "fingerprint": {...}, "payload": {...}}
+     "fingerprint": {"n_features": ..., "dictionary_sha256": ..., "selected": [...]},
+     "payload": {...}}
 
 Decoding validates the whole document against the fingerprint (split
 features, weight counts, stored KNN rows and k), so a file that loads
@@ -16,12 +20,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from ..errors import FitError, ModelFormatError
-from .base import DEFAULT_PARAMS, Fingerprint
+from .base import DEFAULT_PARAMS
 from .boosting import GbtModel
 from .forest import RandomForestModel
 from .knn import KnnModel
@@ -29,6 +33,16 @@ from .linear import LinearSvmModel, LogRegModel
 from .tree import DecisionTreeModel, FlatTree, build_tree
 
 FORMAT_VERSION = 1
+
+
+@dataclass(frozen=True)
+class Fingerprint:
+    """The feature selection a model's columns come from: the sha256 of the
+    training dictionary and the ordinal of each column's feature in it, so
+    ``len(selected)`` is the model's width."""
+
+    dictionary_sha256: str
+    selected: tuple[int, ...]
 
 
 def _encode_tree(tree: FlatTree, leaf_key: str, node: int = 0):
@@ -98,15 +112,15 @@ def _payload(model):
     }
 
 
-def serialize_model(model) -> bytes:
+def serialize_model(model, fingerprint: Fingerprint) -> bytes:
     doc = {
         "format_version": FORMAT_VERSION,
         "model_kind": model.kind,
         "hyperparameters": asdict(model.params),
         "fingerprint": {
-            "n_features": model.fingerprint.n_features,
-            "dictionary_sha256": model.fingerprint.dictionary_sha256,
-            "selected": list(model.fingerprint.selected),
+            "n_features": len(fingerprint.selected),
+            "dictionary_sha256": fingerprint.dictionary_sha256,
+            "selected": list(fingerprint.selected),
         },
         "payload": _payload(model),
     }
@@ -133,12 +147,12 @@ def _decode_fingerprint(fp) -> Fingerprint:
     _require(all(type(j) is int and j >= 0 for j in selected)
              and len(set(selected)) == len(selected),
              "fingerprint selected must be distinct ordinals >= 0")
-    return Fingerprint(n_features, sha, tuple(selected))
+    return Fingerprint(sha, tuple(selected))
 
 
-def _decode_knn(payload, params, fingerprint: Fingerprint) -> KnnModel:
+def _decode_knn(payload, params, d: int) -> KnnModel:
     n_features = payload["n_features"]
-    _require(type(n_features) is int and n_features == fingerprint.n_features,
+    _require(type(n_features) is int and n_features == d,
              f"knn n_features {n_features!r} differs from the fingerprint's")
     rows = _list(payload["rows"], "knn rows")
     labels = _list(payload["labels"], "knn labels", len(rows))
@@ -166,10 +180,28 @@ def _decode_knn(payload, params, fingerprint: Fingerprint) -> KnnModel:
         j = row[-1] if 0 <= row[0] < n_features else row[0]
         raise ModelFormatError(f"knn row {i}: ordinal {j} outside [0, {n_features})")
     train[row_of, ordinals] = 1
-    return KnnModel(train, tuple(labels), params, fingerprint)
+    return KnnModel(train, tuple(labels), params)
+
+
+def _decode_payload(kind: str, payload, params, d: int):
+    """``kind``'s classifier from its file payload, ``d`` columns wide."""
+    if kind == "knn":
+        return _decode_knn(payload, params, d)
+    if kind == "dt":
+        return DecisionTreeModel(_decode_tree(payload["root"], "s", d), params)
+    if kind == "rf":
+        return RandomForestModel(_decode_trees(payload, "s", d, params.n_trees), params)
+    if kind == "gbt":
+        return GbtModel(_decode_trees(payload, "w", d, params.n_rounds),
+                        _number(payload["base_score"], "base_score"), params)
+    linear = LinearSvmModel if kind == "svm" else LogRegModel
+    weights = _list(payload["weights"], "weights", d)
+    return linear(tuple(_number(w, "weight") for w in weights),
+                  _number(payload["bias"], "bias"), params)
 
 
 def deserialize_model(data: bytes):
+    """``(model, fingerprint)`` of a model file, every part of it checked."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
@@ -184,22 +216,8 @@ def deserialize_model(data: bytes):
     try:
         params = _decode_params(kind, doc["hyperparameters"])
         fingerprint = _decode_fingerprint(doc["fingerprint"])
-        d, payload = fingerprint.n_features, doc["payload"]
-        bound = {"params": params, "fingerprint": fingerprint}
-        if kind == "knn":
-            return _decode_knn(payload, params, fingerprint)
-        if kind == "dt":
-            return DecisionTreeModel(tree=_decode_tree(payload["root"], "s", d), **bound)
-        if kind == "rf":
-            return RandomForestModel(trees=_decode_trees(payload, "s", d, params.n_trees),
-                                     **bound)
-        if kind == "gbt":
-            return GbtModel(trees=_decode_trees(payload, "w", d, params.n_rounds),
-                            base_score=_number(payload["base_score"], "base_score"), **bound)
-        linear = LinearSvmModel if kind == "svm" else LogRegModel
-        weights = _list(payload["weights"], "weights", d)
-        return linear(weights=tuple(_number(w, "weight") for w in weights),
-                      bias=_number(payload["bias"], "bias"), **bound)
+        model = _decode_payload(kind, doc["payload"], params, len(fingerprint.selected))
+        return model, fingerprint
     except FitError as exc:  # a hyperparameter of another type or out of its range
         raise ModelFormatError(f"hyperparameter {exc}") from None
     # RecursionError: a tree nested deeper than the decoder recurses.

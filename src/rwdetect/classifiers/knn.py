@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FitError
-from .base import Fingerprint, KnnParams
+from .base import KnnParams
 
 QUERY_BLOCK = 128
 TRAIN_TILE = 256
@@ -25,7 +25,6 @@ class KnnModel:
     train: np.ndarray  # 0/1, one row per training sample
     train_labels: tuple[int, ...]
     params: KnnParams
-    fingerprint: Fingerprint
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         # Hamming distance |q| + |t| - 2 q.t, built in place, exactly: every value
@@ -60,12 +59,7 @@ class KnnModel:
         return votes
 
 
-def fit_knn(X: np.ndarray, y: np.ndarray, params: KnnParams, fingerprint: Fingerprint) -> KnnModel:
+def fit_knn(X: np.ndarray, y: np.ndarray, params: KnnParams) -> KnnModel:
     if params.k_neighbors > len(X):
         raise FitError(f"k_neighbors {params.k_neighbors} > n_samples {len(X)}")
-    return KnnModel(
-        train=X,
-        train_labels=tuple(y.tolist()),
-        params=params,
-        fingerprint=fingerprint,
-    )
+    return KnnModel(X, tuple(y.tolist()), params)

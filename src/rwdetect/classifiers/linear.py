@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import FitError
-from .base import Fingerprint, LogRegParams, SvmParams, sigmoid, to_grid
+from .base import LogRegParams, SvmParams, sigmoid, to_grid
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,6 @@ class LinearSvmModel:
     weights: tuple[float, ...]
     bias: float
     params: SvmParams
-    fingerprint: Fingerprint
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """The sigmoid of each row's margin ``x.w + b``, so a score reaches 0.5 where
@@ -34,9 +33,7 @@ class LinearSvmModel:
         return sigmoid(X.astype(np.float64) @ np.asarray(self.weights) + self.bias)
 
 
-def fit_linear_svm(
-    X: np.ndarray, y: np.ndarray, params: SvmParams, fingerprint: Fingerprint
-) -> LinearSvmModel:
+def fit_linear_svm(X: np.ndarray, y: np.ndarray, params: SvmParams) -> LinearSvmModel:
     """Seeded stochastic subgradient descent with step 1/(lam*t + 1) and
     projection onto the ball of radius 1/sqrt(lam), returning
     iterate-averaged weights. The unit offset in the step keeps early
@@ -67,12 +64,7 @@ def fit_linear_svm(
                 w *= radius / norm
             w_sum += w
     w_avg = w_sum / t
-    return LinearSvmModel(
-        weights=tuple(float(v) for v in w_avg[:-1]),
-        bias=float(w_avg[-1]),
-        params=params,
-        fingerprint=fingerprint,
-    )
+    return LinearSvmModel(tuple(float(v) for v in w_avg[:-1]), float(w_avg[-1]), params)
 
 
 @dataclass(frozen=True)
@@ -81,7 +73,6 @@ class LogRegModel:
     weights: tuple[float, ...]
     bias: float
     params: LogRegParams
-    fingerprint: Fingerprint
     loss_history: tuple[float, ...] = field(default=(), compare=False)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -120,9 +111,7 @@ def logistic_loss_and_gradient(w, b, X, y, l2: float):
     return loss, grad_w, grad_b
 
 
-def fit_logistic_regression(
-    X: np.ndarray, y: np.ndarray, params: LogRegParams, fingerprint: Fingerprint
-) -> LogRegModel:
+def fit_logistic_regression(X: np.ndarray, y: np.ndarray, params: LogRegParams) -> LogRegModel:
     """Full-batch gradient descent from zero initialization."""
     X1 = OneEntries(X)
     yf = y.astype(np.float64)
@@ -142,10 +131,4 @@ def fit_logistic_regression(
             if not np.abs(to_grid(wb, 2**20)).sum() < 2**20:
                 raise FitError("the fit produced a non-finite number or |w|_1 + |b| >= 2^20; "
                                "a smaller learning_rate or a larger penalty avoids it")
-    return LogRegModel(
-        weights=tuple(float(v) for v in w),
-        bias=float(wb[-1]),
-        params=params,
-        fingerprint=fingerprint,
-        loss_history=tuple(history),
-    )
+    return LogRegModel(tuple(float(v) for v in w), float(wb[-1]), params, tuple(history))

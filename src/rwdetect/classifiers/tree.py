@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import Fingerprint, TreeParams
+from .base import TreeParams
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,19 +143,12 @@ class DecisionTreeModel:
     kind = "dt"
     tree: FlatTree
     params: TreeParams
-    fingerprint: Fingerprint
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """The positive fraction of the training rows in the leaf each row reaches."""
         return leaf_values((self.tree,), X)[:, 0]
 
 
-def fit_decision_tree(
-    X: np.ndarray, y: np.ndarray, params: TreeParams, fingerprint: Fingerprint
-) -> DecisionTreeModel:
+def fit_decision_tree(X: np.ndarray, y: np.ndarray, params: TreeParams) -> DecisionTreeModel:
     tree = grow_tree(np.ascontiguousarray(X.T), y, np.arange(len(y)), params)
-    return DecisionTreeModel(
-        tree=tree,
-        params=params,
-        fingerprint=fingerprint,
-    )
+    return DecisionTreeModel(tree, params)

@@ -9,6 +9,8 @@ key and its line in the echo; each command takes only the settings it
 reads. Flag > config file > default. ``main`` writes the outputs a command
 returns, then the echo of the effective configuration, each whole or not at
 all, so any run can be repeated bit-identically and a failed run leaves no echo.
+Only then does it print the command's stdout text, so a run that says it
+wrote a file has written it.
 """
 
 from __future__ import annotations
@@ -220,7 +222,7 @@ def make_params(kind: str, overrides: dict):
 
 
 def load_model(cfg: RunConfig):
-    """The model in ``cfg.model_file``; no such file is a usage error."""
+    """``(model, fingerprint)`` of ``cfg.model_file``; no such file is a usage error."""
     if not cfg.model_file or not Path(cfg.model_file).is_file():
         raise UsageError("--model-file must point to an existing model")
     with out_of_memory(cfg.model_file):
@@ -252,75 +254,73 @@ def predict_and_evaluate(model, X, y):
 
 
 def split_and_select(matrix, dictionary, y, cfg: RunConfig):
-    """Projected train and test partitions, their labels and the models' fingerprint."""
+    """Projected train and test partitions, their labels and the fingerprint of the selection."""
     train_idx, test_idx = dataset.stratified_split(y, cfg.seed, cfg.test_fraction)
     train_y = y[train_idx]
     # Selection is fit on the training partition only.
     scores = selection.score_all(dataset.take_rows(matrix, train_idx), train_y)
     k = min(cfg.top_k, matrix.n_features)
     selected = selection.select_k_best(scores, k)
-    fingerprint = classifiers.Fingerprint(k, dictionary.sha256(), selected)
+    fingerprint = classifiers.Fingerprint(dictionary.sha256(), selected)
     X = selection.project(matrix, selected)
     return X[train_idx], train_y, X[test_idx], y[test_idx], fingerprint
 
 
-def cmd_mi_scores(cfg: RunConfig, args) -> tuple[int, dict]:
+def cmd_mi_scores(cfg: RunConfig, args) -> tuple[int, dict, str]:
     matrix, dictionary, y = load_data(cfg)
     scores = selection.score_all(matrix, y)
     order = selection.rank_features(scores)
     path = Path(cfg.out) / "mi_scores.csv"
-    print(f"wrote {len(scores)} feature scores to {path}")
-    print("top 20 features by MI (nats):")
-    for j in order[:20].tolist():
-        print(f"  {dictionary.names[j]}  {scores[j]:.6f}")
-    return EXIT_OK, {path: lambda fh: selection.write_scores_csv(fh, dictionary, scores, order)}
+    lines = [f"wrote {len(scores)} feature scores to {path}", "top 20 features by MI (nats):"]
+    lines += [f"  {dictionary.names[j]}  {scores[j]:.6f}" for j in order[:20].tolist()]
+    return (EXIT_OK, {path: lambda fh: selection.write_scores_csv(fh, dictionary, scores, order)},
+            "\n".join(lines))
 
 
-def cmd_train(cfg: RunConfig, args) -> tuple[int, dict]:
+def cmd_train(cfg: RunConfig, args) -> tuple[int, dict, str]:
     matrix, dictionary, y = load_data(cfg)
     train_p, train_y, _, _, fingerprint = split_and_select(matrix, dictionary, y, cfg)
     params = make_params(cfg.model, cfg.hp)
-    model = classifiers.FITTERS[cfg.model](train_p, train_y, params, fingerprint)
+    model = classifiers.FITTERS[cfg.model](train_p, train_y, params)
 
-    blob = classifiers.serialize_model(model)
+    blob = classifiers.serialize_model(model, fingerprint)
     model_path = Path(cfg.model_file or Path(cfg.out) / f"model_{cfg.model}.json")
 
     report = predict_and_evaluate(model, train_p, train_y)
-    print(f"model written to {model_path} ({len(blob)} bytes)")
-    print(f"train accuracy: {float(report.accuracy):.4f}")
-    return EXIT_OK, {model_path: lambda fh: fh.write(blob)}
+    return EXIT_OK, {model_path: lambda fh: fh.write(blob)}, (
+        f"model written to {model_path} ({len(blob)} bytes)\n"
+        f"train accuracy: {float(report.accuracy):.4f}")
 
 
-def cmd_evaluate(cfg: RunConfig, args) -> tuple[int, dict]:
-    model = load_model(cfg)
+def cmd_evaluate(cfg: RunConfig, args) -> tuple[int, dict, str]:
+    model, fingerprint = load_model(cfg)
     matrix, dictionary, y = load_data(cfg)
-    reports.check_fingerprint(model.fingerprint, dictionary)
+    reports.check_fingerprint(fingerprint, dictionary)
     # The test partition is the model's only when this split selects its features.
-    _, _, test_p, test_y, fingerprint = split_and_select(
-        matrix, dictionary, y, dataclasses.replace(cfg, top_k=model.fingerprint.n_features))
-    if fingerprint != model.fingerprint:
+    _, _, test_p, test_y, split_fingerprint = split_and_select(
+        matrix, dictionary, y, dataclasses.replace(cfg, top_k=len(fingerprint.selected)))
+    if split_fingerprint != fingerprint:
         raise FingerprintMismatch(
             f"the model was not trained on the split of seed {cfg.seed} and test_fraction "
             f"{cfg.test_fraction}: its selected features differ")
     report = predict_and_evaluate(model, test_p, test_y)
-    print(evaluation.compare_models_text([report]))
     table = evaluation.compare_models_csv([report]).encode("utf-8")
     code = EXIT_TOLERANCE if cfg.strict and report.has_undefined() else EXIT_OK
-    return code, {Path(cfg.out) / "evaluation.csv": lambda fh: fh.write(table)}
+    return (code, {Path(cfg.out) / "evaluation.csv": lambda fh: fh.write(table)},
+            evaluation.compare_models_text([report]))
 
 
 def _reproduce_once(matrix, dictionary, y, cfg: RunConfig):
     """Each kind's test metrics on the split and selection of ``cfg.seed``."""
-    train_p, train_y, test_p, test_y, fingerprint = split_and_select(matrix, dictionary, y, cfg)
+    train_p, train_y, test_p, test_y, _ = split_and_select(matrix, dictionary, y, cfg)
     results = {}
     for kind in classifiers.MODEL_KINDS:
-        model = classifiers.FITTERS[kind](train_p, train_y, make_params(kind, cfg.hp),
-                                          fingerprint)
+        model = classifiers.FITTERS[kind](train_p, train_y, make_params(kind, cfg.hp))
         results[kind] = predict_and_evaluate(model, test_p, test_y)
     return results
 
 
-def cmd_reproduce(cfg: RunConfig, args) -> tuple[int, dict]:
+def cmd_reproduce(cfg: RunConfig, args) -> tuple[int, dict, str]:
     seeds = [int(s) for s in cfg.seeds.split(",")] if cfg.seeds else [cfg.seed]
     matrix, dictionary, y = load_data(cfg)
     per_seed = [_reproduce_once(matrix, dictionary, y, dataclasses.replace(cfg, seed=s))
@@ -336,11 +336,13 @@ def cmd_reproduce(cfg: RunConfig, args) -> tuple[int, dict]:
         display, *reference = BASELINE[kind]
         accs = [float(r[kind].accuracy) * 100 for r in per_seed]
         first = per_seed[0][kind]
-        measured = [accs[0], *(float("nan") if v is None else float(v)
-                               for v in (first.precision, first.recall))]
         row = [display]
-        for value, ref, tolerance in zip(measured, reference, TOLERANCE):
-            # An undefined metric is NaN, which compares False: within tolerance.
+        for value, ref, tolerance in zip((accs[0], first.precision, first.recall),
+                                         reference, TOLERANCE):
+            if value is None:  # undefined, as in evaluate: n/a, within tolerance on its own
+                row += ["n/a", f"{ref:.2f}", "n/a"]
+                continue
+            value = float(value)
             if abs(value - ref) > tolerance:
                 within_tolerance = False
             row += [f"{value:.2f}", f"{ref:.2f}", f"{value - ref:+.2f}"]
@@ -349,10 +351,10 @@ def cmd_reproduce(cfg: RunConfig, args) -> tuple[int, dict]:
             row += [f"{statistics.mean(accs):.2f}", f"{statistics.stdev(accs):.2f}"]
         rows.append(row)
 
-    print(evaluation.aligned(rows))
     table = ("\n".join(",".join(r) for r in rows) + "\n").encode("utf-8")
     code = EXIT_TOLERANCE if cfg.strict and not within_tolerance else EXIT_OK
-    return code, {Path(cfg.out) / "reproduce.csv": lambda fh: fh.write(table)}
+    return (code, {Path(cfg.out) / "reproduce.csv": lambda fh: fh.write(table)},
+            evaluation.aligned(rows))
 
 
 def _iter_report_files(path: Path):
@@ -376,16 +378,16 @@ def _iter_report_files(path: Path):
                     yield f"{path.name}:{i + 1}", line
 
 
-def cmd_score(cfg: RunConfig, args) -> tuple[int, dict]:
+def cmd_score(cfg: RunConfig, args) -> tuple[int, dict, str]:
     reports_path = Path(args.reports)
     if not reports_path.exists():
         raise UsageError(f"reports path not found: {args.reports}")
-    model = load_model(cfg)
+    model, fingerprint = load_model(cfg)
     # Token lookup needs the training dictionary only, not its samples.
     dictionary = load_data(cfg, dataset.load_dictionary)
 
     report_ids, scores, counts, failures = reports.score_documents(
-        _iter_report_files(reports_path), model, dictionary
+        _iter_report_files(reports_path), model, fingerprint, dictionary
     )
     for report_id, exc in failures:
         print(f"{report_id}: {exc}", file=sys.stderr)
@@ -398,12 +400,9 @@ def cmd_score(cfg: RunConfig, args) -> tuple[int, dict]:
     ]
     table = ("\n".join(lines) + "\n").encode("utf-8")
     ransomware = sum(labels)
-    print("\n".join(lines))
-    print(
-        f"scored {len(labels)} reports: {ransomware} ransomware, "
-        f"{len(labels) - ransomware} goodware, {len(failures)} malformed"
-    )
-    return EXIT_OK, {Path(cfg.out) / "verdicts.csv": lambda fh: fh.write(table)}
+    lines.append(f"scored {len(labels)} reports: {ransomware} ransomware, "
+                 f"{len(labels) - ransomware} goodware, {len(failures)} malformed")
+    return EXIT_OK, {Path(cfg.out) / "verdicts.csv": lambda fh: fh.write(table)}, "\n".join(lines)
 
 
 class ArgumentParser(argparse.ArgumentParser):
@@ -465,12 +464,13 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = build_config(args)
-        code, outputs = args.func(cfg, args)
+        code, outputs, text = args.func(cfg, args)
         # The echo is written last, so a run that fails at any step leaves none.
         echo = cfg.echo(COMMANDS[args.command][2]).encode("utf-8")
         outputs[Path(cfg.out) / f"{args.command}.config"] = lambda fh: fh.write(echo)
         for path, write in outputs.items():
             write_whole(path, write)
+        print(text)
         if code == EXIT_TOLERANCE:
             print(STRICT_FAILURE[args.command], file=sys.stderr)
         return code

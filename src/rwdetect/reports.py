@@ -7,12 +7,13 @@ the feature name "API:CreateFileW". Presence is binary; duplicate tokens
 are collapsed before matching. Unknown tokens are counted as unmatched
 diagnostics, never errors.
 
-Reports are scored in batches: the model's fingerprint is checked once
-against the dictionary, every report is vectorized into one
-0/1 array of the selected columns, and the model predicts all rows in
-one call. The dictionary comes from the feature section of the training
-dataset alone; a fingerprint mismatch fails the whole batch, while a
-report that does not parse is set aside and the rest are scored.
+Reports are scored in batches against a model and the fingerprint that
+came with it in its model file: the fingerprint is checked once against
+the dictionary, every report is vectorized into one 0/1 array of the
+selected columns, and the model predicts all rows in one call. The
+dictionary comes from the feature section of the training dataset alone;
+a fingerprint mismatch fails the whole batch, while a report that does
+not parse is set aside and the rest are scored.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def vectorize(tokens: set[str], dictionary: FeatureDictionary) -> VectorizeOutco
 def check_fingerprint(fingerprint, dictionary: FeatureDictionary) -> None:
     """Raise ``FingerprintMismatch`` unless the fingerprint's selected
     ordinals of ``dictionary`` are the feature space the model was trained on.
-    The model decoder has checked that it selects ``n_features`` ordinals."""
+    The model decoder has checked that it selects at least one ordinal."""
     if fingerprint.dictionary_sha256 != dictionary.sha256():
         raise FingerprintMismatch("feature dictionary differs from the model's")
     if max(fingerprint.selected) >= len(dictionary):
@@ -94,9 +95,9 @@ def check_fingerprint(fingerprint, dictionary: FeatureDictionary) -> None:
 
 
 def score_reports(
-    reports, model, dictionary: FeatureDictionary
+    reports, model, fingerprint, dictionary: FeatureDictionary
 ) -> tuple[np.ndarray, list[VectorizeOutcome]]:
-    """vectorize -> project through the model's selection -> predict, for a whole batch.
+    """vectorize -> project through ``fingerprint``'s selection -> predict, for a whole batch.
 
     ``reports`` is any iterable of ``parse_report`` token sets. The
     fingerprint is checked once, before any report is read, and the model
@@ -106,8 +107,8 @@ def score_reports(
     shares with the selected names; only its (row, column) entries and its
     outcome are kept until the batch's array is filled.
     """
-    selected = model.fingerprint.selected
-    check_fingerprint(model.fingerprint, dictionary)
+    selected = fingerprint.selected
+    check_fingerprint(fingerprint, dictionary)
     column = {dictionary.names[j]: c for c, j in enumerate(selected)}
     names = frozenset(column)  # a set intersection walks the smaller side
     rows, columns, counts = array("i"), array("i"), []
@@ -122,14 +123,14 @@ def score_reports(
 
 
 def score_report(
-    tokens: set[str], model, dictionary: FeatureDictionary
+    tokens: set[str], model, fingerprint, dictionary: FeatureDictionary
 ) -> tuple[float, VectorizeOutcome]:
     """``score_reports`` of a one-report batch: its score and its outcome."""
-    scores, counts = score_reports([tokens], model, dictionary)
+    scores, counts = score_reports([tokens], model, fingerprint, dictionary)
     return scores[0], counts[0]
 
 
-def score_documents(documents, model, dictionary: FeatureDictionary):
+def score_documents(documents, model, fingerprint, dictionary: FeatureDictionary):
     """Parse and score ``(report_id, text)`` documents as one batch.
 
     A document that could not be read is passed as its ``DataFormatError``
@@ -153,5 +154,5 @@ def score_documents(documents, model, dictionary: FeatureDictionary):
             report_ids.append(report_id)
             yield tokens
 
-    scores, counts = score_reports(parsed(), model, dictionary)
+    scores, counts = score_reports(parsed(), model, fingerprint, dictionary)
     return report_ids, scores, counts, failures

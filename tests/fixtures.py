@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rwdetect.classifiers.base import Fingerprint, GbtParams, LogRegParams, sigmoid, to_grid
+from rwdetect.classifiers.base import GbtParams, LogRegParams, sigmoid, to_grid
+from rwdetect.classifiers.io import Fingerprint
 from rwdetect.classifiers.linear import logistic_loss_and_gradient
 from rwdetect.classifiers.tree import FlatTree, build_tree
 from rwdetect.dataset import DataMatrix, FeatureDictionary
@@ -40,9 +41,9 @@ def to_dense(matrix: DataMatrix) -> np.ndarray:
 
 
 def every_column(d: int) -> Fingerprint:
-    """The fingerprint of a model fit on all ``d`` columns, whose file
-    selects each of them."""
-    return Fingerprint(d, "", tuple(range(d)))
+    """The fingerprint a model file gives a model fit on all ``d`` columns:
+    it selects each of them."""
+    return Fingerprint("", tuple(range(d)))
 
 
 def matrices_equal(a: DataMatrix, b: DataMatrix) -> bool:

@@ -59,8 +59,7 @@ def reference_report(text, names, selected):
 class RecordingModel:
     """Stands in for a classifier: keeps each array it is asked to predict."""
 
-    def __init__(self, fingerprint):
-        self.fingerprint = fingerprint
+    def __init__(self):
         self.arrays = []
 
     def predict(self, X):

@@ -18,7 +18,6 @@ from rwdetect.classifiers import (
     DEFAULT_PARAMS,
     FITTERS,
     MODEL_KINDS,
-    Fingerprint,
     GbtParams,
     KnnParams,
     TreeParams,
@@ -75,8 +74,7 @@ def test_criterion_1_table_reproduction():
         test_p = selection.project(test_m, selected)
 
         for kind in MODEL_KINDS:
-            model = FITTERS[kind](train_p, train_y, DEFAULT_PARAMS[kind](),
-                                  Fingerprint(train_p.shape[1]))
+            model = FITTERS[kind](train_p, train_y, DEFAULT_PARAMS[kind]())
             report = evaluation.evaluate_predictions(
                 kind, test_y, labels_of(model.predict(test_p))
             )
@@ -165,8 +163,7 @@ def test_criterion_5_knn_oracle():
             for k in (1, 3, 5):
                 if k > n:
                     continue
-                model = fit_knn(train_X, train_y, KnnParams(k_neighbors=k),
-                                Fingerprint(train_X.shape[1]))
+                model = fit_knn(train_X, train_y, KnnParams(k_neighbors=k))
                 assert model.predict(query_X).tolist() == \
                     [knn_oracle(train_X, train_y, q, k) for q in query_X]
 
@@ -179,7 +176,7 @@ def test_criterion_6_tree_split_oracles():
             for pattern in range(256):  # every label assignment
                 y = np.array([(pattern >> i) & 1 for i in range(8)], dtype=np.int64)
 
-                tree = fit_decision_tree(X, y, TreeParams(), Fingerprint(X.shape[1])).tree
+                tree = fit_decision_tree(X, y, TreeParams()).tree
                 expected = gini_oracle_root(X, y)
                 actual = None if tree.is_leaf(0) else tree.feature[0]
                 assert actual == expected, (pattern, actual, expected)
@@ -187,7 +184,7 @@ def test_criterion_6_tree_split_oracles():
                 if y.min() == y.max():
                     continue
                 gbt = fit_gradient_boosting(
-                    X, y, GbtParams(n_rounds=1, max_depth=1), Fingerprint(X.shape[1])
+                    X, y, GbtParams(n_rounds=1, max_depth=1)
                 )
                 best_gain, optimal, results = gain_oracle(X, y, lam=1.0)
                 tree = gbt.trees[0]
@@ -212,11 +209,12 @@ def test_criterion_7_determinism_and_persistence():
         test_X = random_dense(rng, 1000, 10)
 
         for kind in MODEL_KINDS:
-            args = (train_X, train_y, DEFAULT_PARAMS[kind](), every_column(train_X.shape[1]))
+            args = (train_X, train_y, DEFAULT_PARAMS[kind]())
+            fingerprint = every_column(train_X.shape[1])
             model = FITTERS[kind](*args)
-            blob = serialize_model(model)
-            assert serialize_model(FITTERS[kind](*args)) == blob
-            restored = deserialize_model(blob)
+            blob = serialize_model(model, fingerprint)
+            assert serialize_model(FITTERS[kind](*args), fingerprint) == blob
+            restored, _ = deserialize_model(blob)
             assert restored.predict(test_X).tobytes() == model.predict(test_X).tobytes()
 
 
@@ -240,8 +238,7 @@ def test_criterion_8_pipeline_soundness():
         train_p = selection.project(train_m, selected)
         test_p = selection.project(test_m, selected)
         for kind in MODEL_KINDS:
-            model = FITTERS[kind](train_p, train_y, DEFAULT_PARAMS[kind](),
-                                  Fingerprint(train_p.shape[1]))
+            model = FITTERS[kind](train_p, train_y, DEFAULT_PARAMS[kind]())
             acc = float(
                 evaluation.evaluate_predictions(
                     kind, test_y, labels_of(model.predict(test_p))

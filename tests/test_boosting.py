@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rwdetect.classifiers import Fingerprint, GbtParams, fit_gradient_boosting, labels_of
+from rwdetect.classifiers import GbtParams, fit_gradient_boosting, labels_of
 from rwdetect.errors import FitError
 
 from conftest import random_dense, xy
@@ -49,14 +49,13 @@ class TestGradientBoosting:
     def test_base_score_alone_predicts_positive_rate(self):
         # one round whose step vanishes leaves the margin at the base score
         X, y = xy([[0], [1], [0], [1]], [0, 1, 1, 1])
-        model = fit_gradient_boosting(X, y, GbtParams(n_rounds=1, learning_rate=5e-324),
-                                      Fingerprint(X.shape[1]))
+        model = fit_gradient_boosting(X, y, GbtParams(n_rounds=1, learning_rate=5e-324))
         for score in model.predict(X):
             assert score == pytest.approx(0.75, abs=1e-12)
 
     def test_separating_feature_reaches_perfect_accuracy(self):
         X, y = xy([[0, 1], [1, 0], [0, 0], [1, 1], [0, 1], [1, 0]], [0, 1, 0, 1, 0, 1])
-        model = fit_gradient_boosting(X, y, GbtParams(n_rounds=10), Fingerprint(X.shape[1]))
+        model = fit_gradient_boosting(X, y, GbtParams(n_rounds=10))
         assert labels_of(model.predict(X)).tolist() == y.tolist()
 
     @pytest.mark.parametrize("seed", range(30))
@@ -68,7 +67,7 @@ class TestGradientBoosting:
             y[0] = 1 - y[0]
         lam = 1.0
         model = fit_gradient_boosting(
-            X, y, GbtParams(n_rounds=1, max_depth=1, l2_leaf_penalty=lam), Fingerprint(X.shape[1])
+            X, y, GbtParams(n_rounds=1, max_depth=1, l2_leaf_penalty=lam)
         )
         best_gain, optimal, results = gain_oracle(X, y, lam)
 
@@ -87,7 +86,7 @@ class TestGradientBoosting:
         X = random_dense(rng, 40, 6)
         y = rng.integers(0, 2, size=40)
         model = fit_gradient_boosting(
-            X, y, GbtParams(n_rounds=5, l2_leaf_penalty=1e9), Fingerprint(X.shape[1])
+            X, y, GbtParams(n_rounds=5, l2_leaf_penalty=1e9)
         )
 
         def leaves(tree, node=0):
@@ -104,11 +103,11 @@ class TestGradientBoosting:
     def test_non_positive_learning_rate_rejected(self):
         X, y = xy([[0], [1]], [0, 1])
         with pytest.raises(FitError, match="learning_rate"):
-            fit_gradient_boosting(X, y, GbtParams(learning_rate=0.0), Fingerprint(X.shape[1]))
+            fit_gradient_boosting(X, y, GbtParams(learning_rate=0.0))
 
     def test_base_score_is_logit_of_mean(self):
         X, y = xy([[0]] * 3 + [[1]], [0, 0, 0, 1])
-        model = fit_gradient_boosting(X, y, GbtParams(n_rounds=1), Fingerprint(X.shape[1]))
+        model = fit_gradient_boosting(X, y, GbtParams(n_rounds=1))
         assert sigmoid(model.base_score) == pytest.approx(0.25, abs=1e-12)
 
 
@@ -119,7 +118,7 @@ def test_subtraction_grows_the_trees_of_gathering_every_node(n):
     X = np.hstack([base, base[:, ::-1]])  # column j + 7 repeats 6 - j: every split ties
     y = (rng.random(n) < 0.2 + 0.5 * base[:, 2]).astype(np.int64)
     params = GbtParams(n_rounds=8, max_depth=4)
-    model = fit_gradient_boosting(X, y, params, Fingerprint(X.shape[1]))
+    model = fit_gradient_boosting(X, y, params)
     expected = gathered_gbt_trees(X, y, params)
     for tree, reference in zip(model.trees, expected, strict=True):
         for name in ("feature", "left", "right", "value"):

@@ -270,6 +270,27 @@ class TestReproduce:
             assert [evaluated[c] for c in counts] == \
                 [reproduced[evaluated["model"]][c] for c in counts], kind
 
+    def test_undefined_precision_is_written_n_a(self, tmp_path, capsys):
+        # Depth-0 trees predict goodware for every row: dt, rf and gbt have no
+        # precision, which is written "n/a" with its delta, as evaluate writes it.
+        data = make_dataset(tmp_path, n=100)
+        argv = ["reproduce", "--data", data, "--top-k", 5, "--test-fraction", "0.3",
+                "--hp", "max_depth=0", "--hp", "n_trees=5", "--hp", "n_rounds=5",
+                "--hp", "epochs=20"]
+        capsys.readouterr()
+        # Their recall of 0 misses the baseline; the undefined precision alone would not.
+        assert run([*argv, "--out", tmp_path / "out", "--strict"]) == cli.EXIT_TOLERANCE
+        printed = capsys.readouterr().out
+        table = (tmp_path / "out" / "reproduce.csv").read_text()
+        assert "nan" not in printed and "nan" not in table
+        with open(tmp_path / "out" / "reproduce.csv", newline="") as fh:
+            rows = {row["model"]: row for row in csv.DictReader(fh)}
+        for kind in ("dt", "rf", "gbt"):
+            row = rows[cli.BASELINE[kind][0]]
+            assert (row["prec"], row["d_prec"]) == ("n/a", "n/a")
+            assert (row["rec"], row["d_rec"]) == ("0.00", f"{-cli.BASELINE[kind][3]:+.2f}")
+        assert "n/a" not in rows[cli.BASELINE["logreg"][0]].values()
+
     def test_non_finite_fit_leaves_no_echo(self, tmp_path, capsys):
         data = make_dataset(tmp_path)
         out = tmp_path / "o"
@@ -685,7 +706,7 @@ REPORT_FRAGMENTS = st.sampled_from([
 @settings(max_examples=100, deadline=None)
 @given(batch=mutated_lines(VALID_BATCH, REPORT_FRAGMENTS), pick=st.integers(0, 2))
 def test_mutated_report_batch_scores_like_one_report_at_a_time(scoring_setup, batch, pick):
-    model_file, model = list(scoring_setup.models.items())[pick]
+    model_file, (model, fingerprint) = list(scoring_setup.models.items())[pick]
     dictionary = scoring_setup.dictionary
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "batch.ndjson"
@@ -705,7 +726,7 @@ def test_mutated_report_batch_scores_like_one_report_at_a_time(scoring_setup, ba
         line = lines[int(report_id.rsplit(":", 1)[1]) - 1]
         # The one-report composition, from the reference reading of the line.
         _, matched, unmatched, one_row = reference_report(
-            line, dictionary.names, model.fingerprint.selected)
+            line, dictionary.names, fingerprint.selected)
         score = model.predict(np.array([one_row], dtype=np.uint8))[0]
         assert row == f"{report_id},{labels_of(score)},{score:.6f},{matched},{unmatched}"
 
@@ -1057,7 +1078,7 @@ def test_evaluate_on_another_split_is_data_error(tmp_path, monkeypatch, capsys, 
 
 
 @pytest.mark.parametrize("command, output", [
-    ("mi-scores", "mi_scores.csv"), ("evaluate", "evaluation.csv"),
+    ("mi-scores", "mi_scores.csv"), ("train", "model_dt.json"), ("evaluate", "evaluation.csv"),
     ("reproduce", "reproduce.csv"), ("score", "verdicts.csv"),
 ])
 def test_unwritable_output_is_one_line_usage_error(tmp_path, monkeypatch, capsys,
@@ -1065,8 +1086,10 @@ def test_unwritable_output_is_one_line_usage_error(tmp_path, monkeypatch, capsys
     prepare_commands(tmp_path, monkeypatch)
     Path("out", output).mkdir(parents=True)
     assert run(command_line(command)) == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and output in err
+    printed = capsys.readouterr()
+    assert printed.err.count("\n") == 1 and output in printed.err
+    # Stdout ("model written to ...", "wrote ... scores", a table) comes after the writes.
+    assert printed.out == ""
     assert not Path("out", f"{command}.config").exists()
     assert os.listdir("out") == [output]  # no temporary file is left
 

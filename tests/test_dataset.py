@@ -444,8 +444,8 @@ class TestDataMatrix:
         # The loaders build every matrix row sorted and in range; the only
         # rows read as they are stored are a knn model file's, checked there.
         model = fit_knn(np.zeros((1, 3), dtype=np.uint8), np.zeros(1, dtype=np.int64),
-                        KnnParams(k_neighbors=1), every_column(3))
-        doc = json.loads(serialize_model(model))
+                        KnnParams(k_neighbors=1))
+        doc = json.loads(serialize_model(model, every_column(3)))
         doc["payload"].update(rows=[list(row) for row in rows], labels=[0] * len(rows))
         with pytest.raises(ModelFormatError, match=message):
             deserialize_model(json.dumps(doc).encode())

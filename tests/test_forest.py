@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rwdetect.classifiers import (
-    Fingerprint,
     ForestParams,
     TreeParams,
     fit_decision_tree,
@@ -13,7 +12,7 @@ from rwdetect.classifiers import (
 from rwdetect.errors import FitError
 
 from conftest import random_dense, xy
-from fixtures import synthesize_dataset, to_dense
+from fixtures import every_column, synthesize_dataset, to_dense
 
 
 def test_degenerate_forest_equals_single_tree():
@@ -22,9 +21,8 @@ def test_degenerate_forest_equals_single_tree():
     y = rng.integers(0, 2, size=30)
     forest = fit_random_forest(
         X, y, ForestParams(n_trees=1, features_per_split=6, bootstrap=False),
-        Fingerprint(X.shape[1]),
     )
-    tree = fit_decision_tree(X, y, TreeParams(), Fingerprint(X.shape[1]))
+    tree = fit_decision_tree(X, y, TreeParams())
     assert labels_of(forest.predict(X)).tolist() == labels_of(tree.predict(X)).tolist()
 
 
@@ -33,8 +31,8 @@ def test_same_seed_byte_identical():
     X = random_dense(rng, 25, 8)
     y = rng.integers(0, 2, size=25)
     params = ForestParams(n_trees=20, seed=123)
-    a = serialize_model(fit_random_forest(X, y, params, Fingerprint(X.shape[1])))
-    b = serialize_model(fit_random_forest(X, y, params, Fingerprint(X.shape[1])))
+    a = serialize_model(fit_random_forest(X, y, params), every_column(X.shape[1]))
+    b = serialize_model(fit_random_forest(X, y, params), every_column(X.shape[1]))
     assert a == b
 
 
@@ -42,9 +40,9 @@ def test_different_seed_differs():
     rng = np.random.default_rng(10)
     X = random_dense(rng, 25, 8)
     y = rng.integers(0, 2, size=25)
-    fingerprint = Fingerprint(X.shape[1])
-    a = serialize_model(fit_random_forest(X, y, ForestParams(n_trees=20, seed=1), fingerprint))
-    b = serialize_model(fit_random_forest(X, y, ForestParams(n_trees=20, seed=2), fingerprint))
+    fingerprint = every_column(X.shape[1])
+    a = serialize_model(fit_random_forest(X, y, ForestParams(n_trees=20, seed=1)), fingerprint)
+    b = serialize_model(fit_random_forest(X, y, ForestParams(n_trees=20, seed=2)), fingerprint)
     assert a != b
 
 
@@ -55,9 +53,8 @@ def test_forest_beats_single_tree_on_noisy_data():
     test_m, test_y = synthesize_dataset(400, 40, 0.5, signal, seed=22)
     train_X = to_dense(train_m)
 
-    tree = fit_decision_tree(train_X, train_y, TreeParams(), Fingerprint(train_X.shape[1]))
-    forest = fit_random_forest(train_X, train_y, ForestParams(n_trees=100, seed=3),
-                               Fingerprint(train_X.shape[1]))
+    tree = fit_decision_tree(train_X, train_y, TreeParams())
+    forest = fit_random_forest(train_X, train_y, ForestParams(n_trees=100, seed=3))
 
     def acc(model):
         return np.mean(labels_of(model.predict(to_dense(test_m))) == test_y)
@@ -69,7 +66,7 @@ def test_vote_fraction_score():
     rng = np.random.default_rng(11)
     X = random_dense(rng, 40, 10)
     y = rng.integers(0, 2, size=40)
-    forest = fit_random_forest(X, y, ForestParams(n_trees=10, seed=7), Fingerprint(X.shape[1]))
+    forest = fit_random_forest(X, y, ForestParams(n_trees=10, seed=7))
     scores = forest.predict(X)
     # score is a vote fraction over 10 trees
     assert (scores * 10).tolist() == pytest.approx(np.round(scores * 10).tolist())
@@ -79,4 +76,4 @@ def test_vote_fraction_score():
 def test_features_per_split_too_large():
     X, labels = xy([[0, 1], [1, 0]], [0, 1])
     with pytest.raises(FitError, match="features_per_split"):
-        fit_random_forest(X, labels, ForestParams(features_per_split=3), Fingerprint(X.shape[1]))
+        fit_random_forest(X, labels, ForestParams(features_per_split=3))

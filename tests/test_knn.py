@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rwdetect.classifiers import Fingerprint, KnnParams, fit_knn, knn, labels_of
+from rwdetect.classifiers import KnnParams, fit_knn, knn, labels_of
 from rwdetect.errors import FitError
 
 from conftest import random_dense, xy
@@ -21,7 +21,7 @@ def knn_oracle(train_X, train_y, query, k):
 
 def test_zero_distance_neighbor_wins():
     X, y = xy([[1, 0, 1], [0, 1, 0]], [1, 0])
-    model = fit_knn(X, y, KnnParams(k_neighbors=1), Fingerprint(X.shape[1]))
+    model = fit_knn(X, y, KnnParams(k_neighbors=1))
     query = np.array([[1, 0, 1]], dtype=np.uint8)
     assert labels_of(model.predict(query)).tolist() == [1]
 
@@ -29,7 +29,7 @@ def test_zero_distance_neighbor_wins():
 def test_k_larger_than_n_rejected():
     X, y = xy([[0], [1]], [0, 1])
     with pytest.raises(FitError, match="k_neighbors"):
-        fit_knn(X, y, KnnParams(k_neighbors=3), Fingerprint(X.shape[1]))
+        fit_knn(X, y, KnnParams(k_neighbors=3))
 
 
 def small_blocks(monkeypatch, block):
@@ -40,7 +40,7 @@ def small_blocks(monkeypatch, block):
 
 
 def assert_matches_oracle(train_X, train_y, query_X, k):
-    model = fit_knn(train_X, train_y, KnnParams(k_neighbors=k), Fingerprint(train_X.shape[1]))
+    model = fit_knn(train_X, train_y, KnnParams(k_neighbors=k))
     assert model.predict(query_X).tolist() == [knn_oracle(train_X, train_y, q, k) for q in query_X]
 
 
@@ -108,7 +108,7 @@ def test_keys_past_int32_take_the_int64_path(monkeypatch):
     monkeypatch.setattr(knn, "TRAIN_TILE", 64)
     d, n, k = 2**16, 2**15, 3
     model = knn.KnnModel(SplitRows(n, d, n - k), (0,) * (n - k) + (1,) * k,
-                         KnnParams(k_neighbors=k), Fingerprint(d))
+                         KnnParams(k_neighbors=k))
     assert model.predict(np.zeros((1, d), np.uint8)).tolist() == [1.0]
 
 
@@ -116,8 +116,7 @@ def test_predict_holds_no_copy_of_the_training_array():
     # The float32 copy of the whole 2000 x 400 training array alone is 3.2 MB.
     rng = np.random.default_rng(80)
     train_X = random_dense(rng, 2000, 400)
-    model = fit_knn(train_X, rng.integers(0, 2, size=2000), KnnParams(k_neighbors=5),
-                    Fingerprint(400))
+    model = fit_knn(train_X, rng.integers(0, 2, size=2000), KnnParams(k_neighbors=5))
     query_X = random_dense(rng, 512, 400)
     tracemalloc.start()
     try:
@@ -132,7 +131,7 @@ def test_predict_holds_no_copy_of_the_training_array():
 def test_distance_tie_broken_by_training_index():
     # Two training rows equidistant from the query; index 0 must win.
     X, y = xy([[1, 0], [0, 1]], [1, 0])
-    model = fit_knn(X, y, KnnParams(k_neighbors=1), Fingerprint(X.shape[1]))
+    model = fit_knn(X, y, KnnParams(k_neighbors=1))
     query = np.array([[0, 0]], dtype=np.uint8)
     assert labels_of(model.predict(query)).tolist() == [1]
 
@@ -141,7 +140,7 @@ def test_even_k_vote_tie_goes_positive():
     # k=2, one neighbor of each class: score 0.5, which labels_of labels 1,
     # as it does a forest whose trees split their votes evenly.
     X, y = xy([[1, 0], [0, 1]], [1, 0])
-    model = fit_knn(X, y, KnnParams(k_neighbors=2), Fingerprint(X.shape[1]))
+    model = fit_knn(X, y, KnnParams(k_neighbors=2))
     query = np.array([[0, 0]], dtype=np.uint8)
     scores = model.predict(query)
     assert scores.tolist() == [0.5]

@@ -3,7 +3,6 @@ import pytest
 
 from rwdetect import cli
 from rwdetect.classifiers import (
-    Fingerprint,
     LogRegParams,
     SvmParams,
     fit_linear_svm,
@@ -30,7 +29,7 @@ def zero_edges(rng):
 class TestLinearSvm:
     def test_separable_1d(self):
         X, y = xy([[0]] * 5 + [[1]] * 5, [0] * 5 + [1] * 5)
-        model = fit_linear_svm(X, y, SvmParams(), Fingerprint(X.shape[1]))
+        model = fit_linear_svm(X, y, SvmParams())
         assert labels_of(model.predict(X)).tolist() == y.tolist()
 
     def test_objective_not_worse_than_zero_vector(self):
@@ -40,7 +39,7 @@ class TestLinearSvm:
         if y.min() == y.max():
             y[0] = 1 - y[0]
         params = SvmParams()
-        model = fit_linear_svm(X, y, params, Fingerprint(X.shape[1]))
+        model = fit_linear_svm(X, y, params)
 
         y_pm = np.where(y == 1, 1.0, -1.0)
         w = np.asarray(model.weights)
@@ -53,8 +52,8 @@ class TestLinearSvm:
     def test_duplicated_dataset_same_boundary_signs(self):
         X, y = xy([[0, 1], [1, 0], [0, 0], [1, 1]], [0, 1, 0, 1])
         doubled, y2 = xy([[0, 1], [1, 0], [0, 0], [1, 1]] * 2, [0, 1, 0, 1] * 2)
-        a = fit_linear_svm(X, y, SvmParams(), Fingerprint(X.shape[1])).predict(X)
-        b = fit_linear_svm(doubled, y2, SvmParams(), Fingerprint(doubled.shape[1])).predict(X)
+        a = fit_linear_svm(X, y, SvmParams()).predict(X)
+        b = fit_linear_svm(doubled, y2, SvmParams()).predict(X)
         assert labels_of(a).tolist() == labels_of(b).tolist()
 
     def test_single_class_rejected(self, tmp_path, capsys):
@@ -73,8 +72,8 @@ class TestLinearSvm:
         rng = np.random.default_rng(20)
         X = random_dense(rng, 20, 5)
         y = np.r_[np.zeros(10, dtype=int), np.ones(10, dtype=int)]
-        a = fit_linear_svm(X, y, SvmParams(seed=4), Fingerprint(X.shape[1]))
-        b = fit_linear_svm(X, y, SvmParams(seed=4), Fingerprint(X.shape[1]))
+        a = fit_linear_svm(X, y, SvmParams(seed=4))
+        b = fit_linear_svm(X, y, SvmParams(seed=4))
         assert a.weights == b.weights and a.bias == b.bias
 
     def test_label_is_margin_sign_and_score_link_agrees(self):
@@ -83,7 +82,7 @@ class TestLinearSvm:
         y = rng.integers(0, 2, size=25)
         if y.min() == y.max():
             y[0] = 1 - y[0]
-        model = fit_linear_svm(X, y, SvmParams(), Fingerprint(X.shape[1]))
+        model = fit_linear_svm(X, y, SvmParams())
         margins = X.astype(float) @ np.asarray(model.weights) + model.bias
         scores = model.predict(X)
         assert labels_of(scores).tolist() == (margins >= 0).astype(int).tolist()
@@ -96,8 +95,7 @@ class TestLinearSvm:
         rng = np.random.default_rng(seed)
         X = random_dense(rng, 400, 30)
         model = LinearSvmModel(weights=tuple(rng.normal(scale=10.0, size=30).tolist()),
-                               bias=float(rng.normal()), params=SvmParams(),
-                               fingerprint=Fingerprint(30))
+                               bias=float(rng.normal()), params=SvmParams())
         margins = X.astype(np.float64) @ np.asarray(model.weights) + model.bias
         per_row = [1.0 / (1.0 + np.exp(-np.clip(m, -500, 500))) for m in margins]
         assert model.predict(X).tobytes() == np.array(per_row).tobytes()
@@ -108,8 +106,7 @@ class TestLinearSvm:
         (0.0, 0.5, 1),
     ])
     def test_label_of_a_margin_next_to_zero(self, margin, score, label):
-        model = LinearSvmModel(weights=(0.0,), bias=margin, params=SvmParams(),
-                               fingerprint=Fingerprint(1))
+        model = LinearSvmModel(weights=(0.0,), bias=margin, params=SvmParams())
         scores = model.predict(np.zeros((1, 1), np.uint8))
         assert scores.tolist() == [score]
         assert labels_of(scores).tolist() == [label]
@@ -118,7 +115,7 @@ class TestLinearSvm:
 class TestLogisticRegression:
     def test_all_zero_features_balanced_labels(self):
         X, y = xy([[0], [0], [0], [0]], [0, 1, 0, 1])
-        model = fit_logistic_regression(X, y, LogRegParams(), Fingerprint(X.shape[1]))
+        model = fit_logistic_regression(X, y, LogRegParams())
         assert model.weights == (0.0,)
         assert abs(model.bias) < 1e-9
         assert model.predict(X)[0] == pytest.approx(0.5, abs=1e-9)
@@ -147,7 +144,7 @@ class TestLogisticRegression:
 
     def test_separable_1d_monotone_and_perfect(self):
         X, y = xy([[0]] * 4 + [[1]] * 4, [0] * 4 + [1] * 4)
-        model = fit_logistic_regression(X, y, LogRegParams(), Fingerprint(X.shape[1]))
+        model = fit_logistic_regression(X, y, LogRegParams())
         scores = model.predict(X)
         assert labels_of(scores).tolist() == y.tolist()
         assert scores[-1] > scores[0]
@@ -157,7 +154,7 @@ class TestLogisticRegression:
         X = random_dense(rng, 30, 6)
         y = rng.integers(0, 2, size=30)
         model = fit_logistic_regression(
-            X, y, LogRegParams(learning_rate=0.01, epochs=200), Fingerprint(X.shape[1])
+            X, y, LogRegParams(learning_rate=0.01, epochs=200)
         )
         history = model.loss_history
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
@@ -165,21 +162,19 @@ class TestLogisticRegression:
     def test_non_positive_learning_rate_rejected(self):
         X, y = xy([[0], [1]], [0, 1])
         with pytest.raises(FitError, match="learning_rate"):
-            fit_logistic_regression(X, y, LogRegParams(learning_rate=-1.0),
-                                    Fingerprint(X.shape[1]))
+            fit_logistic_regression(X, y, LogRegParams(learning_rate=-1.0))
 
     def test_weights_past_the_exact_bound_are_a_fit_error(self):
         # One step of 1e8 takes |w| to 2.5e7, past the 2^20 within which X @ w + b is exact.
         X, y = xy([[0]] * 4 + [[1]] * 4, [0] * 4 + [1] * 4)
         with pytest.raises(FitError, match=r"2\^20"):
-            fit_logistic_regression(X, y, LogRegParams(learning_rate=1e8, epochs=2),
-                                    Fingerprint(X.shape[1]))
+            fit_logistic_regression(X, y, LogRegParams(learning_rate=1e8, epochs=2))
 
     def test_weights_and_bias_lie_on_the_grid(self):
         rng = np.random.default_rng(34)
         X = random_dense(rng, 40, 6)
         y = rng.integers(0, 2, size=40)
-        model = fit_logistic_regression(X, y, LogRegParams(epochs=50), Fingerprint(X.shape[1]))
+        model = fit_logistic_regression(X, y, LogRegParams(epochs=50))
         assert all((v * 2.0**32).is_integer() for v in (*model.weights, model.bias))
 
     @pytest.mark.parametrize("case", ["random", "random-sparse", "all-zero", "single-row",
@@ -194,7 +189,7 @@ class TestLogisticRegression:
         y = rng.integers(0, 2, size=len(X))
         y[0] = 1
         params = LogRegParams(learning_rate=0.5, epochs=300)
-        model = fit_logistic_regression(X, y, params, Fingerprint(X.shape[1]))
+        model = fit_logistic_regression(X, y, params)
         w, b, history = dense_logreg_fit(X, y, params)
         assert np.array(model.weights).tobytes() == w.tobytes()
         assert model.bias.hex() == b.hex()
@@ -221,7 +216,7 @@ class TestLogisticRegression:
         X = zero_edges(rng)
         wb = to_grid(rng.normal(size=X.shape[1] + 1), 2**20)
         model = LogRegModel(weights=tuple(wb[:-1].tolist()), bias=float(wb[-1]),
-                            params=LogRegParams(), fingerprint=Fingerprint(X.shape[1]))
+                            params=LogRegParams())
         dense = sigmoid(X.astype(np.float64) @ wb[:-1] + wb[-1])
         scores = model.predict(X)
         assert scores.tobytes() == dense.tobytes()

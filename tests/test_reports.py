@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import logging
 
@@ -49,8 +48,9 @@ def report(**fields):
 def batch_array(texts, dictionary, selected=tuple(range(10))):
     """The 0/1 array ``score_reports`` builds for the reports ``texts`` on
     the ``selected`` ordinals, and each report's outcome."""
-    model = RecordingModel(Fingerprint(len(selected), dictionary.sha256(), tuple(selected)))
-    _, outcomes = score_reports([parse_report(t) for t in texts], model, dictionary)
+    model = RecordingModel()
+    _, outcomes = score_reports([parse_report(t) for t in texts], model,
+                                Fingerprint(dictionary.sha256(), tuple(selected)), dictionary)
     [X] = model.arrays
     return X, outcomes
 
@@ -142,11 +142,12 @@ class TestVectorize:
 
 
 def train_knn_fixture(dictionary):
-    # training matrix whose first row is a ransomware sample
+    """A knn model and its fingerprint, fit on every column of ``dictionary``
+    to a training matrix whose first row is a ransomware sample."""
     matrix = DataMatrix.from_rows(10, [(0, 2, 7), (1, 4), (5, 6), (0, 3, 8)])
-    fingerprint = Fingerprint(10, dictionary.sha256(), tuple(range(10)))
+    fingerprint = Fingerprint(dictionary.sha256(), tuple(range(10)))
     return FITTERS["knn"](project(matrix, fingerprint.selected), np.array([1, 0, 0, 1]),
-                          KnnParams(k_neighbors=1), fingerprint)
+                          KnnParams(k_neighbors=1)), fingerprint
 
 
 def report_of(names):
@@ -161,56 +162,56 @@ def report_of(names):
 
 class TestScoreReport:
     def test_training_sample_reproduced_as_report(self, dictionary):
-        model = train_knn_fixture(dictionary)
+        model, fingerprint = train_knn_fixture(dictionary)
         tokens = parse_report(report(api_calls=["CreateFileW"], dropped_exts=["exe"],
                                      strings=["bitcoin"]))
-        score, outcome = score_report(tokens, model, dictionary)
+        score, outcome = score_report(tokens, model, fingerprint, dictionary)
         assert labels_of(score) == 1
         assert outcome.matched == 3
 
     def test_empty_report_through_zero_logreg(self, dictionary):
         X = np.zeros((2, 10), dtype=np.uint8)
         y = np.array([0, 1])
-        fingerprint = Fingerprint(10, dictionary.sha256(), tuple(range(10)))
-        model = FITTERS["logreg"](X, y, DEFAULT_PARAMS["logreg"](), fingerprint)
-        score, _ = score_report(set(), model, dictionary)
+        fingerprint = Fingerprint(dictionary.sha256(), tuple(range(10)))
+        model = FITTERS["logreg"](X, y, DEFAULT_PARAMS["logreg"]())
+        score, _ = score_report(set(), model, fingerprint, dictionary)
         assert score == pytest.approx(0.5, abs=1e-9)
 
     def test_wrong_selection_length_rejected_when_decoded(self, dictionary):
         # A model's selection is its file's: the decoder checks its length.
-        doc = json.loads(serialize_model(train_knn_fixture(dictionary)))
+        doc = json.loads(serialize_model(*train_knn_fixture(dictionary)))
         doc["fingerprint"]["selected"] = [0, 1, 2]
         with pytest.raises(ModelFormatError, match="selects 3 ordinals for 10 features"):
             deserialize_model(json.dumps(doc).encode())
 
     def test_fingerprint_mismatch_on_wrong_dictionary(self, dictionary):
-        model = train_knn_fixture(dictionary)
+        model, fingerprint = train_knn_fixture(dictionary)
         other = scoring_dictionary(f"API:x{i}" for i in range(10))
         with pytest.raises(FingerprintMismatch, match="dictionary"):
-            score_report(set(), model, other)
+            score_report(set(), model, fingerprint, other)
 
     def test_composition_law_on_random_fixtures(self, dictionary):
         # score_report must equal predict of the reference row exactly
-        model = train_knn_fixture(dictionary)
+        model, fingerprint = train_knn_fixture(dictionary)
         rng = np.random.default_rng(70)
         for _ in range(20):
             chosen = [NAMES[j] for j in rng.choice(10, size=4, replace=False)]
             text = report_of(chosen + ["API:Unknown"])
-            score, counts = score_report(parse_report(text), model, dictionary)
+            score, counts = score_report(parse_report(text), model, fingerprint, dictionary)
 
-            _, matched, unmatched, row = reference_report(text, NAMES, model.fingerprint.selected)
+            _, matched, unmatched, row = reference_report(text, NAMES, fingerprint.selected)
             assert counts == (matched, unmatched)
             assert score.tobytes() == model.predict(np.array([row], dtype=np.uint8)).tobytes()
 
     def test_batch_equals_one_report_at_a_time(self, dictionary):
-        model = train_knn_fixture(dictionary)
+        model, fingerprint = train_knn_fixture(dictionary)
         rng = np.random.default_rng(71)
         batch = []
         for _ in range(12):
             chosen = [NAMES[j] for j in rng.choice(10, size=rng.integers(0, 6), replace=False)]
             batch.append(parse_report(report_of(chosen + ["API:Unknown"])))
-        scores, counts = score_reports(batch, model, dictionary)
-        one_at_a_time = [score_report(tokens, model, dictionary) for tokens in batch]
+        scores, counts = score_reports(batch, model, fingerprint, dictionary)
+        one_at_a_time = [score_report(tokens, model, fingerprint, dictionary) for tokens in batch]
         assert scores.tobytes() == np.array([score for score, _ in one_at_a_time]).tobytes()
         assert counts == [outcome for _, outcome in one_at_a_time]
 
@@ -223,28 +224,26 @@ class TestScoreReport:
             10, [np.flatnonzero(rng.random(10) < 0.5) for _ in range(30)])
         y = rng.integers(0, 2, 30)
         selected = (7, 2, 9, 0, 4)
-        fingerprint = Fingerprint(5, dictionary.sha256(), selected)
-        model = FITTERS[kind](project(full, selected), y, DEFAULT_PARAMS[kind](), fingerprint)
+        fingerprint = Fingerprint(dictionary.sha256(), selected)
+        model = FITTERS[kind](project(full, selected), y, DEFAULT_PARAMS[kind]())
         texts = [report_of([NAMES[j] for j in row]) for row in row_ordinals(full)]
         X, _ = batch_array(texts, dictionary, selected)
         assert np.array_equal(X, to_dense(full)[:, list(selected)])
         assert X.tolist() == [reference_report(t, NAMES, selected)[3] for t in texts]
         expected = model.predict(project(full, selected))
-        scores, _ = score_reports(map(parse_report, texts), model, dictionary)
+        scores, _ = score_reports(map(parse_report, texts), model, fingerprint, dictionary)
         assert scores.tobytes() == expected.tobytes()
 
     def test_duplicate_or_negative_selection_rejected(self, dictionary):
         # score_reports takes its model from a file, whose decoder owns the rule.
-        model = train_knn_fixture(dictionary)
+        model, _ = train_knn_fixture(dictionary)
         for selected in ((1, 1, 2), (0, -1, 2)):
-            fingerprint = Fingerprint(3, dictionary.sha256(), selected)
-            blob = serialize_model(dataclasses.replace(model, fingerprint=fingerprint))
+            blob = serialize_model(model, Fingerprint(dictionary.sha256(), selected))
             with pytest.raises(ModelFormatError, match="distinct"):
                 deserialize_model(blob)
 
     def test_empty_batch(self, dictionary):
-        model = train_knn_fixture(dictionary)
-        scores, counts = score_reports([], model, dictionary)
+        scores, counts = score_reports([], *train_knn_fixture(dictionary), dictionary)
         assert scores.dtype == np.float64 and scores.shape == (0,) and counts == []
 
 

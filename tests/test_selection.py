@@ -209,8 +209,8 @@ class TestSelectKBest:
         assert "top_k must be >= 1, got 0" in capsys.readouterr().err
         out = tmp_path / "all"
         assert cli.main([*train, "--out", str(out), "--top-k", "7"]) == cli.EXIT_OK
-        model = deserialize_model((out / "model_dt.json").read_bytes())
-        assert sorted(model.fingerprint.selected) == list(range(6))
+        _, fingerprint = deserialize_model((out / "model_dt.json").read_bytes())
+        assert sorted(fingerprint.selected) == list(range(6))
 
 
 class TestProject:
@@ -247,14 +247,14 @@ class TestProject:
 
     def test_duplicate_ordinal_rejected(self):
         X, y = xy([[0, 1], [1, 0]], [0, 1])
-        model = FITTERS["logreg"](X, y, LogRegParams(), Fingerprint(2, "ab" * 32, (1, 1)))
+        model = FITTERS["logreg"](X, y, LogRegParams())
         with pytest.raises(ModelFormatError, match="distinct"):
-            deserialize_model(serialize_model(model))
+            deserialize_model(serialize_model(model, Fingerprint("ab" * 32, (1, 1))))
 
     def test_out_of_range_rejected(self):
         dictionary = generic_dictionary(2)
         with pytest.raises(FingerprintMismatch, match="exceed the feature dictionary"):
-            check_fingerprint(Fingerprint(1, dictionary.sha256(), (2,)), dictionary)
+            check_fingerprint(Fingerprint(dictionary.sha256(), (2,)), dictionary)
 
 
 def scores_csv_lines(dictionary, scores):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rwdetect import cli
 from rwdetect.classifiers import (
     DEFAULT_PARAMS,
     FITTERS,
@@ -34,18 +35,25 @@ def fitted_models():
     rng = np.random.default_rng(55)
     X = random_dense(rng, 30, 7)
     y = np.r_[np.zeros(15, dtype=int), np.ones(15, dtype=int)]
-    fingerprint = every_column(X.shape[1])
-    return X, {kind: FITTERS[kind](X, y, DEFAULT_PARAMS[kind](), fingerprint)
-               for kind in MODEL_KINDS}
+    return X, {kind: FITTERS[kind](X, y, DEFAULT_PARAMS[kind]()) for kind in MODEL_KINDS}
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_round_trip_byte_equal(kind):
     X, models = fitted_models()
-    blob = serialize_model(models[kind])
-    restored = deserialize_model(blob)
-    assert serialize_model(restored) == blob
+    fingerprint = Fingerprint("ab" * 32, (6, 0, 5, 1, 4, 2, 3))
+    blob = serialize_model(models[kind], fingerprint)
+    restored, decoded = deserialize_model(blob)
+    assert decoded == fingerprint
+    assert serialize_model(*deserialize_model(blob)) == blob
     assert restored.predict(X).tobytes() == models[kind].predict(X).tobytes()
+
+
+def test_every_table_of_kinds_covers_exactly_the_model_kinds():
+    _, models = fitted_models()
+    assert set(DEFAULT_PARAMS) == set(cli.BASELINE) == set(MODEL_KINDS)
+    assert {kind: model.kind for kind, model in models.items()} == \
+        {kind: kind for kind in MODEL_KINDS}
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -60,7 +68,7 @@ def test_predict_returns_one_float64_score_per_row(kind):
 
 def test_version_mismatch_rejected():
     _, models = fitted_models()
-    doc = json.loads(serialize_model(models["dt"]))
+    doc = json.loads(serialize_model(models["dt"], every_column(7)))
     doc["format_version"] = 99
     with pytest.raises(ModelFormatError, match="format_version"):
         deserialize_model(json.dumps(doc).encode())
@@ -68,7 +76,7 @@ def test_version_mismatch_rejected():
 
 def test_unknown_model_kind_rejected():
     _, models = fitted_models()
-    doc = json.loads(serialize_model(models["dt"]))
+    doc = json.loads(serialize_model(models["dt"], every_column(7)))
     doc["model_kind"] = "perceptron"
     with pytest.raises(ModelFormatError, match="model kind"):
         deserialize_model(json.dumps(doc).encode())
@@ -76,20 +84,22 @@ def test_unknown_model_kind_rejected():
 
 def test_truncated_payload_rejected():
     _, models = fitted_models()
-    blob = serialize_model(models["logreg"])
+    blob = serialize_model(models["logreg"], every_column(7))
     with pytest.raises(ModelFormatError):
         deserialize_model(blob[: len(blob) // 2])
 
 
 def test_fingerprint_dimension_mismatch():
-    # A model fit with no selection has no columns of a dictionary to predict
-    # on: its file is rejected when it is read, before any array is built.
+    # A file that selects no ordinals for its 4 features has no columns of a
+    # dictionary to predict on: it is rejected when it is read, before any
+    # array is built.
     rng = np.random.default_rng(56)
     X = random_dense(rng, 10, 4)
     y = np.r_[np.zeros(5, dtype=int), np.ones(5, dtype=int)]
-    model = FITTERS["logreg"](X, y, DEFAULT_PARAMS["logreg"](), Fingerprint(4))
+    model = FITTERS["logreg"](X, y, DEFAULT_PARAMS["logreg"]())
+    blob = serialize_model(model, Fingerprint("", ()))
     with pytest.raises(ModelFormatError, match="fingerprint selects 0 ordinals for 4 features"):
-        deserialize_model(serialize_model(model))
+        deserialize_model(blob.replace(b'"n_features":0', b'"n_features":4'))
 
 
 # What the decoder says of a payload that is one feature wider than its fingerprint.
@@ -108,19 +118,19 @@ def test_fingerprint_of_another_width_is_not_fit(kind):
     rng = np.random.default_rng(58)
     y = np.r_[np.zeros(15, dtype=int), np.ones(15, dtype=int)]
     X = np.c_[random_dense(rng, 30, 4), y].astype(np.uint8)
-    model = FITTERS[kind](X, y, DEFAULT_PARAMS[kind](), every_column(5))
+    model = FITTERS[kind](X, y, DEFAULT_PARAMS[kind]())
     with pytest.raises(ModelFormatError, match=WIDER_PAYLOAD[kind]):
         deserialize_model(edited(model, lambda doc: doc["fingerprint"].update(
-            n_features=4, selected=[0, 1, 2, 3])))
+            n_features=4, selected=[0, 1, 2, 3]), width=5))
 
 
 def test_fingerprint_survives_round_trip():
     rng = np.random.default_rng(57)
     X = random_dense(rng, 10, 4)
     y = np.r_[np.zeros(5, dtype=int), np.ones(5, dtype=int)]
-    fp = Fingerprint(4, "ab" * 32, (3, 1, 9, 2))
-    model = FITTERS["svm"](X, y, DEFAULT_PARAMS["svm"](), fp)
-    assert deserialize_model(serialize_model(model)).fingerprint == fp
+    fp = Fingerprint("ab" * 32, (3, 1, 9, 2))
+    model = FITTERS["svm"](X, y, DEFAULT_PARAMS["svm"]())
+    assert deserialize_model(serialize_model(model, fp))[1] == fp
 
 
 @pytest.fixture(scope="module")
@@ -128,9 +138,10 @@ def models():
     return fitted_models()[1]
 
 
-def edited(model, edit):
-    """Serialized ``model`` after ``edit`` changed its decoded document."""
-    doc = json.loads(serialize_model(model))
+def edited(model, edit, width=7):
+    """The file of ``model``, fit on all its ``width`` columns, after ``edit``
+    changed its decoded document."""
+    doc = json.loads(serialize_model(model, every_column(width)))
     edit(doc)
     return json.dumps(doc).encode()
 
@@ -211,7 +222,7 @@ def test_knn_rows_match_per_row_reference(models, rows):
         expected = np.zeros((len(rows), 7), dtype=np.uint8)
         for i, row in enumerate(rows):
             expected[i, row] = 1
-        assert np.array_equal(deserialize_model(blob).train, expected)
+        assert np.array_equal(deserialize_model(blob)[0].train, expected)
     else:
         with pytest.raises(ModelFormatError) as raised:
             deserialize_model(blob)
@@ -231,7 +242,7 @@ def test_integer_weights_decode_as_floats(models):
             doc["payload"]["weights"][0] = value
         return edited(models["logreg"], edit)
 
-    model = deserialize_model(weight(2**70))
+    model, _ = deserialize_model(weight(2**70))
     assert model.weights[0] == float(2**70)
     assert len(model.predict(np.eye(7, dtype=np.uint8))) == 7
     with pytest.raises(ModelFormatError, match="truncated or malformed"):
@@ -256,9 +267,9 @@ def small_blobs():
     X, labels = xy(random_dense(rng, 8, 3), [0, 1] * 4)
     small = {"rf": {"n_trees": 2}, "gbt": {"n_rounds": 2}, "svm": {"epochs": 2},
              "logreg": {"epochs": 2}, "knn": {"k_neighbors": 3}}
-    fp = Fingerprint(3, "ab" * 32, (4, 0, 2))
+    fp = Fingerprint("ab" * 32, (4, 0, 2))
     return [
-        serialize_model(FITTERS[k](X, labels, DEFAULT_PARAMS[k](**small.get(k, {})), fp))
+        serialize_model(FITTERS[k](X, labels, DEFAULT_PARAMS[k](**small.get(k, {}))), fp)
         for k in MODEL_KINDS
     ]
 
@@ -305,11 +316,11 @@ def mutated_models(draw):
 @given(mutated_models())
 def test_mutated_model_raises_only_model_format_error(blob):
     try:
-        model = deserialize_model(blob)
+        model, fingerprint = deserialize_model(blob)
     except ModelFormatError:
         return
     # A model that decodes can predict on data of its fingerprint's width.
-    width = model.fingerprint.n_features
+    width = len(fingerprint.selected)
     query = np.eye(2, max(width, 1), dtype=np.uint8)[:, :width]
     with np.errstate(all="ignore"):
         assert len(model.predict(query)) == 2
@@ -345,7 +356,7 @@ def pinned_data():
 def pinned_blob(case, data) -> bytes:
     kind, params = PINNED_CASES[case]
     X, y = data
-    return serialize_model(FITTERS[kind](X, y, params, every_column(X.shape[1])))
+    return serialize_model(FITTERS[kind](X, y, params), every_column(X.shape[1]))
 
 
 def pinned_sha256(case, data) -> str:
@@ -362,7 +373,7 @@ def test_model_bytes_are_pinned(pinned_dataset, case):
     blob = pinned_blob(case, pinned_dataset)
     assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256[case]
     # A pinned file is one the decoder loads, and it re-encodes to the same bytes.
-    assert serialize_model(deserialize_model(blob)) == blob
+    assert serialize_model(*deserialize_model(blob)) == blob
 
 
 def blas_name() -> str:
@@ -427,10 +438,10 @@ def test_flat_tree_predictions_match_nested_walk(kind, params, seed):
     y = rng.integers(0, 2, size=70)
     y[:2] = (0, 1)
     queries = random_dense(rng, 40, d)
-    model = FITTERS[kind](X, y, params, every_column(X.shape[1]))
-    blob = serialize_model(model)
+    model = FITTERS[kind](X, y, params)
+    blob = serialize_model(model, every_column(X.shape[1]))
     expected = nested_scores(json.loads(blob), queries)
-    for candidate in (model, deserialize_model(blob)):
+    for candidate in (model, deserialize_model(blob)[0]):
         scores = candidate.predict(queries)
         assert scores.tolist() == expected
         assert labels_of(scores).tolist() == [int(s >= 0.5) for s in expected]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rwdetect import cli
-from rwdetect.classifiers import Fingerprint, TreeParams, fit_decision_tree, labels_of
+from rwdetect.classifiers import TreeParams, fit_decision_tree, labels_of
 
 from conftest import random_dense, xy
 
@@ -42,7 +42,7 @@ def gini_oracle_root(X, y, min_leaf=1):
 class TestDecisionTree:
     def test_single_separating_feature(self):
         X, y = xy([[0, 1], [1, 0], [0, 0], [1, 1]], [0, 1, 0, 1])
-        model = fit_decision_tree(X, y, TreeParams(), Fingerprint(X.shape[1]))
+        model = fit_decision_tree(X, y, TreeParams())
         tree = model.tree
         assert tree.feature[0] == 0
         assert tree.is_leaf(tree.left[0]) and tree.is_leaf(tree.right[0])
@@ -50,7 +50,7 @@ class TestDecisionTree:
 
     def test_pure_input_single_leaf(self):
         X, y = xy([[0, 1], [1, 0]], [1, 1])
-        tree = fit_decision_tree(X, y, TreeParams(), Fingerprint(X.shape[1])).tree
+        tree = fit_decision_tree(X, y, TreeParams()).tree
         assert tree.is_leaf(0)
         assert tree.value[0] == 1.0
 
@@ -71,7 +71,7 @@ class TestDecisionTree:
         rng = np.random.default_rng(seed)
         X = random_dense(rng, 8, 3)
         y = rng.integers(0, 2, size=8)
-        model = fit_decision_tree(X, y, TreeParams(), Fingerprint(X.shape[1]))
+        model = fit_decision_tree(X, y, TreeParams())
         expected = gini_oracle_root(X, y.astype(np.int64))
         actual = None if model.tree.is_leaf(0) else model.tree.feature[0]
         assert actual == expected
@@ -82,14 +82,14 @@ class TestDecisionTree:
         # deduplicate feature vectors so no two rows conflict
         X = np.unique(X, axis=0)
         y = rng.integers(0, 2, size=len(X))
-        model = fit_decision_tree(X, y, TreeParams(max_depth=64), Fingerprint(X.shape[1]))
+        model = fit_decision_tree(X, y, TreeParams(max_depth=64))
         assert labels_of(model.predict(X)).tolist() == y.tolist()
 
     def test_max_depth_respected(self):
         rng = np.random.default_rng(5)
         X = random_dense(rng, 60, 10)
         y = rng.integers(0, 2, size=60)
-        model = fit_decision_tree(X, y, TreeParams(max_depth=2), Fingerprint(X.shape[1]))
+        model = fit_decision_tree(X, y, TreeParams(max_depth=2))
 
         tree = model.tree
 
@@ -104,7 +104,7 @@ class TestDecisionTree:
         rng = np.random.default_rng(6)
         X = random_dense(rng, 30, 6)
         y = rng.integers(0, 2, size=30)
-        model = fit_decision_tree(X, y, TreeParams(min_samples_leaf=5), Fingerprint(X.shape[1]))
+        model = fit_decision_tree(X, y, TreeParams(min_samples_leaf=5))
 
         tree = model.tree
 
