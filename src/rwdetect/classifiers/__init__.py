@@ -26,7 +26,7 @@ from .linear import (
     LogRegModel,
     fit_linear_svm,
     fit_logistic_regression,
-    logistic_loss_and_gradient,
+    logistic_gradient,
 )
 from .tree import DecisionTreeModel, fit_decision_tree
 

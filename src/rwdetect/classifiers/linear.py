@@ -1,17 +1,18 @@
 """Linear models: Pegasos-style hinge-loss SVM and logistic regression.
 
-Logistic regression rounds each residual to ``to_grid``'s grid for n rows
-and its weights and bias to the 2^-32 grid for |w|_1 + |b| < 2^20, so
-``X @ w + b`` and ``X.T @ residual`` are exact in any order, and fit and predict
-sum them over the 1-entries of X alone; a fit whose |w|_1 + |b| reaches 2^20
-is a FitError. The svm predict keeps the dense product: its
-weights are on no grid, so another summation order could move its bits.
+Both keep their weights and bias on a ``to_grid`` grid, so ``X @ w + b`` is exact
+in any order, and both predict by summing the weights over the 1-entries of X
+alone. The svm rounds its averaged weights once, onto the grid for their own
+|w|_1 + |b|. Logistic regression rounds each residual to the grid for n rows and
+its weights and bias to the 2^-32 grid for |w|_1 + |b| < 2^20, so its fit sums
+``X @ w + b`` and ``X.T @ residual`` over the 1-entries too; a fit whose
+|w|_1 + |b| reaches 2^20 is a FitError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,17 +21,23 @@ from .base import LogRegParams, SvmParams, sigmoid, to_grid
 
 
 @dataclass(frozen=True)
-class LinearSvmModel:
-    kind = "svm"
+class LinearModel:
+    """Weights and a bias over the model's columns: the svm and logreg predict alike."""
+
     weights: tuple[float, ...]
     bias: float
-    params: SvmParams
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """The sigmoid of each row's margin ``x.w + b``, so a score reaches 0.5 where
-        the margin is >= 0, and also where it lies in the band [-3.33e-16, 0) in
-        which the sigmoid rounds to 0.5."""
-        return sigmoid(X.astype(np.float64) @ np.asarray(self.weights) + self.bias)
+        """The sigmoid of each row's margin ``x.w + b``, summed exactly over the
+        row's 1-entries, so a score reaches 0.5 where the margin is >= 0, and also
+        where it lies in the band [-3.33e-16, 0) in which the sigmoid rounds to 0.5."""
+        return sigmoid(OneEntries(X, transpose=False) @ np.asarray(self.weights) + self.bias)
+
+
+@dataclass(frozen=True)
+class LinearSvmModel(LinearModel):
+    kind = "svm"
+    params: SvmParams
 
 
 def fit_linear_svm(X: np.ndarray, y: np.ndarray, params: SvmParams) -> LinearSvmModel:
@@ -64,19 +71,16 @@ def fit_linear_svm(X: np.ndarray, y: np.ndarray, params: SvmParams) -> LinearSvm
                 w *= radius / norm
             w_sum += w
     w_avg = w_sum / t
+    # The grid of their own |w|_1 + |b|: the ball's bound sqrt(d/lam) is so large at a
+    # tiny lam that its grid would round every weight to 0.
+    to_grid(w_avg, math.ceil(np.abs(w_avg).sum()))
     return LinearSvmModel(tuple(float(v) for v in w_avg[:-1]), float(w_avg[-1]), params)
 
 
 @dataclass(frozen=True)
-class LogRegModel:
+class LogRegModel(LinearModel):
     kind = "logreg"
-    weights: tuple[float, ...]
-    bias: float
     params: LogRegParams
-    loss_history: tuple[float, ...] = field(default=(), compare=False)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return sigmoid(OneEntries(X, transpose=False) @ np.asarray(self.weights) + self.bias)
 
 
 class OneEntries:
@@ -99,16 +103,11 @@ class OneEntries:
         return sums + 0.0
 
 
-def logistic_loss_and_gradient(w, b, X, y, l2: float):
-    """Mean cross-entropy + (l2/2)||w||^2 (bias unpenalized), with its
-    analytic gradient. Uses the softplus form for numerical stability."""
-    z = X @ w + b
-    # log(1 + e^z) - y z, elementwise
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * l2 * float(w @ w)
-    residual = to_grid(sigmoid(z) - y, len(y))
-    grad_w = X.T @ residual / len(y) + l2 * w
-    grad_b = float(residual.mean())
-    return loss, grad_w, grad_b
+def logistic_gradient(w, b, X, y, l2: float):
+    """The gradient in w and in b of mean cross-entropy + (l2/2)||w||^2 (bias
+    unpenalized), with each residual rounded to the grid for ``len(y)`` rows."""
+    residual = to_grid(sigmoid(X @ w + b) - y, len(y))
+    return X.T @ residual / len(y) + l2 * w, float(residual.mean())
 
 
 def fit_logistic_regression(X: np.ndarray, y: np.ndarray, params: LogRegParams) -> LogRegModel:
@@ -118,11 +117,9 @@ def fit_logistic_regression(X: np.ndarray, y: np.ndarray, params: LogRegParams) 
 
     wb = np.zeros(X.shape[1] + 1)  # the weights, then the bias
     w = wb[:-1]
-    history = []
     with np.errstate(all="ignore"):  # a step that overflows fails the bound
         for _ in range(params.epochs):
-            loss, grad_w, grad_b = logistic_loss_and_gradient(w, wb[-1], X1, yf, params.l2_penalty)
-            history.append(loss)
+            grad_w, grad_b = logistic_gradient(w, wb[-1], X1, yf, params.l2_penalty)
             grad_norm = float(np.sqrt(np.sum(grad_w * grad_w) + grad_b * grad_b))
             if grad_norm < params.tolerance:
                 break
@@ -131,4 +128,4 @@ def fit_logistic_regression(X: np.ndarray, y: np.ndarray, params: LogRegParams) 
             if not np.abs(to_grid(wb, 2**20)).sum() < 2**20:
                 raise FitError("the fit produced a non-finite number or |w|_1 + |b| >= 2^20; "
                                "a smaller learning_rate or a larger penalty avoids it")
-    return LogRegModel(tuple(float(v) for v in w), float(wb[-1]), params, tuple(history))
+    return LogRegModel(tuple(float(v) for v in w), float(wb[-1]), params)

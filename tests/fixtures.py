@@ -2,8 +2,8 @@
 
 No command runs these: they synthesize and write the datasets the tests
 load, and they are the plain-Python references that ``score_all`` (MI),
-``fit_linear_svm`` (objective), ``fit_logistic_regression`` (dense
-products) and ``fit_gradient_boosting`` (trees grown by gathering every
+``fit_linear_svm`` (objective), ``fit_logistic_regression`` (its loss, and
+dense products) and ``fit_gradient_boosting`` (trees grown by gathering every
 node) are checked against.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from rwdetect.classifiers.base import GbtParams, LogRegParams, sigmoid, to_grid
 from rwdetect.classifiers.io import Fingerprint
-from rwdetect.classifiers.linear import logistic_loss_and_gradient
+from rwdetect.classifiers.linear import logistic_gradient
 from rwdetect.classifiers.tree import FlatTree, build_tree
 from rwdetect.dataset import DataMatrix, FeatureDictionary
 
@@ -168,17 +168,25 @@ def svm_objective(w, b, X, y_pm, lam: float) -> float:
     return 0.5 * lam * float(w @ w) + float(hinge.mean())
 
 
+def logistic_loss(w, b, X, y, l2: float) -> float:
+    """Mean cross-entropy + (l2/2)||w||^2 (bias unpenalized), the objective whose
+    gradient ``logistic_gradient`` computes, in the softplus form log(1 + e^z) - y z."""
+    z = X @ w + b
+    return float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * l2 * float(w @ w)
+
+
 def dense_logreg_fit(X, y, params: LogRegParams):
-    """The weights, bias and loss history of ``fit_logistic_regression``'s descent,
-    taken with dense float64 products ``X @ w`` and ``X.T @ residual``."""
+    """The weights and bias of ``fit_logistic_regression``'s descent, taken with
+    dense float64 products ``X @ w`` and ``X.T @ residual``, and the loss before
+    each epoch's step."""
     Xf = X.astype(np.float64)
     yf = y.astype(np.float64)
     wb = np.zeros(Xf.shape[1] + 1)  # the weights, then the bias
     w = wb[:-1]
     history = []
     for _ in range(params.epochs):
-        loss, grad_w, grad_b = logistic_loss_and_gradient(w, wb[-1], Xf, yf, params.l2_penalty)
-        history.append(loss)
+        history.append(logistic_loss(w, wb[-1], Xf, yf, params.l2_penalty))
+        grad_w, grad_b = logistic_gradient(w, wb[-1], Xf, yf, params.l2_penalty)
         grad_norm = float(np.sqrt(np.sum(grad_w * grad_w) + grad_b * grad_b))
         if grad_norm < params.tolerance:
             break

@@ -32,7 +32,7 @@ from rwdetect.classifiers import (
 from rwdetect.selection import score_all
 
 from conftest import matrix_from_dense, random_dense
-from fixtures import ContingencyTable, every_column, mi_score, synthesize_dataset
+from fixtures import ContingencyTable, every_column, logistic_loss, mi_score, synthesize_dataset
 from test_boosting import gain_oracle
 from test_knn import knn_oracle
 from test_selection import dense_mi_oracle
@@ -133,10 +133,10 @@ def test_criterion_4_logreg_gradient_check():
             w = rng.normal(size=d)
             b = float(rng.normal())
             l2 = float(rng.uniform(0, 0.1))
-            _, grad_w, grad_b = classifiers.logistic_loss_and_gradient(w, b, X, y, l2)
+            grad_w, grad_b = classifiers.logistic_gradient(w, b, X, y, l2)
 
             def loss_at(wv, bv):
-                return classifiers.logistic_loss_and_gradient(wv, bv, X, y, l2)[0]
+                return logistic_loss(wv, bv, X, y, l2)
 
             grads = list(grad_w) + [grad_b]
             fds = []

@@ -151,8 +151,8 @@ GOLDEN_SHA256 = {
     "train-rf/model_rf.json": "de167c0eebd9d9764e0e0ac49420ddd10a92d120ba642e9c4e3092fd98aaf1c8",
     "train-rf/stdout": "a3445acb1dcbd47fac79f71c7346576574bf56bb7606e270b5c357b9f1694b76",
     "train-rf/train.config": "ea789c3793440e3ac4608d5d207f01c32bf5dbfcac14df1f22bfcd681871bf04",
-    "train-svm/model_svm.json": "a5e68ee937ed8816d8f87463dd2b88f420dc0dd882d0c433c8b10d72bbd9d6d7",
-    "train-svm/stdout": "733bee40a5c9ce761c04829433b5192204fe047ae1725ca1b5b2b6f3674a6ea7",
+    "train-svm/model_svm.json": "14057278bdba9f0b476f751a0c128892658694f3088f0c26736064aa06a5726c",
+    "train-svm/stdout": "a846688968d7c9396d4c4699da59d6d20d916abba80141c749ee641149615785",
     "train-svm/train.config": "911c82648912a60f26c76fefac4387c38389f535d13f5a9fa12d05fa1e5552ce",
 }
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,14 @@ from rwdetect.classifiers import (
     fit_linear_svm,
     fit_logistic_regression,
     labels_of,
-    logistic_loss_and_gradient,
+    logistic_gradient,
 )
 from rwdetect.classifiers.base import sigmoid, to_grid
 from rwdetect.classifiers.linear import LinearSvmModel, LogRegModel, OneEntries
 from rwdetect.errors import FitError
 
 from conftest import random_dense, xy
-from fixtures import dense_logreg_fit, svm_objective
+from fixtures import dense_logreg_fit, logistic_loss, svm_objective
 
 
 def zero_edges(rng):
@@ -92,13 +94,32 @@ class TestLinearSvm:
     def test_scores_equal_a_per_row_scalar_sigmoid(self, seed):
         # predict applies the sigmoid to the whole margin array; the reference
         # applies it to one numpy scalar margin at a time, and the bits agree.
+        # Weights and bias lie on a grid, as a fit leaves them.
         rng = np.random.default_rng(seed)
         X = random_dense(rng, 400, 30)
-        model = LinearSvmModel(weights=tuple(rng.normal(scale=10.0, size=30).tolist()),
-                               bias=float(rng.normal()), params=SvmParams())
-        margins = X.astype(np.float64) @ np.asarray(model.weights) + model.bias
+        wb = to_grid(rng.normal(scale=10.0, size=31), 2**20)
+        model = LinearSvmModel(weights=tuple(wb[:-1].tolist()), bias=float(wb[-1]),
+                               params=SvmParams())
+        margins = X.astype(np.float64) @ wb[:-1] + wb[-1]
         per_row = [1.0 / (1.0 + np.exp(-np.clip(m, -500, 500))) for m in margins]
         assert model.predict(X).tobytes() == np.array(per_row).tobytes()
+
+    def test_predict_holds_no_float_copy_of_the_batch(self):
+        # A float64 copy of the 5000 x 400 batch alone would be 8 X.nbytes.
+        rng = np.random.default_rng(24)
+        X = np.zeros((5000, 400), np.uint8)
+        X[np.arange(5000)[:, None], rng.integers(0, 400, size=(5000, 3))] = 1
+        wb = to_grid(rng.normal(size=401), 2**20)
+        model = LinearSvmModel(weights=tuple(wb[:-1].tolist()), bias=float(wb[-1]),
+                               params=SvmParams())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model.predict(X)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * X.nbytes
 
     @pytest.mark.parametrize("margin, score, label", [
         (-1e-16, 0.5, 1),  # inside the band where the sigmoid rounds to 0.5
@@ -129,10 +150,10 @@ class TestLogisticRegression:
         l2 = 0.01
         h = 1e-5
 
-        loss, grad_w, grad_b = logistic_loss_and_gradient(w, b, X, y, l2)
+        grad_w, grad_b = logistic_gradient(w, b, X, y, l2)
 
         def loss_at(wv, bv):
-            return logistic_loss_and_gradient(wv, bv, X, y, l2)[0]
+            return logistic_loss(wv, bv, X, y, l2)
 
         for j in range(8):
             e = np.zeros(8)
@@ -153,10 +174,11 @@ class TestLogisticRegression:
         rng = np.random.default_rng(32)
         X = random_dense(rng, 30, 6)
         y = rng.integers(0, 2, size=30)
-        model = fit_logistic_regression(
-            X, y, LogRegParams(learning_rate=0.01, epochs=200)
-        )
-        history = model.loss_history
+        params = LogRegParams(learning_rate=0.01, epochs=200)
+        model = fit_logistic_regression(X, y, params)
+        w, bias, history = dense_logreg_fit(X, y, params)
+        assert np.array(model.weights).tobytes() == w.tobytes()
+        assert model.bias.hex() == bias.hex()
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
     def test_non_positive_learning_rate_rejected(self):
@@ -190,10 +212,9 @@ class TestLogisticRegression:
         y[0] = 1
         params = LogRegParams(learning_rate=0.5, epochs=300)
         model = fit_logistic_regression(X, y, params)
-        w, b, history = dense_logreg_fit(X, y, params)
+        w, b, _ = dense_logreg_fit(X, y, params)
         assert np.array(model.weights).tobytes() == w.tobytes()
         assert model.bias.hex() == b.hex()
-        assert [v.hex() for v in model.loss_history] == [v.hex() for v in history]
 
     def test_one_entry_products_equal_dense_products_bit_for_bit(self):
         rng = np.random.default_rng(36)

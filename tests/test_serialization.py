@@ -336,10 +336,10 @@ PINNED_SHA256 = {
     "dt": "1351e8547ad96049d04cc35421acceae3c63061e951364f14388ade6fe2a75d3",
     "rf": "32336eeeeee9d4a9d9416bc5b16d4809d54988cc2123a6350fead8fb174af79d",
     "knn": "33cf9c573249495e67ddfd6ce3bd8d76dd769232678d0391c25e96aae21540bc",
-    "svm": "86d44bb0818c4a8f6d0a828546dfe5ba418fa691acf144984d990efa8fb06735",
+    "svm": "0cbb424942b26f470f29a12afaac97a99cd5b23cb841fad3558b2ec5db0a8d71",
     "gbt": "09f39de75876185dc5b17156218dcb7da38edab8d2cb1b2c4f8769675afdbd74",
     "logreg": "7c0d7f9f26ff6087403d0799aae4b081102b6d25672811dce111ac3f712f93f1",
-    "svm regularization=1": "78d9ff09d87b0f30629c6d52323599f8f15845c353b1ca43c1e01da6f4d50322",
+    "svm regularization=1": "a072ec192b2cae7274c2e881d0d0882bb8b74e91088ac381773cb3883e1afa5c",
 }
 # Each kind at its defaults, and the SVM at regularization=1: the ball's
 # radius is then 1, so its projection onto the ball runs (at 1e-4 it never does).
@@ -387,18 +387,28 @@ def blas_name() -> str:
                     or "openblas" not in blas_name().lower(),
                     reason="OPENBLAS_CORETYPE selects kernels of an x86-64 OpenBLAS")
 @pytest.mark.parametrize("coretype", ["Prescott", "Haswell"])
-def test_exact_sum_models_are_pinned_on_every_blas_kernel(coretype):
+def test_exact_sum_models_are_pinned_on_every_blas_kernel(coretype, pinned_dataset, tmp_path):
     # Each kernel sums in its own order; on the exact grid every order gives the same bits.
+    # The svm fit still sums in the kernel's order, so an svm file fitted here is
+    # loaded there, and its scores of the pinned rows must keep their bits.
+    svm_file = tmp_path / "model_svm.json"
+    svm_file.write_bytes(pinned_blob("svm", pinned_dataset))
+    svm, _ = deserialize_model(svm_file.read_bytes())
+    scores = svm.predict(pinned_dataset[0]).tobytes()
     tests = Path(__file__).resolve().parent
     env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
            "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
-    script = ("import test_serialization as t\n"
+    script = ("import hashlib, sys, test_serialization as t\n"
               "data = t.pinned_data()\n"
-              "print(t.pinned_sha256('gbt', data), t.pinned_sha256('logreg', data))\n")
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=60, check=False)
+              "print(t.pinned_sha256('gbt', data), t.pinned_sha256('logreg', data))\n"
+              "with open(sys.argv[1], 'rb') as fh:\n"
+              "    svm, _ = t.deserialize_model(fh.read())\n"
+              "print(hashlib.sha256(svm.predict(data[0]).tobytes()).hexdigest())\n")
+    done = subprocess.run([sys.executable, "-c", script, str(svm_file)], env=env,
+                          capture_output=True, text=True, timeout=60, check=False)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == [PINNED_SHA256["gbt"], PINNED_SHA256["logreg"]]
+    assert done.stdout.split() == [PINNED_SHA256["gbt"], PINNED_SHA256["logreg"],
+                                   hashlib.sha256(scores).hexdigest()]
 
 
 def walk(node, x, leaf_key):
