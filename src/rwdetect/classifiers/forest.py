@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import FitError
 from .base import ForestParams, labels_of
-from .tree import FlatTree, grow_tree, leaf_values
+from .tree import FlatTree, bitsets, grow_tree, leaf_values
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ def fit_random_forest(X: np.ndarray, y: np.ndarray, params: ForestParams) -> Ran
     if fps > d:
         raise FitError(f"features_per_split {fps} > n_features {d}")
 
-    XT = np.ascontiguousarray(X.T)
+    columns, labels = bitsets(X.T), bitsets(y[None])[0]
     rng = np.random.default_rng(params.seed)
 
     def picker():
@@ -39,7 +39,7 @@ def fit_random_forest(X: np.ndarray, y: np.ndarray, params: ForestParams) -> Ran
 
     trees = []
     for _ in range(params.n_trees):
-        idx = np.sort(rng.integers(0, n, size=n)) if params.bootstrap else np.arange(n)
-        trees.append(grow_tree(XT, y, idx, params,
+        draws = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+        trees.append(grow_tree(columns, labels, np.bincount(draws, minlength=n), params,
                                candidate_picker=None if fps == d else picker))
     return RandomForestModel(tuple(trees), params)

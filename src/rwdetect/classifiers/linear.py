@@ -2,11 +2,11 @@
 
 Both keep their weights and bias on a ``to_grid`` grid, so ``X @ w + b`` is exact
 in any order, and both predict by summing the weights over the 1-entries of X
-alone. The svm rounds its averaged weights once, onto the grid for their own
-|w|_1 + |b|. Logistic regression rounds each residual to the grid for n rows and
-its weights and bias to the 2^-32 grid for |w|_1 + |b| < 2^20, so its fit sums
-``X @ w + b`` and ``X.T @ residual`` over the 1-entries too; a fit whose
-|w|_1 + |b| reaches 2^20 is a FitError.
+alone. The svm rounds each iterate onto one grid, and its averaged weights onto
+the grid for their own |w|_1 + |b|. Logistic regression rounds each residual to
+the grid for n rows and its weights and bias to the 2^-32 grid for
+|w|_1 + |b| < 2^20, so its fit sums ``X @ w + b`` and ``X.T @ residual`` over
+the 1-entries too; a fit whose |w|_1 + |b| reaches 2^20 is a FitError.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import numpy as np
 
 from ..errors import FitError
 from .base import LogRegParams, SvmParams, sigmoid, to_grid
+
+BATCH = 64  # rows per svm step
 
 
 @dataclass(frozen=True)
@@ -41,35 +43,37 @@ class LinearSvmModel(LinearModel):
 
 
 def fit_linear_svm(X: np.ndarray, y: np.ndarray, params: SvmParams) -> LinearSvmModel:
-    """Seeded stochastic subgradient descent with step 1/(lam*t + 1) and
-    projection onto the ball of radius 1/sqrt(lam), returning
-    iterate-averaged weights. The unit offset in the step keeps early
-    iterates bounded when lam is small; the bias rides along as a
-    constant-1 feature so the projection keeps it bounded too."""
+    """Seeded mini-batch Pegasos: each step takes the hinge subgradient over the
+    next ``BATCH`` rows of a permutation, with step 1/(lam*t + 1), projects onto
+    the ball of radius 1/sqrt(lam) and rounds onto one grid; returns
+    iterate-averaged weights. A step adds at most d to |w|_1 (eta <= 1), so the
+    grid for steps * (d + 1) leaves room for the rounding at any lam, and each
+    ``x.w`` is exact in any order. The unit offset in the step keeps early
+    iterates bounded when lam is small; the bias rides along as a constant-1
+    feature so the projection keeps it bounded too."""
     Xf = np.concatenate([X, np.ones((len(X), 1), X.dtype)], axis=1, dtype=np.float64)
-    rows = list(Xf)  # row views, and the labels as Python floats: the loop reads scalars
-    y_pm = np.where(y == 1, 1.0, -1.0).tolist()
+    y_pm = np.where(y == 1, 1.0, -1.0)
     n, d = Xf.shape
     lam = params.regularization
     radius = 1.0 / math.sqrt(lam)
+    bound = params.epochs * math.ceil(n / BATCH) * (d + 1)
 
     rng = np.random.default_rng(params.seed)
     w = np.zeros(d)
     w_sum = np.zeros(d)
     t = 0
     for _ in range(params.epochs):
-        for i in rng.permutation(n).tolist():
+        for batch in np.split(rng.permutation(n), range(BATCH, n, BATCH)):
             t += 1
             eta = 1.0 / (lam * t + 1.0)
-            x, y_i = rows[i], y_pm[i]
-            margin = y_i * x.dot(w)
+            Xb, yb = Xf[batch], y_pm[batch]
+            hinge = yb * (Xb @ w) < 1.0
             w *= 1.0 - eta * lam
-            if margin < 1.0:
-                w += eta * y_i * x
-            norm = math.sqrt(w.dot(w))
+            w += (eta / len(batch)) * (yb[hinge] @ Xb[hinge])
+            norm = math.sqrt(np.sum(w * w))
             if norm > radius:
                 w *= radius / norm
-            w_sum += w
+            w_sum += to_grid(w, bound)
     w_avg = w_sum / t
     # The grid of their own |w|_1 + |b|: the ball's bound sqrt(d/lam) is so large at a
     # tiny lam that its grid would round every weight to 0.

@@ -2,8 +2,10 @@
 
 Every feature is 0/1, so a split needs no threshold search: the left
 branch takes value 0 and the right branch value 1. Split quality is
-weighted Gini impurity, compared exactly via integer cross-multiplication
-so tie-breaking (lowest feature ordinal wins) is platform-stable.
+weighted Gini impurity (m - s)/m, with s = (pos0^2+neg0^2)/n0 +
+(pos1^2+neg1^2)/n1 from integer counts on row bitsets. Equal rationals
+divide to identical doubles, so the lowest feature ordinal wins a true tie
+on any platform, and the gain test is exact in integers.
 """
 
 from __future__ import annotations
@@ -82,60 +84,58 @@ def leaf_values(trees, X) -> np.ndarray:
     return value[node]
 
 
-def find_gini_split(XT, y_sub, pos, idx, candidates, min_samples_leaf):
-    """Best binary split of rows ``idx`` among ``candidates`` (sorted, or
-    None for all features) of the features x samples matrix ``XT``, given
-    their labels ``y_sub`` and its sum ``pos``. Returns (feature, left_idx,
-    right_idx), or None when no candidate strictly decreases impurity.
+def bitsets(M: np.ndarray) -> list[int]:
+    """Each row of the 0/1 array ``M`` as an int whose bit i is the row's entry i."""
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(M, axis=1, bitorder="little")]
 
-    Weighted Gini of a candidate j is (m - s_j)/m with
-    s_j = (pos0^2+neg0^2)/n0 + (pos1^2+neg1^2)/n1, so minimizing impurity
-    means maximizing s_j; both sides fit in int64 for any realistic n.
+
+def grow_tree(columns, labels: int, counts, params: TreeParams, candidate_picker=None) -> FlatTree:
+    """CART growth on training rows drawn ``counts[i]`` times each, given the
+    ``bitsets`` of each feature's rows with a 1 and of the positive rows; a
+    leaf's value is the positive fraction of its draws.
+
+    A node is (its distinct rows as an int, its draws m, its positive draws pos).
+    ``digits[b]`` holds the rows whose count has bit b set, so a row set S holds
+    sum_b popcount(S & digits[b]) << b draws: counting a candidate's n1 and pos1
+    takes no array. The candidates go in ascending order.
     """
-    m = len(idx)
-    cols = (XT if candidates is None else XT[candidates])[:, idx]
-    n1 = cols.sum(axis=1, dtype=np.int64)
-    pos1 = cols @ y_sub
-    n0 = m - n1
-    pos0 = pos - pos1
-    neg1 = n1 - pos1
-    neg0 = n0 - pos0
+    bits = (counts >> np.arange(int(counts.max()).bit_length())[:, None]) & 1
+    drawn, *digits = bitsets(np.vstack([counts > 0, bits]))
+    least = max(1, params.min_samples_leaf)
 
-    valid = np.minimum(n0, n1) >= max(1, min_samples_leaf)
-    if not valid.any():
-        return None
-
-    s_num = (pos0**2 + neg0**2) * n1 + (pos1**2 + neg1**2) * n0
-    s_den = n0 * n1
-    # Exact-quotient floats: equal rationals divide to identical doubles,
-    # so argmax picks the lowest-ordinal candidate on true ties.
-    score = np.divide(s_num, s_den, out=np.full(len(n1), -np.inf), where=valid)
-    best = int(np.argmax(score))
-
-    # Strict gain test, exact in integers: s > (pos^2 + neg^2)/m.
-    neg = m - pos
-    if int(s_num[best]) * m <= (pos**2 + neg**2) * int(s_den[best]):
-        return None
-
-    mask = cols[best] != 0
-    feature = best if candidates is None else int(candidates[best])
-    return feature, idx[~mask], idx[mask]
-
-
-def grow_tree(XT, y, idx, params: TreeParams, candidate_picker=None) -> FlatTree:
-    """CART growth over rows ``idx``; leaf value is the positive-class fraction."""
-
-    def expand(idx, depth):
-        m = len(idx)
-        y_sub = y[idx]
-        pos = int(y_sub.sum())
+    def expand(node, depth):
+        rows, m, pos = node
         if depth >= params.max_depth or pos in (0, m) or m < 2 * params.min_samples_leaf:
             return pos / m
-        candidates = None if candidate_picker is None else candidate_picker()
-        split = find_gini_split(XT, y_sub, pos, idx, candidates, params.min_samples_leaf)
-        return pos / m if split is None else split
+        planes = [(rows & digit, rows & digit & labels, b) for b, digit in enumerate(digits)
+                  if rows & digit]
+        best, best_score = None, -1.0  # below every score
+        for j in range(len(columns)) if candidate_picker is None else candidate_picker().tolist():
+            col = columns[j]
+            if not col & rows:
+                continue
+            n1 = pos1 = 0
+            for plane, positives, b in planes:
+                n1 += (col & plane).bit_count() << b
+                pos1 += (col & positives).bit_count() << b
+            n0, pos0 = m - n1, pos - pos1
+            if n0 < least or n1 < least:
+                continue
+            s_num = (pos0 * pos0 + (n0 - pos0) ** 2) * n1 + (pos1 * pos1 + (n1 - pos1) ** 2) * n0
+            s_den = n0 * n1
+            score = float(s_num) / float(s_den)
+            if score > best_score:
+                best, best_score = (j, s_num, s_den, n1, pos1), score
+        # Strict gain test, exact in integers: s > (pos^2 + neg^2)/m.
+        if best is None or best[1] * m <= (pos * pos + (m - pos) ** 2) * best[2]:
+            return pos / m
+        j, _, _, n1, pos1 = best
+        right = rows & columns[j]
+        return j, (rows ^ right, m - n1, pos - pos1), (right, n1, pos1)
 
-    return build_tree(expand, idx)
+    pos = sum((digit & labels).bit_count() << b for b, digit in enumerate(digits))
+    return build_tree(expand, (drawn, int(counts.sum()), pos))
 
 
 @dataclass(frozen=True)
@@ -150,5 +150,5 @@ class DecisionTreeModel:
 
 
 def fit_decision_tree(X: np.ndarray, y: np.ndarray, params: TreeParams) -> DecisionTreeModel:
-    tree = grow_tree(np.ascontiguousarray(X.T), y, np.arange(len(y)), params)
+    tree = grow_tree(bitsets(X.T), bitsets(y[None])[0], np.ones(len(y), np.int64), params)
     return DecisionTreeModel(tree, params)

@@ -9,8 +9,8 @@ key and its line in the echo; each command takes only the settings it
 reads. Flag > config file > default. ``main`` writes the outputs a command
 returns, then the echo of the effective configuration, each whole or not at
 all, so any run can be repeated bit-identically and a failed run leaves no echo.
-Only then does it print the command's stdout text, so a run that says it
-wrote a file has written it.
+Only then does it print what the package logged and the stdout text, so a
+run that says it wrote a file has written it, and a failed run prints one line.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import io
+import logging
 import os
 import statistics
 import sys
@@ -33,6 +35,9 @@ EXIT_DATA = 2
 EXIT_TOLERANCE = 3
 
 DATA_ENV_VAR = "RWDETECT_DATA"
+
+# The package's logger, also when this module runs as __main__.
+logger = logging.getLogger(__package__)
 
 # Baseline results this pipeline is compared against, per kind: display
 # name, accuracy in percent, precision, recall.
@@ -390,7 +395,7 @@ def cmd_score(cfg: RunConfig, args) -> tuple[int, dict, str]:
         _iter_report_files(reports_path), model, fingerprint, dictionary
     )
     for report_id, exc in failures:
-        print(f"{report_id}: {exc}", file=sys.stderr)
+        logger.warning("%s: %s", report_id, exc)
     labels = classifiers.labels_of(scores).tolist()
     lines = ["report_id,label,score,matched,unmatched"]
     lines += [
@@ -461,6 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    diagnostics = logging.StreamHandler(io.StringIO())
+    logger.addHandler(diagnostics)
     try:
         args = build_parser().parse_args(argv)
         cfg = build_config(args)
@@ -470,6 +477,7 @@ def main(argv=None) -> int:
         outputs[Path(cfg.out) / f"{args.command}.config"] = lambda fh: fh.write(echo)
         for path, write in outputs.items():
             write_whole(path, write)
+        sys.stderr.write(diagnostics.stream.getvalue())
         print(text)
         if code == EXIT_TOLERANCE:
             print(STRICT_FAILURE[args.command], file=sys.stderr)
@@ -480,6 +488,8 @@ def main(argv=None) -> int:
     except RwdetectError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        logger.removeHandler(diagnostics)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,11 @@
 
 No command runs these: they synthesize and write the datasets the tests
 load, and they are the plain-Python references that ``score_all`` (MI),
-``fit_linear_svm`` (objective), ``fit_logistic_regression`` (its loss, and
-dense products) and ``fit_gradient_boosting`` (trees grown by gathering every
-node) are checked against.
+``fit_linear_svm`` (objective, and the one-row-a-time fit it replaced),
+``fit_logistic_regression`` (its loss, and dense products), ``grow_tree``
+(trees grown by numpy counts over each node's rows) and
+``fit_gradient_boosting`` (trees grown by gathering every node) are checked
+against.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rwdetect.classifiers.base import GbtParams, LogRegParams, sigmoid, to_grid
+from rwdetect.classifiers.base import GbtParams, LogRegParams, SvmParams, TreeParams, sigmoid, \
+    to_grid
 from rwdetect.classifiers.io import Fingerprint
 from rwdetect.classifiers.linear import logistic_gradient
 from rwdetect.classifiers.tree import FlatTree, build_tree
@@ -168,6 +171,33 @@ def svm_objective(w, b, X, y_pm, lam: float) -> float:
     return 0.5 * lam * float(w @ w) + float(hinge.mean())
 
 
+def sequential_svm_fit(X, y, params: SvmParams):
+    """The weights and bias of the svm fit that steps on one row at a time, in a
+    seeded permutation per epoch, with float64 dot products in BLAS order and the
+    averaged weights rounded once onto the grid for their own |w|_1 + |b|."""
+    Xf = np.concatenate([X, np.ones((len(X), 1), X.dtype)], axis=1, dtype=np.float64)
+    y_pm = np.where(y == 1, 1.0, -1.0)
+    n, d = Xf.shape
+    lam = params.regularization
+    radius = 1.0 / math.sqrt(lam)
+    rng = np.random.default_rng(params.seed)
+    w, w_sum, t = np.zeros(d), np.zeros(d), 0
+    for _ in range(params.epochs):
+        for i in rng.permutation(n).tolist():
+            t += 1
+            eta = 1.0 / (lam * t + 1.0)
+            margin = y_pm[i] * Xf[i].dot(w)
+            w *= 1.0 - eta * lam
+            if margin < 1.0:
+                w += eta * y_pm[i] * Xf[i]
+            norm = math.sqrt(w.dot(w))
+            if norm > radius:
+                w *= radius / norm
+            w_sum += w
+    w_avg = to_grid(w_sum / t, math.ceil(np.abs(w_sum / t).sum()))
+    return w_avg[:-1], float(w_avg[-1])
+
+
 def logistic_loss(w, b, X, y, l2: float) -> float:
     """Mean cross-entropy + (l2/2)||w||^2 (bias unpenalized), the objective whose
     gradient ``logistic_gradient`` computes, in the softplus form log(1 + e^z) - y z."""
@@ -235,3 +265,49 @@ def gathered_gbt_trees(X, y, params: GbtParams) -> list[FlatTree]:
         trees.append(build_tree(expand, np.arange(len(yf))))
         margin = margin + params.learning_rate * outputs
     return trees
+
+
+def numpy_gini_split(XT, y_sub, pos, idx, candidates, min_samples_leaf):
+    """Best binary split of rows ``idx`` among ``candidates`` (sorted, or
+    None for all features) of the features x samples matrix ``XT``, given
+    their labels ``y_sub`` and its sum ``pos``, by numpy counts over the rows.
+    Returns (feature, left_idx, right_idx), or None when no candidate
+    strictly decreases impurity."""
+    m = len(idx)
+    cols = (XT if candidates is None else XT[candidates])[:, idx]
+    n1 = cols.sum(axis=1, dtype=np.int64)
+    pos1 = cols @ y_sub
+    n0 = m - n1
+    pos0 = pos - pos1
+    neg1 = n1 - pos1
+    neg0 = n0 - pos0
+    valid = np.minimum(n0, n1) >= max(1, min_samples_leaf)
+    if not valid.any():
+        return None
+    s_num = (pos0**2 + neg0**2) * n1 + (pos1**2 + neg1**2) * n0
+    s_den = n0 * n1
+    score = np.divide(s_num, s_den, out=np.full(len(n1), -np.inf), where=valid)
+    best = int(np.argmax(score))
+    neg = m - pos
+    if int(s_num[best]) * m <= (pos**2 + neg**2) * int(s_den[best]):
+        return None
+    mask = cols[best] != 0
+    feature = best if candidates is None else int(candidates[best])
+    return feature, idx[~mask], idx[mask]
+
+
+def numpy_grow_tree(XT, y, idx, params: TreeParams, candidate_picker=None) -> FlatTree:
+    """The tree ``grow_tree`` grows on the rows ``idx`` (sorted, a row once per
+    draw), grown instead by ``numpy_gini_split`` on each node's gathered rows."""
+
+    def expand(idx, depth):
+        m = len(idx)
+        y_sub = y[idx]
+        pos = int(y_sub.sum())
+        if depth >= params.max_depth or pos in (0, m) or m < 2 * params.min_samples_leaf:
+            return pos / m
+        candidates = None if candidate_picker is None else candidate_picker()
+        split = numpy_gini_split(XT, y_sub, pos, idx, candidates, params.min_samples_leaf)
+        return pos / m if split is None else split
+
+    return build_tree(expand, idx)

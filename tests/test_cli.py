@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -1092,6 +1093,23 @@ def test_unwritable_output_is_one_line_usage_error(tmp_path, monkeypatch, capsys
     assert printed.out == ""
     assert not Path("out", f"{command}.config").exists()
     assert os.listdir("out") == [output]  # no temporary file is left
+
+
+def test_failed_score_write_prints_only_its_error(tmp_path, monkeypatch):
+    # In a child process the drift warning reaches stderr as it does for a user; the
+    # malformed reports and the drifting one are reported only once verdicts.csv is written.
+    prepare_commands(tmp_path, monkeypatch)
+    Path("batch.ndjson").write_text('{"x":1}\nnot json\n[1]\n{"api_calls": ["no1", "no2"]}\n')
+    code, err, files = run_limited(command_line("score"))
+    assert code == cli.EXIT_OK and "verdicts.csv" in files
+    assert err.splitlines() == [
+        "report matched only 0 of 2 tokens; dictionary drift likely",
+        "batch.ndjson:2: malformed report document: Expecting value: line 1 column 1 (char 0)",
+        "batch.ndjson:3: report document must be a JSON object"]
+    shutil.rmtree("out")
+    Path("out", "verdicts.csv").mkdir(parents=True)
+    code, err, _ = run_limited(command_line("score"))
+    assert (code, err) == (cli.EXIT_USAGE, "error: cannot write 'out/verdicts.csv': Is a directory\n")
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/mem")

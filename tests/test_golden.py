@@ -7,9 +7,9 @@ go through ``cli.main``: ``mi-scores``, ``train`` for all six kinds,
 Each format runs in a working directory of its own and every command
 writes to its own ``--out``, so the echoes hold relative paths only and
 none overwrites another. The sparse run is pinned; the dense run must
-write the same bytes, save the ``data=`` line of the echoes. Like ``PINNED_SHA256`` in test_serialization.py, the svm outputs
-were recorded with numpy's OpenBLAS on x86-64; the gbt and logreg outputs
-sum only on an exact grid and hold on every BLAS kernel.
+write the same bytes, save the ``data=`` line of the echoes. As for
+``PINNED_SHA256`` in test_serialization.py, the fits count in integers or
+sum only on an exact grid, so the outputs hold on every BLAS kernel.
 """
 
 import contextlib
@@ -104,14 +104,14 @@ GOLDEN_SHA256 = {
     "evaluate-rf/evaluation.csv": "b123a179d052cbdb9248cc5ed52c2480c3c804c58abd8e15e000b45fcf238cb6",
     "evaluate-rf/stdout": "bd8e46e68a500fa68bdeb1a8381e72ccfbeef49e0923e9263e5ff8965188f019",
     "evaluate-svm/evaluate.config": "aa3bd6ea9a30e192da6ef45382176137bb9a9490235c0a2f822434ea7265e3b7",
-    "evaluate-svm/evaluation.csv": "fbe056f78a8da2acdee92f4ea0bf46d963b50c886e1924651d6d33e8dddc14c1",
-    "evaluate-svm/stdout": "17a62b80bb1d7bc36e749d5a76a8d8c27cb1036b010f5ad97b9e4fb467d8f8c4",
+    "evaluate-svm/evaluation.csv": "c787d267814f8cf4ef7fefb98bf4c1851f8b381a04191ea64a1cf3257ce1b0f7",
+    "evaluate-svm/stdout": "33e836398c25418327757416b66939af7acaabbf6b153cdf3cb221c5f2710ce5",
     "mi-scores/mi-scores.config": "11a32fe81a4112921e22300142b37f38283138b6569b773d64364b34c6ab104b",
     "mi-scores/mi_scores.csv": "13c5db73471188ee66af22e0da0056b9010462bd04831d1e5af43db9bfe44543",
     "mi-scores/stdout": "57f107791b72d72c2b81ccd554d889f819a9a5b8184543b882e21699e3c2e91f",
     "reproduce/reproduce.config": "c35b557f5f3e8628eb9d6914a5451a5289b6e2dac6d5c8d2739fd43dfd9815fd",
-    "reproduce/reproduce.csv": "674d0390aecec7dbef2750d051b452b457ab570d4a1ac6ef939f49975bb5b021",
-    "reproduce/stdout": "d8b85c864eb90988c6dd57723cebdc95fd44632e554bc203839bacfdaa8cf2d0",
+    "reproduce/reproduce.csv": "92f439a6221a8fb2d2c8593a84ca04c68daffd53de2194d78d1ea6957e191c90",
+    "reproduce/stdout": "da79e6490bb140405abefddb7328e88073f57be14cfb30919ab7e9355865280d",
     "score-dt/score.config": "615672a7beda9e58e602b8d175aca26766da586a7802770f7f3d47b69e1d63ad",
     "score-dt/stderr": "03335e68ff7b505d9297e0a0401ba74b65bf593e7466f4b3c9d7ada8d49b17f9",
     "score-dt/stdout": "af8882c16bf971a3267d8c2c7bdfc5c03a75c5c987c7ed0d0b161e500b584e48",
@@ -134,8 +134,8 @@ GOLDEN_SHA256 = {
     "score-rf/verdicts.csv": "99f0f0dbf6558d0e289d815e36ad8fad129c91f8a323bd9d29d79a9c584efec7",
     "score-svm/score.config": "6735c797058e44eca288a6c1a1af10be123b70f00838cc3bf13cfa0ec907a5a7",
     "score-svm/stderr": "03335e68ff7b505d9297e0a0401ba74b65bf593e7466f4b3c9d7ada8d49b17f9",
-    "score-svm/stdout": "afab93464c9694c180bb738355aba2a6bf96b673e4849e94f4364d1c6771724e",
-    "score-svm/verdicts.csv": "d61410c076f62c5f9f05e8daa8d117dbc3193801f57912f19ab8f9ce91a67532",
+    "score-svm/stdout": "1f52b8a40705bd7d9cd79bf2dd2bf2425be8ca96e27557db9c35e88d49414f19",
+    "score-svm/verdicts.csv": "7f7de638b44a9fccb582f51013cd07a6bce41246632fee55656385d21a345d2f",
     "train-dt/model_dt.json": "107ed9719146a3e186cf4285b00eb24b246cf2bcaff1f10c923df1ab9020a407",
     "train-dt/stdout": "11746272c20bbdac192bdb73c81c30e54641b86b4f051c987215015b05f3d30a",
     "train-dt/train.config": "d48ae7fc1239964ce4f8bc1374e7f523087b989bcce9ada90845e9406829eef9",
@@ -151,8 +151,8 @@ GOLDEN_SHA256 = {
     "train-rf/model_rf.json": "de167c0eebd9d9764e0e0ac49420ddd10a92d120ba642e9c4e3092fd98aaf1c8",
     "train-rf/stdout": "a3445acb1dcbd47fac79f71c7346576574bf56bb7606e270b5c357b9f1694b76",
     "train-rf/train.config": "ea789c3793440e3ac4608d5d207f01c32bf5dbfcac14df1f22bfcd681871bf04",
-    "train-svm/model_svm.json": "14057278bdba9f0b476f751a0c128892658694f3088f0c26736064aa06a5726c",
-    "train-svm/stdout": "a846688968d7c9396d4c4699da59d6d20d916abba80141c749ee641149615785",
+    "train-svm/model_svm.json": "6dc6758c82b64d0c049b2037dc463d5a946a0a4865860198935af83d3af78da5",
+    "train-svm/stdout": "40f7705eb0ee79a615aef39b723ea25a1e6b3613324013c551c55b01b95acfed",
     "train-svm/train.config": "911c82648912a60f26c76fefac4387c38389f535d13f5a9fa12d05fa1e5552ce",
 }
 

@@ -329,17 +329,16 @@ def test_mutated_model_raises_only_model_format_error(blob):
 # sha256 of each kind's model file, fitted with default hyperparameters on
 # every column of the synthetic set of ``pinned_data``. Any change to a fit, to the tree
 # layout or to the codec that moves one byte of a model file fails here.
-# gbt and logreg sum only values on an exact grid, so their bytes hold on
-# every BLAS kernel (see the kernel test below); the svm was recorded with
-# numpy's OpenBLAS on x86-64, and another BLAS may order its sums differently.
+# dt and rf count in integers, and the svm, gbt and logreg sum only values on an
+# exact grid, so their bytes hold on every BLAS kernel (see the kernel test below).
 PINNED_SHA256 = {
     "dt": "1351e8547ad96049d04cc35421acceae3c63061e951364f14388ade6fe2a75d3",
     "rf": "32336eeeeee9d4a9d9416bc5b16d4809d54988cc2123a6350fead8fb174af79d",
     "knn": "33cf9c573249495e67ddfd6ce3bd8d76dd769232678d0391c25e96aae21540bc",
-    "svm": "0cbb424942b26f470f29a12afaac97a99cd5b23cb841fad3558b2ec5db0a8d71",
+    "svm": "27d4910fe8a88b909fcab9f865d54739bb94bf297dcf404931df1c82f63c4be3",
     "gbt": "09f39de75876185dc5b17156218dcb7da38edab8d2cb1b2c4f8769675afdbd74",
     "logreg": "7c0d7f9f26ff6087403d0799aae4b081102b6d25672811dce111ac3f712f93f1",
-    "svm regularization=1": "a072ec192b2cae7274c2e881d0d0882bb8b74e91088ac381773cb3883e1afa5c",
+    "svm regularization=1": "5b8e3610d5d45680e1a508d6f6196ee6b6dbacf0f9faabaa7a99b36b435f7540",
 }
 # Each kind at its defaults, and the SVM at regularization=1: the ball's
 # radius is then 1, so its projection onto the ball runs (at 1e-4 it never does).
@@ -389,8 +388,8 @@ def blas_name() -> str:
 @pytest.mark.parametrize("coretype", ["Prescott", "Haswell"])
 def test_exact_sum_models_are_pinned_on_every_blas_kernel(coretype, pinned_dataset, tmp_path):
     # Each kernel sums in its own order; on the exact grid every order gives the same bits.
-    # The svm fit still sums in the kernel's order, so an svm file fitted here is
-    # loaded there, and its scores of the pinned rows must keep their bits.
+    # The svm, tree, gbt and logreg files fitted there must be the pinned ones, and an
+    # svm file fitted here must give the pinned rows the same score bytes there.
     svm_file = tmp_path / "model_svm.json"
     svm_file.write_bytes(pinned_blob("svm", pinned_dataset))
     svm, _ = deserialize_model(svm_file.read_bytes())
@@ -400,14 +399,15 @@ def test_exact_sum_models_are_pinned_on_every_blas_kernel(coretype, pinned_datas
            "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
     script = ("import hashlib, sys, test_serialization as t\n"
               "data = t.pinned_data()\n"
-              "print(t.pinned_sha256('gbt', data), t.pinned_sha256('logreg', data))\n"
+              "print(*(t.pinned_sha256(case, data) for case in sys.argv[2:]))\n"
               "with open(sys.argv[1], 'rb') as fh:\n"
               "    svm, _ = t.deserialize_model(fh.read())\n"
               "print(hashlib.sha256(svm.predict(data[0]).tobytes()).hexdigest())\n")
-    done = subprocess.run([sys.executable, "-c", script, str(svm_file)], env=env,
+    cases = ["svm", "svm regularization=1", "dt", "rf", "gbt", "logreg"]
+    done = subprocess.run([sys.executable, "-c", script, str(svm_file), *cases], env=env,
                           capture_output=True, text=True, timeout=60, check=False)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == [PINNED_SHA256["gbt"], PINNED_SHA256["logreg"],
+    assert done.stdout.split() == [*(PINNED_SHA256[case] for case in cases),
                                    hashlib.sha256(scores).hexdigest()]
 
 

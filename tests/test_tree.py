@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rwdetect import cli
 from rwdetect.classifiers import TreeParams, fit_decision_tree, labels_of
+from rwdetect.classifiers.tree import bitsets, grow_tree
 
 from conftest import random_dense, xy
+from fixtures import numpy_grow_tree
 
 
 def gini_oracle_root(X, y, min_leaf=1):
@@ -117,3 +120,40 @@ class TestDecisionTree:
             check(tree.right[node], idx[mask])
 
         check(0, np.arange(30))
+
+
+@st.composite
+def grower_inputs(draw):
+    """A 0/1 matrix whose columns repeat (tied candidates), its labels, and sorted
+    bootstrap draws in which one row is drawn at least 8 times, so the draw
+    counts need a fourth binary digit."""
+    n, d = draw(st.integers(2, 40)), draw(st.integers(1, 5))
+    bits = st.lists(st.integers(0, 1), min_size=n * d, max_size=n * d)
+    X = np.array(draw(bits), np.uint8).reshape(n, d)
+    X = X[:, draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=2 * d))]
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), np.int64)
+    rows = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    idx = np.sort(np.array(rows + [draw(st.integers(0, n - 1))] * 8))
+    return X, y, idx
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=grower_inputs(), min_samples_leaf=st.sampled_from([1, 2, 5]),
+       max_depth=st.sampled_from([0, 1, 3, 32]), picker_seed=st.none() | st.integers(0, 99))
+def test_bitset_grower_equals_the_numpy_grower(inputs, min_samples_leaf, max_depth, picker_seed):
+    X, y, idx = inputs
+    params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+
+    def picker():  # a fresh one per grower, each drawing the same candidates
+        if picker_seed is None:
+            return None
+        rng = np.random.default_rng(picker_seed)
+        size = 1 + picker_seed % X.shape[1]
+        return lambda: np.sort(rng.choice(X.shape[1], size=size, replace=False))
+
+    expected = numpy_grow_tree(np.ascontiguousarray(X.T), y, idx, params, picker())
+    tree = grow_tree(bitsets(X.T), bitsets(y[None])[0], np.bincount(idx, minlength=len(y)),
+                     params, picker())
+    for name in ("feature", "left", "right"):
+        assert np.array_equal(getattr(tree, name), getattr(expected, name)), name
+    assert tree.value.tobytes() == expected.value.tobytes()
