@@ -51,6 +51,8 @@ BASELINE = {
 }
 # How far accuracy (in points), precision and recall may each miss it.
 TOLERANCE = (2.5, 0.04, 0.04)
+# A scored report drifts when more than this share of its tokens are unknown.
+DRIFT_RATIO = 0.9
 # Why a --strict run exits 3, printed once its outputs are written.
 STRICT_FAILURE = {
     "evaluate": "precision or recall is undefined",
@@ -391,19 +393,25 @@ def cmd_score(cfg: RunConfig, args) -> tuple[int, dict, str]:
     # Token lookup needs the training dictionary only, not its samples.
     dictionary = load_data(cfg, dataset.load_dictionary)
 
-    report_ids, scores, counts, failures = reports.score_documents(
-        _iter_report_files(reports_path), model, fingerprint, dictionary
-    )
+    with out_of_memory(args.reports):
+        report_ids, scores, counts, failures = reports.score_documents(
+            _iter_report_files(reports_path), model, fingerprint, dictionary
+        )
+        labels = classifiers.labels_of(scores).tolist()
+        lines = ["report_id,label,score,matched,unmatched"]
+        lines += [
+            f"{report_id},{label},{score:.6f},{matched},{unmatched}"
+            for report_id, label, score, (matched, unmatched)
+            in zip(report_ids, labels, scores.tolist(), counts)
+        ]
+        table = ("\n".join(lines) + "\n").encode("utf-8")
+        drifting = [report_id for report_id, (matched, unmatched) in zip(report_ids, counts)
+                    if unmatched and unmatched / (matched + unmatched) > DRIFT_RATIO]
+    if drifting:
+        logger.warning("%d of %d reports matched under 10%% of their tokens (first: %s); "
+                       "dictionary drift likely", len(drifting), len(report_ids), drifting[0])
     for report_id, exc in failures:
         logger.warning("%s: %s", report_id, exc)
-    labels = classifiers.labels_of(scores).tolist()
-    lines = ["report_id,label,score,matched,unmatched"]
-    lines += [
-        f"{report_id},{label},{score:.6f},{matched},{unmatched}"
-        for report_id, label, score, (matched, unmatched)
-        in zip(report_ids, labels, scores.tolist(), counts)
-    ]
-    table = ("\n".join(lines) + "\n").encode("utf-8")
     ransomware = sum(labels)
     lines.append(f"scored {len(labels)} reports: {ransomware} ransomware, "
                  f"{len(labels) - ransomware} goodware, {len(failures)} malformed")

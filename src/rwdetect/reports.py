@@ -4,8 +4,8 @@ A report is a JSON object with up to seven arrays of string tokens, one
 per behavioral category. Tokens are joined to the training feature space
 by prefixing the category code, e.g. an API call "CreateFileW" becomes
 the feature name "API:CreateFileW". Presence is binary; duplicate tokens
-are collapsed before matching. Unknown tokens are counted as unmatched
-diagnostics, never errors.
+are collapsed before matching. Unknown tokens are counted as unmatched,
+never errors; the caller decides what a count says.
 
 Reports are scored in batches against a model and the fingerprint that
 came with it in its model file: the fingerprint is checked once against
@@ -19,7 +19,6 @@ not parse is set aside and the rest are scored.
 from __future__ import annotations
 
 import json
-import logging
 from array import array
 from typing import NamedTuple
 
@@ -27,8 +26,6 @@ import numpy as np
 
 from .dataset import FeatureDictionary
 from .errors import DataFormatError, FingerprintMismatch
-
-logger = logging.getLogger(__name__)
 
 # report field -> feature-name category prefix
 CATEGORY_FIELDS = {
@@ -40,8 +37,6 @@ CATEGORY_FIELDS = {
     "dir_ops": "DIR",
     "strings": "STR",
 }
-
-UNMATCHED_WARN_RATIO = 0.9
 
 
 class VectorizeOutcome(NamedTuple):
@@ -72,16 +67,9 @@ def parse_report(text: str | bytes) -> set[str]:
 
 
 def vectorize(tokens: set[str], dictionary: FeatureDictionary) -> VectorizeOutcome:
-    """Count the report's tokens the dictionary has and has not, warning
-    when nearly all are unknown."""
+    """Count the report's tokens the dictionary has and has not."""
     unmatched = len(dictionary.unknown(tokens))
-    matched = len(tokens) - unmatched
-    if tokens and unmatched / len(tokens) > UNMATCHED_WARN_RATIO:
-        logger.warning(
-            "report matched only %d of %d tokens; dictionary drift likely",
-            matched, len(tokens),
-        )
-    return VectorizeOutcome(matched, unmatched)
+    return VectorizeOutcome(len(tokens) - unmatched, unmatched)
 
 
 def check_fingerprint(fingerprint, dictionary: FeatureDictionary) -> None:

@@ -44,9 +44,8 @@ def score_all(matrix: DataMatrix, y: np.ndarray) -> np.ndarray:
 
 
 def rank_features(scores) -> np.ndarray:
-    """Ordinals by score descending, ties by ascending ordinal."""
-    scores = np.asarray(scores, dtype=np.float64)
-    return np.lexsort((np.arange(len(scores)), -scores))
+    """Ordinals by score descending, ties by ascending ordinal (the sort is stable)."""
+    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
 
 
 def select_k_best(scores, k: int) -> tuple[int, ...]:

@@ -650,6 +650,25 @@ def test_model_file_too_large_for_memory_is_one_line_data_error(trained, tmp_pat
     assert files == {}
 
 
+def test_report_batch_too_large_for_memory_is_one_line_data_error(tmp_path):
+    # With every one of 4000 columns selected, the 0/1 array of 50 000 empty
+    # reports is 200 MB, which the child may not map beside the interpreter.
+    d = 4000
+    matrix, y = synthesize_dataset(100, d, 0.01, [(0, 0.05, 0.95)], seed=1)
+    data = tmp_path / "data.sparse"
+    write_sparse(data, matrix, generic_dictionary(d, category="API"), y)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["train", "--data", data, "--out", tmp_path, "--model", "logreg",
+                    "--top-k", d, "--hp", "epochs=5"]) == 0
+    batch = tmp_path / "batch.ndjson"
+    batch.write_text("{}\n" * 50_000)
+    code, err, files = run_limited(["score", "--data", data, "--out", tmp_path / "o",
+                                    "--model-file", tmp_path / "model_logreg.json", batch],
+                                   address_space=256 << 20)
+    assert (code, err) == (cli.EXIT_DATA, f"data error: {batch}: out of memory while reading it\n")
+    assert files == {}
+
+
 @pytest.mark.parametrize("header, message", [
     (["#FEATURES 2147483648", "API:a"], "dictionary section truncated"),
     (["#FEATURES 1", "API:a", "#SAMPLES 2147483648", "s1\t0\tAPI:a"],
@@ -1103,13 +1122,36 @@ def test_failed_score_write_prints_only_its_error(tmp_path, monkeypatch):
     code, err, files = run_limited(command_line("score"))
     assert code == cli.EXIT_OK and "verdicts.csv" in files
     assert err.splitlines() == [
-        "report matched only 0 of 2 tokens; dictionary drift likely",
+        "1 of 2 reports matched under 10% of their tokens (first: batch.ndjson:4); "
+        "dictionary drift likely",
         "batch.ndjson:2: malformed report document: Expecting value: line 1 column 1 (char 0)",
         "batch.ndjson:3: report document must be a JSON object"]
     shutil.rmtree("out")
     Path("out", "verdicts.csv").mkdir(parents=True)
     code, err, _ = run_limited(command_line("score"))
     assert (code, err) == (cli.EXIT_USAGE, "error: cannot write 'out/verdicts.csv': Is a directory\n")
+
+
+def test_drifting_batch_prints_one_drift_line(tmp_path, monkeypatch, capsys):
+    # Line 1 has 9 of its 10 tokens unknown, exactly nine tenths, so it does
+    # not drift; lines 2-51 have 10 of 11 unknown, just above. Line 52 knows
+    # every token and line 53 has none.
+    prepare_commands(tmp_path, monkeypatch)
+
+    def report(n_unknown):
+        return json.dumps({"api_calls": ["f00000"],
+                           "strings": [f"zz{i}" for i in range(n_unknown)]})
+
+    lines = [report(9), *[report(10)] * 50, report(0), "{}", "not json"]
+    Path("batch.ndjson").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(command_line("score")) == cli.EXIT_OK
+    assert capsys.readouterr().err.splitlines() == [
+        "50 of 53 reports matched under 10% of their tokens (first: batch.ndjson:2); "
+        "dictionary drift likely",
+        "batch.ndjson:54: malformed report document: Expecting value: line 1 column 1 (char 0)"]
+    counts = [row.split(",")[3:] for row in Path("out/verdicts.csv").read_text().splitlines()[1:]]
+    assert counts == [["1", "9"], *[["1", "10"]] * 50, ["1", "0"], ["0", "0"]]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/mem")

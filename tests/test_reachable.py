@@ -7,6 +7,9 @@ count as reached without that: dunders, which Python calls; the names
 ``bench/spans.py`` wraps to time the program from outside (the test reads
 that file and changes nothing there); and ``cli.ArgumentParser.error``,
 which argparse calls.
+
+Only ``cli.py`` says anything: the rest of the package computes and
+returns, and neither logs, prints nor writes to a standard stream.
 """
 
 import ast
@@ -68,3 +71,22 @@ def unreached() -> list[str]:
 
 def test_every_definition_is_used_in_the_package():
     assert unreached() == []
+
+
+def speaks(node) -> bool:
+    """Whether ``node`` imports ``logging``, calls ``print`` or names ``sys.stdout``/``stderr``."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "logging" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "logging"
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "print"
+    return (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+            and isinstance(node.value, ast.Name) and node.value.id == "sys")
+
+
+def test_only_the_cli_logs_or_prints():
+    found = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+             for path in sorted(PACKAGE.rglob("*.py")) if path != PACKAGE / "cli.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if speaks(node)]
+    assert found == []

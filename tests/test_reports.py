@@ -138,14 +138,13 @@ class TestVectorize:
         X, _ = batch_array([base, noisy], dictionary)
         assert X[0].tolist() == X[1].tolist() == reference_report(base, NAMES, range(10))[3]
 
-    def test_drift_warning_above_nine_tenths_unmatched(self, dictionary, caplog):
-        nine = {"API:CreateFileW", *(f"STR:zz{i}" for i in range(9))}
-        with caplog.at_level(logging.WARNING, logger="rwdetect.reports"):
-            vectorize(nine, dictionary)  # 9 of 10 unmatched is not above 0.9
-            assert caplog.messages == []
-            vectorize(nine | {"STR:zz9"}, dictionary)
-        assert caplog.messages == [
-            "report matched only 1 of 11 tokens; dictionary drift likely"]
+    def test_vectorize_counts_and_logs_nothing(self, dictionary, caplog):
+        # Whether a report drifts is for ``score`` to say, once per batch.
+        ten = {"API:CreateFileW", *(f"STR:zz{i}" for i in range(10))}
+        with caplog.at_level(logging.DEBUG, logger="rwdetect"):
+            assert vectorize(ten, dictionary) == (1, 10)
+            assert vectorize(set(), dictionary) == (0, 0)
+        assert caplog.records == []
 
 
 def train_knn_fixture(dictionary):

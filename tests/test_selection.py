@@ -198,6 +198,14 @@ class TestSelectKBest:
         scores = [0.3, 0.3, 0.7, 0.3]
         assert select_k_best(scores, 3) == select_k_best(scores, 3)
 
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 1 / 3, 1e-300, -1.0, math.nan, math.inf,
+                                     -math.inf]) | st.floats(), max_size=300))
+    def test_rank_is_the_two_key_sort(self, values):
+        # The reference: sort by descending score, then by ascending ordinal.
+        scores = np.array(values, dtype=np.float64)
+        reference = np.lexsort((np.arange(len(scores)), -scores))
+        assert rank_features(values).tolist() == reference.tolist()
+
     def test_k_out_of_range(self, tmp_path, capsys):
         # The commands ask for min(top_k, d) features, and top_k < 1 is a usage error.
         m, y = synthesize_dataset(40, 6, 0.3, [(0, 0.1, 0.9)], seed=6)
