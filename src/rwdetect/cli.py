@@ -1,16 +1,17 @@
 """Command-line interface of the pipeline; ``COMMANDS`` lists the subcommands.
 
-Exit codes: 0 success, 1 usage/config error (argument errors included),
-2 data error (a model whose fingerprint does not match the dataset's
-dictionary included), 3 baseline-tolerance failure (reproduce --strict).
+Exit codes: 0 success, 1 usage/config error (argument errors included), 2 data
+error (a model whose fingerprint does not match the dataset's dictionary included),
+3 --strict failure (reproduce: a model out of baseline tolerance; evaluate: an
+undefined precision or recall). A closed stdout or stderr leaves the code as it is.
 
-Every setting is a ``RunConfig`` field, which is its flag, its config-file
-key and its line in the echo; each command takes only the settings it
-reads. Flag > config file > default. ``main`` writes the outputs a command
-returns, then the echo of the effective configuration, each whole or not at
-all, so any run can be repeated bit-identically and a failed run leaves no echo.
-Only then does it print what the package logged and the stdout text, so a
-run that says it wrote a file has written it, and a failed run prints one line.
+Every setting is a ``RunConfig`` field, which is its flag, its config-file key and its
+line in the echo; each command takes only the settings it reads. Flag > config file >
+default. A command returns ``(outputs, text, failure)``. ``main`` writes the outputs,
+then the echo of the effective configuration, each whole or not at all, so any run can
+be repeated bit-identically and a failed run leaves no echo. Only then does it print
+what the package logged, the stdout text and the --strict failure, so a run that says
+it wrote a file has written it, and a failed run prints one line.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import functools
 import io
 import logging
@@ -53,11 +55,6 @@ BASELINE = {
 TOLERANCE = (2.5, 0.04, 0.04)
 # A scored report drifts when more than this share of its tokens are unknown.
 DRIFT_RATIO = 0.9
-# Why a --strict run exits 3, printed once its outputs are written.
-STRICT_FAILURE = {
-    "evaluate": "precision or recall is undefined",
-    "reproduce": "one or more models fell outside the baseline tolerance",
-}
 
 
 class UsageError(RwdetectError):
@@ -273,18 +270,18 @@ def split_and_select(matrix, dictionary, y, cfg: RunConfig):
     return X[train_idx], train_y, X[test_idx], y[test_idx], fingerprint
 
 
-def cmd_mi_scores(cfg: RunConfig, args) -> tuple[int, dict, str]:
+def cmd_mi_scores(cfg: RunConfig, args) -> tuple[dict, str, str | None]:
     matrix, dictionary, y = load_data(cfg)
     scores = selection.score_all(matrix, y)
     order = selection.rank_features(scores)
     path = Path(cfg.out) / "mi_scores.csv"
     lines = [f"wrote {len(scores)} feature scores to {path}", "top 20 features by MI (nats):"]
     lines += [f"  {dictionary.names[j]}  {scores[j]:.6f}" for j in order[:20].tolist()]
-    return (EXIT_OK, {path: lambda fh: selection.write_scores_csv(fh, dictionary, scores, order)},
-            "\n".join(lines))
+    return ({path: lambda fh: selection.write_scores_csv(fh, dictionary, scores, order)},
+            "\n".join(lines), None)
 
 
-def cmd_train(cfg: RunConfig, args) -> tuple[int, dict, str]:
+def cmd_train(cfg: RunConfig, args) -> tuple[dict, str, str | None]:
     matrix, dictionary, y = load_data(cfg)
     train_p, train_y, _, _, fingerprint = split_and_select(matrix, dictionary, y, cfg)
     params = make_params(cfg.model, cfg.hp)
@@ -294,12 +291,12 @@ def cmd_train(cfg: RunConfig, args) -> tuple[int, dict, str]:
     model_path = Path(cfg.model_file or Path(cfg.out) / f"model_{cfg.model}.json")
 
     report = predict_and_evaluate(model, train_p, train_y)
-    return EXIT_OK, {model_path: lambda fh: fh.write(blob)}, (
+    return {model_path: lambda fh: fh.write(blob)}, (
         f"model written to {model_path} ({len(blob)} bytes)\n"
-        f"train accuracy: {float(report.accuracy):.4f}")
+        f"train accuracy: {float(report.accuracy):.4f}"), None
 
 
-def cmd_evaluate(cfg: RunConfig, args) -> tuple[int, dict, str]:
+def cmd_evaluate(cfg: RunConfig, args) -> tuple[dict, str, str | None]:
     model, fingerprint = load_model(cfg)
     matrix, dictionary, y = load_data(cfg)
     reports.check_fingerprint(fingerprint, dictionary)
@@ -312,9 +309,9 @@ def cmd_evaluate(cfg: RunConfig, args) -> tuple[int, dict, str]:
             f"{cfg.test_fraction}: its selected features differ")
     report = predict_and_evaluate(model, test_p, test_y)
     table = evaluation.compare_models_csv([report]).encode("utf-8")
-    code = EXIT_TOLERANCE if cfg.strict and report.has_undefined() else EXIT_OK
-    return (code, {Path(cfg.out) / "evaluation.csv": lambda fh: fh.write(table)},
-            evaluation.compare_models_text([report]))
+    failure = "precision or recall is undefined" if cfg.strict and report.has_undefined() else None
+    return ({Path(cfg.out) / "evaluation.csv": lambda fh: fh.write(table)},
+            evaluation.compare_models_text([report]), failure)
 
 
 def _reproduce_once(matrix, dictionary, y, cfg: RunConfig):
@@ -327,7 +324,7 @@ def _reproduce_once(matrix, dictionary, y, cfg: RunConfig):
     return results
 
 
-def cmd_reproduce(cfg: RunConfig, args) -> tuple[int, dict, str]:
+def cmd_reproduce(cfg: RunConfig, args) -> tuple[dict, str, str | None]:
     seeds = [int(s) for s in cfg.seeds.split(",")] if cfg.seeds else [cfg.seed]
     matrix, dictionary, y = load_data(cfg)
     per_seed = [_reproduce_once(matrix, dictionary, y, dataclasses.replace(cfg, seed=s))
@@ -338,7 +335,7 @@ def cmd_reproduce(cfg: RunConfig, args) -> tuple[int, dict, str]:
     if len(seeds) > 1:
         header += ["acc%_mean", "acc%_std"]
     rows = [header]
-    within_tolerance = True
+    failure = None
     for kind in classifiers.MODEL_KINDS:
         display, *reference = BASELINE[kind]
         accs = [float(r[kind].accuracy) * 100 for r in per_seed]
@@ -350,8 +347,8 @@ def cmd_reproduce(cfg: RunConfig, args) -> tuple[int, dict, str]:
                 row += ["n/a", f"{ref:.2f}", "n/a"]
                 continue
             value = float(value)
-            if abs(value - ref) > tolerance:
-                within_tolerance = False
+            if cfg.strict and abs(value - ref) > tolerance:
+                failure = "one or more models fell outside the baseline tolerance"
             row += [f"{value:.2f}", f"{ref:.2f}", f"{value - ref:+.2f}"]
         row += [str(first.tp), str(first.tn), str(first.fp), str(first.fn)]
         if len(seeds) > 1:
@@ -359,9 +356,8 @@ def cmd_reproduce(cfg: RunConfig, args) -> tuple[int, dict, str]:
         rows.append(row)
 
     table = ("\n".join(",".join(r) for r in rows) + "\n").encode("utf-8")
-    code = EXIT_TOLERANCE if cfg.strict and not within_tolerance else EXIT_OK
-    return (code, {Path(cfg.out) / "reproduce.csv": lambda fh: fh.write(table)},
-            evaluation.aligned(rows))
+    return ({Path(cfg.out) / "reproduce.csv": lambda fh: fh.write(table)},
+            evaluation.aligned(rows), failure)
 
 
 def _iter_report_files(path: Path):
@@ -385,7 +381,7 @@ def _iter_report_files(path: Path):
                     yield f"{path.name}:{i + 1}", line
 
 
-def cmd_score(cfg: RunConfig, args) -> tuple[int, dict, str]:
+def cmd_score(cfg: RunConfig, args) -> tuple[dict, str, str | None]:
     reports_path = Path(args.reports)
     if not reports_path.exists():
         raise UsageError(f"reports path not found: {args.reports}")
@@ -398,13 +394,11 @@ def cmd_score(cfg: RunConfig, args) -> tuple[int, dict, str]:
             _iter_report_files(reports_path), model, fingerprint, dictionary
         )
         labels = classifiers.labels_of(scores).tolist()
-        lines = ["report_id,label,score,matched,unmatched"]
-        lines += [
-            f"{report_id},{label},{score:.6f},{matched},{unmatched}"
+        table = ("report_id,label,score,matched,unmatched\n" + "".join(
+            f"{report_id},{label},{score:.6f},{matched},{unmatched}\n"
             for report_id, label, score, (matched, unmatched)
             in zip(report_ids, labels, scores.tolist(), counts)
-        ]
-        table = ("\n".join(lines) + "\n").encode("utf-8")
+        )).encode("utf-8")
         drifting = [report_id for report_id, (matched, unmatched) in zip(report_ids, counts)
                     if unmatched and unmatched / (matched + unmatched) > DRIFT_RATIO]
     if drifting:
@@ -413,9 +407,9 @@ def cmd_score(cfg: RunConfig, args) -> tuple[int, dict, str]:
     for report_id, exc in failures:
         logger.warning("%s: %s", report_id, exc)
     ransomware = sum(labels)
-    lines.append(f"scored {len(labels)} reports: {ransomware} ransomware, "
-                 f"{len(labels) - ransomware} goodware, {len(failures)} malformed")
-    return EXIT_OK, {Path(cfg.out) / "verdicts.csv": lambda fh: fh.write(table)}, "\n".join(lines)
+    return ({Path(cfg.out) / "verdicts.csv": lambda fh: fh.write(table)},
+            f"scored {len(labels)} reports: {ransomware} ransomware, "
+            f"{len(labels) - ransomware} goodware, {len(failures)} malformed", None)
 
 
 class ArgumentParser(argparse.ArgumentParser):
@@ -473,31 +467,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def say(name: str, text: str) -> None:
+    """Write ``text`` to ``sys.<name>`` and flush it. A closed stream (no reader, a shut
+    descriptor, or None) drops it and points at os.devnull, so the exit flush is silent."""
+    try:
+        print(text, end="", file=getattr(sys, name) or io.StringIO(), flush=True)
+    except OSError as exc:
+        if exc.errno not in (errno.EPIPE, errno.EBADF):
+            raise
+        # Left open: a shut descriptor is the lowest free one, so os.open may return it.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), getattr(sys, name).fileno())
+
+
 def main(argv=None) -> int:
     diagnostics = logging.StreamHandler(io.StringIO())
     logger.addHandler(diagnostics)
     try:
         args = build_parser().parse_args(argv)
         cfg = build_config(args)
-        code, outputs, text = args.func(cfg, args)
+        outputs, text, failure = args.func(cfg, args)
         # The echo is written last, so a run that fails at any step leaves none.
         echo = cfg.echo(COMMANDS[args.command][2]).encode("utf-8")
         outputs[Path(cfg.out) / f"{args.command}.config"] = lambda fh: fh.write(echo)
         for path, write in outputs.items():
             write_whole(path, write)
-        sys.stderr.write(diagnostics.stream.getvalue())
-        print(text)
-        if code == EXIT_TOLERANCE:
-            print(STRICT_FAILURE[args.command], file=sys.stderr)
-        return code
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        say("stderr", f"error: {exc}\n")
         return EXIT_USAGE
     except RwdetectError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+        say("stderr", f"data error: {exc}\n")
         return EXIT_DATA
     finally:
         logger.removeHandler(diagnostics)
+    say("stderr", diagnostics.stream.getvalue())
+    say("stdout", text + "\n")
+    say("stderr", f"{failure}\n" if failure else "")
+    return EXIT_TOLERANCE if failure else EXIT_OK
 
 
 if __name__ == "__main__":

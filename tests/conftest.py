@@ -67,6 +67,18 @@ def small_dictionary():
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def run_cli(argv, prelude="", **run_args):
+    """``python -m rwdetect.cli argv`` run to its end in a child process with
+    one BLAS thread; ``prelude`` is Python the child runs first, and
+    ``run_args`` go to ``subprocess.run``. Returns its ``CompletedProcess``."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    program = (f"{prelude}\nimport runpy\n"
+               "runpy.run_module('rwdetect.cli', run_name='__main__', alter_sys=True)")
+    return subprocess.run([sys.executable, "-c", program, *map(str, argv)], env=env, text=True,
+                          timeout=300, **run_args)
+
+
 def run_limited(argv, fsize=None, address_space=None):
     """Run ``python -m rwdetect.cli argv`` in a child process that may write
     no file past ``fsize`` bytes (a write beyond that fails with EFBIG) and,
@@ -85,11 +97,7 @@ def run_limited(argv, fsize=None, address_space=None):
         if address_space is not None:
             resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    argv = [str(a) for a in argv]
-    child = subprocess.run([sys.executable, "-m", "rwdetect.cli", *argv], env=env,
-                           preexec_fn=limit, capture_output=True, text=True, timeout=300)
+    child = run_cli(argv, preexec_fn=limit, capture_output=True)
     out = Path(argv[argv.index("--out") + 1])
     files = {}
     if out.is_dir():

@@ -1,11 +1,13 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -19,7 +21,7 @@ from rwdetect.classifiers import MODEL_KINDS, deserialize_model, labels_of
 from rwdetect.classifiers.knn import KnnModel
 from rwdetect.dataset import FeatureDictionary, load_sparse
 
-from conftest import mutated_lines, run_limited
+from conftest import mutated_lines, run_cli, run_limited
 from fixtures import generic_dictionary, synthesize_dataset, write_dense_csv, write_sparse
 from report_oracle import reference_report
 
@@ -162,10 +164,13 @@ class TestEvaluate:
         assert "n/a" in printed.out and printed.err == "precision or recall is undefined\n"
         assert "strict=True" in (tmp_path / "strict" / "evaluate.config").read_text()
 
-    def test_missing_model_file(self, tmp_path):
+    @pytest.mark.parametrize("model_file", [None, "nope.json"])
+    def test_missing_model_file(self, tmp_path, capsys, model_file):
         data = make_dataset(tmp_path)
-        assert run(["evaluate", "--data", data, "--out", tmp_path / "o",
-                    "--model-file", tmp_path / "nope.json"]) == cli.EXIT_USAGE
+        flag = [] if model_file is None else ["--model-file", tmp_path / model_file]
+        assert run(["evaluate", "--data", data, "--out", tmp_path / "o", *flag]) \
+            == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: --model-file must point to an existing model\n"
 
     @pytest.mark.parametrize("command", ["evaluate", "score"])
     def test_model_file_is_a_directory(self, tmp_path, capsys, command):
@@ -764,11 +769,13 @@ class TestConfig:
         assert "top_k=5" in echoed
         assert "seed=9" in echoed
 
-    def test_bad_config_line(self, tmp_path):
+    def test_bad_config_line(self, tmp_path, capsys):
+        # Comments and blank lines count: the error names the file's own line number.
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("what is this\n")
+        cfg.write_text("# comment\n\nwhat is this\n")
         assert run(["mi-scores", "--config", cfg, "--out", tmp_path / "o"]) \
             == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {cfg}:3: expected key=value, got 'what is this'\n"
 
     @pytest.mark.parametrize("line", ["seed=abc", "top_k=x", "test_fraction=abc"])
     def test_non_numeric_config_value(self, tmp_path, capsys, line):
@@ -946,6 +953,7 @@ class TestHyperparameters:
         (["--test-fraction", "y"], "--test-fraction"),
         (["--model", "bogus"], "--model"),
         (["--test-fraction", "1.5"], "error: test_fraction 1.5 not in (0,1)"),
+        (["--test-fraction", "1"], "error: test_fraction 1.0 not in (0,1)"),
     ])
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, flags, name):
         data = make_dataset(tmp_path)
@@ -1152,6 +1160,103 @@ def test_drifting_batch_prints_one_drift_line(tmp_path, monkeypatch, capsys):
         "batch.ndjson:54: malformed report document: Expecting value: line 1 column 1 (char 0)"]
     counts = [row.split(",")[3:] for row in Path("out/verdicts.csv").read_text().splitlines()[1:]]
     assert counts == [["1", "9"], *[["1", "10"]] * 50, ["1", "0"], ["0", "0"]]
+
+
+def test_large_batch_prints_one_stdout_line(tmp_path, monkeypatch, capsys):
+    # The verdicts go to verdicts.csv only; stdout is the summary, however large the batch.
+    prepare_commands(tmp_path, monkeypatch)
+    Path("batch.ndjson").write_text('{"api_calls": ["f00000"]}\n' * 10_000)
+    capsys.readouterr()
+    assert run(command_line("score")) == cli.EXIT_OK
+    assert re.fullmatch(r"scored 10000 reports: \d+ ransomware, \d+ goodware, 0 malformed\n",
+                        capsys.readouterr().out)
+    assert len(Path("out/verdicts.csv").read_text().splitlines()) == 10_001
+
+
+OUTPUT_FILE = {"score": "verdicts.csv", "mi-scores": "mi_scores.csv",
+               "reproduce": "reproduce.csv"}
+
+
+@pytest.mark.parametrize("command, strict", [
+    ("score", False), ("mi-scores", False), ("reproduce", False), ("reproduce", True),
+])
+def test_closed_stdout_keeps_the_exit_code(tmp_path, monkeypatch, command, strict):
+    # The read end of the child's stdout pipe is closed before it starts, as
+    # under `| head -1` once head has left: every write to stdout fails with EPIPE.
+    prepare_commands(tmp_path, monkeypatch)
+    argv = [a for a in command_line(command) if strict or a != "--strict"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = run_cli(argv, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert child.returncode == (cli.EXIT_TOLERANCE if strict else cli.EXIT_OK), child.stderr
+    assert "Traceback" not in child.stderr and "Exception ignored" not in child.stderr
+    if strict:  # the reason still follows the dropped stdout
+        assert child.stderr == "one or more models fell outside the baseline tolerance\n"
+    assert sorted(os.listdir("out")) == sorted([OUTPUT_FILE[command], f"{command}.config"])
+
+
+@pytest.mark.parametrize("closed", ["at start", "after start"])
+@pytest.mark.parametrize("model_file", ["models/model_dt.json", "not-json.json"])
+def test_closed_stderr_keeps_the_exit_code(tmp_path, monkeypatch, closed, model_file):
+    # Closed at start, Python sets sys.stderr to None; closed after start, a
+    # write to it fails with EBADF. The batch drifts, so a run that succeeds
+    # has a warning line to drop; a model file that is not JSON is a data error.
+    prepare_commands(tmp_path, monkeypatch)
+    Path("not-json.json").write_text("not json")
+    argv = ["score", "--data", "data.sparse", "--out", "out", "--model-file", model_file,
+            "batch.ndjson"]
+    if closed == "at start":
+        child = run_cli(argv, preexec_fn=lambda: os.close(2), stdout=subprocess.PIPE)
+    else:
+        child = run_cli(argv, "import os; os.close(2)", stdout=subprocess.PIPE)
+    if model_file == "not-json.json":
+        assert (child.returncode, child.stdout) == (cli.EXIT_DATA, "")
+        assert not Path("out").exists()
+    else:
+        assert child.returncode == cli.EXIT_OK
+        assert child.stdout == "scored 2 reports: 1 ransomware, 1 goodware, 0 malformed\n"
+        assert sorted(os.listdir("out")) == ["score.config", "verdicts.csv"]
+
+
+def test_train_without_seed_uses_seed_0(tmp_path, monkeypatch):
+    prepare_commands(tmp_path, monkeypatch)
+    argv = ["train", "--data", "data.sparse", "--model", "dt", "--top-k", 5]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run([*argv, "--out", "default"]) == cli.EXIT_OK
+        assert run([*argv, "--seed", 0, "--out", "zero"]) == cli.EXIT_OK
+    assert "seed=0" in Path("default/train.config").read_text().splitlines()
+    assert Path("default/model_dt.json").read_bytes() == Path("zero/model_dt.json").read_bytes()
+
+
+def test_exit_codes_are_the_documented_numbers():
+    # Callers of the process see the numbers, not the names.
+    assert (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_TOLERANCE) == (0, 1, 2, 3)
+
+
+def test_top_k_of_one_is_valid(tmp_path, monkeypatch):
+    prepare_commands(tmp_path, monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["train", "--data", "data.sparse", "--out", "o", "--top-k", 1]) == cli.EXIT_OK
+    assert len(json.loads(Path("o/model_gbt.json").read_bytes())["fingerprint"]["selected"]) == 1
+
+
+def test_strict_reproduce_passes_at_the_baseline(tmp_path, monkeypatch, capsys):
+    # Each baseline set to the metrics this run measures, with no tolerance:
+    # every model misses it by exactly 0, which is within.
+    prepare_commands(tmp_path, monkeypatch)
+    argv = [str(a) for a in command_line("reproduce") if a != "--strict"]
+    cfg = cli.build_config(cli.build_parser().parse_args(argv))
+    matrix, dictionary, y = cli.load_data(cfg)
+    measured = cli._reproduce_once(matrix, dictionary, y, dataclasses.replace(cfg, seed=0))
+    monkeypatch.setattr(cli, "BASELINE", {
+        kind: (name, float(r.accuracy) * 100, float(r.precision or 0), float(r.recall or 0))
+        for kind, r in measured.items() for name in [cli.BASELINE[kind][0]]})
+    monkeypatch.setattr(cli, "TOLERANCE", (0.0, 0.0, 0.0))
+    assert run([*argv, "--strict"]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/mem")

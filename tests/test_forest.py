@@ -77,3 +77,18 @@ def test_features_per_split_too_large():
     X, labels = xy([[0, 1], [1, 0]], [0, 1])
     with pytest.raises(FitError, match="features_per_split"):
         fit_random_forest(X, labels, ForestParams(features_per_split=3))
+
+
+@pytest.mark.parametrize("d, ceil_sqrt", [(16, 4), (17, 5)])
+def test_default_features_per_split_is_ceil_sqrt_d(d, ceil_sqrt):
+    # At a perfect square d (the bench's k = 400 is one) the default is sqrt(d) itself.
+    rng = np.random.default_rng(12)
+    X = random_dense(rng, 60, d)
+    y = rng.integers(0, 2, size=60)
+
+    def arrays(params):
+        return [[getattr(t, f).tolist() for f in ("feature", "left", "right", "value")]
+                for t in fit_random_forest(X, y, params).trees]
+
+    assert arrays(ForestParams(n_trees=5)) == \
+        arrays(ForestParams(n_trees=5, features_per_split=ceil_sqrt))

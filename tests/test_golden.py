@@ -114,27 +114,27 @@ GOLDEN_SHA256 = {
     "reproduce/stdout": "da79e6490bb140405abefddb7328e88073f57be14cfb30919ab7e9355865280d",
     "score-dt/score.config": "615672a7beda9e58e602b8d175aca26766da586a7802770f7f3d47b69e1d63ad",
     "score-dt/stderr": "03335e68ff7b505d9297e0a0401ba74b65bf593e7466f4b3c9d7ada8d49b17f9",
-    "score-dt/stdout": "af8882c16bf971a3267d8c2c7bdfc5c03a75c5c987c7ed0d0b161e500b584e48",
+    "score-dt/stdout": "862ec89f0fb5fe6181026d5749e6edf524171284ba3b48f248f0835e7f7d5a5a",
     "score-dt/verdicts.csv": "c190f5cea4012a0892a32e89180a1a1cb14b274594132fce4f8b117177ebedf0",
     "score-gbt/score.config": "f43c852164b2676fdfb1d638a6f6b9bb95a917d5892bb98007ba254b2f5f21e7",
     "score-gbt/stderr": "03335e68ff7b505d9297e0a0401ba74b65bf593e7466f4b3c9d7ada8d49b17f9",
-    "score-gbt/stdout": "f8b7541c632bb4fad2f3c767625c7bfcbf8b1e231bd6a326ca7111ee32c93e56",
+    "score-gbt/stdout": "e234fc93d80a9e0c6925f7188cb01d5b0cba33344c19eb43de5c9e5a89ba94c0",
     "score-gbt/verdicts.csv": "e769065efaf49406dfbc97e52710c4a3c4adbe4f79eda31036afbefa52486104",
     "score-knn/score.config": "00a3023c2fde523f3f5886e81d186a459d8670598f1f8159a27e7852d4206adb",
     "score-knn/stderr": "03335e68ff7b505d9297e0a0401ba74b65bf593e7466f4b3c9d7ada8d49b17f9",
-    "score-knn/stdout": "e9e2a5e8ef20889c0d21a897e840ac2977821ce10172ee39d51952bad05c8cd1",
+    "score-knn/stdout": "874f57a039ccb1ebbe81eb5dc73ae698694f4474f3f17429ab309f800842a5ef",
     "score-knn/verdicts.csv": "74324014dbf48f96233dc8669fc31cc2846572509e159f87c3673a063e3b0749",
     "score-logreg/score.config": "92a4faad154a3939654dc7be75abb4851c0a40e83d458c23baf91559d3f209e1",
     "score-logreg/stderr": "03335e68ff7b505d9297e0a0401ba74b65bf593e7466f4b3c9d7ada8d49b17f9",
-    "score-logreg/stdout": "17ce0ee5e2df1c4ec3851bd4ffba39f32e6dabadd40e95bc4f54732a36e1c08f",
+    "score-logreg/stdout": "89686c0dd8ab3c97c91a7e29ca2ce7da8aca65aca2feb6a90d22bd65084a74a5",
     "score-logreg/verdicts.csv": "0c6802ca6d8c4697dd2e3d476fa41776a326d9b1471e8b3efa734b86592d300c",
     "score-rf/score.config": "1136c88ea73feb308bc0740ace51a146f1e2dbb6e01f707bd42554e0e5594e2b",
     "score-rf/stderr": "03335e68ff7b505d9297e0a0401ba74b65bf593e7466f4b3c9d7ada8d49b17f9",
-    "score-rf/stdout": "5ee2399491c12a8456c1b12f181803674bdf40d867856d0d1f49ee8304f72ef2",
+    "score-rf/stdout": "e234fc93d80a9e0c6925f7188cb01d5b0cba33344c19eb43de5c9e5a89ba94c0",
     "score-rf/verdicts.csv": "99f0f0dbf6558d0e289d815e36ad8fad129c91f8a323bd9d29d79a9c584efec7",
     "score-svm/score.config": "6735c797058e44eca288a6c1a1af10be123b70f00838cc3bf13cfa0ec907a5a7",
     "score-svm/stderr": "03335e68ff7b505d9297e0a0401ba74b65bf593e7466f4b3c9d7ada8d49b17f9",
-    "score-svm/stdout": "1f52b8a40705bd7d9cd79bf2dd2bf2425be8ca96e27557db9c35e88d49414f19",
+    "score-svm/stdout": "89686c0dd8ab3c97c91a7e29ca2ce7da8aca65aca2feb6a90d22bd65084a74a5",
     "score-svm/verdicts.csv": "7f7de638b44a9fccb582f51013cd07a6bce41246632fee55656385d21a345d2f",
     "train-dt/model_dt.json": "107ed9719146a3e186cf4285b00eb24b246cf2bcaff1f10c923df1ab9020a407",
     "train-dt/stdout": "11746272c20bbdac192bdb73c81c30e54641b86b4f051c987215015b05f3d30a",
