@@ -395,7 +395,7 @@ def cmd_score(cfg: RunConfig, args) -> tuple[dict, str, str | None]:
         )
         labels = classifiers.labels_of(scores).tolist()
         table = ("report_id,label,score,matched,unmatched\n" + "".join(
-            f"{report_id},{label},{score:.6f},{matched},{unmatched}\n"
+            f"{dataset.csv_field(report_id)},{label},{score:.6f},{matched},{unmatched}\n"
             for report_id, label, score, (matched, unmatched)
             in zip(report_ids, labels, scores.tolist(), counts)
         )).encode("utf-8")

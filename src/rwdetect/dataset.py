@@ -30,6 +30,7 @@ import contextlib
 import csv
 import hashlib
 import itertools
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,15 @@ INT32_LIMIT = 2**31
 # Dictionary names are read from a file, hashed and written with their MI
 # scores this many at a time, which bounds the memory a block of them holds.
 BLOCK_LINES = 8192
+
+# A CSV field holding one of these is quoted, as RFC 4180 says.
+QUOTED = re.compile('[,"\r\n]')
+
+
+def csv_field(text: str) -> str:
+    """``text`` as one CSV field: in quotes, each ``"`` doubled, if it holds a
+    comma, a ``"`` or a line break, else bare."""
+    return '"' + text.replace('"', '""') + '"' if QUOTED.search(text) else text
 
 
 @dataclass(frozen=True)

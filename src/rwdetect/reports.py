@@ -82,65 +82,49 @@ def check_fingerprint(fingerprint, dictionary: FeatureDictionary) -> None:
         raise FingerprintMismatch("selected ordinals exceed the feature dictionary")
 
 
-def score_reports(
-    reports, model, fingerprint, dictionary: FeatureDictionary
-) -> tuple[np.ndarray, list[VectorizeOutcome]]:
-    """vectorize -> project through ``fingerprint``'s selection -> predict, for a whole batch.
+def score_documents(documents, model, fingerprint, dictionary: FeatureDictionary):
+    """parse -> vectorize -> project through ``fingerprint``'s selection -> predict,
+    for ``(report_id, text)`` documents as one batch.
 
-    ``reports`` is any iterable of ``parse_report`` token sets. The
-    fingerprint is checked once, before any report is read, and the model
-    predicts every report's row in one call. Returns ``(scores, counts)``:
-    the model's score and the ``vectorize`` outcome of each report, in the
-    order of ``reports``. A report's selected columns are the tokens it
-    shares with the selected names; only its (row, column) entries and its
-    outcome are kept until the batch's array is filled.
+    A document that could not be read is passed as its ``DataFormatError``
+    in place of the text. The fingerprint is checked once, before any
+    document is read, and the model predicts every row in one call. Returns
+    ``(report_ids, scores, counts, failures)``: the id of every document that
+    parses, in input order, with its score and its ``vectorize`` outcome, and
+    ``(report_id, DataFormatError)`` for every one that does not. Each report
+    is parsed when the loop reaches it, and only its outcome and the (row,
+    column) entries of the selected names it holds outlive it.
     """
     selected = fingerprint.selected
     check_fingerprint(fingerprint, dictionary)
     column = {dictionary.names[j]: c for c, j in enumerate(selected)}
     names = frozenset(column)  # a set intersection walks the smaller side
-    rows, columns, counts = array("i"), array("i"), []
-    for tokens in reports:
+    report_ids, counts, failures = [], [], []
+    rows, columns = array("i"), array("i")
+    for report_id, text in documents:
+        try:
+            if isinstance(text, DataFormatError):
+                raise text
+            tokens = parse_report(text)
+        except DataFormatError as exc:
+            failures.append((report_id, exc))
+            continue
+        report_ids.append(report_id)
         counts.append(vectorize(tokens, dictionary))
         hits = tokens.intersection(names)
         rows.extend([len(counts) - 1] * len(hits))
         columns.extend(map(column.__getitem__, hits))
     X = np.zeros((len(counts), len(selected)), dtype=np.uint8)
     X[np.asarray(rows), np.asarray(columns)] = 1
-    return model.predict(X), counts
+    return report_ids, model.predict(X), counts, failures
 
 
 def score_report(
-    tokens: set[str], model, fingerprint, dictionary: FeatureDictionary
+    text: str | bytes, model, fingerprint, dictionary: FeatureDictionary
 ) -> tuple[float, VectorizeOutcome]:
-    """``score_reports`` of a one-report batch: its score and its outcome."""
-    scores, counts = score_reports([tokens], model, fingerprint, dictionary)
+    """``score_documents`` of the one report ``text``: its score and its outcome.
+    Raises the report's ``DataFormatError``."""
+    _, scores, counts, failures = score_documents([(None, text)], model, fingerprint, dictionary)
+    if failures:
+        raise failures[0][1]
     return scores[0], counts[0]
-
-
-def score_documents(documents, model, fingerprint, dictionary: FeatureDictionary):
-    """Parse and score ``(report_id, text)`` documents as one batch.
-
-    A document that could not be read is passed as its ``DataFormatError``
-    in place of the text. Returns ``(report_ids, scores, counts, failures)``:
-    the id of every document that parses, in input order, with the
-    ``score_reports`` results of those documents, and ``(report_id,
-    DataFormatError)`` for every one that does not. Each document is parsed
-    as ``score_reports`` reaches it, so only its vectorized row outlives it.
-    """
-    report_ids, failures = [], []
-
-    def parsed():
-        for report_id, text in documents:
-            try:
-                if isinstance(text, DataFormatError):
-                    raise text
-                tokens = parse_report(text)
-            except DataFormatError as exc:
-                failures.append((report_id, exc))
-                continue
-            report_ids.append(report_id)
-            yield tokens
-
-    scores, counts = score_reports(parsed(), model, fingerprint, dictionary)
-    return report_ids, scores, counts, failures

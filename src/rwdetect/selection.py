@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import BLOCK_LINES, DataMatrix, FeatureDictionary
+from .dataset import BLOCK_LINES, QUOTED, DataMatrix, FeatureDictionary, csv_field
 
 
 def score_all(matrix: DataMatrix, y: np.ndarray) -> np.ndarray:
@@ -68,7 +68,7 @@ def project(matrix: DataMatrix, selected) -> np.ndarray:
 
 def write_scores_csv(fh, dictionary: FeatureDictionary, scores, order) -> None:
     """Write ``feature_name,mi_score`` rows in ``order``, ``rank_features(scores)``, into
-    the binary ``fh``."""
+    the binary ``fh``; a name is quoted as ``csv_field`` says."""
     ranked = np.asarray(scores, dtype=np.float64)[order]
     # Equal scores are adjacent and repeat a lot: each run of one bit
     # pattern is formatted once.
@@ -77,6 +77,8 @@ def write_scores_csv(fh, dictionary: FeatureDictionary, scores, order) -> None:
     change[1:] = bits[1:] != bits[:-1]
     starts = np.flatnonzero(change).tolist()
     names = dictionary.names
+    if QUOTED.search("".join(names)):
+        names = [csv_field(name) for name in names]
     fh.write(b"feature_name,mi_score\n")
     for a, b in zip(starts, starts[1:] + [len(bits)]):
         tail = f",{ranked[a]:.12g}\n"

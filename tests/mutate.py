@@ -26,6 +26,9 @@ unmutated run plus 30 s.
 Known equivalent mutants, whose survival is no gap in the tests:
 - ``classifiers/knn.py:37`` ``(d + 1) * n_train < 2**31`` -> ``<=``: the
   largest key is ``(d + 1) * n_train - 1``, so int32 holds it at equality too.
+- ``selection.py:58`` ``np.full(matrix.n_features, -1, ...)`` -> ``-2``: the
+  sentinel marks a column that is not selected, and any negative one fails
+  ``remapped >= 0`` alike.
 """
 
 from __future__ import annotations

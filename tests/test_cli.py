@@ -66,6 +66,19 @@ class TestMiScores:
         assert (tmp_path / "padded" / "mi_scores.csv").read_bytes() == \
             (tmp_path / "plain" / "mi_scores.csv").read_bytes()
 
+    def test_names_with_commas_quotes_and_line_breaks_read_back(self, tmp_path):
+        # Quoted header cells may hold any of these; each row still has two fields.
+        odd = ("STR:a,b", 'STR:say "hi"', "FILES:two\nlines")
+        matrix, y = synthesize_dataset(40, 8, 0.3, [(0, 0.1, 0.9)], seed=2)
+        dictionary = FeatureDictionary(odd + generic_dictionary(5).names)
+        write_dense_csv(tmp_path / "data.csv", matrix, dictionary, y)
+        assert run(["mi-scores", "--data", tmp_path / "data.csv", "--out", tmp_path / "o"]) == 0
+        with open(tmp_path / "o" / "mi_scores.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["feature_name", "mi_score"]
+        assert all(len(row) == 2 for row in rows)
+        assert sorted(name for name, _ in rows[1:]) == sorted(dictionary.names)
+
 
 class TestTrain:
     def test_dt_separable_reports_perfect_train_accuracy(self, tmp_path, capsys):
@@ -127,10 +140,21 @@ class TestTrain:
         assert not (out / f"model_{kind}.json").exists()
         assert not out.exists()  # nor its echo
 
-    def test_unknown_model_kind(self, tmp_path):
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unknown_model_kind(self, tmp_path, capsys, source):
+        # argparse's choices check the flag; a config file's model is checked on its own.
         data = make_dataset(tmp_path)
-        assert run(["train", "--data", data, "--model", "dt", "--out",
-                    tmp_path / "o", "--hp", "badsyntax"]) == cli.EXIT_USAGE
+        args = ["train", "--data", data, "--out", tmp_path / "o"]
+        if source == "flag":
+            args += ["--model", "xgb"]
+        else:
+            (tmp_path / "run.cfg").write_text("model=xgb\n")
+            args += ["--config", tmp_path / "run.cfg"]
+        capsys.readouterr()
+        assert run(args) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "xgb" in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestEvaluate:
@@ -636,6 +660,24 @@ def test_batch_of_only_malformed_reports_writes_the_header_alone(trained, tmp_pa
                                             "0 goodware, 3 malformed\n")
 
 
+def test_report_ids_with_commas_and_quotes_read_back(trained, tmp_path):
+    reports_dir = tmp_path / "reports"
+    reports_dir.mkdir()
+    for name in ("a,b.json", 'say "hi".json', "plain.json"):
+        (reports_dir / name).write_text('{"api_calls": ["f00000"]}')
+    (tmp_path / "x,y.ndjson").write_text('{"api_calls": ["f00001"]}\n{}\n')
+    for path, ids in ((reports_dir, ["a,b.json", "plain.json", 'say "hi".json']),
+                      (tmp_path / "x,y.ndjson", ["x,y.ndjson:1", "x,y.ndjson:2"])):
+        out = tmp_path / "out" / path.name
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["score", "--data", trained / "data.sparse", "--out", out,
+                        "--model-file", trained / "model_logreg.json", path]) == cli.EXIT_OK
+        with open(out / "verdicts.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows[1:]] == ids
+        assert all(len(row) == 5 for row in rows)
+
+
 @pytest.mark.parametrize("command", ["evaluate", "score"])
 def test_model_file_too_large_for_memory_is_one_line_data_error(trained, tmp_path, command):
     # A consistent knn file, every column selected and 100 000 empty rows,
@@ -864,6 +906,7 @@ class TestHyperparameters:
         "n_tres=5",  # no model kind has this parameter
         "bootstrap=maybe",
         "learning_rate=fast",
+        "badsyntax",  # no "="
     ])
     def test_bad_override_is_usage_error(self, tmp_path, capsys, hp):
         data = make_dataset(tmp_path)

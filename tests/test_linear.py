@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from rwdetect.classifiers import (
     fit_linear_svm,
     fit_logistic_regression,
     labels_of,
+    linear,
     logistic_gradient,
 )
 from rwdetect.classifiers.base import sigmoid, to_grid
@@ -37,6 +39,24 @@ def zero_edges(rng):
 
 
 class TestLinearSvm:
+    def test_iterates_stay_in_the_ball(self, monkeypatch):
+        # 39 of 40 rows positive and dense: the first step does not cancel, and
+        # without the projection an iterate reaches norm 4.3 against a radius of 1.
+        rng = np.random.default_rng(5)
+        X = (rng.random((40, 100)) < 0.9).astype(np.uint8)
+        y = np.array([1] * 39 + [0])
+        norms = []
+
+        def recording(values, bound):
+            norms.append(math.sqrt(np.sum(values * values)))
+            return to_grid(values, bound)
+
+        monkeypatch.setattr(linear, "to_grid", recording)
+        fit_linear_svm(X, y, SvmParams(regularization=1.0, epochs=20))
+        radius = 1.0  # 1 / sqrt(regularization)
+        assert len(norms) == 21  # one step per epoch, then the average
+        assert max(norms) <= radius * (1 + 1e-12)
+
     def test_separable_1d(self):
         X, y = xy([[0]] * 5 + [[1]] * 5, [0] * 5 + [1] * 5)
         model = fit_linear_svm(X, y, SvmParams())

@@ -21,8 +21,8 @@ from rwdetect.errors import DataFormatError, FingerprintMismatch, ModelFormatErr
 from rwdetect.reports import (
     CATEGORY_FIELDS,
     parse_report,
+    score_documents,
     score_report,
-    score_reports,
     vectorize,
 )
 from rwdetect.selection import project
@@ -52,12 +52,19 @@ def report(**fields):
     return json.dumps(fields)
 
 
+def score_texts(texts, model, fingerprint, dictionary):
+    """``(scores, counts)`` of ``score_documents`` on the report ``texts``, which all parse."""
+    _, scores, counts, failures = score_documents(enumerate(texts), model, fingerprint, dictionary)
+    assert failures == []
+    return scores, counts
+
+
 def batch_array(texts, dictionary, selected=tuple(range(10))):
-    """The 0/1 array ``score_reports`` builds for the reports ``texts`` on
+    """The 0/1 array ``score_documents`` builds for the reports ``texts`` on
     the ``selected`` ordinals, and each report's outcome."""
     model = RecordingModel()
-    _, outcomes = score_reports([parse_report(t) for t in texts], model,
-                                Fingerprint(dictionary.sha256(), tuple(selected)), dictionary)
+    _, outcomes = score_texts(texts, model, Fingerprint(dictionary.sha256(), tuple(selected)),
+                              dictionary)
     [X] = model.arrays
     return X, outcomes
 
@@ -169,9 +176,8 @@ def report_of(names):
 class TestScoreReport:
     def test_training_sample_reproduced_as_report(self, dictionary):
         model, fingerprint = train_knn_fixture(dictionary)
-        tokens = parse_report(report(api_calls=["CreateFileW"], dropped_exts=["exe"],
-                                     strings=["bitcoin"]))
-        score, outcome = score_report(tokens, model, fingerprint, dictionary)
+        text = report(api_calls=["CreateFileW"], dropped_exts=["exe"], strings=["bitcoin"])
+        score, outcome = score_report(text, model, fingerprint, dictionary)
         assert labels_of(score) == 1
         assert outcome.matched == 3
 
@@ -180,8 +186,13 @@ class TestScoreReport:
         y = np.array([0, 1])
         fingerprint = Fingerprint(dictionary.sha256(), tuple(range(10)))
         model = FITTERS["logreg"](X, y, DEFAULT_PARAMS["logreg"]())
-        score, _ = score_report(set(), model, fingerprint, dictionary)
+        score, _ = score_report("{}", model, fingerprint, dictionary)
         assert score == pytest.approx(0.5, abs=1e-9)
+
+    def test_malformed_report_raises_its_error(self, dictionary):
+        model, fingerprint = train_knn_fixture(dictionary)
+        with pytest.raises(DataFormatError, match="array of strings"):
+            score_report('{"strings": [1]}', model, fingerprint, dictionary)
 
     def test_wrong_selection_length_rejected_when_decoded(self, dictionary):
         # A model's selection is its file's: the decoder checks its length.
@@ -194,7 +205,7 @@ class TestScoreReport:
         model, fingerprint = train_knn_fixture(dictionary)
         other = scoring_dictionary(f"API:x{i}" for i in range(10))
         with pytest.raises(FingerprintMismatch, match="dictionary"):
-            score_report(set(), model, fingerprint, other)
+            score_report("{}", model, fingerprint, other)
 
     def test_composition_law_on_random_fixtures(self, dictionary):
         # score_report must equal predict of the reference row exactly
@@ -203,7 +214,7 @@ class TestScoreReport:
         for _ in range(20):
             chosen = [NAMES[j] for j in rng.choice(10, size=4, replace=False)]
             text = report_of(chosen + ["API:Unknown"])
-            score, counts = score_report(parse_report(text), model, fingerprint, dictionary)
+            score, counts = score_report(text, model, fingerprint, dictionary)
 
             _, matched, unmatched, row = reference_report(text, NAMES, fingerprint.selected)
             assert counts == (matched, unmatched)
@@ -218,10 +229,10 @@ class TestScoreReport:
         fingerprint = Fingerprint(dictionary.sha256(), tuple(range(64)))
         model = FITTERS[kind](to_dense(matrix), y, DEFAULT_PARAMS[kind]())
         rng = np.random.default_rng(71)
-        batch = [parse_report(report_of([name for name in WIDE_NAMES if rng.random() < 0.3]
-                                        + ["API:Unknown"])) for _ in range(200)]
-        scores, counts = score_reports(batch, model, fingerprint, dictionary)
-        one_at_a_time = [score_report(tokens, model, fingerprint, dictionary) for tokens in batch]
+        batch = [report_of([name for name in WIDE_NAMES if rng.random() < 0.3] + ["API:Unknown"])
+                 for _ in range(200)]
+        scores, counts = score_texts(batch, model, fingerprint, dictionary)
+        one_at_a_time = [score_report(text, model, fingerprint, dictionary) for text in batch]
         assert scores.tobytes() == np.array([score for score, _ in one_at_a_time]).tobytes()
         assert counts == [outcome for _, outcome in one_at_a_time]
 
@@ -241,11 +252,11 @@ class TestScoreReport:
         assert np.array_equal(X, to_dense(full)[:, list(selected)])
         assert X.tolist() == [reference_report(t, NAMES, selected)[3] for t in texts]
         expected = model.predict(project(full, selected))
-        scores, _ = score_reports(map(parse_report, texts), model, fingerprint, dictionary)
+        scores, _ = score_texts(texts, model, fingerprint, dictionary)
         assert scores.tobytes() == expected.tobytes()
 
     def test_duplicate_or_negative_selection_rejected(self, dictionary):
-        # score_reports takes its model from a file, whose decoder owns the rule.
+        # score_documents takes its model from a file, whose decoder owns the rule.
         model, _ = train_knn_fixture(dictionary)
         for selected in ((1, 1, 2), (0, -1, 2)):
             blob = serialize_model(model, Fingerprint(dictionary.sha256(), selected))
@@ -253,7 +264,7 @@ class TestScoreReport:
                 deserialize_model(blob)
 
     def test_empty_batch(self, dictionary):
-        scores, counts = score_reports([], *train_knn_fixture(dictionary), dictionary)
+        scores, counts = score_texts([], *train_knn_fixture(dictionary), dictionary)
         assert scores.dtype == np.float64 and scores.shape == (0,) and counts == []
 
 

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import tracemalloc
@@ -14,7 +15,7 @@ from rwdetect.classifiers import (
     deserialize_model,
     serialize_model,
 )
-from rwdetect.dataset import BLOCK_LINES, DataMatrix, load_sparse
+from rwdetect.dataset import BLOCK_LINES, DataMatrix, FeatureDictionary, load_sparse
 from rwdetect.errors import DataFormatError, FingerprintMismatch, ModelFormatError
 from rwdetect.reports import check_fingerprint
 from rwdetect.selection import project, rank_features, score_all, select_k_best, write_scores_csv
@@ -296,3 +297,15 @@ def test_scores_csv_run_longer_than_a_block():
     scores[7] = 0.5
     rest = [f"{name},0" for j, name in enumerate(d.names) if j != 7]
     assert scores_csv_lines(d, scores) == ["feature_name,mi_score", f"{d.names[7]},0.5", *rest]
+
+
+def test_scores_csv_quotes_names_that_need_it():
+    # A name holding a comma, a quote or a line break is quoted; the others stay bare.
+    names = ("STR:a,b", 'STR:say "hi"', "FILES:two\nlines", "STR:plain", 'STR:","')
+    fh = io.BytesIO()
+    scores = np.array([0.5, 0.4, 0.3, 0.2, 0.1])
+    write_scores_csv(fh, FeatureDictionary(names), scores, rank_features(scores))
+    rows = list(csv.reader(io.StringIO(fh.getvalue().decode("utf-8"), newline="")))
+    assert rows == [["feature_name", "mi_score"], *([name, f"{v:.12g}"]
+                                                    for name, v in zip(names, scores))]
+    assert b"\nSTR:plain,0.2\n" in fh.getvalue()
