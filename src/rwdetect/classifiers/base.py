@@ -51,6 +51,8 @@ AT_LEAST_ONE = ("n_trees", "k_neighbors", "epochs", "features_per_split", "n_rou
 NON_NEGATIVE = ("max_depth", "seed", "l2_leaf_penalty", "min_child_weight", "tolerance",
                 "l2_penalty")
 POSITIVE = ("learning_rate", "regularization")
+# Upper bounds: a deeper tree recurses past Python's limit when it is grown or written.
+AT_MOST = {"max_depth": 512}
 
 
 class Params:
@@ -71,6 +73,8 @@ class Params:
                 raise FitError(f"{name}={value!r} must be >= 0")
             if name in POSITIVE and value <= 0:
                 raise FitError(f"{name}={value!r} must be > 0")
+            if name in AT_MOST and value > AT_MOST[name]:
+                raise FitError(f"{name}={value!r} must be <= {AT_MOST[name]}")
 
 
 @dataclass(frozen=True)

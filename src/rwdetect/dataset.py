@@ -88,19 +88,23 @@ class FeatureDictionary:
         return self._sha256
 
 
-def name_table(names: tuple[str, ...], ordinals: bool = False):
+def name_table(names: tuple[str, ...], ordinals: bool = False, dense: bool = False):
     """``names`` as a frozenset, or a name -> ordinal dict with ``ordinals``, once checked: one
-    name or more, each category-prefixed, none repeated. The first offender is named."""
+    name or more, each category-prefixed, none repeated, with ``dense`` each one line (only a CSV
+    header cell can hold "\\n"; ``sha256`` joins names with it). The first offender is named."""
     if not names:
         raise DataFormatError("feature dictionary is empty")
     # A set built from a dict is sized once, half the table it grows to from a tuple.
     table = dict(zip(names, range(len(names)))) if ordinals else frozenset(dict.fromkeys(names))
     if len(table) < len(names) or not all(
-            map(str.startswith, names, itertools.repeat(NAME_PREFIXES))):
+            map(str.startswith, names, itertools.repeat(NAME_PREFIXES))) or dense and any(
+            "\n" in name for name in names):
         seen = set()
         for name in names:
             if not name.startswith(NAME_PREFIXES):
                 raise DataFormatError(f"feature name {name!r} lacks a valid category prefix")
+            if "\n" in name:
+                raise DataFormatError(f"feature name {name!r} holds a line break")
             if name in seen:
                 raise DataFormatError(f"duplicate feature name {name!r}")
             seen.add(name)
@@ -149,7 +153,7 @@ def load_dense_csv(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
     with _reading(path, "CSV"), open(path, "rb") as fh:
         reader = csv.reader(_decoded_lines(fh))
         names = _dense_names(reader)
-        name_table(names)  # the cells are read by position
+        name_table(names, dense=True)  # the cells are read by position
         d = len(names)
         for cells in filter(None, reader):
             line_no = reader.line_num
@@ -271,7 +275,7 @@ def load_dictionary(path) -> FeatureDictionary:
     dense = file_format(path) == "dense"
     with _reading(path, "CSV" if dense else "text"), open(path, "rb") as fh:
         names = _dense_names(csv.reader(_decoded_lines(fh))) if dense else _sparse_names(fh)
-        return FeatureDictionary(names, name_table(names))
+        return FeatureDictionary(names, name_table(names, dense=dense))
 
 
 def load(path) -> tuple[DataMatrix, FeatureDictionary, np.ndarray]:
@@ -326,11 +330,10 @@ def stratified_split(
     Each class contributes round(class_count * test_fraction) test samples.
     """
     rng = np.random.default_rng(seed)
-
     classes = np.unique(y)
     if len(classes) < 2:
         raise SplitError("stratified split requires both classes present")
-    test_idx: list[int] = []
+    test = np.zeros(len(y), dtype=bool)
     for c in classes:
         members = np.flatnonzero(y == c)
         k = round(len(members) * test_fraction)
@@ -339,12 +342,8 @@ def stratified_split(
                 f"test_fraction {test_fraction} empties a partition "
                 f"for class {c}"
             )
-        perm = rng.permutation(members)
-        test_idx.extend(int(i) for i in perm[:k])
-
-    test_set = set(test_idx)
-    train_idx = [i for i in range(len(y)) if i not in test_set]
-    return train_idx, sorted(test_idx)
+        test[rng.permutation(members)[:k]] = True
+    return np.flatnonzero(~test).tolist(), np.flatnonzero(test).tolist()
 
 
 def take_rows(matrix: DataMatrix, indices) -> DataMatrix:

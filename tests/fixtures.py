@@ -2,6 +2,7 @@
 
 No command runs these: they synthesize and write the datasets the tests
 load, and they are the plain-Python references that ``score_all`` (MI),
+``stratified_split`` (the index-list split its test mask replaced),
 ``fit_linear_svm`` (objective, and the one-row-a-time fit it replaced),
 ``fit_logistic_regression`` (its loss, and dense products), ``grow_tree``
 (trees grown by numpy counts over each node's rows) and
@@ -22,7 +23,8 @@ from rwdetect.classifiers.base import GbtParams, LogRegParams, SvmParams, TreePa
 from rwdetect.classifiers.io import Fingerprint
 from rwdetect.classifiers.linear import logistic_gradient
 from rwdetect.classifiers.tree import FlatTree, build_tree
-from rwdetect.dataset import DataMatrix, FeatureDictionary
+from rwdetect.dataset import DataMatrix, FeatureDictionary, csv_field
+from rwdetect.errors import SplitError
 
 
 def row_ordinals(matrix: DataMatrix) -> list[np.ndarray]:
@@ -60,8 +62,9 @@ def matrices_equal(a: DataMatrix, b: DataMatrix) -> bool:
 
 def write_dense_csv(path, matrix: DataMatrix, dictionary: FeatureDictionary, families) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
+        # csv.writer leaves a lone "\r" bare when the line ends in "\n"; csv_field quotes it.
+        fh.write(",".join(map(csv_field, ("sample_id", "family_id", *dictionary.names))) + "\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "family_id", *dictionary.names])
         for i, (family, row) in enumerate(zip(families, to_dense(matrix))):
             writer.writerow([f"s{i}", str(family), *map(str, row.tolist())])
 
@@ -122,6 +125,25 @@ def scoring_dictionary(names) -> FeatureDictionary:
 def generic_dictionary(d: int, category: str = "STR") -> FeatureDictionary:
     """Placeholder dictionary for synthetic matrices."""
     return FeatureDictionary(tuple(f"{category}:f{j:05d}" for j in range(d)))
+
+
+def list_stratified_split(y: np.ndarray, seed: int, test_fraction: float):
+    """The index-list ``stratified_split`` that one boolean test mask replaced:
+    the same draws, collected in a list and a set, the rows scanned and sorted."""
+    rng = np.random.default_rng(seed)
+    classes = np.unique(y)
+    if len(classes) < 2:
+        raise SplitError("stratified split requires both classes present")
+    test_idx: list[int] = []
+    for c in classes:
+        members = np.flatnonzero(y == c)
+        k = round(len(members) * test_fraction)
+        if not 0 < k < len(members):
+            raise SplitError(f"test_fraction {test_fraction} empties a partition for class {c}")
+        perm = rng.permutation(members)
+        test_idx.extend(int(i) for i in perm[:k])
+    test_set = set(test_idx)
+    return [i for i in range(len(y)) if i not in test_set], sorted(test_idx)
 
 
 @dataclass(frozen=True)

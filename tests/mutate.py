@@ -29,6 +29,13 @@ Known equivalent mutants, whose survival is no gap in the tests:
 - ``selection.py:58`` ``np.full(matrix.n_features, -1, ...)`` -> ``-2``: the
   sentinel marks a column that is not selected, and any negative one fails
   ``remapped >= 0`` alike.
+- ``dataset.py:99`` ``len(table) < len(names)`` -> ``<=``, and
+  ``dataset.py:100`` ``dense and any(...)`` -> ``or``: more dictionaries
+  then take the per-name loop, or a sparse one is searched for a line break
+  it cannot hold; the loop finds the same first defect or none, so only the
+  time differs.
+- ``dataset.py:212`` and ``:214``, the ``-1`` that ``_section_count`` gives a
+  header it cannot read -> ``-2``: any negative count fails ``0 <= count`` alike.
 """
 
 from __future__ import annotations

@@ -68,7 +68,7 @@ class TestMiScores:
 
     def test_names_with_commas_quotes_and_line_breaks_read_back(self, tmp_path):
         # Quoted header cells may hold any of these; each row still has two fields.
-        odd = ("STR:a,b", 'STR:say "hi"', "FILES:two\nlines")
+        odd = ("STR:a,b", 'STR:say "hi"', "FILES:two\rlines")
         matrix, y = synthesize_dataset(40, 8, 0.3, [(0, 0.1, 0.9)], seed=2)
         dictionary = FeatureDictionary(odd + generic_dictionary(5).names)
         write_dense_csv(tmp_path / "data.csv", matrix, dictionary, y)
@@ -123,6 +123,17 @@ class TestTrain:
                     "--top-k", 5]) == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert err == f"data error: {data}: sample section truncated at row 1\n"
+
+    def test_name_with_a_line_break_is_a_data_error(self, tmp_path, capsys):
+        # Its dictionary would hash like one that holds API:a and API:b as two names.
+        data = tmp_path / "data.csv"
+        data.write_text('sample_id,family_id,"API:a\nAPI:b",STR:c,REG:d\n'
+                        + "".join(f"s{i},{i % 2},{i % 2},1,0\n" for i in range(8)))
+        assert run(["train", "--data", data, "--out", tmp_path / "o", "--model", "logreg",
+                    "--top-k", 3]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == \
+            f"data error: {data}: feature name 'API:a\\nAPI:b' holds a line break\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind, hps", [
         ("gbt", ["l2_leaf_penalty=0", "learning_rate=1"]),  # a leaf of 0 hessians: 0/0
@@ -878,10 +889,12 @@ class TestConfig:
 # and one at its bound (just inside it where the bound itself is excluded).
 HP_BOUNDS = [
     ("dt", "max_depth", "-1", "0"),
+    ("dt", "max_depth", "513", "512"),
     ("dt", "min_samples_leaf", "0", "1"),
     ("rf", "n_trees", "0", "1"),
     ("rf", "features_per_split", "0", "1"),
     ("rf", "max_depth", "-1", "0"),
+    ("rf", "max_depth", "513", "512"),
     ("rf", "min_samples_leaf", "0", "1"),
     ("rf", "seed", "-1", "0"),
     ("knn", "k_neighbors", "0", "1"),
@@ -891,6 +904,7 @@ HP_BOUNDS = [
     ("gbt", "n_rounds", "0", "1"),
     ("gbt", "learning_rate", "0.0", "5e-324"),
     ("gbt", "max_depth", "-1", "0"),
+    ("gbt", "max_depth", "513", "512"),
     ("gbt", "l2_leaf_penalty", "-5e-324", "0.0"),
     ("gbt", "min_child_weight", "-5e-324", "0.0"),
     ("logreg", "learning_rate", "0.0", "5e-324"),
@@ -983,6 +997,22 @@ class TestHyperparameters:
             assert code == cli.EXIT_USAGE
             assert err.startswith(f"error: hyperparameter {name}={below}")
             assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "reproduce"])
+    def test_tree_deeper_than_the_bound_is_one_line(self, tmp_path, capsys, command):
+        # Sample i fires only STR:f<i>, so a dt could split one sample off per level and
+        # grow past the recursion limit; the bound rejects the depth before any fit.
+        path = tmp_path / "chain.sparse"
+        names = [f"STR:f{i}" for i in range(3000)]
+        path.write_text("\n".join([f"#FEATURES {len(names)}", *names, f"#SAMPLES {len(names)}",
+                                   *(f"s{i}\t{i % 2}\t{name}" for i, name in enumerate(names))])
+                        + "\n")
+        model = ["--model", "dt"] if command == "train" else []
+        assert run([command, "--data", path, *model, "--top-k", 3000, "--out", tmp_path / "o",
+                    "--hp", "max_depth=5000"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "error: hyperparameter max_depth=5000 must be <= 512\n"
+        assert not (tmp_path / "o").exists()
 
     def test_foreign_key_is_shared_across_kinds(self, tmp_path, capsys):
         # n_trees belongs to rf only; a dt run accepts and ignores it.

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rwdetect import cli, dataset
 from rwdetect.classifiers import (
@@ -33,6 +33,7 @@ from conftest import matrix_from_dense, mutated_lines
 from fixtures import (
     every_column,
     generic_dictionary,
+    list_stratified_split,
     matrices_equal,
     row_ordinals,
     synthesize_dataset,
@@ -57,7 +58,7 @@ def write_dictionary(path, fmt, names):
     if fmt == "sparse":
         write_lines(path, f"#FEATURES {len(names)}", *names, "#SAMPLES 0")
     else:
-        write_lines(path, ",".join(("sample_id", "family_id", *names)))
+        write_lines(path, ",".join(map(dataset.csv_field, ("sample_id", "family_id", *names))))
 
 
 class TestFeatureDictionary:
@@ -76,6 +77,7 @@ class TestFeatureDictionary:
         (("API",), "feature name 'API' lacks a valid category prefix"),
         (("STR:y", "API:x", "STR:y", "NOPE:z"), "duplicate feature name 'STR:y'"),
         (("STR:y", "NOPE:z", "STR:y"), "feature name 'NOPE:z' lacks a valid category prefix"),
+        (("STR:y", "STR:y", "API:a\nb"), "duplicate feature name 'STR:y'"),
         ((), "feature dictionary is empty"),
     ])
     def test_rules_checked_by_every_loader(self, tmp_path, fmt, names, message):
@@ -85,6 +87,17 @@ class TestFeatureDictionary:
             with pytest.raises(DataFormatError) as raised:
                 reader(p)
             assert str(raised.value) == f"{p}: {message}"
+
+    def test_name_with_a_line_break_is_rejected(self, tmp_path):
+        # A sparse file holds one name a line; a quoted dense header cell may hold "\n",
+        # and sha256, which joins the names with "\n", would not tell it from two names.
+        p = tmp_path / "d.csv"
+        write_lines(p, 'sample_id,family_id,"API:a\nAPI:b",STR:c,REG:d', "s0,0,1,0,0",
+                    "s1,1,0,1,1")
+        for reader in (load_dense_csv, dataset.load, load_dictionary):
+            with pytest.raises(DataFormatError) as raised:
+                reader(p)
+            assert str(raised.value) == f"{p}: feature name 'API:a\\nAPI:b' holds a line break"
 
     def test_unknown_names_are_those_not_held(self, tmp_path):
         p = tmp_path / "d.sparse"
@@ -123,6 +136,8 @@ def reference_index(names):
         prefix = name.split(":", 1)[0]
         if prefix not in CATEGORY_CODES or ":" not in name:
             raise DataFormatError(f"feature name {name!r} lacks a valid category prefix")
+        if "\n" in name:
+            raise DataFormatError(f"feature name {name!r} holds a line break")
         if name in index:
             raise DataFormatError(f"duplicate feature name {name!r}")
         index[name] = j
@@ -141,7 +156,7 @@ def reference_sha256(names):
 VALID_NAMES = st.builds("{}:{}".format, st.sampled_from(CATEGORY_CODES), st.text(max_size=5))
 BAD_NAMES = st.text(max_size=8) | st.sampled_from([
     "API", "STR", "", ":x", "api:x", "FILES_EXTRA:x", "FILES_EX:y", "DIRS:z", "\u00c9TR:x",
-    " API:x",
+    " API:x", "API:a\nAPI:b", "STR:\n", "\nSTR:x",
 ])
 
 
@@ -167,11 +182,11 @@ def test_name_table_matches_per_name_reference(names, block):
     except DataFormatError as exc:
         for ordinals in (False, True):
             with pytest.raises(DataFormatError) as raised:
-                dataset.name_table(names, ordinals)
+                dataset.name_table(names, ordinals, dense=True)
             assert str(raised.value) == str(exc)
         return
-    assert dataset.name_table(names, ordinals=True) == expected
-    assert dataset.name_table(names) == frozenset(expected)
+    assert dataset.name_table(names, ordinals=True, dense=True) == expected
+    assert dataset.name_table(names, dense=True) == frozenset(expected)
     with mock.patch.object(dataset, "BLOCK_LINES", block):
         assert FeatureDictionary(names).sha256() == reference_sha256(names)
     assert FeatureDictionary(names).sha256() == reference_sha256(names)
@@ -191,6 +206,13 @@ class TestDenseLoader:
         assert m.n_samples == 3 and m.n_features == 4
         assert m.indptr.tolist() == [0, 0, 0, 0]
         assert y.tolist() == [0, 1, 0]
+
+    def test_no_sample_rows(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_lines(p, "sample_id,family_id," + NAMES4)
+        m, _, y = load_dense_csv(p)
+        assert (m.n_samples, m.indptr.tolist(), m.indices.tolist(), y.tolist()) == \
+            (0, [0], [], [])
 
     def test_direct_encoding(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -323,11 +345,11 @@ class TestSparseLoader:
 
     def test_repeated_token_is_one_active_column(self, tmp_path):
         p = tmp_path / "d.sparse"
-        write_lines(
-            p, "#FEATURES 2", "API:x", "STR:y", "#SAMPLES 1", "s1\t0\tSTR:y API:x STR:y"
-        )
+        # The second line holds one token only, so every neighbour pair repeats.
+        write_lines(p, "#FEATURES 2", "API:x", "STR:y", "#SAMPLES 2",
+                    "s1\t0\tSTR:y API:x STR:y", "s2\t1\tAPI:x API:x")
         m, _, _ = load_sparse(p)
-        assert row_ordinals(m)[0].tolist() == [0, 1]
+        assert [r.tolist() for r in row_ordinals(m)] == [[0, 1], [0]]
 
     def test_ordinals_load_as_int32(self, tmp_path):
         # A repeated token and the last ordinal, d - 1: the same rows as ever, held as int32.
@@ -580,6 +602,24 @@ class TestStratifiedSplit:
             with pytest.raises(SplitError):
                 stratified_split(y, 0, fraction)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 1), min_size=4, max_size=400), st.integers(0, 2**32 - 1),
+           st.floats(-0.5, 1.5))
+    @example([1, 1, 1, 1], 0, 0.5)  # one class
+    @example([0, 0, 1, 1, 1], 0, 0.2)  # no test row for class 0
+    def test_mask_matches_list_reference(self, labels, seed, fraction):
+        y = np.array(labels, dtype=np.int64)
+        try:
+            expected = list_stratified_split(y, seed, fraction)
+        except SplitError as exc:
+            with pytest.raises(SplitError) as raised:
+                stratified_split(y, seed, fraction)
+            assert str(raised.value) == str(exc)
+            return
+        train, test = stratified_split(y, seed, fraction)
+        assert (train, test) == expected
+        assert all(type(i) is int for i in train + test)
+
 
 class TestSynthesize:
     def test_perfect_signal_separates(self):
@@ -625,6 +665,8 @@ class TestLoadDictionary:
         ("sparse", b"#FEATURES -1\n#SAMPLES 0\n", "'#FEATURES <count>' header"),
         ("sparse", b"API:a\n#SAMPLES 0\n", "'#FEATURES <count>' header"),
         ("sparse", b"#FEATURES 1 junk\nAPI:a\n#SAMPLES 0\n", "'#FEATURES <count>' header"),
+        # One column past what int32 ordinals hold.
+        ("sparse", b"#FEATURES 2147483649\nAPI:a\n#SAMPLES 0\n", "'#FEATURES <count>' header"),
         ("sparse", b"#FEATURES 3\nAPI:a\nSTR:b\n", "dictionary section truncated"),
         ("sparse", b"#FEATURES 2\nAPI:a\nNOPE:b\n#SAMPLES 0\n", "category prefix"),
         ("sparse", b"#FEATURES 2\nAPI:a\nAPI:a\n#SAMPLES 0\n", "duplicate feature name"),

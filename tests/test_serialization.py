@@ -24,7 +24,8 @@ from rwdetect.classifiers import (
     labels_of,
     serialize_model,
 )
-from rwdetect.classifiers.base import sigmoid
+from rwdetect.classifiers.base import AT_MOST, sigmoid
+from rwdetect.classifiers.tree import DecisionTreeModel, build_tree
 from rwdetect.errors import ModelFormatError
 
 from conftest import random_dense, xy
@@ -260,6 +261,27 @@ def test_integer_weights_decode_as_floats(models):
 def test_hyperparameters_at_their_bounds_are_accepted(kind, values):
     params = DEFAULT_PARAMS[kind](**values)
     assert all(getattr(params, name) == value for name, value in values.items())
+
+
+def test_tree_as_deep_as_the_bound_round_trips():
+    # A chain: the split at depth j reads feature j, its 0 side is a leaf of
+    # value (j + 1) / 1024, and its 1 side goes on down to a leaf of 1.0.
+    bound = AT_MOST["max_depth"]
+
+    def expand(leaf, depth):
+        if leaf:
+            return depth / 1024
+        return 1.0 if depth == bound else (depth, True, False)
+
+    model = DecisionTreeModel(build_tree(expand, False), TreeParams(max_depth=bound))
+    assert len(model.tree.feature) == 2 * bound + 1
+    X = np.ones((4, bound), dtype=np.uint8)
+    for row, j in enumerate((0, 100, bound - 1)):
+        X[row, j] = 0
+    blob = serialize_model(model, every_column(bound))
+    restored, fingerprint = deserialize_model(blob)
+    assert serialize_model(restored, fingerprint) == blob
+    assert restored.predict(X).tolist() == [1 / 1024, 101 / 1024, bound / 1024, 1.0]
 
 
 def small_blobs():
