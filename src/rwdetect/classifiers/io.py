@@ -59,11 +59,12 @@ def _require(condition, message: str) -> None:
         raise ModelFormatError(message)
 
 
-def _decode_tree(obj, leaf_key: str, n_features: int) -> FlatTree:
+def _decode_tree(obj, leaf_key: str, n_features: int, params) -> FlatTree:
     def expand(obj, depth):
         _require(isinstance(obj, dict), "tree node must be a JSON object")
         if "f" not in obj:
             return _number(obj[leaf_key], "leaf value")
+        _require(depth < params.max_depth, f"tree deeper than max_depth {params.max_depth}")
         feature = obj["f"]
         if type(feature) is not int or not 0 <= feature < n_features:
             raise ModelFormatError(f"split feature {feature!r} outside [0, {n_features})")
@@ -72,8 +73,8 @@ def _decode_tree(obj, leaf_key: str, n_features: int) -> FlatTree:
     return build_tree(expand, obj)
 
 
-def _decode_trees(payload, leaf_key: str, n_features: int, count: int) -> tuple:
-    return tuple(_decode_tree(t, leaf_key, n_features)
+def _decode_trees(payload, leaf_key: str, n_features: int, params, count: int) -> tuple:
+    return tuple(_decode_tree(t, leaf_key, n_features, params)
                  for t in _list(payload["trees"], "trees", count))
 
 
@@ -188,11 +189,11 @@ def _decode_payload(kind: str, payload, params, d: int):
     if kind == "knn":
         return _decode_knn(payload, params, d)
     if kind == "dt":
-        return DecisionTreeModel(_decode_tree(payload["root"], "s", d), params)
+        return DecisionTreeModel(_decode_tree(payload["root"], "s", d, params), params)
     if kind == "rf":
-        return RandomForestModel(_decode_trees(payload, "s", d, params.n_trees), params)
+        return RandomForestModel(_decode_trees(payload, "s", d, params, params.n_trees), params)
     if kind == "gbt":
-        return GbtModel(_decode_trees(payload, "w", d, params.n_rounds),
+        return GbtModel(_decode_trees(payload, "w", d, params, params.n_rounds),
                         _number(payload["base_score"], "base_score"), params)
     linear = LinearSvmModel if kind == "svm" else LogRegModel
     weights = _list(payload["weights"], "weights", d)

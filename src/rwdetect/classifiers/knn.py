@@ -16,7 +16,14 @@ from ..errors import FitError
 from .base import KnnParams
 
 QUERY_BLOCK = 128
-TRAIN_TILE = 256
+
+
+def pack_rows(X: np.ndarray) -> np.ndarray:
+    """The 0/1 rows of ``X`` as bits in uint64 words, zero-padded, transposed:
+    row j of the result holds word j of every row."""
+    packed = np.packbits(X, axis=1, bitorder="little")
+    words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+    return np.ascontiguousarray(words.T)
 
 
 @dataclass(frozen=True)
@@ -27,34 +34,27 @@ class KnnModel:
     params: KnnParams
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        # Hamming distance |q| + |t| - 2 q.t, built in place, exactly: every value
-        # is an integer of magnitude <= n_features, or an even one <= 2 n_features,
-        # and float32 holds each of them below 2^24 features.
         n_train, d = self.train.shape
-        dtype = np.float32 if d < 2**24 else np.float64
-        # Key distance * n_train + row: distinct, and ordered as (distance, row) is, so
-        # the k smallest keys are the k nearest rows with ties broken by row index.
-        key_dtype = np.int32 if (d + 1) * n_train < 2**31 else np.int64
-        t_ones = self.train.sum(axis=1, dtype=dtype)
+        train = pack_rows(self.train)
         labels = np.asarray(self.train_labels)
         k = self.params.k_neighbors
 
-        # Query rows go in blocks and training rows in tiles, so no copy larger
-        # than QUERY_BLOCK x n_train keys is made however many rows are scored.
+        # Query rows go in blocks, so no copy larger than QUERY_BLOCK x n_train keys
+        # is made. A Hamming distance is the popcount of q ^ t, a word at a time,
+        # summed in an unsigned type that holds n_features, so it is exact.
         votes = np.empty(len(X))
         for start in range(0, len(X), QUERY_BLOCK):
-            q = X[start:start + QUERY_BLOCK].astype(dtype)
-            keys = np.empty((len(q), n_train), dtype=key_dtype)
-            for t in range(0, n_train, TRAIN_TILE):
-                dists = q @ self.train[t:t + TRAIN_TILE].astype(dtype).T
-                dists *= -2
-                dists += q.sum(axis=1)[:, None]
-                dists += t_ones[t:t + TRAIN_TILE]
-                keys[:, t:t + TRAIN_TILE] = dists
-            keys *= n_train
-            keys += np.arange(n_train, dtype=key_dtype)
+            block = pack_rows(X[start:start + QUERY_BLOCK])
+            dists = np.zeros((block.shape[1], n_train), np.min_scalar_type(d))
+            for q, t in zip(block, train):
+                dists += np.bitwise_count(np.bitwise_xor.outer(q, t))
+            # Key distance * n_train + row: distinct, and ordered as (distance, row) is, so
+            # the k smallest keys are the k nearest rows with ties broken by row index.
+            keys = np.multiply(dists, n_train, dtype=np.int64)
+            keys += np.arange(n_train)
             keys.partition(k - 1, axis=1)
             votes[start:start + QUERY_BLOCK] = labels[keys[:, :k] % n_train].sum(axis=1)
+            del keys  # before the next block's distances
         votes /= k
         return votes
 

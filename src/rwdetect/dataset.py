@@ -30,7 +30,6 @@ import contextlib
 import csv
 import hashlib
 import itertools
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,14 +50,15 @@ INT32_LIMIT = 2**31
 # scores this many at a time, which bounds the memory a block of them holds.
 BLOCK_LINES = 8192
 
-# A CSV field holding one of these is quoted, as RFC 4180 says.
-QUOTED = re.compile('[,"\r\n]')
+
+def needs_quotes(text: str) -> bool:
+    """Whether ``text`` holds a comma, a ``"`` or a line break: RFC 4180 quotes such a field."""
+    return any(c in text for c in ',"\r\n')
 
 
 def csv_field(text: str) -> str:
-    """``text`` as one CSV field: in quotes, each ``"`` doubled, if it holds a
-    comma, a ``"`` or a line break, else bare."""
-    return '"' + text.replace('"', '""') + '"' if QUOTED.search(text) else text
+    """``text`` as one CSV field: in quotes, each ``"`` doubled, if it ``needs_quotes``."""
+    return '"' + text.replace('"', '""') + '"' if needs_quotes(text) else text
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import BLOCK_LINES, QUOTED, DataMatrix, FeatureDictionary, csv_field
+from .dataset import BLOCK_LINES, DataMatrix, FeatureDictionary, csv_field, needs_quotes
 
 
 def score_all(matrix: DataMatrix, y: np.ndarray) -> np.ndarray:
@@ -76,12 +76,11 @@ def write_scores_csv(fh, dictionary: FeatureDictionary, scores, order) -> None:
     change = np.ones(len(bits), dtype=bool)
     change[1:] = bits[1:] != bits[:-1]
     starts = np.flatnonzero(change).tolist()
-    names = dictionary.names
-    if QUOTED.search("".join(names)):
+    names = np.array(dictionary.names, dtype=object)[order].tolist()
+    if needs_quotes("".join(names)):
         names = [csv_field(name) for name in names]
     fh.write(b"feature_name,mi_score\n")
     for a, b in zip(starts, starts[1:] + [len(bits)]):
         tail = f",{ranked[a]:.12g}\n"
-        rows = order[a:b].tolist()
-        for c in range(0, len(rows), BLOCK_LINES):
-            fh.write("".join([names[j] + tail for j in rows[c:c + BLOCK_LINES]]).encode("utf-8"))
+        for c in range(a, b, BLOCK_LINES):
+            fh.write((tail.join(names[c:min(c + BLOCK_LINES, b)]) + tail).encode("utf-8"))

@@ -6,14 +6,16 @@ load, and they are the plain-Python references that ``score_all`` (MI),
 ``fit_linear_svm`` (objective, and the one-row-a-time fit it replaced),
 ``fit_logistic_regression`` (its loss, and dense products), ``grow_tree``
 (trees grown by numpy counts over each node's rows) and
-``fit_gradient_boosting`` (trees grown by gathering every node) are checked
-against.
+``fit_gradient_boosting`` (trees grown by gathering every node) and
+``write_scores_csv`` (one string per row, quoting found by a regex) are
+checked against.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +25,7 @@ from rwdetect.classifiers.base import GbtParams, LogRegParams, SvmParams, TreePa
 from rwdetect.classifiers.io import Fingerprint
 from rwdetect.classifiers.linear import logistic_gradient
 from rwdetect.classifiers.tree import FlatTree, build_tree
-from rwdetect.dataset import DataMatrix, FeatureDictionary, csv_field
+from rwdetect.dataset import BLOCK_LINES, DataMatrix, FeatureDictionary, csv_field
 from rwdetect.errors import SplitError
 
 
@@ -125,6 +127,25 @@ def scoring_dictionary(names) -> FeatureDictionary:
 def generic_dictionary(d: int, category: str = "STR") -> FeatureDictionary:
     """Placeholder dictionary for synthetic matrices."""
     return FeatureDictionary(tuple(f"{category}:f{j:05d}" for j in range(d)))
+
+
+def row_string_write_scores_csv(fh, dictionary: FeatureDictionary, scores, order) -> None:
+    """The ``write_scores_csv`` that joined runs replaced: a regex search of the
+    joined names for a character to quote, and one ``name + tail`` string a row."""
+    ranked = np.asarray(scores, dtype=np.float64)[order]
+    bits = ranked.view(np.int64)
+    change = np.ones(len(bits), dtype=bool)
+    change[1:] = bits[1:] != bits[:-1]
+    starts = np.flatnonzero(change).tolist()
+    names = dictionary.names
+    if re.search('[,"\r\n]', "".join(names)):
+        names = [csv_field(name) for name in names]
+    fh.write(b"feature_name,mi_score\n")
+    for a, b in zip(starts, starts[1:] + [len(bits)]):
+        tail = f",{ranked[a]:.12g}\n"
+        rows = order[a:b].tolist()
+        for c in range(0, len(rows), BLOCK_LINES):
+            fh.write("".join([names[j] + tail for j in rows[c:c + BLOCK_LINES]]).encode("utf-8"))
 
 
 def list_stratified_split(y: np.ndarray, seed: int, test_fraction: float):

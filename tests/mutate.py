@@ -24,8 +24,9 @@ or ``survived``. A mutant is killed by a timeout of three times the
 unmutated run plus 30 s.
 
 Known equivalent mutants, whose survival is no gap in the tests:
-- ``classifiers/knn.py:37`` ``(d + 1) * n_train < 2**31`` -> ``<=``: the
-  largest key is ``(d + 1) * n_train - 1``, so int32 holds it at equality too.
+- ``classifiers/io.py:172`` ``min(max(j, -1), n_features)`` -> ``-2``: a knn
+  ordinal beyond int64 is clamped only so that the flat check finds it out of
+  range, and any negative stand-in is; the message quotes the row's own ordinal.
 - ``selection.py:58`` ``np.full(matrix.n_features, -1, ...)`` -> ``-2``: the
   sentinel marks a column that is not selected, and any negative one fails
   ``remapped >= 0`` alike.

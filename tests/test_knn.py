@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rwdetect.classifiers import KnnParams, fit_knn, knn, labels_of
 from rwdetect.errors import FitError
@@ -33,10 +34,9 @@ def test_k_larger_than_n_rejected():
 
 
 def small_blocks(monkeypatch, block):
-    """Query blocks and training tiles of ``block`` rows, or the defaults for None."""
+    """Query blocks of ``block`` rows, or the default for None."""
     if block is not None:
         monkeypatch.setattr(knn, "QUERY_BLOCK", block)
-        monkeypatch.setattr(knn, "TRAIN_TILE", block)
 
 
 def assert_matches_oracle(train_X, train_y, query_X, k):
@@ -55,11 +55,8 @@ def test_matches_brute_force_on_random_data(k, block, monkeypatch):
     assert_matches_oracle(train_X, train_y, query_X, k)
 
 
-@pytest.mark.parametrize("tile", [None, 1, 2, 3])
-def test_query_blocks_match_brute_force(tile, monkeypatch):
-    # 15 query rows in blocks of 4: the last block is short. 20 training
-    # rows in tiles of 1, 2 or 3: the last tile is short for 3.
-    small_blocks(monkeypatch, tile)
+def test_query_blocks_match_brute_force(monkeypatch):
+    # 15 query rows in blocks of 4: the last block is short.
     monkeypatch.setattr(knn, "QUERY_BLOCK", 4)
     rng = np.random.default_rng(78)
     train_X = random_dense(rng, 20, 10)
@@ -82,38 +79,64 @@ def test_many_equal_distances_match_brute_force(k, block, monkeypatch):
     assert_matches_oracle(train_X, train_y, query_X, k)
 
 
-class SplitRows:
-    """``n`` training rows of ``d`` features, all ones before row ``split`` and
-    all zeros from it on, made a tile at a time as ``predict`` reads them: a
-    training set of 2^31 entries without the memory to hold one."""
-
-    def __init__(self, n, d, split):
-        self.shape, self.split = (n, d), split
-        self.ones = np.ones((knn.TRAIN_TILE, d), np.uint8)
-
-    def sum(self, axis, dtype):
-        return np.where(np.arange(self.shape[0]) < self.split, self.shape[1], 0).astype(dtype)
-
-    def __getitem__(self, rows):
-        ones = np.arange(*rows.indices(self.shape[0])) < self.split
-        if ones.all():
-            return self.ones[:len(ones)]
-        return np.broadcast_to(ones[:, None], (len(ones), self.shape[1])).astype(np.uint8)
+def test_nearest_of_many_training_rows_matches_brute_force():
+    # 1 000 training rows, k = 1. On a few dozen rows a partition at the
+    # wrong index still happens to leave the nearest row first; here it does not.
+    rng = np.random.default_rng(81)
+    train_X = random_dense(rng, 1000, 16)
+    train_y = rng.integers(0, 2, size=1000)
+    query_X = random_dense(rng, 10, 16)
+    assert_matches_oracle(train_X, train_y, query_X, 1)
 
 
-def test_keys_past_int32_take_the_int64_path(monkeypatch):
-    # (d + 1) * n_train = 2^31 + 2^15. The all-ones rows are d from an
-    # all-zeros query, so their keys d * n_train + row pass 2^31 and would
-    # wrap to the smallest int32 keys; the 3 all-zeros rows are the nearest.
-    monkeypatch.setattr(knn, "TRAIN_TILE", 64)
-    d, n, k = 2**16, 2**15, 3
-    model = knn.KnnModel(SplitRows(n, d, n - k), (0,) * (n - k) + (1,) * k,
-                         KnnParams(k_neighbors=k))
-    assert model.predict(np.zeros((1, d), np.uint8)).tolist() == [1.0]
+def bits(value, d):
+    """The ``d`` low bits of ``value``, lowest first, as a 0/1 uint8 row."""
+    return np.array([(value >> j) & 1 for j in range(d)], dtype=np.uint8)
+
+
+@st.composite
+def knn_cases(draw):
+    """``(train_X, train_y, query_X, k, block)``: 1-40 training rows drawn from
+    a pool of 1-5, so rows repeat and distances tie, on 1-200 features (the
+    widths either side of one and two 64-bit words often), 0-20 query rows
+    from the pool or not, any k, and query blocks of 1, 2, 3 or the default."""
+    d = draw(st.sampled_from([63, 64, 65, 127, 128, 129]) | st.integers(1, 200))
+    row = st.integers(0, 2**d - 1)
+    pool = draw(st.lists(row, min_size=1, max_size=5))
+    train = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    query = draw(st.lists(st.sampled_from(pool) | row, max_size=20))
+    train_y = np.array(draw(st.lists(st.integers(0, 1), min_size=len(train),
+                                     max_size=len(train))))
+    k = draw(st.integers(1, len(train)))
+    block = draw(st.sampled_from([1, 2, 3, knn.QUERY_BLOCK]))
+    query_X = np.array([bits(v, d) for v in query], dtype=np.uint8).reshape(len(query), d)
+    return np.array([bits(v, d) for v in train]), train_y, query_X, k, block
+
+
+@settings(max_examples=150, deadline=None)
+@given(knn_cases())
+def test_predict_matches_brute_force(case):
+    train_X, train_y, query_X, k, block = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(knn, "QUERY_BLOCK", block)
+        assert_matches_oracle(train_X, train_y, query_X, k)
+
+
+def test_distances_wider_than_uint16_are_exact():
+    # The all-ones row is 70 000 from the all-zeros query: summed in uint16 it
+    # wraps to 4 464 and beats the row of 5 000 ones, the nearest.
+    d = 70_000
+    train_X = np.zeros((2, d), dtype=np.uint8)
+    train_X[0] = 1
+    train_X[1, :5000] = 1
+    model = fit_knn(train_X, np.array([1, 0]), KnnParams(k_neighbors=1))
+    assert model.predict(np.zeros((1, d), dtype=np.uint8)).tolist() == [0.0]
 
 
 def test_predict_holds_no_copy_of_the_training_array():
-    # The float32 copy of the whole 2000 x 400 training array alone is 3.2 MB.
+    # 3.2 MB is what a float32 copy of the 2000 x 400 training array would take.
+    # A block's int64 keys take 2 MB, so holding them while the next block's
+    # distances are summed goes past it.
     rng = np.random.default_rng(80)
     train_X = random_dense(rng, 2000, 400)
     model = fit_knn(train_X, rng.integers(0, 2, size=2000), KnnParams(k_neighbors=5))

@@ -25,6 +25,7 @@ from fixtures import (
     ContingencyTable,
     generic_dictionary,
     mi_score,
+    row_string_write_scores_csv,
     synthesize_dataset,
     to_dense,
     write_sparse,
@@ -297,6 +298,23 @@ def test_scores_csv_run_longer_than_a_block():
     scores[7] = 0.5
     rest = [f"{name},0" for j, name in enumerate(d.names) if j != 7]
     assert scores_csv_lines(d, scores) == ["feature_name,mi_score", f"{d.names[7]},0.5", *rest]
+
+
+@given(st.lists(st.text(st.sampled_from('ab,"\r'), max_size=6), min_size=1, max_size=30,
+                unique=True),
+       st.lists(st.sampled_from([0.0, 0.125, 0.5, math.nan]), min_size=30, max_size=30),
+       st.sampled_from([1, 2, BLOCK_LINES]))
+def test_scores_csv_matches_row_string_writer(names, values, block):
+    # Random names, some to quote, with tied scores (runs) in blocks of 1, 2 or the default.
+    dictionary = FeatureDictionary(tuple(names))
+    scores = np.array(values[:len(names)])
+    order = rank_features(scores)
+    written, expected = io.BytesIO(), io.BytesIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selection, "BLOCK_LINES", block)
+        write_scores_csv(written, dictionary, scores, order)
+    row_string_write_scores_csv(expected, dictionary, scores, order)
+    assert written.getvalue() == expected.getvalue()
 
 
 def test_scores_csv_quotes_names_that_need_it():

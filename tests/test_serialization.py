@@ -175,6 +175,15 @@ def test_knn_row_ordinal_beyond_n_features_rejected(models):
         deserialize_model(blob)
 
 
+@pytest.mark.parametrize("label", [True, 1.0, 2, "1"])
+def test_knn_label_other_than_int_0_or_1_rejected(models, label):
+    def edit(doc):
+        doc["payload"]["labels"][0] = label
+
+    with pytest.raises(ModelFormatError, match="knn labels must be 0 or 1"):
+        deserialize_model(edited(models["knn"], edit))
+
+
 # Edits of the first stored knn row of at least two ordinals, and the message each gives.
 KNN_ROW_DEFECTS = {
     "negative": (lambda row: row.insert(0, -1), "ordinal -1 outside"),
@@ -282,6 +291,45 @@ def test_tree_as_deep_as_the_bound_round_trips():
     restored, fingerprint = deserialize_model(blob)
     assert serialize_model(restored, fingerprint) == blob
     assert restored.predict(X).tolist() == [1 / 1024, 101 / 1024, bound / 1024, 1.0]
+
+
+def tree_depth(tree, node=0) -> int:
+    if tree.is_leaf(node):
+        return 0
+    return 1 + max(tree_depth(tree, tree.left[node]), tree_depth(tree, tree.right[node]))
+
+
+def with_max_depth(model, max_depth: int, width: int) -> bytes:
+    """The file of ``model``, fit on all its ``width`` columns, with ``max_depth`` edited."""
+    return edited(model, lambda doc: doc["hyperparameters"].update(max_depth=max_depth), width)
+
+
+def test_tree_deeper_than_its_file_max_depth_rejected():
+    # One-hot rows with alternating labels: each split peels one row off, so
+    # the dt fit at the bound is a chain 20 deep. Edited to its own depth the
+    # file loads; edited below it, say to 6, it is a data error.
+    X, y = xy(np.eye(40), [0, 1] * 20)
+    model = FITTERS["dt"](X, y, TreeParams(max_depth=AT_MOST["max_depth"]))
+    depth = tree_depth(model.tree)
+    assert depth == 20
+    restored, _ = deserialize_model(with_max_depth(model, depth, 40))
+    assert restored.predict(X).tolist() == model.predict(X).tolist()
+    for max_depth in (depth - 1, 6):
+        with pytest.raises(ModelFormatError, match=f"tree deeper than max_depth {max_depth}$"):
+            deserialize_model(with_max_depth(model, max_depth, 40))
+
+
+@pytest.mark.parametrize("kind", ["dt", "rf", "gbt"])
+def test_tree_one_level_deeper_than_max_depth_rejected(kind):
+    rng = np.random.default_rng(59)
+    X, y = xy(random_dense(rng, 60, 8), rng.integers(0, 2, size=60))
+    model = FITTERS[kind](X, y, DEFAULT_PARAMS[kind](max_depth=3))
+    trees = [model.tree] if kind == "dt" else model.trees
+    assert max(map(tree_depth, trees)) == 3
+    restored, _ = deserialize_model(with_max_depth(model, 3, 8))
+    assert restored.predict(X).tolist() == model.predict(X).tolist()
+    with pytest.raises(ModelFormatError, match="tree deeper than max_depth 2$"):
+        deserialize_model(with_max_depth(model, 2, 8))
 
 
 def small_blobs():
